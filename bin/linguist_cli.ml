@@ -371,7 +371,7 @@ let tables_cmd =
         Printf.printf "  nonterminals   %5d\n" (Lg_grammar.Cfg.nonterminal_count cfg);
         Printf.printf "  productions    %5d\n" (Lg_grammar.Cfg.production_count cfg);
         Printf.printf "  LR(0) states   %5d\n" (Lg_lalr.Tables.state_count tables);
-        Printf.printf "  table bytes    %5d (16-bit entries)\n"
+        Printf.printf "  table bytes    %5d (packed)\n"
           (Lg_lalr.Tables.table_bytes tables);
         (match Lg_lalr.Tables.unresolved_conflicts tables with
         | [] -> Printf.printf "  conflicts      none\n"

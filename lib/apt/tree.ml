@@ -8,11 +8,10 @@ type t = {
   leaf_attrs : Value.t array;
 }
 
-let counter = ref 0
-
-let next_id () =
-  incr counter;
-  !counter
+(* Shared by every domain that builds trees: pooled parses must never
+   re-issue an id, since incremental state is keyed by node ids. *)
+let counter = Atomic.make 0
+let next_id () = Atomic.fetch_and_add counter 1 + 1
 
 let leaf ~sym ~attrs =
   { id = next_id (); prod = Node.leaf_prod; sym; children = []; leaf_attrs = attrs }

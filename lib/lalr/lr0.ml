@@ -60,7 +60,16 @@ let build g =
     { grammar = g; states = [||]; augmented; goto_tbl = Hashtbl.create 256 }
   in
   let by_kernel : (item list, int) Hashtbl.t = Hashtbl.create 64 in
-  let states = ref [] and count = ref 0 in
+  (* States by id, filled in as [explore] finishes them. *)
+  let states = ref [||] and count = ref 0 in
+  let set_state id st =
+    if id >= Array.length !states then begin
+      let grown = Array.make (max 64 (2 * id)) st in
+      Array.blit !states 0 grown 0 (Array.length !states);
+      states := grown
+    end;
+    !states.(id) <- st
+  in
   let rec explore kernel =
     match Hashtbl.find_opt by_kernel kernel with
     | Some id -> id
@@ -85,9 +94,6 @@ let build g =
               | None -> moves := (sym, [ advanced ]) :: !moves
             end)
           closure;
-        (* Fix the slot now so recursion through explore can't reuse id. *)
-        let placeholder = { id; kernel; closure; transitions = [] } in
-        states := (id, placeholder) :: !states;
         let transitions =
           List.rev_map
             (fun (sym, items) ->
@@ -95,17 +101,13 @@ let build g =
               (sym, target))
             !moves
         in
-        states :=
-          (id, { id; kernel; closure; transitions })
-          :: List.remove_assoc id !states;
+        set_state id { id; kernel; closure; transitions };
         List.iter (fun (sym, dst) -> Hashtbl.replace t.goto_tbl (id, sym) dst) transitions;
         id
   in
   let start = explore [ { prod = augmented; dot = 0 } ] in
   assert (start = 0);
-  let arr = Array.make !count { id = 0; kernel = []; closure = []; transitions = [] } in
-  List.iter (fun (id, st) -> arr.(id) <- st) !states;
-  { t with states = arr }
+  { t with states = Array.sub !states 0 !count }
 
 let state_count t = Array.length t.states
 let state t id = t.states.(id)

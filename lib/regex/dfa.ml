@@ -7,6 +7,10 @@ type t = {
   start : int;
 }
 
+(* A match packs into one int: the end offset above [rule_bits], the rule
+   below. *)
+let rule_bits = 24
+
 let state_count t = t.nstates
 let class_count t = t.nclasses
 let start t = t.start
@@ -53,6 +57,7 @@ let of_nfa nfa =
   List.iter
     (fun (id, subset) ->
       match Nfa.accepting_rule nfa subset with
+      | Some rule when rule >= 1 lsl rule_bits -> invalid_arg "Dfa.of_nfa: too many rules"
       | Some rule -> accepts.(id) <- rule
       | None -> ())
     !states;
@@ -141,15 +146,23 @@ let minimize t =
     start = block.(t.start);
   }
 
-let exec_longest t input from =
-  let n = String.length input in
-  let rec go s i best =
-    if s < 0 then best
+let rec longest t input n s i best =
+  if s < 0 then best
+  else
+    let rule = t.accepts.(s) in
+    let best = if rule >= 0 then (i lsl rule_bits) lor rule else best in
+    if i >= n then best
     else
-      let best = if t.accepts.(s) >= 0 then Some (t.accepts.(s), i) else best in
-      if i >= n then best
-      else go t.trans.((s * t.nclasses) + t.class_of.(Char.code input.[i])) (i + 1) best
-  in
-  go t.start from None
+      longest t input n
+        t.trans.((s * t.nclasses) + t.class_of.(Char.code (String.unsafe_get input i)))
+        (i + 1) best
+
+let longest_match t input from = longest t input (String.length input) t.start from (-1)
+let match_rule m = m land ((1 lsl rule_bits) - 1)
+let match_end m = m lsr rule_bits
+
+let exec_longest t input from =
+  let m = longest_match t input from in
+  if m < 0 then None else Some (match_rule m, match_end m)
 
 let table_bytes t = 2 * ((t.nstates * t.nclasses) + t.nstates + 256)

@@ -26,9 +26,18 @@ val next : t -> int -> char -> int
 val accept : t -> int -> int
 (** Rule accepted in this state, or [-1]. *)
 
+val longest_match : t -> string -> int -> int
+(** [longest_match t input start]: the longest match from [start], packed
+    into one int so that a scanner loop allocates nothing per token: [-1]
+    when nothing matches, else a value {!match_rule} and {!match_end}
+    unpack. *)
+
+val match_rule : int -> int
+val match_end : int -> int
+
 val exec_longest : t -> string -> int -> (int * int) option
-(** [exec_longest t input start]: longest match from [start] as
-    [(rule, end_offset)]. *)
+(** [exec_longest t input start]: {!longest_match} as
+    [Some (rule, end_offset)]. *)
 
 val table_bytes : t -> int
 (** Size of the flattened transition/accept tables in bytes, assuming

@@ -4,8 +4,17 @@ type token = { kind : string; lexeme : string; span : Loc.span }
 
 let pp_token ppf t = Format.fprintf ppf "%s(%S)@%a" t.kind t.lexeme Loc.pp t.span
 
-let advance_over pos lexeme =
-  String.fold_left Loc.advance pos lexeme
+(* The position after [input.[pos.offset .. stop - 1]]. *)
+let advance_to pos input stop =
+  let line = ref pos.Loc.line and col = ref pos.Loc.col in
+  for i = pos.Loc.offset to stop - 1 do
+    if Char.equal (String.unsafe_get input i) '\n' then begin
+      incr line;
+      col := 1
+    end
+    else incr col
+  done;
+  { Loc.line = !line; col = !col; offset = stop }
 
 let scan tables ~file ~diag input =
   let dfa = Tables.dfa tables in
@@ -13,25 +22,23 @@ let scan tables ~file ~diag input =
   let rec go pos acc =
     if pos.Loc.offset >= n then List.rev acc
     else
-      match Lg_regex.Dfa.exec_longest dfa input pos.Loc.offset with
-      | None ->
-          let c = input.[pos.Loc.offset] in
-          let next = Loc.advance pos c in
-          Diag.error diag (Loc.span file pos next)
-            "illegal character %C" c;
-          go next acc
-      | Some (rule_id, end_offset) ->
-          let rule = Tables.rule_of_id tables rule_id in
-          let lexeme = String.sub input pos.Loc.offset (end_offset - pos.Loc.offset) in
-          let next = advance_over pos lexeme in
-          let acc =
-            match rule.Spec.action with
-            | Skip -> acc
-            | Token ->
-                let kind = Tables.keyword_kind tables ~rule_name:rule.Spec.name ~lexeme in
-                { kind; lexeme; span = Loc.span file pos next } :: acc
-          in
-          go next acc
+      let m = Lg_regex.Dfa.longest_match dfa input pos.Loc.offset in
+      if m < 0 then begin
+        let c = input.[pos.Loc.offset] in
+        let next = Loc.advance pos c in
+        Diag.error diag (Loc.span file pos next) "illegal character %C" c;
+        go next acc
+      end
+      else
+        let rule = Tables.rule_of_id tables (Lg_regex.Dfa.match_rule m) in
+        let stop = Lg_regex.Dfa.match_end m in
+        let next = advance_to pos input stop in
+        match rule.Spec.action with
+        | Skip -> go next acc
+        | Token ->
+            let lexeme = String.sub input pos.Loc.offset (stop - pos.Loc.offset) in
+            let kind = Tables.keyword_kind tables ~rule_name:rule.Spec.name ~lexeme in
+            go next ({ kind; lexeme; span = Loc.span file pos next } :: acc)
   in
   go Loc.start_pos []
 

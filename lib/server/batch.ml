@@ -225,9 +225,13 @@ let run_job ~sessions ?incremental (j : Jobfile.job) =
     let engine_options = engine_options_of j ~dir in
     match j.Jobfile.j_op with
     | Jobfile.Check -> (
+        (* [check_payload] reads only passes, diagnostics and source
+           lines: the listing and generated code would be thrown away *)
         let options =
           {
             Linguist.Driver.default_options with
+            emit_listing = false;
+            emit_code = false;
             apt_backend = engine_options.Linguist.Engine.backend;
             depth_budget = engine_options.Linguist.Engine.depth_budget;
             node_budget = engine_options.Linguist.Engine.node_budget;
@@ -242,22 +246,14 @@ let run_job ~sessions ?incremental (j : Jobfile.job) =
               (Linguist.Listing.errors_only ~source ~file:j.Jobfile.j_file diag))
     | Jobfile.Analyze ->
         let session = Session.language_session sessions "linguist" in
-        let translator =
-          match session.Session.s_payload with
-          | Session.Translator t -> t
-          | Session.Artifact _ -> assert false
-        in
+        let translator = session.Session.s_translator in
         let a =
           Lg_languages.Linguist_ag.analyze ~engine_options ~translator source
         in
         finish ~ok:true ~code:0 ~error:None (analyze_payload a)
     | Jobfile.Translate tenant -> (
         let session = tenant_translator ~sessions tenant in
-        let translator =
-          match session.Session.s_payload with
-          | Session.Translator t -> t
-          | Session.Artifact _ -> assert false
-        in
+        let translator = session.Session.s_translator in
         match
           Linguist.Translator.translate ~engine_options translator
             ~file:j.Jobfile.j_file source
@@ -268,11 +264,7 @@ let run_job ~sessions ?incremental (j : Jobfile.job) =
               (Linguist.Listing.errors_only ~source ~file:j.Jobfile.j_file diag))
     | Jobfile.Update tenant -> (
         let session = tenant_translator ~sessions tenant in
-        let translator =
-          match session.Session.s_payload with
-          | Session.Translator t -> t
-          | Session.Artifact _ -> assert false
-        in
+        let translator = session.Session.s_translator in
         let diag = Lg_support.Diag.create () in
         match
           Linguist.Translator.tree_of_source translator ~file:j.Jobfile.j_file

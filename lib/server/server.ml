@@ -82,11 +82,7 @@ let run_update st ~tenant ~doc ~source =
   | exception Failure msg -> error_response msg []
   | exception Sys_error msg -> error_response msg []
   | session -> (
-      let translator =
-        match session.Session.s_payload with
-        | Session.Translator t -> t
-        | Session.Artifact _ -> assert false
-      in
+      let translator = session.Session.s_translator in
       let diag = Lg_support.Diag.create () in
       match
         Linguist.Translator.tree_of_source translator ~file:doc ~diag source

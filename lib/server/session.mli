@@ -1,9 +1,9 @@
 (** Compiled-grammar sessions and their cost-aware cache.
 
     A session is the expensive, immutable part of serving a job: a
-    grammar pushed through the whole {!Linguist.Driver} pipeline — parse
-    tables, evaluation plan, generated code — or a ready-made language
-    translator from {!Lg_languages}. Building one costs seconds; every
+    {!Linguist.Translator.t} — IR, evaluation plan, packed parse tables
+    and scanner — built from a grammar source or taken ready-made from
+    {!Lg_languages}. Building one costs seconds; every
     job that evaluates against the same grammar shares the same session,
     so a batch of N inputs compiles once and evaluates N times (the
     paper's one-grammar/many-translations economics).
@@ -18,7 +18,7 @@
     never evicted.
 
     {b Eviction is cost-aware}, not plain LRU: each entry's weight is
-    its measured build seconds plus a term for its LALR table bytes
+    its measured build seconds plus a term for its packed LALR table bytes
     ([lalr.table_bytes] — what a rebuild would have to reconstruct), and
     the cache runs the GreedyDual policy: an entry's priority is the
     global floor plus its weight, refreshed on every hit; eviction takes
@@ -43,17 +43,12 @@
     documents — and are themselves bounded ([doc_capacity], stalest
     first). *)
 
-type payload =
-  | Artifact of Linguist.Driver.artifact
-      (** a grammar compiled by the native driver (check/stats jobs) *)
-  | Translator of Linguist.Translator.t
-      (** a complete translator: tables + plan + scanner + name table
-          (analyze/translate jobs) — safe to share across domains *)
-
 type t = {
   s_digest : string;
-  s_label : string;  (** human-readable: ["grammar:desk_calc.ag"], … *)
-  s_payload : payload;
+  s_label : string;  (** human-readable: ["translator:desk_calc.ag"], … *)
+  s_translator : Linguist.Translator.t;
+      (** tables + plan + scanner + name table — safe to share across
+          domains *)
 }
 
 val digest : kind:string -> source:string -> string
@@ -104,7 +99,7 @@ val find_or_build :
   ?weight:float ->
   digest:string ->
   label:string ->
-  build:(unit -> payload) ->
+  build:(unit -> Linguist.Translator.t) ->
   unit ->
   t
 (** The session for [digest], building it with [build] on a miss. Blocks
@@ -177,17 +172,6 @@ val doc_count : cache -> int
 
 (** {1 Standard sessions} *)
 
-val grammar_session :
-  cache ->
-  ?options:Linguist.Driver.options ->
-  file:string ->
-  source:string ->
-  unit ->
-  t
-(** An {!Artifact} session: [source] through every driver overlay.
-    @raise Failure with the rendered diagnostics when the grammar has
-    errors. *)
-
 val translator_session :
   cache ->
   ?options:Linguist.Driver.options ->
@@ -195,7 +179,7 @@ val translator_session :
   source:string ->
   unit ->
   t
-(** A {!Translator} session for an arbitrary [.ag] source — compiled
+(** A session for an arbitrary [.ag] source — compiled
     with the grammar-derived symbolic scanner
     ({!Linguist.Translator.of_source}), keyed by the source's content
     digest. This is how ["grammar"]-tenant translate/update jobs share
@@ -205,7 +189,7 @@ val translator_session :
     errors. *)
 
 val language_session : cache -> string -> t
-(** A {!Translator} session for a built-in language — one of
+(** A session for a built-in language — one of
     {!language_names}: ["desk_calc"], ["assembler"], ["knuth_binary"],
     ["pascal"], or ["linguist"] (the self-hosted analyzer of [.ag]
     sources, experiment E1's workload).

@@ -217,6 +217,22 @@ let prop_forward_backward_mirror =
       List.length forward = List.length backward_reversed
       && List.for_all2 Node.equal forward backward_reversed)
 
+(* Node ids stay unique when several domains build trees at once, as
+   pooled parses do. *)
+let test_ids_unique_across_domains () =
+  let per_domain = 50_000 in
+  let build () =
+    Array.init per_domain (fun _ -> (Tree.leaf ~sym:0 ~attrs:[||]).Tree.id)
+  in
+  let ids =
+    List.init 4 (fun _ -> Domain.spawn build)
+    |> List.map Domain.join |> Array.concat
+  in
+  Array.sort compare ids;
+  let dup = ref 0 in
+  Array.iteri (fun i id -> if i > 0 && ids.(i - 1) = id then incr dup) ids;
+  Alcotest.(check int) "no id issued twice" 0 !dup
+
 let () =
   Alcotest.run "apt"
     [
@@ -236,5 +252,7 @@ let () =
           Alcotest.test_case "prefix roundtrip" `Quick test_prefix_roundtrip;
           QCheck_alcotest.to_alcotest prop_f1_random_trees;
           QCheck_alcotest.to_alcotest prop_forward_backward_mirror;
+          Alcotest.test_case "ids unique across domains" `Quick
+            test_ids_unique_across_domains;
         ] );
     ]

@@ -380,14 +380,15 @@ let test_double_fault_surfaces_typed_error () =
 
 (* ---------- the cost-aware session cache ---------- *)
 
-let shared_artifact =
+let shared_translator =
   lazy
-    (Lg_server.Session.Artifact
-       (Driver.process_exn ~file:"<cache>" Fixtures.sum_grammar))
+    (match Translator.of_source ~ag_source:Fixtures.sum_grammar ~file:"<cache>" () with
+    | Ok t -> t
+    | Error _ -> Alcotest.fail "the sum grammar does not build")
 
 let test_cost_aware_eviction () =
   let cache = Lg_server.Session.create_cache ~capacity:2 () in
-  let build () = Lazy.force shared_artifact in
+  let build () = Lazy.force shared_translator in
   let add ~weight digest label =
     ignore
       (Lg_server.Session.find_or_build cache ~weight ~digest ~label ~build ())
@@ -414,7 +415,7 @@ let test_ttl_expiry () =
       ~clock:(fun () -> !now)
       ()
   in
-  let build () = Lazy.force shared_artifact in
+  let build () = Lazy.force shared_translator in
   ignore
     (Lg_server.Session.find_or_build cache ~weight:1.0 ~digest:"dig-old"
        ~label:"old" ~build ());
@@ -433,7 +434,7 @@ let test_ttl_expiry () =
 
 let test_evict_clear_and_docs () =
   let cache = Lg_server.Session.create_cache ~capacity:4 () in
-  let build () = Lazy.force shared_artifact in
+  let build () = Lazy.force shared_translator in
   ignore
     (Lg_server.Session.find_or_build cache ~weight:1.0 ~digest:"dig-a"
        ~label:"a" ~build ());

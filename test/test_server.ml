@@ -223,7 +223,7 @@ let test_once_hammer () =
 (* ---------------- session cache ---------------- *)
 
 let shared_payload =
-  lazy (Session.Translator (Lg_languages.Desk_calc.translator ()))
+  lazy (Lg_languages.Desk_calc.translator ())
 
 let test_session_builds_once () =
   let cache = Session.create_cache ~capacity:4 () in
