@@ -14,52 +14,22 @@
 
 open Apt_store
 
-let kind_of_string = function
-  | "transient" -> Ok Transient_io
-  | "short" -> Ok Short_read
-  | "flip" -> Ok Bit_flip
-  | "torn" -> Ok Torn_write
-  | s -> Error s
+let kinds =
+  [
+    ("transient", Transient_io);
+    ("short", Short_read);
+    ("flip", Bit_flip);
+    ("torn", Torn_write);
+  ]
 
-let kind_to_string = function
-  | Transient_io -> "transient"
-  | Short_read -> "short"
-  | Bit_flip -> "flip"
-  | Torn_write -> "torn"
-
-let all_kinds = [ Transient_io; Short_read; Bit_flip; Torn_write ]
+let kind_to_string = Lg_support.Kind_spec.name kinds
 
 (* "seed:rate:kinds" with kinds a comma list of transient|short|flip|torn
    or "all", e.g. "42:0.01:transient,flip". *)
 let parse_spec s =
-  match String.split_on_char ':' s with
-  | [ seed; rate; kinds ] -> (
-      match
-        (int_of_string_opt seed, float_of_string_opt rate)
-      with
-      | Some f_seed, Some f_rate when f_rate >= 0.0 && f_rate <= 1.0 -> (
-          let parts =
-            List.filter
-              (fun p -> p <> "")
-              (String.split_on_char ',' (String.lowercase_ascii kinds))
-          in
-          if parts = [] then Error "no fault kinds given"
-          else if List.mem "all" parts then Ok { f_seed; f_rate; f_kinds = all_kinds }
-          else
-            let rec go acc = function
-              | [] -> Ok { f_seed; f_rate; f_kinds = List.rev acc }
-              | p :: rest -> (
-                  match kind_of_string p with
-                  | Ok k -> go (k :: acc) rest
-                  | Error bad ->
-                      Error
-                        (Printf.sprintf
-                           "unknown fault kind %S (expected \
-                            transient|short|flip|torn|all)" bad))
-            in
-            go [] parts)
-      | _ -> Error "expected SEED:RATE:KINDS with integer seed and rate in [0,1]")
-  | _ -> Error "expected SEED:RATE:KINDS, e.g. 42:0.01:transient,flip"
+  Lg_support.Kind_spec.parse ~noun:"fault" ~example:"42:0.01:transient,flip"
+    ~kinds s
+  |> Result.map (fun (f_seed, f_rate, f_kinds) -> { f_seed; f_rate; f_kinds })
 
 let spec_to_string { f_seed; f_rate; f_kinds } =
   Printf.sprintf "%d:%g:%s" f_seed f_rate

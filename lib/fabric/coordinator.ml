@@ -131,6 +131,7 @@ let outcome_of_response doc : Batch.outcome option =
           o_payload =
             (match member "payload" doc with Some p -> p | None -> Null);
           o_seconds = 0.0;
+          o_update = None;
         }
   | _ -> None
 
@@ -152,6 +153,7 @@ let worker_lost_outcome (p : prepared) =
     o_error = Some "worker lost: no surviving worker to re-dispatch to";
     o_payload = Null;
     o_seconds = 0.0;
+    o_update = None;
   }
 
 (* ---------- per-worker dispatch state ---------- *)

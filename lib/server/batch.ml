@@ -46,6 +46,7 @@ type outcome = {
   o_error : string option;
   o_payload : Lg_support.Json_out.t;
   o_seconds : float;
+  o_update : (string * Lg_incremental.Incr.mode) option;
 }
 
 type summary = {
@@ -180,6 +181,7 @@ let run_job ~sessions ?incremental (j : Jobfile.job) =
       o_error = error;
       o_payload = payload;
       o_seconds = Unix.gettimeofday () -. t0;
+      o_update = None;
     }
   in
   (* A typed store error names the APT file it caught — a path inside
@@ -311,10 +313,15 @@ let run_job ~sessions ?incremental (j : Jobfile.job) =
                       slot.Session.doc_state <- next;
                       result)
             in
-            finish ~ok:true ~code:0 ~error:None
-              (update_payload ~outputs:result.Lg_incremental.Incr.outputs
-                 ~tree_size:result.Lg_incremental.Incr.tree_size
-                 ~input_lines:(count_lines source)))
+            {
+              (finish ~ok:true ~code:0 ~error:None
+                 (update_payload ~outputs:result.Lg_incremental.Incr.outputs
+                    ~tree_size:result.Lg_incremental.Incr.tree_size
+                    ~input_lines:(count_lines source)))
+              with
+              o_update =
+                Some (session.Session.s_digest, result.Lg_incremental.Incr.mode);
+            })
   with
   | outcome -> outcome
   | exception Lg_apt.Apt_error.Error e ->
@@ -389,6 +396,7 @@ let failure_outcome ?(metrics = Lg_support.Metrics.null) ~sessions
       o_error = Some msg;
       o_payload = Null;
       o_seconds = 0.;
+      o_update = None;
     }
   in
   match exn with

@@ -39,6 +39,11 @@ type outcome = {
   o_error : string option;
   o_payload : Lg_support.Json_out.t;  (** deterministic result document *)
   o_seconds : float;  (** job wall time (not part of the payload) *)
+  o_update : (string * Lg_incremental.Incr.mode) option;
+      (** a successful [update]'s session digest and evaluation mode.
+          Which of two same-doc updates finds cached state depends on
+          pool timing, so only the serve [update] op answers it;
+          {!to_json} never emits it. [None] for every other outcome. *)
 }
 
 type summary = {

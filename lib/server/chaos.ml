@@ -12,50 +12,12 @@ type kind = Delay | Crash | Wedge | Drop
 
 type spec = { c_seed : int; c_rate : float; c_kinds : kind list }
 
-let kind_of_string = function
-  | "delay" -> Ok Delay
-  | "crash" -> Ok Crash
-  | "wedge" -> Ok Wedge
-  | "drop" -> Ok Drop
-  | s -> Error s
-
-let kind_to_string = function
-  | Delay -> "delay"
-  | Crash -> "crash"
-  | Wedge -> "wedge"
-  | Drop -> "drop"
-
-let all_kinds = [ Delay; Crash; Wedge; Drop ]
+let kinds = [ ("delay", Delay); ("crash", Crash); ("wedge", Wedge); ("drop", Drop) ]
+let kind_to_string = Lg_support.Kind_spec.name kinds
 
 let parse_spec s =
-  match String.split_on_char ':' s with
-  | [ seed; rate; kinds ] -> (
-      match (int_of_string_opt seed, float_of_string_opt rate) with
-      | Some c_seed, Some c_rate when c_rate >= 0.0 && c_rate <= 1.0 -> (
-          let parts =
-            List.filter
-              (fun p -> p <> "")
-              (String.split_on_char ',' (String.lowercase_ascii kinds))
-          in
-          if parts = [] then Error "no chaos kinds given"
-          else if List.mem "all" parts then
-            Ok { c_seed; c_rate; c_kinds = all_kinds }
-          else
-            let rec go acc = function
-              | [] -> Ok { c_seed; c_rate; c_kinds = List.rev acc }
-              | p :: rest -> (
-                  match kind_of_string p with
-                  | Ok k -> go (k :: acc) rest
-                  | Error bad ->
-                      Error
-                        (Printf.sprintf
-                           "unknown chaos kind %S (expected \
-                            delay|crash|wedge|drop|all)"
-                           bad))
-            in
-            go [] parts)
-      | _ -> Error "expected SEED:RATE:KINDS with integer seed and rate in [0,1]")
-  | _ -> Error "expected SEED:RATE:KINDS, e.g. 9:0.05:crash,drop"
+  Lg_support.Kind_spec.parse ~noun:"chaos" ~example:"9:0.05:crash,drop" ~kinds s
+  |> Result.map (fun (c_seed, c_rate, c_kinds) -> { c_seed; c_rate; c_kinds })
 
 let render_spec { c_seed; c_rate; c_kinds } =
   Printf.sprintf "%d:%s:%s" c_seed

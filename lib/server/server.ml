@@ -60,111 +60,41 @@ type state = {
   draining : bool Atomic.t;
 }
 
-(* The [update] op body, run on a pool domain like a job: parse the
-   inline source, diff/propagate against the document's cached state
-   (when --incremental is on), answer outputs + evaluation-mode
-   statistics. *)
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+(* The [update] op answers in the editor-facing shape: the update job's
+   outputs and tree size, the session digest and the evaluation mode it
+   recorded. A failed update answers like any failed job. *)
+let mode_json = function
+  | Lg_incremental.Incr.Fresh { fired } ->
+      Obj [ ("kind", Str "fresh"); ("fired", int fired) ]
+  | Lg_incremental.Incr.Incremental { reused; fresh; fired; waves; changed } ->
+      Obj
+        [
+          ("kind", Str "incremental");
+          ("reused_nodes", int reused);
+          ("fresh_nodes", int fresh);
+          ("fired", int fired);
+          ("waves", int waves);
+          ("changed", int changed);
+        ]
+  | Lg_incremental.Incr.Fallback { reason; churn } ->
+      Obj [ ("kind", Str "fallback"); ("reason", Str reason); ("churn", Num churn) ]
 
-let tenant_session st = function
-  | Jobfile.Language lang -> Session.language_session st.sessions lang
-  | Jobfile.Grammar path ->
-      Session.translator_session st.sessions ~file:path
-        ~source:(read_file path) ()
-
-let run_update st ~tenant ~doc ~source =
-  match tenant_session st tenant with
-  | exception Failure msg -> error_response msg []
-  | exception Sys_error msg -> error_response msg []
-  | session -> (
-      let translator = session.Session.s_translator in
-      let diag = Lg_support.Diag.create () in
-      match
-        Linguist.Translator.tree_of_source translator ~file:doc ~diag source
-      with
-      | None ->
-          error_response
-            (Linguist.Listing.errors_only ~source ~file:doc diag)
-            []
-      | Some tree ->
-          let inc =
-            Option.value st.incremental ~default:Batch.default_incremental
-          in
-          let config =
-            {
-              Lg_incremental.Incr.default_config with
-              threshold = inc.Batch.inc_threshold;
-              spill =
-                (if inc.Batch.inc_spill then Some Lg_apt.Aptfile.Mem else None);
-            }
-          in
-          let plan = Linguist.Translator.plan translator in
-          let engine_options = Linguist.Engine.default_options in
-          let result =
-            match st.incremental with
-            | None ->
-                (* serving statelessly: correct, just not incremental *)
-                fst
-                  (Lg_incremental.Incr.update config ~plan ~engine_options
-                     ~tree)
-            | Some _ ->
-                let slot =
-                  Session.doc_slot st.sessions ~digest:session.Session.s_digest
-                    ~doc
-                in
-                Mutex.lock slot.Session.doc_lock;
-                Fun.protect
-                  ~finally:(fun () -> Mutex.unlock slot.Session.doc_lock)
-                  (fun () ->
-                    let result, next =
-                      Lg_incremental.Incr.update ?state:slot.Session.doc_state
-                        config ~plan ~engine_options ~tree
-                    in
-                    slot.Session.doc_state <- next;
-                    result)
-          in
-          let mode_json =
-            match result.Lg_incremental.Incr.mode with
-            | Lg_incremental.Incr.Fresh { fired } ->
-                Obj [ ("kind", Str "fresh"); ("fired", int fired) ]
-            | Lg_incremental.Incr.Incremental
-                { reused; fresh; fired; waves; changed } ->
-                Obj
-                  [
-                    ("kind", Str "incremental");
-                    ("reused_nodes", int reused);
-                    ("fresh_nodes", int fresh);
-                    ("fired", int fired);
-                    ("waves", int waves);
-                    ("changed", int changed);
-                  ]
-            | Lg_incremental.Incr.Fallback { reason; churn } ->
-                Obj
-                  [
-                    ("kind", Str "fallback");
-                    ("reason", Str reason);
-                    ("churn", Num churn);
-                  ]
-          in
-          Obj
-            [
-              ("ok", Bool true);
-              ("session", Str session.Session.s_digest);
-              ("doc", Str doc);
-              ( "outputs",
-                Obj
-                  (List.map
-                     (fun (name, v) ->
-                       (name, Str (Lg_support.Value.to_string v)))
-                     result.Lg_incremental.Incr.outputs) );
-              ("tree_size", int result.Lg_incremental.Incr.tree_size);
-              ("incremental", mode_json);
-            ])
+let update_response (o : Batch.outcome) =
+  match o.Batch.o_update with
+  | None -> outcome_response o
+  | Some (session, mode) ->
+      let payload name =
+        Option.value (member name o.Batch.o_payload) ~default:Null
+      in
+      Obj
+        [
+          ("ok", Bool true);
+          ("session", Str session);
+          ("doc", Str o.Batch.o_file);
+          ("outputs", payload "outputs");
+          ("tree_size", payload "tree_size");
+          ("incremental", mode_json mode);
+        ]
 
 let info_json (i : Session.info) =
   Obj
@@ -189,28 +119,6 @@ let quarantined_json st =
              ("strikes", int strikes);
            ])
        (Session.quarantined st.sessions))
-
-(* a supervision failure on an op without a jobfile entry (update):
-   typed errors keep their exit code in the response *)
-let supervised_error e extra =
-  match e with
-  | Server_error.Error se ->
-      error_response (Server_error.to_string se)
-        (("exit", int (Server_error.exit_code se)) :: extra)
-  | e -> error_response (Printexc.to_string e) extra
-
-(* the accounting digest of an [update] op's tenant — the same key
-   Batch.culprit answers for jobfile entries *)
-let update_tenant_digest = function
-  | Jobfile.Language lang ->
-      Some (Session.digest ~kind:"language" ~source:lang, "language:" ^ lang)
-  | Jobfile.Grammar path -> (
-      match read_file path with
-      | source ->
-          Some
-            ( Session.digest ~kind:"translator" ~source,
-              "translator:" ^ Filename.basename path )
-      | exception _ -> None)
 
 let safe_filename id =
   String.map
@@ -382,10 +290,66 @@ let spool_resolve st (job : Jobfile.job) session_member =
                "fabric_job with a \"grammar\" tenant needs a \"session\" digest"
                []))
 
-(* The job-op body, shared by the local ["job"] op (interactive lane)
-   and the fabric's ["fabric_job"] (lane chosen by the coordinator):
-   admission, lifecycle events, tenant accounting, supervision-failure
-   handling and the postmortem hook are identical either way. *)
+(* Decode a pool-bound op into the job it runs as and its lane. A local
+   ["job"] is interactive unless the client demotes itself to bulk; a
+   ["fabric_job"] is bulk unless the coordinator flags it, its grammar
+   tenant resolved through the spool; an ["update"] is an interactive
+   update job named after its editor buffer. [Error] is the refusal. *)
+let admit st op doc =
+  let ( let* ) = Result.bind in
+  let refuse msg = Error (error_response msg []) in
+  let str name = match member name doc with Some (Str s) -> Some s | _ -> None in
+  let job_member () =
+    match member "job" doc with
+    | None -> refuse "missing \"job\" member"
+    | Some jdoc ->
+        Result.map_error
+          (fun msg -> error_response msg [])
+          (Jobfile.job_of_json ~index:0 jdoc)
+  in
+  match op with
+  | "job" ->
+      let* job = job_member () in
+      let lane = if str "lane" = Some "bulk" then Pool.Bulk else Pool.Interactive in
+      Ok (lane, job)
+  | "fabric_job" ->
+      let* lane =
+        match member "lane" doc with
+        | Some (Str "interactive") -> Ok Pool.Interactive
+        | Some (Str "bulk") | None -> Ok Pool.Bulk
+        | Some _ -> refuse "\"lane\" must be \"interactive\" or \"bulk\""
+      in
+      let* job = job_member () in
+      let* job = spool_resolve st job (member "session" doc) in
+      Ok (lane, job)
+  | _ (* "update" *) ->
+      let* tenant =
+        match (str "language", str "grammar") with
+        | Some _, Some _ ->
+            refuse "\"language\" and \"grammar\" are mutually exclusive"
+        | Some lang, None -> Ok (Jobfile.Language lang)
+        | None, Some path -> Ok (Jobfile.Grammar path)
+        | None, None -> refuse "op \"update\" needs a \"language\" or a \"grammar\""
+      in
+      let* source =
+        match str "source" with
+        | Some source -> Ok source
+        | None -> refuse "op \"update\" needs a \"source\""
+      in
+      let doc_id =
+        match (str "doc", tenant) with
+        | Some d, _ -> d
+        | None, (Jobfile.Language name | Jobfile.Grammar name) -> "<" ^ name ^ ">"
+      in
+      Ok
+        ( Pool.Interactive,
+          Jobfile.make ~id:("update:" ^ doc_id) ~file:doc_id ~doc:doc_id ~source
+            ~op:(Jobfile.Update tenant) () )
+
+(* The one pipeline every pool-bound op runs through: admission,
+   lifecycle events, tenant accounting, supervision-failure handling and
+   the postmortem hook. Answers the job's outcome, or [Error] with the
+   saturation refusal when the queue is full. *)
 let run_job_op st ~rt ~trace ~lane (job : Jobfile.job) =
   let deadline =
     match job.Jobfile.j_deadline with
@@ -468,11 +432,12 @@ let run_job_op st ~rt ~trace ~lane (job : Jobfile.job) =
       Lg_support.Eventlog.record st.events ~trace
         ~fields:[ ("exit", int 1); ("error", Str "saturated") ]
         ~job:label "failed";
-      error_response "saturated"
-        [ ("queue_depth", int rj_depth); ("capacity", int rj_capacity) ]
+      Error
+        (error_response "saturated"
+           [ ("queue_depth", int rj_depth); ("capacity", int rj_capacity) ])
   | Ok handle -> (
       match Pool.await handle with
-      | Ok outcome -> with_trace_id trace (outcome_response outcome)
+      | Ok outcome -> Ok outcome
       | Error e ->
           let outcome =
             Batch.failure_outcome ~metrics:st.metrics ~sessions:st.sessions
@@ -491,7 +456,7 @@ let run_job_op st ~rt ~trace ~lane (job : Jobfile.job) =
           charge ~ok:false ~exit_code:outcome.Batch.o_exit ~queue_wait:0.0
             ~service:0.0;
           write_postmortem st ~job_id:label ~trace e;
-          with_trace_id trace (outcome_response outcome))
+          Ok outcome)
 
 let handle_request st ~rt ~trace doc =
   match member "op" doc with
@@ -597,44 +562,18 @@ let handle_request st ~rt ~trace doc =
           ("queue_depth", int (Pool.queue_depth st.pool));
           ("ledger_saved", ledger_saved);
         ]
-  | Some (Str "job") when Atomic.get st.draining ->
-      error_response "draining" []
-  | Some (Str "job") -> (
-      match member "job" doc with
-      | None -> error_response "missing \"job\" member" []
-      | Some jdoc -> (
-          match Jobfile.job_of_json ~index:0 jdoc with
-          | Error msg -> error_response msg []
-          | Ok job ->
-              (* local submissions are interactive-lane by default; a
-                 client may demote itself to the bulk lane explicitly *)
-              let lane =
-                match member "lane" doc with
-                | Some (Str "bulk") -> Pool.Bulk
-                | _ -> Pool.Interactive
-              in
-              run_job_op st ~rt ~trace ~lane job))
-  | Some (Str "fabric_job") when Atomic.get st.draining ->
-      error_response "draining" []
-  | Some (Str "fabric_job") -> (
-      (* a coordinator-dispatched job: bulk lane unless flagged, the
-         grammar tenant resolved through the spool by session digest *)
-      let lane =
-        match member "lane" doc with
-        | Some (Str "interactive") -> Ok Pool.Interactive
-        | Some (Str "bulk") | None -> Ok Pool.Bulk
-        | Some _ -> Error "\"lane\" must be \"interactive\" or \"bulk\""
-      in
-      match (lane, member "job" doc) with
-      | Error msg, _ -> error_response msg []
-      | _, None -> error_response "missing \"job\" member" []
-      | Ok lane, Some jdoc -> (
-          match Jobfile.job_of_json ~index:0 jdoc with
-          | Error msg -> error_response msg []
-          | Ok job -> (
-              match spool_resolve st job (member "session" doc) with
-              | Error refusal -> with_trace_id trace refusal
-              | Ok job -> run_job_op st ~rt ~trace ~lane job)))
+  | Some (Str (("job" | "fabric_job" | "update") as op)) -> (
+      if Atomic.get st.draining then error_response "draining" []
+      else
+        match admit st op doc with
+        | Error refusal -> with_trace_id trace refusal
+        | Ok (lane, job) -> (
+            match run_job_op st ~rt ~trace ~lane job with
+            | Error saturated -> saturated
+            | Ok outcome ->
+                with_trace_id trace
+                  (if op = "update" then update_response outcome
+                   else outcome_response outcome)))
   | Some (Str "grammar_put") -> (
       let str name =
         match member name doc with Some (Str s) -> Some s | _ -> None
@@ -676,114 +615,6 @@ let handle_request st ~rt ~trace doc =
           Mutex.unlock st.spool.sp_lock;
           Obj [ ("ok", Bool true); ("digest", Str digest); ("have", Bool have) ]
       | _ -> error_response "op \"grammar_have\" needs a \"digest\"" [])
-  | Some (Str "update") when Atomic.get st.draining ->
-      error_response "draining" []
-  | Some (Str "update") -> (
-      let str name =
-        match member name doc with Some (Str s) -> Some s | _ -> None
-      in
-      let tenant =
-        match (str "language", str "grammar") with
-        | Some _, Some _ -> Error "\"language\" and \"grammar\" are mutually exclusive"
-        | Some lang, None -> Ok (Jobfile.Language lang)
-        | None, Some path -> Ok (Jobfile.Grammar path)
-        | None, None ->
-            Error "op \"update\" needs a \"language\" or a \"grammar\""
-      in
-      match (tenant, str "source") with
-      | Error msg, _ -> error_response msg []
-      | _, None -> error_response "op \"update\" needs a \"source\"" []
-      | Ok tenant, Some source -> (
-          let tenant_name =
-            match tenant with
-            | Jobfile.Language lang -> lang
-            | Jobfile.Grammar path -> path
-          in
-          let doc_id =
-            Option.value (str "doc") ~default:("<" ^ tenant_name ^ ">")
-          in
-          let label = "update:" ^ doc_id in
-          Lg_support.Eventlog.record st.events ~trace
-            ~fields:[ ("op", Str "update"); ("doc", Str doc_id) ]
-            ~job:label "submitted";
-          Lg_support.Trace.begin_span rt ~cat:"queue" "queue.wait";
-          let submitted = Unix.gettimeofday () in
-          let charged = Atomic.make false in
-          let charge ~ok ~exit_code ~queue_wait ~service =
-            if not (Atomic.exchange charged true) then
-              match update_tenant_digest tenant with
-              | Some (digest, tenant_label) ->
-                  Ledger.charge st.tenants ~digest ~label:tenant_label ~ok
-                    ~exit_code ~queue_wait ~service
-              | None -> ()
-          in
-          match
-            Pool.submit ~label ~lane:Pool.Interactive ?deadline:st.deadline
-              st.pool (fun () ->
-                let dequeued = Unix.gettimeofday () in
-                Lg_support.Trace.end_span rt ();
-                Lg_support.Eventlog.record st.events ~trace
-                  ~fields:
-                    [ ("queue_wait_seconds", Num (dequeued -. submitted)) ]
-                  ~job:label "dequeued";
-                let prev = Lg_support.Trace.ambient () in
-                Lg_support.Trace.install rt;
-                Fun.protect
-                  ~finally:(fun () -> Lg_support.Trace.install prev)
-                  (fun () ->
-                    Lg_support.Trace.begin_span rt ~cat:"serve" "service";
-                    Fun.protect
-                      ~finally:(fun () -> Lg_support.Trace.end_span rt ())
-                      (fun () ->
-                        Lg_support.Eventlog.record st.events ~trace ~job:label
-                          "started";
-                        let mark = Lg_support.Trace.span_count rt in
-                        let response =
-                          run_update st ~tenant ~doc:doc_id ~source
-                        in
-                        record_lifecycle_events st ~trace ~job:label ~mark rt;
-                        let finished = Unix.gettimeofday () in
-                        let ok =
-                          match member "ok" response with
-                          | Some (Bool b) -> b
-                          | _ -> false
-                        in
-                        Lg_support.Eventlog.record st.events ~trace
-                          ~fields:
-                            [
-                              ("exit", int (if ok then 0 else 1));
-                              ("seconds", Num (finished -. dequeued));
-                            ]
-                          ~job:label
-                          (if ok then "finished" else "failed");
-                        charge ~ok
-                          ~exit_code:(if ok then 0 else 1)
-                          ~queue_wait:(dequeued -. submitted)
-                          ~service:(finished -. dequeued);
-                        response)))
-          with
-          | Error { Pool.rj_depth; rj_capacity } ->
-              Lg_support.Trace.end_span rt ();
-              Lg_support.Eventlog.record st.events ~trace
-                ~fields:[ ("exit", int 1); ("error", Str "saturated") ]
-                ~job:label "failed";
-              error_response "saturated"
-                [ ("queue_depth", int rj_depth); ("capacity", int rj_capacity) ]
-          | Ok handle -> (
-              match Pool.await handle with
-              | Ok response -> with_trace_id trace response
-              | Error e ->
-                  let exit_code =
-                    match e with
-                    | Server_error.Error se -> Server_error.exit_code se
-                    | _ -> 1
-                  in
-                  Lg_support.Eventlog.record st.events ~trace
-                    ~fields:[ ("exit", int exit_code) ]
-                    ~job:label "failed";
-                  charge ~ok:false ~exit_code ~queue_wait:0.0 ~service:0.0;
-                  write_postmortem st ~job_id:label ~trace e;
-                  with_trace_id trace (supervised_error e []))))
   | Some (Str "evict") -> (
       let digest =
         match (member "digest" doc, member "language" doc) with

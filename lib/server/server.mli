@@ -55,7 +55,7 @@
       [hits]/[misses]/[evictions] for that digest, and the quarantine
       [strikes]/[quarantined] columns. Rows are sorted by label.
     - [{"op":"drain"}] → [{"ok":true,"draining":true,...}]; from then on
-      [job]/[update] requests are refused with
+      [job]/[fabric_job]/[update] requests are refused with
       [{"ok":false,"error":"draining"}] while accepted work finishes.
       [ping]/[health]/[metrics]/[shutdown] still answer — [drain] then
       [shutdown] is the graceful stop.
@@ -68,7 +68,11 @@
       from scratch (still correct). Response:
       [{"ok":true,"session":digest,"doc":D,"outputs":{...},
       "tree_size":N,"incremental":{"kind":"fresh"|"incremental"|
-      "fallback",...}}].
+      "fallback",...}}]. The op runs as an interactive-lane
+      {!Jobfile} [update] job with id ["update:D"] and file [D], through
+      the same pipeline as [job]: quarantine and chaos gates, deadline,
+      tenant accounting. A failed update answers the job's result
+      record, typed [exit] included.
     - [{"op":"sessions"}] → the session cache's entries with their
       rebuild-cost weights, ages and parked document counts.
     - [{"op":"evict","digest":d}] (or ["language":L]) → drop one cached

@@ -106,6 +106,11 @@ let to_string ?pretty v =
 
 (* ---------- reading ---------- *)
 
+(* The descent recurses once per nesting level and reads network frames
+   of up to 16 MiB, so deeper documents are refused rather than risking
+   the stack; nothing this system writes nests beyond a dozen levels. *)
+let max_depth = 512
+
 let parse (s : string) : t =
   let n = String.length s in
   let pos = ref 0 in
@@ -176,9 +181,11 @@ let parse (s : string) : t =
     | Some f -> f
     | None -> fail "bad number"
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
+    | Some ('{' | '[') when depth >= max_depth ->
+        fail (Printf.sprintf "nesting deeper than %d" max_depth)
     | Some '{' ->
         advance ();
         skip_ws ();
@@ -189,7 +196,7 @@ let parse (s : string) : t =
             let key = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' -> advance (); members ((key, v) :: acc)
@@ -203,7 +210,7 @@ let parse (s : string) : t =
         if peek () = Some ']' then (advance (); Arr [])
         else
           let rec elements acc =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' -> advance (); elements (v :: acc)
@@ -218,7 +225,7 @@ let parse (s : string) : t =
     | Some _ -> Num (parse_number ())
     | None -> fail "unexpected end of input"
   in
-  let v = parse_value () in
+  let v = parse_value 0 in
   skip_ws ();
   if !pos <> n then fail "trailing garbage";
   v

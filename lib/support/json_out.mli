@@ -49,8 +49,12 @@ val to_buffer : ?pretty:bool -> Buffer.t -> t -> unit
 
 (** {1 Reading} *)
 
+val max_depth : int
+(** 512: the deepest object/array nesting {!parse} accepts. *)
+
 val parse : string -> t
-(** @raise Failure on malformed input, with the byte offset. *)
+(** @raise Failure on malformed input, with the byte offset, and on
+    nesting deeper than {!max_depth}. *)
 
 val member : string -> t -> t option
 (** Object member lookup; [None] on a missing key or a non-object. *)

@@ -646,6 +646,43 @@ let test_chaos_spec () =
       | Error _ -> ())
     [ ""; "x"; "1:2"; "1:1.5:crash"; "1:0.1:explode"; "seed:0.1:crash"; "1:0.1:" ]
 
+(* one SEED:RATE:KINDS grammar under both kind tables, errors verbatim *)
+let test_spec_parsers_agree () =
+  let render = function Ok s -> s | Error msg -> "error: " ^ msg in
+  let chaos s = render (Result.map Chaos.render_spec (Chaos.parse_spec s)) in
+  let fault s =
+    render
+      (Result.map Lg_apt.Store_faulty.spec_to_string
+         (Lg_apt.Store_faulty.parse_spec s))
+  in
+  let unknown noun kinds bad =
+    Printf.sprintf "error: unknown %s kind %S (expected %s|all)" noun bad kinds
+  in
+  let chaos_kind = unknown "chaos" "delay|crash|wedge|drop"
+  and fault_kind = unknown "fault" "transient|short|flip|torn" in
+  let bad_rate =
+    "error: expected SEED:RATE:KINDS with integer seed and rate in [0,1]"
+  in
+  List.iter
+    (fun (spec, want_chaos, want_fault) ->
+      Alcotest.(check string) ("chaos " ^ spec) want_chaos (chaos spec);
+      Alcotest.(check string) ("fault " ^ spec) want_fault (fault spec))
+    [
+      ("9:0.05:crash,drop", "9:0.05:crash,drop", fault_kind "crash");
+      ("42:0.01:transient,flip", chaos_kind "transient", "42:0.01:transient,flip");
+      ("1:0.1:CRASH,,Drop", "1:0.1:crash,drop", fault_kind "crash");
+      ("3:0.5:all", "3:0.5:delay,crash,wedge,drop", "3:0.5:transient,short,flip,torn");
+      ("1:0.1:", "error: no chaos kinds given", "error: no fault kinds given");
+      ("1:0.1:,", "error: no chaos kinds given", "error: no fault kinds given");
+      ("1:1.5:all", bad_rate, bad_rate);
+      ("1:-0.1:all", bad_rate, bad_rate);
+      ("seed:0.1:all", bad_rate, bad_rate);
+      ("1:0.1:explode", chaos_kind "explode", fault_kind "explode");
+      ( "1:2",
+        "error: expected SEED:RATE:KINDS, e.g. 9:0.05:crash,drop",
+        "error: expected SEED:RATE:KINDS, e.g. 42:0.01:transient,flip" );
+    ]
+
 let test_chaos_determinism () =
   let spec = { Chaos.c_seed = 7; c_rate = 0.3; c_kinds = [ Chaos.Crash ] } in
   let decisions c =
@@ -1343,6 +1380,191 @@ let test_serve_observability () =
         (List.mem name span_names))
     [ "request:job"; "queue.wait"; "service"; "response.write" ]
 
+(* ---------------- the update op through the job pipeline ------- *)
+
+let json = Lg_support.Json_out.parse
+
+(* a serve on a private socket for the body of [f], stopped afterwards *)
+let with_serve ?incremental ?chaos ?quarantine_after ?metrics ?postmortem_dir
+    f =
+  with_temp_dir @@ fun dir ->
+  let socket = Filename.concat dir "srv.sock" in
+  let server =
+    Thread.create
+      (fun () ->
+        Server.serve ~workers:1 ~queue_capacity:8 ?incremental ?chaos
+          ?quarantine_after ?metrics ?postmortem_dir ~socket ())
+      ()
+  in
+  wait_for_socket socket;
+  Fun.protect
+    ~finally:(fun () ->
+      (try ignore (Server.request ~socket (json {|{"op":"shutdown"}|}))
+       with Unix.Unix_error _ | Failure _ -> ());
+      Thread.join server)
+    (fun () -> f socket)
+
+let update_request ?(doc = "ed.calc") ~tenant source =
+  Lg_support.Json_out.Obj
+    [
+      ("op", Lg_support.Json_out.Str "update");
+      tenant;
+      ("doc", Lg_support.Json_out.Str doc);
+      ("source", Lg_support.Json_out.Str source);
+    ]
+
+let desk_calc = ("language", Lg_support.Json_out.Str "desk_calc")
+
+let response_str doc name =
+  match response_field doc name with
+  | Lg_support.Json_out.Str s -> s
+  | _ -> Alcotest.failf "%S must be a string" name
+
+let tenant_row socket label =
+  match response_field (Server.request ~socket (json {|{"op":"tenants"}|})) "tenants" with
+  | Lg_support.Json_out.Arr rows -> (
+      match
+        List.find_opt
+          (fun row ->
+            Lg_support.Json_out.member "label" row
+            = Some (Lg_support.Json_out.Str label))
+          rows
+      with
+      | Some row -> row
+      | None -> Alcotest.failf "no tenants row for %s" label)
+  | _ -> Alcotest.fail "tenants must be an array"
+
+(* the outputs member the Demand oracle predicts for a desk_calc input *)
+let desk_calc_oracle source =
+  let t = Lg_languages.Desk_calc.translator () in
+  let diag = Lg_support.Diag.create () in
+  match Linguist.Translator.tree_of_source t ~file:"oracle" ~diag source with
+  | None -> Alcotest.fail "oracle input must parse"
+  | Some tree ->
+      let r = Linguist.Demand.evaluate (Linguist.Translator.ir t) tree in
+      Lg_support.Json_out.to_string
+        (Lg_support.Json_out.Obj
+           (List.map
+              (fun (name, v) ->
+                (name, Lg_support.Json_out.Str (Lg_support.Value.to_string v)))
+              r.Linguist.Demand.outputs))
+
+(* two edits of one buffer: the first evaluates fresh, the second reuses
+   the parked state; both answer the oracle's outputs in the update
+   response shape, and a drain then refuses further updates *)
+let test_serve_update_incremental () =
+  with_serve ~incremental:Batch.default_incremental @@ fun socket ->
+  let kinds =
+    List.map
+      (fun source ->
+        let r = Server.request ~socket (update_request ~tenant:desk_calc source) in
+        Alcotest.(check bool) "update ok" true (response_ok r);
+        Alcotest.(check string)
+          "outputs = Demand oracle" (desk_calc_oracle source)
+          (Lg_support.Json_out.to_string (response_field r "outputs"));
+        Alcotest.(check string) "doc echoed" "ed.calc" (response_str r "doc");
+        Alcotest.(check string)
+          "session is the tenant digest"
+          (Session.digest ~kind:"language" ~source:"desk_calc")
+          (response_str r "session");
+        ignore (response_field r "tree_size");
+        ignore (response_str r "trace");
+        response_str (response_field r "incremental") "kind")
+      [ "x := 1 + 2;\nprint x;\n"; "x := 1 + 3;\nprint x;\n" ]
+  in
+  Alcotest.(check (list string)) "fresh, then incremental"
+    [ "fresh"; "incremental" ] kinds;
+  ignore (Server.request ~socket (json {|{"op":"drain"}|}));
+  let refused =
+    Server.request ~socket (update_request ~tenant:desk_calc "print 1;\n")
+  in
+  Alcotest.(check bool) "update refused while draining" false
+    (response_ok refused);
+  Alcotest.(check string) "refusal says draining" "draining"
+    (response_str refused "error")
+
+(* an update crosses the chaos gate like any job: a crash roll answers
+   the typed exit, strikes the tenant and leaves a postmortem *)
+let test_serve_update_chaos () =
+  let chaos =
+    match Chaos.parse_spec "1:1.0:crash" with
+    | Ok spec -> Chaos.create spec
+    | Error msg -> Alcotest.fail msg
+  in
+  with_temp_dir @@ fun pm_dir ->
+  with_serve ~chaos ~postmortem_dir:pm_dir @@ fun socket ->
+  let r = Server.request ~socket (update_request ~tenant:desk_calc "print 1;\n") in
+  Alcotest.(check bool) "crashed update fails" false (response_ok r);
+  Alcotest.(check int) "typed worker_crashed" 51 (response_exit r);
+  let row = tenant_row socket "language:desk_calc" in
+  Alcotest.(check int) "tenant struck" 1
+    (Lg_support.Json_out.to_int (response_field row "strikes"));
+  Alcotest.(check bool) "postmortem written" true
+    (Array.length (Sys.readdir pm_dir) >= 1)
+
+(* quarantine is admission control ahead of chaos: once the tenant is
+   quarantined, an update that chaos would crash is refused with 52
+   without taking a worker down *)
+let test_serve_update_quarantine () =
+  let metrics = Lg_support.Metrics.create () in
+  let chaos =
+    Chaos.create ~poison:"poison" { Chaos.c_seed = 3; c_rate = 0.0; c_kinds = [] }
+  in
+  with_serve ~chaos ~quarantine_after:2 ~metrics @@ fun socket ->
+  let exit_of doc =
+    response_exit
+      (Server.request ~socket (update_request ~doc ~tenant:desk_calc "print 1;\n"))
+  in
+  Alcotest.(check (list int)) "two crashes" [ 51; 51 ]
+    (List.map exit_of [ "poison-1"; "poison-2" ]);
+  let crashes = counter metrics "server.worker_crashes" in
+  Alcotest.(check int) "quarantined tenant refused" 52 (exit_of "poison-3");
+  Alcotest.(check int) "refusal took no worker down" crashes
+    (counter metrics "server.worker_crashes")
+
+(* updates and translate jobs naming one grammar share a tenants row; a
+   grammar tenant reads its input as terminal names *)
+let test_serve_update_tenant_row () =
+  let grammar = write_temp_grammar () in
+  Fun.protect ~finally:(fun () -> Sys.remove grammar) @@ fun () ->
+  with_serve @@ fun socket ->
+  let translate =
+    job_request
+      (Jobfile.make ~id:"t1" ~source:"PRINT NUM SEMI"
+         ~op:(Jobfile.Translate (Jobfile.Grammar grammar))
+         ~file:"t1.calc" ())
+  in
+  Alcotest.(check bool) "translate ok" true
+    (response_ok (Server.request ~socket translate));
+  Alcotest.(check bool) "update ok" true
+    (response_ok
+       (Server.request ~socket
+          (update_request
+             ~tenant:("grammar", Lg_support.Json_out.Str grammar)
+             "PRINT NUM PLUS NUM SEMI")));
+  let row = tenant_row socket ("translator:" ^ Filename.basename grammar) in
+  Alcotest.(check int) "both charged to one row" 2
+    (Lg_support.Json_out.to_int (response_field row "jobs"))
+
+(* a frame nested past Json_out.max_depth is a bad request, and the
+   connection and server carry on *)
+let test_serve_deep_nesting () =
+  with_serve @@ fun socket ->
+  let fd = Transport.connect (Transport.Unix_path socket) in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let exchange payload =
+    Transport.write_frame fd payload;
+    match Transport.read_frame fd with
+    | Some r -> json r
+    | None -> Alcotest.fail "connection closed"
+  in
+  let r = exchange (String.make 1_000_000 '[') in
+  Alcotest.(check bool) "deep frame refused" false (response_ok r);
+  Alcotest.(check bool) "as a bad request" true
+    (contains (response_str r "error") "bad request");
+  Alcotest.(check bool) "ping still answers" true
+    (response_ok (exchange {|{"op":"ping"}|}))
+
 let () =
   Alcotest.run "server"
     [
@@ -1421,6 +1643,8 @@ let () =
         [
           Alcotest.test_case "spec codec accepts and rejects" `Quick
             test_chaos_spec;
+          Alcotest.test_case "one spec grammar, both kind tables" `Quick
+            test_spec_parsers_agree;
           Alcotest.test_case "rolls are deterministic, poison absolute" `Quick
             test_chaos_determinism;
           Alcotest.test_case "survivors byte-identical under crashes" `Quick
@@ -1436,6 +1660,19 @@ let () =
             test_serve_retry_client;
           Alcotest.test_case "chaotic 200-job corpus run survives" `Slow
             test_serve_chaos_endurance;
+          Alcotest.test_case "nesting past the bound is a bad request"
+            `Quick test_serve_deep_nesting;
+        ] );
+      ( "update",
+        [
+          Alcotest.test_case "fresh then incremental, oracle outputs" `Quick
+            test_serve_update_incremental;
+          Alcotest.test_case "chaos crash answers typed 51" `Quick
+            test_serve_update_chaos;
+          Alcotest.test_case "quarantine refuses before chaos" `Quick
+            test_serve_update_quarantine;
+          Alcotest.test_case "shares the translate job's tenants row" `Quick
+            test_serve_update_tenant_row;
         ] );
       ( "observability",
         [

@@ -284,6 +284,23 @@ let test_eventlog_postmortem () =
       Alcotest.(check int) "only the job's events" 2 (List.length events)
   | _ -> Alcotest.fail "events should be an array"
 
+(* ----- json ----- *)
+
+let test_json_nesting_bound () =
+  let nested n = String.make n '[' ^ String.make n ']' in
+  (match Json_out.parse (nested Json_out.max_depth) with
+  | _ -> ()
+  | exception Failure msg -> Alcotest.failf "max_depth refused: %s" msg);
+  List.iter
+    (fun doc ->
+      match Json_out.parse doc with
+      | _ -> Alcotest.fail "nesting past max_depth accepted"
+      | exception Failure _ -> ())
+    [
+      nested (Json_out.max_depth + 1);
+      String.concat "" (List.init (Json_out.max_depth + 1) (fun _ -> {|{"a":|}));
+    ]
+
 let () =
   Alcotest.run "support"
     [
@@ -308,6 +325,7 @@ let () =
           Alcotest.test_case "merge" `Quick test_merge_spans;
         ] );
       ("diag", [ Alcotest.test_case "order and counts" `Quick test_diag_order_and_counts ]);
+      ("json", [ Alcotest.test_case "nesting bound" `Quick test_json_nesting_bound ]);
       ( "value",
         [
           Alcotest.test_case "set canonical" `Quick test_set_canonical;
