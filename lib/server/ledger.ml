@@ -107,21 +107,24 @@ let to_json t =
              (snapshot t)) );
     ]
 
-let save t ~path =
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  match
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc (to_string ~pretty:true (to_json t));
-        output_char oc '\n');
-    Sys.rename tmp path
-  with
-  | () -> Ok ()
-  | exception Sys_error msg ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      Error msg
+module Atomic_out = Lg_apt.Apt_store.Atomic_out
+
+let write_json ~path doc =
+  match Atomic_out.create path with
+  | exception Sys_error msg -> Error msg
+  | out -> (
+      match
+        let oc = Atomic_out.channel out in
+        output_string oc (to_string ~pretty:true doc);
+        output_char oc '\n';
+        Atomic_out.commit out
+      with
+      | () -> Ok ()
+      | exception Sys_error msg ->
+          Atomic_out.abort out;
+          Error msg)
+
+let save t ~path = write_json ~path (to_json t)
 
 (* merge one parsed row into the live table: counts add, labels and
    time totals follow — a restart under traffic double-counts nothing

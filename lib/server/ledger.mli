@@ -39,9 +39,14 @@ val snapshot :
 val to_json : t -> Lg_support.Json_out.t
 (** The persistent snapshot document. *)
 
+val write_json : path:string -> Lg_support.Json_out.t -> (unit, string) result
+(** Write a pretty-printed document and a newline atomically: into
+    [path ^ ".part"], then rename over [path], so a reader never sees a
+    truncated file. Serve's ledger snapshots and postmortem dumps both
+    go through it. *)
+
 val save : t -> path:string -> (unit, string) result
-(** Write the snapshot atomically: a temp file in [path]'s directory,
-    then rename over [path]. *)
+(** {!write_json} of {!to_json}. *)
 
 val load : t -> path:string -> (int, string) result
 (** Merge a snapshot's rows into the live table; [Ok n] is the number

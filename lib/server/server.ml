@@ -45,7 +45,7 @@ type state = {
   sessions : Session.cache;
   metrics : Lg_support.Metrics.t;
   tracer : Lg_support.Trace.t;  (* run-wide; requests absorb into it *)
-  events : Lg_support.Eventlog.t;  (* the flight recorder *)
+  events : Lg_support.Eventlog.t;  (* the flight recorder switch *)
   postmortem_dir : string option;
   postmortem_keep : int option;  (* retention cap: keep the newest N *)
   pm_counter : int Atomic.t;  (* unique dump filenames *)
@@ -163,18 +163,19 @@ let prune_postmortems ~dir ~keep ~metrics =
         0 victims
 
 (* The flight-recorder dump: when the supervision layer fails a job with
-   a typed worker_crashed/deadline_exceeded (exit 51/50), the job's
-   recent lifecycle events leave the ring as a post-mortem artifact next
-   to the typed diagnostic. Quarantine refusals (52) are admission
-   control, not crashes — no dump. *)
-let write_postmortem st ~job_id ~trace e =
+   a typed worker_crashed/deadline_exceeded (exit 51/50), the lifecycle
+   events read off the request's own trace [rt] become a post-mortem
+   artifact next to the typed diagnostic, written whole or not at all.
+   Quarantine refusals (52) are admission control, not crashes — no
+   dump. *)
+let write_postmortem st ~rt ~job_id ~trace e =
   match (st.postmortem_dir, e) with
   | ( Some dir,
       Server_error.Error
         ((Server_error.Deadline_exceeded _ | Server_error.Worker_crashed _) as
          se) ) -> (
       let doc =
-        Lg_support.Eventlog.postmortem_json st.events ~job:job_id
+        Lg_support.Eventlog.postmortem_json rt ~job:job_id
           ~reason:(Server_error.class_name se)
           ~exit_code:(Server_error.exit_code se)
           ~detail:(Server_error.to_string se) ~trace
@@ -184,37 +185,11 @@ let write_postmortem st ~job_id ~trace e =
           (Printf.sprintf "postmortem-%s-%d.json" (safe_filename job_id)
              (Atomic.fetch_and_add st.pm_counter 1))
       in
-      (try
-         let oc = open_out path in
-         output_string oc (to_string ~pretty:true doc);
-         output_char oc '\n';
-         close_out oc
-       with Sys_error _ -> ());
+      ignore (Ledger.write_json ~path doc);
       match st.postmortem_keep with
       | Some keep -> ignore (prune_postmortems ~dir ~keep ~metrics:st.metrics)
       | None -> ())
   | _ -> ()
-
-(* session-hit/build and pass-k lifecycle events, mined from the spans
-   the job just recorded into the request tracer past [mark] — the
-   evaluator and session cache need no event-log plumbing of their own *)
-let record_lifecycle_events st ~trace ~job ~mark rt =
-  if Lg_support.Eventlog.enabled st.events && Lg_support.Trace.enabled rt then
-    List.filteri (fun i _ -> i >= mark) (Lg_support.Trace.spans rt)
-    |> List.iter (fun (sp : Lg_support.Trace.span) ->
-           let record kind =
-             Lg_support.Eventlog.record st.events ~trace
-               ~fields:
-                 [
-                   ("name", Str sp.Lg_support.Trace.sp_name);
-                   ("seconds", Num sp.Lg_support.Trace.sp_dur);
-                 ]
-               ~job kind
-           in
-           match sp.Lg_support.Trace.sp_cat with
-           | "pass" -> record "pass"
-           | "session" -> record sp.Lg_support.Trace.sp_name
-           | _ -> ())
 
 (* echo the client-minted trace id on the response, closing the loop *)
 let with_trace_id trace response =
@@ -346,8 +321,8 @@ let admit st op doc =
           Jobfile.make ~id:("update:" ^ doc_id) ~file:doc_id ~doc:doc_id ~source
             ~op:(Jobfile.Update tenant) () )
 
-(* The one pipeline every pool-bound op runs through: admission,
-   lifecycle events, tenant accounting, supervision-failure handling and
+(* The one pipeline every pool-bound op runs through: admission, the
+   lifecycle spans, tenant accounting, supervision-failure handling and
    the postmortem hook. Answers the job's outcome, or [Error] with the
    saturation refusal when the queue is full. *)
 let run_job_op st ~rt ~trace ~lane (job : Jobfile.job) =
@@ -357,15 +332,15 @@ let run_job_op st ~rt ~trace ~lane (job : Jobfile.job) =
     | None -> st.deadline
   in
   let label = job.Jobfile.j_id in
-  Lg_support.Eventlog.record st.events ~trace
-    ~fields:
-      [
-        ("op", Str (Jobfile.op_name job.Jobfile.j_op));
-        ("file", Str job.Jobfile.j_file);
-        ("lane", Str (Pool.lane_name lane));
-      ]
-    ~job:label "submitted";
+  (* the args ride from the open, so a job that expires in the queue
+     still says what it was *)
   Lg_support.Trace.begin_span rt ~cat:"queue" "queue.wait";
+  Lg_support.Trace.add_args rt
+    [
+      ("op", Lg_support.Trace.Str (Jobfile.op_name job.Jobfile.j_op));
+      ("file", Lg_support.Trace.Str job.Jobfile.j_file);
+      ("lane", Lg_support.Trace.Str (Pool.lane_name lane));
+    ];
   let submitted = Unix.gettimeofday () in
   (* charge exactly once: the thunk's success path and the supervision
      path can both reach for the ledger (a job that finishes just as
@@ -383,9 +358,6 @@ let run_job_op st ~rt ~trace ~lane (job : Jobfile.job) =
     Pool.submit ~label ~lane ?deadline st.pool (fun () ->
         let dequeued = Unix.gettimeofday () in
         Lg_support.Trace.end_span rt ();
-        Lg_support.Eventlog.record st.events ~trace
-          ~fields:[ ("queue_wait_seconds", Num (dequeued -. submitted)) ]
-          ~job:label "dequeued";
         (* the request tracer becomes ambient for the job so session
            hit/build and evaluator pass spans land on this request's
            story *)
@@ -404,23 +376,12 @@ let run_job_op st ~rt ~trace ~lane (job : Jobfile.job) =
                     Lg_support.Trace.span rt ~cat:"chaos" "chaos.gate"
                       (fun () -> Batch.chaos_gate ?chaos:st.chaos job)
                 | None -> ());
-                Lg_support.Eventlog.record st.events ~trace ~job:label
-                  "started";
-                let mark = Lg_support.Trace.span_count rt in
                 let outcome =
-                  Batch.run_job ~sessions:st.sessions
-                    ?incremental:st.incremental job
+                  Lg_support.Trace.span rt ~cat:"serve" "run" (fun () ->
+                      Batch.run_job ~sessions:st.sessions
+                        ?incremental:st.incremental job)
                 in
-                record_lifecycle_events st ~trace ~job:label ~mark rt;
                 let finished = Unix.gettimeofday () in
-                Lg_support.Eventlog.record st.events ~trace
-                  ~fields:
-                    [
-                      ("exit", int outcome.Batch.o_exit);
-                      ("seconds", Num (finished -. dequeued));
-                    ]
-                  ~job:label
-                  (if outcome.Batch.o_ok then "finished" else "failed");
                 charge ~ok:outcome.Batch.o_ok
                   ~exit_code:outcome.Batch.o_exit
                   ~queue_wait:(dequeued -. submitted)
@@ -429,9 +390,6 @@ let run_job_op st ~rt ~trace ~lane (job : Jobfile.job) =
   with
   | Error { Pool.rj_depth; rj_capacity } ->
       Lg_support.Trace.end_span rt ();
-      Lg_support.Eventlog.record st.events ~trace
-        ~fields:[ ("exit", int 1); ("error", Str "saturated") ]
-        ~job:label "failed";
       Error
         (error_response "saturated"
            [ ("queue_depth", int rj_depth); ("capacity", int rj_capacity) ])
@@ -443,19 +401,9 @@ let run_job_op st ~rt ~trace ~lane (job : Jobfile.job) =
             Batch.failure_outcome ~metrics:st.metrics ~sessions:st.sessions
               job e
           in
-          Lg_support.Eventlog.record st.events ~trace
-            ~fields:
-              [
-                ("exit", int outcome.Batch.o_exit);
-                ( "error",
-                  match outcome.Batch.o_error with
-                  | Some m -> Str m
-                  | None -> Null );
-              ]
-            ~job:label "failed";
           charge ~ok:false ~exit_code:outcome.Batch.o_exit ~queue_wait:0.0
             ~service:0.0;
-          write_postmortem st ~job_id:label ~trace e;
+          write_postmortem st ~rt ~job_id:label ~trace e;
           Ok outcome)
 
 let handle_request st ~rt ~trace doc =
@@ -643,8 +591,11 @@ let handle_request st ~rt ~trace doc =
   | _ -> error_response "missing \"op\" member" []
 
 let connection_loop st fd =
+  (* a request keeps its own trace only when someone reads it: the
+     run-wide tracer, or the flight recorder on a failed job *)
   let observed =
-    Lg_support.Trace.enabled st.tracer || Lg_support.Eventlog.enabled st.events
+    Lg_support.Trace.enabled st.tracer
+    || (Lg_support.Eventlog.enabled st.events && st.postmortem_dir <> None)
   in
   let rec go () =
     match read_frame fd with

@@ -160,12 +160,13 @@ val serve :
 
     [tracer] (default disabled) receives every request's absorbed span
     tree — the CLI's [serve --trace-out] exports it as a merged Chrome
-    trace on shutdown. [events] is the flight recorder (default a fresh
-    512-event ring; pass {!Lg_support.Eventlog.null} to disable) that
-    records each job's lifecycle. [postmortem_dir] (created if missing)
-    turns on crash dumps: a job failing with [deadline_exceeded] (50) or
-    [worker_crashed] (51) writes its recent flight-recorder events as
-    [postmortem-<job>-<n>.json] there; [postmortem_keep] caps retention
+    trace on shutdown. [postmortem_dir] (created if missing) turns on
+    crash dumps: a job failing with [deadline_exceeded] (50) or
+    [worker_crashed] (51) writes the lifecycle events read off its
+    request's trace as [postmortem-<job>-<n>.json] there. [events]
+    (default on) makes requests keep that trace when only the flight
+    recorder reads it; with {!Lg_support.Eventlog.null} only a
+    run-wide [tracer] does. [postmortem_keep] caps retention
     — after each dump only the newest N survive, each removal counted
     by [server.postmortems_pruned]. Installs [SIGPIPE → ignore]
     process-wide, so a vanished client costs one connection, not the

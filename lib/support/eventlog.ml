@@ -1,98 +1,60 @@
-(* A mutex-guarded ring: [ring] is a fixed array of slots, [next] the
-   running sequence number; event seq modulo the capacity addresses its
-   slot, so the newest [capacity] events are always resident and an
-   append is O(1) with no allocation beyond the record itself. *)
+type t = bool
 
-type event = {
-  ev_seq : int;
-  ev_time : float;
-  ev_job : string;
-  ev_trace : string;
-  ev_kind : string;
-  ev_fields : (string * Json_out.t) list;
-}
+let null = false
+let create () = true
+let enabled t = t
 
-type t = {
-  on : bool;
-  lock : Mutex.t;
-  ring : event option array;
-  mutable next : int;  (* seq of the next event = total recorded *)
-}
+(* The lifecycle events one span stands for, as (rank, time, kind,
+   fields). Rank is the kind's place in the documented order, so ties
+   and clock steps can never reorder a job's story. *)
+let span_events ~epoch ~closed (sp : Trace.span) =
+  let at ~rank offset kind fields =
+    (rank, epoch +. sp.Trace.sp_start +. offset, kind, fields)
+  in
+  let timing =
+    [ ("name", Json_out.Str sp.Trace.sp_name); ("seconds", Json_out.Num sp.Trace.sp_dur) ]
+  in
+  match (sp.Trace.sp_cat, sp.Trace.sp_name) with
+  | "queue", "queue.wait" ->
+      at ~rank:0 0.0 "submitted"
+        (List.map (fun (k, v) -> (k, Trace.arg_json v)) sp.Trace.sp_args)
+      ::
+      (if closed then
+         [
+           at ~rank:1 sp.Trace.sp_dur "dequeued"
+             [ ("queue_wait_seconds", Json_out.Num sp.Trace.sp_dur) ];
+         ]
+       else [])
+  | "serve", "run" -> [ at ~rank:2 0.0 "started" [] ]
+  | "session", kind when closed -> [ at ~rank:3 sp.Trace.sp_dur kind timing ]
+  | "pass", _ when closed -> [ at ~rank:3 sp.Trace.sp_dur "pass" timing ]
+  | _ -> []
 
-let null = { on = false; lock = Mutex.create (); ring = [||]; next = 0 }
-
-let create ?(capacity = 512) () =
-  {
-    on = true;
-    lock = Mutex.create ();
-    ring = Array.make (max 16 capacity) None;
-    next = 0;
-  }
-
-let enabled t = t.on
-let capacity t = Array.length t.ring
-
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-let record t ?(trace = "") ?(fields = []) ~job kind =
-  if t.on then
-    locked t @@ fun () ->
-    let ev =
-      {
-        ev_seq = t.next;
-        ev_time = Unix.gettimeofday ();
-        ev_job = job;
-        ev_trace = trace;
-        ev_kind = kind;
-        ev_fields = fields;
-      }
-    in
-    t.ring.(t.next mod Array.length t.ring) <- Some ev;
-    t.next <- t.next + 1
-
-let recorded t = locked t (fun () -> t.next)
-
-let recent ?job ?limit t =
-  if not t.on then []
-  else
-    let events =
-      locked t @@ fun () ->
-      let cap = Array.length t.ring in
-      let first = max 0 (t.next - cap) in
-      let rec collect seq acc =
-        if seq >= t.next then List.rev acc
-        else
-          match t.ring.(seq mod cap) with
-          | Some ev -> collect (seq + 1) (ev :: acc)
-          | None -> collect (seq + 1) acc
-      in
-      collect first []
-    in
-    let events =
-      match job with
-      | None -> events
-      | Some id -> List.filter (fun ev -> String.equal ev.ev_job id) events
-    in
-    match limit with
-    | None -> events
-    | Some n ->
-        let drop = max 0 (List.length events - max 0 n) in
-        List.filteri (fun i _ -> i >= drop) events
-
-let event_json ev =
-  Json_out.Obj
-    ([
-       ("seq", Json_out.int ev.ev_seq);
-       ("time", Json_out.Num ev.ev_time);
-       ("job", Json_out.Str ev.ev_job);
-       ("trace", Json_out.Str ev.ev_trace);
-       ("kind", Json_out.Str ev.ev_kind);
-     ]
-    @ ev.ev_fields)
-
-let postmortem_json t ~job ~reason ~exit_code ~detail ~trace =
+let postmortem_json tr ~job ~reason ~exit_code ~detail ~trace =
+  let epoch = Trace.epoch tr in
+  let derived =
+    List.concat_map (span_events ~epoch ~closed:true) (Trace.spans tr)
+    @ List.concat_map (span_events ~epoch ~closed:false) (Trace.open_spans tr)
+    |> List.stable_sort (fun (r1, t1, _, _) (r2, t2, _, _) ->
+           compare (r1, t1) (r2, t2))
+  in
+  let failed =
+    ( 4,
+      Unix.gettimeofday (),
+      "failed",
+      [ ("exit", Json_out.int exit_code); ("error", Json_out.Str detail) ] )
+  in
+  let event seq (_, time, kind, fields) =
+    Json_out.Obj
+      ([
+         ("seq", Json_out.int seq);
+         ("time", Json_out.Num time);
+         ("job", Json_out.Str job);
+         ("trace", Json_out.Str trace);
+         ("kind", Json_out.Str kind);
+       ]
+      @ fields)
+  in
   Json_out.Obj
     [
       ("linguist_postmortem", Json_out.int 1);
@@ -101,6 +63,5 @@ let postmortem_json t ~job ~reason ~exit_code ~detail ~trace =
       ("exit", Json_out.int exit_code);
       ("detail", Json_out.Str detail);
       ("trace", Json_out.Str trace);
-      ( "events",
-        Json_out.Arr (List.map event_json (recent ~job t)) );
+      ("events", Json_out.Arr (List.mapi event (derived @ [ failed ])));
     ]

@@ -1,76 +1,45 @@
-(** The serving layer's flight recorder: a bounded, append-only ring of
-    typed per-job lifecycle events.
+(** The serving layer's flight recorder: one failed request's lifecycle
+    events, read off that request's own {!Trace}.
 
     Where {!Metrics} aggregates and {!Trace} times, the event log
-    {e narrates}: one record per state transition of one job —
-    [submitted], [dequeued], [session_hit]/[session_build], [started],
-    [pass], [finished], [failed] — in arrival order, each stamped with
-    the job id and the request's trace id. The ring holds the most
-    recent [capacity] events; older ones fall off the back, so a
-    long-running server pays a fixed memory cost for an always-current
-    story of what it was just doing.
+    {e narrates}: one event per state transition of one job —
+    [submitted], [dequeued], [started], [session.hit]/[session.build],
+    [pass], then [failed] — each stamped with the job id and the
+    request's trace id. Nothing is recorded twice: every event but the
+    last is derived from a span the request already traced.
+
+    - [submitted] and [dequeued] are the open and the close of the
+      [queue.wait] span (category ["queue"]); [submitted] carries that
+      span's args ([op], [file], [lane]), [dequeued] its duration as
+      [queue_wait_seconds].
+    - [started] is the open of the [run] span (category ["serve"]).
+    - [session.hit]/[session.build] (category ["session"]) and [pass]
+      (category ["pass"]) are completed spans, carrying [name] and
+      [seconds].
+
+    Spans still open count too, so a job that dies mid-run (a deadline
+    fires while its worker is wedged) still tells how far it got.
 
     Its purpose is the post-mortem path: when the supervision layer
     fails a job with a typed [worker_crashed] or [deadline_exceeded]
-    (exit 51/50), the serve front-end asks for that job's recent events
-    ({!recent}) and dumps them next to the typed diagnostic as a
-    flight-recorder artifact ({!postmortem_json}; the dump format is
-    documented in [docs/OBSERVABILITY.md]).
-
-    Mirrors the {!Trace}/{!Metrics} design: a disabled log ({!null})
-    reduces {!record} to one field check, and an enabled log guards its
-    ring with a mutex, so connection threads and pool worker domains
-    append concurrently without ceremony.
-
-    Event kinds are open strings rather than a closed variant: the log
-    is a support-layer facility and must not depend on the server
-    layer's vocabulary. The serving layer's kinds are the typed set
-    above. *)
-
-type event = {
-  ev_seq : int;  (** monotone, 0-based; survives ring wrap-around *)
-  ev_time : float;  (** [Unix.gettimeofday] at {!record} *)
-  ev_job : string;  (** job id ([""] for server-scoped events) *)
-  ev_trace : string;  (** request trace id; [""] when unpropagated *)
-  ev_kind : string;  (** ["submitted"], ["dequeued"], ["failed"], … *)
-  ev_fields : (string * Json_out.t) list;  (** kind-specific detail *)
-}
+    (exit 51/50), the serve front-end dumps the request's events next to
+    the typed diagnostic as a flight-recorder artifact
+    ({!postmortem_json}; the format is documented in
+    [docs/OBSERVABILITY.md]). *)
 
 type t
+(** Whether a server keeps each request's trace for the flight
+    recorder. *)
 
 val null : t
-(** The disabled log: {!record} is a near-no-op, queries answer empty. *)
+(** No recorder: requests keep a trace only for a run-wide tracer, and
+    without one a dump holds just its [failed] event. *)
 
-val create : ?capacity:int -> unit -> t
-(** A fresh enabled log holding the last [capacity] (default 512, at
-    least 16) events. *)
-
+val create : unit -> t
 val enabled : t -> bool
-val capacity : t -> int
-
-val record :
-  t ->
-  ?trace:string ->
-  ?fields:(string * Json_out.t) list ->
-  job:string ->
-  string ->
-  unit
-(** [record t ~job kind] appends one event, evicting the oldest when the
-    ring is full. *)
-
-val recorded : t -> int
-(** Events ever recorded (≥ the number still resident). *)
-
-val recent : ?job:string -> ?limit:int -> t -> event list
-(** Resident events, oldest first; [job] keeps only that job's records,
-    [limit] keeps only the newest [limit] of the selection. *)
-
-val event_json : event -> Json_out.t
-(** [{"seq":_,"time":_,"job":_,"trace":_,"kind":_, ...fields}] — the
-    record schema of both the dump below and the docs. *)
 
 val postmortem_json :
-  t ->
+  Trace.t ->
   job:string ->
   reason:string ->
   exit_code:int ->
@@ -80,4 +49,8 @@ val postmortem_json :
 (** The flight-recorder dump for one failed job: a
     [{"linguist_postmortem":1}]-tagged object carrying the typed
     diagnostic ([reason]/[exit_code]/[detail]), the request's [trace]
-    id, and the job's resident events ({!recent} with its id). *)
+    id, and the events derived from the request tracer, closed by one
+    [failed] event ([exit], [error] = [detail]) stamped now. Events
+    are [{"seq":_,"time":_,"job":_,"trace":_,"kind":_, ...fields}] with
+    [seq] numbering them from 0 and [time] absolute on the tracer's
+    clock. *)

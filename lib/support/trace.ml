@@ -126,6 +126,23 @@ let counters t =
 
 let spans t = locked t @@ fun () -> List.rev t.closed
 let span_count t = locked t @@ fun () -> t.n_closed
+
+let open_spans t =
+  locked t @@ fun () ->
+  let at = now t in
+  List.rev_map
+    (fun o ->
+      {
+        sp_name = o.o_name;
+        sp_cat = o.o_cat;
+        sp_depth = o.o_depth;
+        sp_start = o.o_start;
+        sp_dur = at -. o.o_start;
+        sp_args = List.rev o.o_args;
+      })
+    t.stack
+
+let epoch t = t.epoch
 let elapsed t = now t
 
 (* Splice a finished private tracer into [t]: its closed spans reappear
@@ -293,17 +310,14 @@ let pp_summary ppf t =
    line-per-event layout (friendly to streaming and diffing) is local. *)
 let json_escape = Json_out.escape
 
+let arg_json = function
+  | Int n -> Json_out.int n
+  | Float f -> Json_out.Num f
+  | Str s -> Json_out.Str s
+
 let json_of_args args =
   Json_out.to_string
-    (Json_out.Obj
-       (List.map
-          (fun (k, v) ->
-            ( k,
-              match v with
-              | Int n -> Json_out.int n
-              | Float f -> Json_out.Num f
-              | Str s -> Json_out.Str s ))
-          args))
+    (Json_out.Obj (List.map (fun (k, v) -> (k, arg_json v)) args))
 
 let us seconds = seconds *. 1e6
 

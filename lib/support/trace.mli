@@ -79,6 +79,14 @@ val counters : t -> (string * int) list
 val spans : t -> span list
 (** Completed spans in completion order (children before parents). *)
 
+val open_spans : t -> span list
+(** Spans begun but not yet ended, outermost first; [sp_dur] is the time
+    each has been open so far and [sp_args] what {!add_args} attached. *)
+
+val epoch : t -> float
+(** The clock reading span starts are relative to: a span began at
+    [epoch t +. sp_start]. *)
+
 val span_count : t -> int
 (** [List.length (spans t)], O(1); a cheap high-water mark so callers can
     slice out the spans of one sub-computation. *)
@@ -117,6 +125,8 @@ val resolve : t -> t
     options record with a default [null] tracer composes with {!install}. *)
 
 (** {1 Exporters} *)
+
+val arg_json : arg -> Json_out.t
 
 val pp_summary : Format.formatter -> t -> unit
 (** Hierarchical summary: per span path, call count, total seconds, and

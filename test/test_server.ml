@@ -1386,14 +1386,14 @@ let json = Lg_support.Json_out.parse
 
 (* a serve on a private socket for the body of [f], stopped afterwards *)
 let with_serve ?incremental ?chaos ?quarantine_after ?metrics ?postmortem_dir
-    f =
+    ?deadline f =
   with_temp_dir @@ fun dir ->
   let socket = Filename.concat dir "srv.sock" in
   let server =
     Thread.create
       (fun () ->
         Server.serve ~workers:1 ~queue_capacity:8 ?incremental ?chaos
-          ?quarantine_after ?metrics ?postmortem_dir ~socket ())
+          ?quarantine_after ?metrics ?postmortem_dir ?deadline ~socket ())
       ()
   in
   wait_for_socket socket;
@@ -1546,6 +1546,69 @@ let test_serve_update_tenant_row () =
   Alcotest.(check int) "both charged to one row" 2
     (Lg_support.Json_out.to_int (response_field row "jobs"))
 
+(* ---------------- the flight recorder ---------------- *)
+
+(* the postmortem dumps in [dir], oldest first, as (kinds, last event) *)
+let dumps dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun name -> Filename.check_suffix name ".json")
+  |> List.map (fun name ->
+         let doc = json (read_whole (Filename.concat dir name)) in
+         let events =
+           match response_field doc "events" with
+           | Lg_support.Json_out.Arr events -> events
+           | _ -> Alcotest.fail "events must be an array"
+         in
+         (List.map (fun ev -> response_str ev "kind") events,
+          List.nth events (List.length events - 1)))
+
+(* a job id reused across requests (a retried request, an edited
+   buffer's update:<doc>) dumps only its own request's story each time *)
+let test_serve_postmortem_repeated_id () =
+  let grammar = write_temp_grammar () in
+  Fun.protect ~finally:(fun () -> Sys.remove grammar) @@ fun () ->
+  let chaos =
+    Chaos.create ~poison:"poison" { Chaos.c_seed = 5; c_rate = 0.0; c_kinds = [] }
+  in
+  with_temp_dir @@ fun pm_dir ->
+  with_serve ~chaos ~quarantine_after:5 ~postmortem_dir:pm_dir @@ fun socket ->
+  let job = job_request (Jobfile.make ~id:"poison-x" ~op:Jobfile.Analyze ~file:grammar ()) in
+  Alcotest.(check (list int)) "three typed crashes" [ 51; 51; 51 ]
+    (List.map (fun _ -> response_exit (Server.request ~socket job)) [ 1; 2; 3 ]);
+  let dumped = dumps pm_dir in
+  Alcotest.(check int) "one dump per crash" 3 (List.length dumped);
+  List.iter
+    (fun (kinds, last) ->
+      Alcotest.(check int) "exactly one submitted" 1
+        (List.length (List.filter (String.equal "submitted") kinds));
+      Alcotest.(check string) "ends with failed" "failed" (response_str last "kind");
+      Alcotest.(check int) "failed exit" 51 (response_exit last))
+    dumped
+
+(* a job wedged past its deadline dies with its run never started: the
+   dump tells submitted, dequeued, then the typed failure *)
+let test_serve_postmortem_deadline () =
+  let grammar = write_temp_grammar () in
+  Fun.protect ~finally:(fun () -> Sys.remove grammar) @@ fun () ->
+  let chaos =
+    match Chaos.parse_spec "1:1.0:wedge" with
+    | Ok spec -> Chaos.create spec
+    | Error msg -> Alcotest.fail msg
+  in
+  with_temp_dir @@ fun pm_dir ->
+  with_serve ~chaos ~deadline:0.1 ~postmortem_dir:pm_dir @@ fun socket ->
+  let r =
+    Server.request ~socket
+      (job_request (Jobfile.make ~id:"wedged" ~op:Jobfile.Check ~file:grammar ()))
+  in
+  Alcotest.(check int) "typed deadline_exceeded" 50 (response_exit r);
+  match dumps pm_dir with
+  | [ (kinds, last) ] ->
+      Alcotest.(check (list string)) "lifecycle up to the deadline"
+        [ "submitted"; "dequeued"; "failed" ] kinds;
+      Alcotest.(check int) "failed exit" 50 (response_exit last)
+  | d -> Alcotest.failf "expected one dump, found %d" (List.length d)
+
 (* a frame nested past Json_out.max_depth is a bad request, and the
    connection and server carry on *)
 let test_serve_deep_nesting () =
@@ -1681,5 +1744,9 @@ let () =
           Alcotest.test_case
             "traces, postmortems, tenants and SLO percentiles" `Quick
             test_serve_observability;
+          Alcotest.test_case "repeated job id dumps one request" `Quick
+            test_serve_postmortem_repeated_id;
+          Alcotest.test_case "deadline dump stops at dequeued" `Quick
+            test_serve_postmortem_deadline;
         ] );
     ]

@@ -212,58 +212,110 @@ let prop_set_union_assoc =
 
 let test_eventlog_null () =
   Alcotest.(check bool) "disabled" false (Eventlog.enabled Eventlog.null);
-  Eventlog.record Eventlog.null ~job:"j" "submitted";
-  Alcotest.(check int) "records nothing" 0 (Eventlog.recorded Eventlog.null);
-  Alcotest.(check int) "recent empty" 0
-    (List.length (Eventlog.recent Eventlog.null))
+  Alcotest.(check bool) "create enables" true (Eventlog.enabled (Eventlog.create ()));
+  (* a request that kept no trace still dumps its typed failure *)
+  let doc =
+    Eventlog.postmortem_json Trace.null ~job:"j" ~reason:"worker_crashed"
+      ~exit_code:51 ~detail:"boom" ~trace:""
+  in
+  match Json_out.member_exn "events" doc with
+  | Json_out.Arr [ ev ] ->
+      Alcotest.(check string) "only the failure" {|"failed"|}
+        (Json_out.to_string (Json_out.member_exn "kind" ev))
+  | _ -> Alcotest.fail "expected exactly the failed event"
 
-let test_eventlog_ring_wraps () =
-  let t = Eventlog.create ~capacity:16 () in
-  Alcotest.(check int) "capacity floor honored" 16 (Eventlog.capacity t);
-  for i = 1 to 40 do
-    Eventlog.record t ~job:(Printf.sprintf "job-%d" i) "submitted"
-  done;
-  Alcotest.(check int) "every record counted" 40 (Eventlog.recorded t);
-  let recent = Eventlog.recent t in
-  Alcotest.(check int) "ring keeps the newest capacity" 16
-    (List.length recent);
-  Alcotest.(check string)
-    "oldest survivor first" "job-25"
-    (List.hd recent).Eventlog.ev_job;
-  Alcotest.(check string)
-    "newest last" "job-40"
-    (List.nth recent 15).Eventlog.ev_job;
-  let seqs = List.map (fun e -> e.Eventlog.ev_seq) recent in
-  Alcotest.(check bool)
-    "sequence numbers strictly increasing" true
-    (List.for_all2 ( < ) seqs (List.tl seqs @ [ max_int ]))
+(* the fields of a dumped event, by name *)
+let ev_str ev name =
+  match Json_out.member_exn name ev with
+  | Json_out.Str s -> s
+  | _ -> Alcotest.fail (name ^ " should be a string")
 
-let test_eventlog_filter_and_limit () =
-  let t = Eventlog.create ~capacity:32 () in
-  for i = 1 to 6 do
-    Eventlog.record t ~trace:"t1" ~job:"a"
-      ~fields:[ ("i", Json_out.int i) ]
-      (if i mod 2 = 0 then "pass" else "started");
-    Eventlog.record t ~job:"b" "submitted"
-  done;
-  let a = Eventlog.recent ~job:"a" t in
-  Alcotest.(check int) "filter keeps one job's story" 6 (List.length a);
+let ev_num ev name =
+  match Json_out.member_exn name ev with
+  | Json_out.Num f -> f
+  | _ -> Alcotest.fail (name ^ " should be a number")
+
+let dump_events doc =
+  match Json_out.member_exn "events" doc with
+  | Json_out.Arr events -> events
+  | _ -> Alcotest.fail "events should be an array"
+
+(* A synthetic serve request on a fake clock whose run span is still
+   open, as when a deadline fires mid-run: the dump reads the documented
+   lifecycle off the spans, open ones included, and ends in [failed]. *)
+let test_eventlog_derivation () =
+  let tick = ref 100.0 in
+  let clock () =
+    tick := !tick +. 1.0;
+    !tick
+  in
+  let tr = Trace.create ~clock () in
+  Trace.begin_span tr ~cat:"request" "request:job";
+  Trace.begin_span tr ~cat:"queue" "queue.wait";
+  Trace.end_span tr
+    ~args:
+      [
+        ("op", Trace.Str "translate");
+        ("file", Trace.Str "a.calc");
+        ("lane", Trace.Str "interactive");
+      ]
+    ();
+  Trace.begin_span tr ~cat:"serve" "service";
+  Trace.begin_span tr ~cat:"serve" "run";
+  Trace.span tr ~cat:"session" "session.build" (fun () -> ());
+  Trace.span tr ~cat:"engine" "engine.run" (fun () ->
+      Trace.span tr ~cat:"pass" "pass 1" (fun () -> ());
+      Trace.span tr ~cat:"pass" "pass 2" (fun () -> ()));
+  let doc =
+    Eventlog.postmortem_json tr ~job:"j1" ~reason:"deadline_exceeded"
+      ~exit_code:50 ~detail:"deadline exceeded" ~trace:"t1"
+  in
+  let events = dump_events doc in
+  Alcotest.(check (list string))
+    "documented kind sequence"
+    [ "submitted"; "dequeued"; "started"; "session.build"; "pass"; "pass"; "failed" ]
+    (List.map (fun ev -> ev_str ev "kind") events);
+  Alcotest.(check (list int))
+    "seq numbers the dump from 0" [ 0; 1; 2; 3; 4; 5; 6 ]
+    (List.map (fun ev -> int_of_float (ev_num ev "seq")) events);
+  let times = List.map (fun ev -> ev_num ev "time") events in
   Alcotest.(check bool)
-    "every event belongs to the job" true
-    (List.for_all (fun e -> e.Eventlog.ev_job = "a") a);
-  Alcotest.(check string) "trace id kept" "t1" (List.hd a).Eventlog.ev_trace;
-  let tail = Eventlog.recent ~job:"a" ~limit:2 t in
-  Alcotest.(check int) "limit keeps the newest" 2 (List.length tail);
-  Alcotest.(check string) "newest kind" "pass"
-    (List.nth tail 1).Eventlog.ev_kind
+    "time is monotone" true
+    (List.for_all2 ( < ) (List.rev (List.tl (List.rev times))) (List.tl times));
+  let nth = List.nth events in
+  (* epoch 101; queue.wait opens at 103 and closes at 104; run opens at 106 *)
+  Alcotest.(check (float 1e-9)) "submitted at the queue.wait open" 103.0
+    (ev_num (nth 0) "time");
+  Alcotest.(check (float 1e-9)) "dequeued at its close" 104.0
+    (ev_num (nth 1) "time");
+  Alcotest.(check (float 1e-9)) "queue wait is the span" 1.0
+    (ev_num (nth 1) "queue_wait_seconds");
+  Alcotest.(check (float 1e-9)) "started at the open run span" 106.0
+    (ev_num (nth 2) "time");
+  Alcotest.(check (list string))
+    "submitted carries the queue.wait args"
+    [ "translate"; "a.calc"; "interactive" ]
+    (List.map (ev_str (nth 0)) [ "op"; "file"; "lane" ]);
+  Alcotest.(check (list string))
+    "passes in order" [ "pass 1"; "pass 2" ]
+    (List.map (fun i -> ev_str (nth i) "name") [ 4; 5 ]);
+  Alcotest.(check (float 0.0)) "failed carries the exit" 50.0
+    (ev_num (nth 6) "exit");
+  Alcotest.(check string) "failed carries the error" "deadline exceeded"
+    (ev_str (nth 6) "error");
+  List.iter
+    (fun ev ->
+      Alcotest.(check (pair string string))
+        "job and trace ids on every event" ("j1", "t1")
+        (ev_str ev "job", ev_str ev "trace"))
+    events
 
 let test_eventlog_postmortem () =
-  let t = Eventlog.create ~capacity:16 () in
-  Eventlog.record t ~trace:"abc123" ~job:"boom" "submitted";
-  Eventlog.record t ~trace:"abc123" ~job:"boom" "dequeued";
-  Eventlog.record t ~job:"other" "submitted";
+  let tr = Trace.create () in
+  Trace.begin_span tr ~cat:"queue" "queue.wait";
+  Trace.end_span tr ();
   let doc =
-    Eventlog.postmortem_json t ~job:"boom" ~reason:"worker_crashed"
+    Eventlog.postmortem_json tr ~job:"boom" ~reason:"worker_crashed"
       ~exit_code:51 ~detail:"worker crashed: Out_of_memory" ~trace:"abc123"
   in
   (* the dump must survive a JSON round trip and carry the typed fields *)
@@ -273,16 +325,18 @@ let test_eventlog_postmortem () =
     | Json_out.Str s -> s
     | _ -> Alcotest.fail (name ^ " should be a string")
   in
+  Alcotest.(check int) "version" 1
+    (Json_out.to_int (Json_out.member_exn "linguist_postmortem" j));
   Alcotest.(check string) "job" "boom" (str "job");
   Alcotest.(check string) "reason" "worker_crashed" (str "reason");
+  Alcotest.(check string) "detail" "worker crashed: Out_of_memory" (str "detail");
   Alcotest.(check string) "trace" "abc123" (str "trace");
   (match Json_out.member_exn "exit" j with
   | Json_out.Num f -> Alcotest.(check (float 0.0)) "exit code" 51.0 f
   | _ -> Alcotest.fail "exit should be a number");
-  match Json_out.member_exn "events" j with
-  | Json_out.Arr events ->
-      Alcotest.(check int) "only the job's events" 2 (List.length events)
-  | _ -> Alcotest.fail "events should be an array"
+  Alcotest.(check (list string))
+    "submitted, dequeued, failed" [ "submitted"; "dequeued"; "failed" ]
+    (List.map (fun ev -> ev_str ev "kind") (dump_events j))
 
 (* ----- json ----- *)
 
@@ -307,9 +361,8 @@ let () =
       ( "eventlog",
         [
           Alcotest.test_case "null is inert" `Quick test_eventlog_null;
-          Alcotest.test_case "ring wraps" `Quick test_eventlog_ring_wraps;
-          Alcotest.test_case "job filter and limit" `Quick
-            test_eventlog_filter_and_limit;
+          Alcotest.test_case "derived from the request trace" `Quick
+            test_eventlog_derivation;
           Alcotest.test_case "postmortem shape" `Quick test_eventlog_postmortem;
         ] );
       ( "interner",
