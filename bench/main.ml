@@ -886,8 +886,8 @@ let incremental_bench () =
            String.equal na nb && Lg_support.Value.equal va vb)
          a b
   in
-  rowf "  %-6s %-5s %8s %8s %7s %7s %6s %9s %7s %6s\n" "edit" "at" "reused"
-    "fresh" "churn" "fired" "waves" "engine" "ratio" "ok";
+  rowf "  %-6s %-5s %8s %8s %7s %7s %6s %9s %7s %5s %6s\n" "edit" "at" "reused"
+    "fresh" "churn" "fired" "waves" "engine" "ratio" "dead" "ok";
   let rows =
     List.init n_edits (fun k ->
         let pos = rand n and c = 2 + rand 7 in
@@ -898,6 +898,18 @@ let incremental_bench () =
             ~tree
         in
         state := next;
+        (* cells the state holds beyond a fresh build's: what the merges
+           discarded and the update failed to drop *)
+        let dead_cells =
+          match next with
+          | None -> 0
+          | Some st ->
+              let _, fresh =
+                Lg_incremental.Incr.update config ~plan ~engine_options ~tree
+              in
+              Lg_incremental.Incr.memory_cells st
+              - Lg_incremental.Incr.memory_cells (Option.get fresh)
+        in
         let scratch = Engine.run plan tree in
         let oracle = Demand.evaluate ir tree in
         let ok =
@@ -922,13 +934,25 @@ let incremental_bench () =
               (0, 0, churn, engine_rules, 0)
         in
         let ratio = float_of_int engine_rules /. float_of_int (max 1 fired) in
-        rowf "  %-6d %-5d %8d %8d %6.1f%% %7d %6d %9d %6.1fx %6b\n" (k + 1)
-          pos reused fresh (100.0 *. churn) fired waves engine_rules ratio ok;
-        (k + 1, pos, reused, fresh, churn, fired, waves, engine_rules, ok))
+        rowf "  %-6d %-5d %8d %8d %6.1f%% %7d %6d %9d %6.1fx %5d %6b\n" (k + 1)
+          pos reused fresh (100.0 *. churn) fired waves engine_rules ratio
+          dead_cells ok;
+        ( k + 1,
+          pos,
+          reused,
+          fresh,
+          churn,
+          fired,
+          waves,
+          engine_rules,
+          dead_cells,
+          ok ))
   in
-  let fired_of (_, _, _, _, _, f, _, _, _) = f in
-  let rules_of (_, _, _, _, _, _, _, r, _) = r in
-  let ok_all = List.for_all (fun (_, _, _, _, _, _, _, _, ok) -> ok) rows in
+  let fired_of (_, _, _, _, _, f, _, _, _, _) = f in
+  let rules_of (_, _, _, _, _, _, _, r, _, _) = r in
+  let dead_of (_, _, _, _, _, _, _, _, d, _) = d in
+  let ok_all = List.for_all (fun (_, _, _, _, _, _, _, _, _, ok) -> ok) rows in
+  let max_dead = List.fold_left (fun a r -> max a (dead_of r)) 0 rows in
   let total_fired = List.fold_left (fun a r -> a + fired_of r) 0 rows in
   let total_rules = List.fold_left (fun a r -> a + rules_of r) 0 rows in
   let worst_fraction =
@@ -942,6 +966,7 @@ let incremental_bench () =
   in
   rowf "  shape: every edit byte-identical to from-scratch and oracle: %b\n"
     ok_all;
+  rowf "  shape: state cells beyond a fresh build's, worst edit: %d\n" max_dead;
   rowf
     "  shape: mean firing ratio %.1fx (>= 5x: %b); worst edit fired %.1f%% \
      of the from-scratch rules\n"
@@ -965,7 +990,7 @@ let incremental_bench () =
         ( "edits",
           Arr
             (List.map
-               (fun (k, pos, reused, fresh, churn, fired, waves, rules, ok) ->
+               (fun (k, pos, reused, fresh, churn, fired, waves, rules, dead, ok) ->
                  Obj
                    [
                      ("edit", int k);
@@ -976,6 +1001,7 @@ let incremental_bench () =
                      ("fired", int fired);
                      ("waves", int waves);
                      ("engine_rules", int rules);
+                     ("dead_cells", int dead);
                      ("differential_ok", Bool ok);
                    ])
                rows) );
@@ -989,6 +1015,7 @@ let incremental_bench () =
               ( "mean_fired_fraction",
                 Num (float_of_int total_fired /. float_of_int total_rules) );
               ("worst_fired_fraction", Num worst_fraction);
+              ("max_dead_cells", int max_dead);
               ("differential_ok", Bool ok_all);
             ] );
       ]

@@ -1,56 +1,40 @@
 open Lg_support
 open Lg_apt
 
-type entry = { value : Value.t; stamp : int }
+type t = (int * int, Value.t) Hashtbl.t
 
-type t = { table : (int * int, entry) Hashtbl.t; mutable epoch : int }
-
-let create () = { table = Hashtbl.create 1024; epoch = 0 }
-let epoch t = t.epoch
-
-let next_epoch t =
-  t.epoch <- t.epoch + 1;
-  t.epoch
-
-let find t ~node ~attr = Hashtbl.find_opt t.table (node, attr)
+let create () : t = Hashtbl.create 1024
+let find t ~node ~attr = Hashtbl.find_opt t (node, attr)
 
 type write = Created | Changed | Unchanged
 
 let record t ~node ~attr value =
   let key = (node, attr) in
   let outcome =
-    match Hashtbl.find_opt t.table key with
+    match Hashtbl.find_opt t key with
     | None -> Created
-    | Some e -> if Value.equal e.value value then Unchanged else Changed
+    | Some v -> if Value.equal v value then Unchanged else Changed
   in
-  Hashtbl.replace t.table key { value; stamp = t.epoch };
+  Hashtbl.replace t key value;
   outcome
 
-let cardinal t = Hashtbl.length t.table
-
-let retain t ~live =
-  let dead =
-    Hashtbl.fold
-      (fun ((node, _) as key) _ acc -> if live node then acc else key :: acc)
-      t.table []
-  in
-  List.iter (Hashtbl.remove t.table) dead
+let remove t ~node ~attr = Hashtbl.remove t (node, attr)
+let cardinal t = Hashtbl.length t
 
 (* Persistence: the store is streamed as APT records — a header record
-   carrying the epoch, then one record per entry with the key in the
-   (prod, sym) fields and [value; stamp] in the attribute slots. Going
-   through Aptfile means the bytes pass the same framing, checksumming
-   and fault machinery as evaluator intermediate files. *)
+   carrying the entry count, then one record per entry with the key in
+   the (prod, sym) fields and the value in the only attribute slot.
+   Going through Aptfile means the bytes pass the same framing,
+   checksumming and fault machinery as evaluator intermediate files. *)
 
 let save t backend =
   let w = Aptfile.writer backend in
-  Aptfile.write w (Node.interior ~prod:0 ~sym:0 ~attrs:[| Value.Int t.epoch |]);
+  Aptfile.write w
+    (Node.interior ~prod:0 ~sym:0 ~attrs:[| Value.Int (Hashtbl.length t) |]);
   Hashtbl.iter
-    (fun (node, attr) e ->
-      Aptfile.write w
-        (Node.interior ~prod:node ~sym:attr
-           ~attrs:[| e.value; Value.Int e.stamp |]))
-    t.table;
+    (fun (node, attr) value ->
+      Aptfile.write w (Node.interior ~prod:node ~sym:attr ~attrs:[| value |]))
+    t;
   Aptfile.close_writer w
 
 let load file =
@@ -58,25 +42,30 @@ let load file =
   Fun.protect
     ~finally:(fun () -> Aptfile.close_reader r)
     (fun () ->
-      let t = create () in
       let corrupt detail =
         Apt_error.raise_
           (Apt_error.Corrupt_record
              { path = Aptfile.backing_path file; offset = 0; detail })
       in
-      (match Aptfile.read_next r with
-      | Some { Node.attrs = [| Value.Int e |]; _ } -> t.epoch <- e
-      | Some _ | None ->
-          corrupt "attribute-version store missing its header record");
-      let rec entries () =
+      let expected =
         match Aptfile.read_next r with
-        | None -> ()
-        | Some { Node.prod = node; sym = attr; attrs } ->
-            (match attrs with
-            | [| value; Value.Int stamp |] ->
-                Hashtbl.replace t.table (node, attr) { value; stamp }
-            | _ -> corrupt "malformed attribute-version record");
-            entries ()
+        | Some { Node.attrs = [| Value.Int n |]; _ } -> n
+        | Some _ | None ->
+            corrupt "attribute-version store missing its header record"
       in
-      entries ();
+      let t = create () in
+      let rec entries count =
+        match Aptfile.read_next r with
+        | None -> count
+        | Some { Node.prod = node; sym = attr; attrs = [| value |] } ->
+            Hashtbl.replace t (node, attr) value;
+            entries (count + 1)
+        | Some _ -> corrupt "malformed attribute-version record"
+      in
+      let count = entries 0 in
+      if count <> expected then
+        corrupt
+          (Printf.sprintf
+             "attribute-version store holds %d entries, its header says %d"
+             count expected);
       t)

@@ -1,11 +1,12 @@
 (** The versioned attribute store.
 
     One entry per computed attribute instance — keyed by (tree node id,
-    attribute id) — holding the value and the {e epoch stamp} of its
-    last recomputation. Epochs advance once per [update]; a stamp older
-    than the current epoch marks a value carried over from a previous
-    evaluation, which {!Propagate} may trust until a changed input
-    reaches it through the dependency edges.
+    attribute id) — holding its current value. An entry survives from
+    one update to the next for as long as its node stays in the merged
+    tree; {!Propagate} trusts it until a changed input reaches it
+    through the dependency edges. The {!Incr} façade removes a node's
+    entries in the update that discards the node, so the store holds
+    exactly the live tree's instances.
 
     Intrinsic attributes are never stored: they live in the leaf nodes
     themselves and travel with the tree through the merge.
@@ -18,18 +19,10 @@
     a typed {!Lg_apt.Apt_error}, which the {!Incr} façade converts into
     a clean full-evaluation fallback. *)
 
-type entry = { value : Lg_support.Value.t; stamp : int }
 type t
 
 val create : unit -> t
-
-val epoch : t -> int
-(** The current epoch; 0 on a fresh store. *)
-
-val next_epoch : t -> int
-(** Advance and return the new epoch — one call per update. *)
-
-val find : t -> node:int -> attr:int -> entry option
+val find : t -> node:int -> attr:int -> Lg_support.Value.t option
 
 (** What {!record} did to the cached entry. [Created] means no previous
     value existed (a fresh instance); [Changed] means a previous value
@@ -38,20 +31,20 @@ val find : t -> node:int -> attr:int -> entry option
 type write = Created | Changed | Unchanged
 
 val record : t -> node:int -> attr:int -> Lg_support.Value.t -> write
-(** Store a value stamped with the current epoch. *)
+val remove : t -> node:int -> attr:int -> unit
 
 val cardinal : t -> int
-
-val retain : t -> live:(int -> bool) -> unit
-(** Drop entries whose node id is no longer live — the compaction sweep
-    run when discarded subtrees have accumulated. *)
+(** Number of stored instances. *)
 
 (** {1 Persistence through the APT store registry} *)
 
 val save : t -> Lg_apt.Aptfile.backend -> Lg_apt.Aptfile.file
-(** Stream the store (header record, then one record per entry) through
-    [backend]. Raises {!Lg_apt.Apt_error.Error} on store faults. *)
+(** Stream the store (a header record carrying the entry count, then one
+    record per entry) through [backend]. Raises {!Lg_apt.Apt_error.Error}
+    on store faults. *)
 
 val load : Lg_apt.Aptfile.file -> t
 (** Read a {!save}d store back. Raises {!Lg_apt.Apt_error.Error} on any
-    integrity failure (corrupt record, truncation, retry exhaustion). *)
+    integrity failure (corrupt record, truncation, retry exhaustion),
+    including a record count that disagrees with the header — a store
+    cut at a record boundary. *)

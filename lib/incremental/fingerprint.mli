@@ -23,6 +23,12 @@ val cons : t -> Lg_apt.Tree.t -> int
     [Tree.equal_shape a b] (within one interner [t]; ids from different
     interners are incomparable). *)
 
+val size : t -> Lg_apt.Tree.t -> int
+(** Node count of the subtree, memoized per cons id: O(1) once the
+    subtree is interned. *)
+
 val memo_size : t -> int
-(** Number of node-id memo entries — the growth watermark the session
-    compaction sweep watches. *)
+(** Number of node-id memo entries. The memo never forgets a node:
+    every incoming parse adds its nodes, and nodes the merge discards
+    keep theirs. {!Incr} rebuilds the interner from the live tree once
+    this outgrows [3 · tree + 1024]. *)

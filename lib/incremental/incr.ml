@@ -17,15 +17,16 @@ type state = {
   mutable st_fp : Fingerprint.t;
   mutable st_tree : Tree.t;
   mutable st_versions : Attr_versions.t;
-  mutable st_parents : (int, Tree.t * int) Hashtbl.t;
+  st_parents : (int, Tree.t * int) Hashtbl.t;
   st_index : Propagate.dep_index;
+  st_cells : int array array;
+      (* per production: the attribute ids stored for one instance *)
 }
 
 let state_tree st = st.st_tree
-let state_epoch st = Attr_versions.epoch st.st_versions
 
 let memory_cells st =
-  Attr_versions.cardinal st.st_versions + Fingerprint.memo_size st.st_fp
+  Attr_versions.cardinal st.st_versions + Hashtbl.length st.st_parents
 
 type mode =
   | Fresh of { fired : int }
@@ -44,17 +45,11 @@ type result = {
   tree_size : int;
 }
 
-(* Register (parent, position) links for the children of every node in
-   [tree]; reused subtrees below [deep]=false are skipped. *)
-let register_parents parents ?(deep = true) tree =
-  let rec go (n : Tree.t) =
-    List.iteri
-      (fun i (c : Tree.t) ->
-        Hashtbl.replace parents c.Tree.id (n, i);
-        if deep then go c)
-      n.Tree.children
-  in
-  go tree
+(* Link each child of [n] to its (parent, position). *)
+let link_children parents (n : Tree.t) =
+  List.iteri
+    (fun i (c : Tree.t) -> Hashtbl.replace parents c.Tree.id (n, i))
+    n.Tree.children
 
 let interior_nodes tree =
   let acc = ref [] in
@@ -78,24 +73,42 @@ let outputs_of (ir : Ir.t) versions parents tree =
       else None)
     (Ir.attrs_of_sym ir ir.Ir.root)
 
-(* Compaction: discarded subtrees leave dead entries in the fingerprint
-   memo, the parent links and the versioned store. When the memo has
-   outgrown the live tree, rebuild all three against the live node
-   set. *)
-let compact st =
-  let tree_size = Tree.size st.st_tree in
+(* The stored instances of one node: the non-intrinsic attributes of
+   its production's left-hand side and limb. Terminals carry intrinsic
+   attributes only, so a leaf stores nothing. *)
+let cells_per_prod (ir : Ir.t) =
+  Array.map
+    (fun (p : Ir.production) ->
+      p.Ir.p_lhs :: Option.to_list p.Ir.p_limb
+      |> List.concat_map (fun sym ->
+             List.filter_map
+               (fun (a : Ir.attr) ->
+                 if a.Ir.a_kind = Ir.Intrinsic then None else Some a.Ir.a_id)
+               (Ir.attrs_of_sym ir sym))
+      |> Array.of_list)
+    ir.Ir.prods
+
+(* Forget the nodes the merge threw away: their stored instances and
+   their parent links. What remains is exactly the merged tree's. *)
+let drop st (discarded : Tree.t list) =
+  List.iter
+    (fun (n : Tree.t) ->
+      Hashtbl.remove st.st_parents n.Tree.id;
+      if n.Tree.prod <> Node.leaf_prod then
+        Array.iter
+          (fun attr -> Attr_versions.remove st.st_versions ~node:n.Tree.id ~attr)
+          st.st_cells.(n.Tree.prod))
+    discarded
+
+(* The fingerprint memo keeps every node it has interned, incoming
+   parses included. When it has outgrown the live tree, re-intern the
+   live tree alone. *)
+let compact metrics st ~tree_size =
   if Fingerprint.memo_size st.st_fp > (3 * tree_size) + 1024 then begin
     let fp = Fingerprint.create () in
     ignore (Fingerprint.cons fp st.st_tree);
     st.st_fp <- fp;
-    let parents = Hashtbl.create (max 64 tree_size) in
-    register_parents parents st.st_tree;
-    st.st_parents <- parents;
-    let live_ids = Hashtbl.create (max 64 tree_size) in
-    Tree.iter_postfix_ltr
-      (fun n -> Hashtbl.replace live_ids n.Tree.id ())
-      st.st_tree;
-    Attr_versions.retain st.st_versions ~live:(Hashtbl.mem live_ids)
+    Metrics.incr metrics "incremental.compactions"
   end
 
 let validate_root (ir : Ir.t) (tree : Tree.t) =
@@ -108,16 +121,15 @@ let validate_root (ir : Ir.t) (tree : Tree.t) =
    a seed, so the versioned store comes out complete. *)
 let build_fresh config ~(ir : Ir.t) ~tree =
   let fp = Fingerprint.create () in
-  ignore (Fingerprint.cons fp tree);
-  let parents = Hashtbl.create (max 64 (Tree.size tree)) in
-  register_parents parents tree;
+  let tree_size = Fingerprint.size fp tree in
+  let parents = Hashtbl.create (max 64 tree_size) in
+  Tree.iter_postfix_ltr (link_children parents) tree;
   let versions = Attr_versions.create () in
-  ignore (Attr_versions.next_epoch versions);
   let index = Propagate.dep_index ir in
   let outcome =
     Propagate.run ~ir ~index ~versions ~parents ~tracer:config.tracer
       ~seeds:(interior_nodes tree)
-      ~max_fired:(firing_budget ir (Tree.size tree))
+      ~max_fired:(firing_budget ir tree_size)
   in
   let st =
     {
@@ -127,6 +139,7 @@ let build_fresh config ~(ir : Ir.t) ~tree =
       st_versions = versions;
       st_parents = parents;
       st_index = index;
+      st_cells = cells_per_prod ir;
     }
   in
   (st, outcome)
@@ -173,7 +186,7 @@ let update ?state config ~(plan : Plan.t) ~engine_options ~tree =
                       ~by:(Aptfile.size_bytes file)
                       "incremental.spill_bytes";
                     st.st_versions <- Attr_versions.load file));
-            let merged, seeds, dstats =
+            let merged, seeds, discarded, dstats =
               Trace.span tracer ~cat:"incremental" "incremental.diff" (fun () ->
                   Tree_diff.merge st.st_fp ~prev:st.st_tree ~next:tree)
             in
@@ -186,18 +199,13 @@ let update ?state config ~(plan : Plan.t) ~engine_options ~tree =
             else begin
               Metrics.incr metrics "incremental.hits";
               st.st_tree <- merged;
-              List.iter
-                (fun (seed : Tree.t) ->
-                  List.iteri
-                    (fun i (c : Tree.t) ->
-                      Hashtbl.replace st.st_parents c.Tree.id (seed, i))
-                    seed.Tree.children)
-                seeds;
-              ignore (Attr_versions.next_epoch st.st_versions);
+              drop st discarded;
+              List.iter (link_children st.st_parents) seeds;
+              let tree_size = dstats.Tree_diff.next_nodes in
               let outcome =
                 Propagate.run ~ir ~index:st.st_index ~versions:st.st_versions
                   ~parents:st.st_parents ~tracer ~seeds
-                  ~max_fired:(firing_budget ir (Tree.size merged))
+                  ~max_fired:(firing_budget ir tree_size)
               in
               Metrics.incr metrics ~by:outcome.Propagate.fired
                 "incremental.propagated_rules";
@@ -208,7 +216,7 @@ let update ?state config ~(plan : Plan.t) ~engine_options ~tree =
               let outputs =
                 outputs_of ir st.st_versions st.st_parents merged
               in
-              compact st;
+              compact metrics st ~tree_size;
               ( {
                   outputs;
                   mode =
@@ -220,7 +228,7 @@ let update ?state config ~(plan : Plan.t) ~engine_options ~tree =
                         waves = outcome.Propagate.waves;
                         changed = outcome.Propagate.changed;
                       };
-                  tree_size = Tree.size merged;
+                  tree_size;
                 },
                 Some st )
             end

@@ -38,14 +38,17 @@ val default_config : config
 type state
 (** Cached per-document session state: the last merged tree, the
     versioned attribute store, parent links and the fingerprint
-    interner. *)
+    interner. After every update the store and the parent links hold
+    exactly the merged tree's entries: the nodes the merge discards
+    take theirs with them, at a cost proportional to the edit. Only the
+    interner accumulates, until its rebuild (counted in
+    [incremental.compactions]). *)
 
 val state_tree : state -> Lg_apt.Tree.t
-val state_epoch : state -> int
 
 val memory_cells : state -> int
-(** Cached attribute entries + fingerprint memo size — the weight a
-    cost-aware session cache charges for the state. *)
+(** Stored attribute instances + parent links. Equal to a fresh
+    {!update}'s on the same tree. *)
 
 type mode =
   | Fresh of { fired : int }  (** no usable previous state *)

@@ -53,9 +53,9 @@ let evaluator ~(ir : Ir.t) ~versions ~parents ~on_fire ~on_changed ~budget =
     end
     else
       match Attr_versions.find versions ~node:n.Tree.id ~attr:attr_id with
-      | Some e ->
+      | Some v ->
           incr hits;
-          e.Attr_versions.value
+          v
       | None -> (
           let key = (n.Tree.id, attr_id) in
           if Hashtbl.mem in_progress key then
@@ -96,7 +96,7 @@ let evaluator ~(ir : Ir.t) ~versions ~parents ~on_fire ~on_changed ~budget =
               match
                 Attr_versions.find versions ~node:n.Tree.id ~attr:attr_id
               with
-              | Some e -> e.Attr_versions.value
+              | Some v -> v
               | None -> raise (Stuck "rule did not define its target")))
 
   (* Fire one rule at production instance [n]: evaluate the right-hand

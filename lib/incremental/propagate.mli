@@ -7,8 +7,8 @@
     {- {b Demand} — every fresh production instance (a {!Tree_diff}
        seed) fires all of its semantic rules; a rule input that is not
        yet in the versioned store is computed recursively, exactly as
-       {!Linguist.Demand} does, while an input cached from a previous
-       epoch is trusted and returned in O(1) — the cutoff that makes the
+       {!Linguist.Demand} does, while an input cached by a previous
+       update is trusted and returned in O(1) — the cutoff that makes the
        pass O(edit).}
     {- {b Change propagation} — when a firing overwrites a cached value
        with a {e different} one ({!Attr_versions.Changed}), the rules
@@ -34,7 +34,7 @@ type outcome = {
   fired : int;  (** semantic-rule firings — the O(edit) headline number *)
   waves : int;  (** worklist rounds after the seed pass *)
   changed : int;  (** writes that overwrote a cached value *)
-  cache_hits : int;  (** inputs served from a previous epoch's entry *)
+  cache_hits : int;  (** inputs served from an entry already stored *)
 }
 
 exception Stuck of string

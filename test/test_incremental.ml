@@ -147,12 +147,45 @@ let sizable_tree ir ~seed =
   in
   find seed
 
+let node_ids tree =
+  let ids = Hashtbl.create 64 in
+  Lg_apt.Tree.iter_postfix_ltr
+    (fun n -> Hashtbl.replace ids n.Lg_apt.Tree.id ())
+    tree;
+  ids
+
+(* Every cached node is either still in the merged tree or reported
+   discarded, never both, and the discarded ones close the books. *)
+let check_partition ~prev ~merged ~discarded (stats : Tree_diff.stats) =
+  let live = node_ids merged in
+  let gone = Hashtbl.create 64 in
+  List.iter
+    (fun (n : Lg_apt.Tree.t) -> Hashtbl.replace gone n.Lg_apt.Tree.id ())
+    discarded;
+  Alcotest.(check int)
+    "no node is discarded twice" (List.length discarded) (Hashtbl.length gone);
+  Lg_apt.Tree.iter_postfix_ltr
+    (fun (n : Lg_apt.Tree.t) ->
+      match (Hashtbl.mem live n.Lg_apt.Tree.id, Hashtbl.mem gone n.Lg_apt.Tree.id) with
+      | true, true -> Alcotest.failf "node %d is reused and discarded" n.Lg_apt.Tree.id
+      | false, false ->
+          Alcotest.failf "node %d is neither reused nor discarded" n.Lg_apt.Tree.id
+      | _ -> ())
+    prev;
+  Alcotest.(check int)
+    "discarded = prev - reused"
+    (stats.Tree_diff.prev_nodes - stats.Tree_diff.reused_nodes)
+    (List.length discarded)
+
 let test_merge_reuses_unchanged () =
   let ir = Fixtures.ir_of_source Fixtures.sum_grammar in
   let tree, rng = sizable_tree ir ~seed:11 in
   let edited = perturb_leaf tree ~rng in
   let fp = Fingerprint.create () in
-  let merged, seeds, stats = Tree_diff.merge fp ~prev:tree ~next:edited in
+  let merged, seeds, discarded, stats =
+    Tree_diff.merge fp ~prev:tree ~next:edited
+  in
+  check_partition ~prev:tree ~merged ~discarded stats;
   Alcotest.(check int)
     "merge preserves the node count"
     (Lg_apt.Tree.size edited) (Lg_apt.Tree.size merged);
@@ -167,6 +200,40 @@ let test_merge_reuses_unchanged () =
   Alcotest.(check bool)
     "churn is the fresh fraction" true
     (stats.Tree_diff.churn > 0.0 && stats.Tree_diff.churn < 1.0)
+
+let test_merge_discards_overwritten_subtree () =
+  let ir = Fixtures.ir_of_source Fixtures.sum_grammar in
+  let tree, _ = sizable_tree ir ~seed:11 in
+  let is_fork (t : Lg_apt.Tree.t) = List.length t.Lg_apt.Tree.children = 2 in
+  (* the last fork in preorder other than the top one, and any tip *)
+  let forks = ref [] and tips = ref [] in
+  let n = ref (-1) in
+  let rec index (t : Lg_apt.Tree.t) =
+    incr n;
+    if is_fork t && !n >= 2 then forks := !n :: !forks
+    else if (not (is_leaf t)) && List.for_all is_leaf t.Lg_apt.Tree.children
+    then tips := t :: !tips;
+    List.iter index t.Lg_apt.Tree.children
+  in
+  index tree;
+  let at = match !forks with at :: _ -> at | [] -> Alcotest.fail "no fork" in
+  let tip = match !tips with t :: _ -> t | [] -> Alcotest.fail "no tip" in
+  (* overwrite that fork with a fresh tip: a different production, so
+     the merge adopts the tip and must discard the whole fork subtree,
+     which is in neither the merged tree nor the reused count *)
+  let edited =
+    edit_at tree ~at ~subst:(fun _ ->
+        Lg_apt.Tree.interior ~prod:tip.Lg_apt.Tree.prod ~sym:tip.Lg_apt.Tree.sym
+          ~children:
+            (List.map
+               (fun (l : Lg_apt.Tree.t) ->
+                 Lg_apt.Tree.leaf ~sym:l.Lg_apt.Tree.sym
+                   ~attrs:l.Lg_apt.Tree.leaf_attrs)
+               tip.Lg_apt.Tree.children))
+  in
+  let fp = Fingerprint.create () in
+  let merged, _, discarded, stats = Tree_diff.merge fp ~prev:tree ~next:edited in
+  check_partition ~prev:tree ~merged ~discarded stats
 
 (* ---------- the update path ---------- *)
 
@@ -219,13 +286,14 @@ let store_backends =
     (fun name -> (name, Lg_apt.Aptfile.backend_of_store_name name))
     (Lg_apt.Store_registry.names ())
 
-let run_edit_sequence ~grammar ~seed ~edits ~spill =
+let run_edit_sequence ?(config = Incr.default_config) ~grammar ~seed ~edits
+    ~spill () =
   let plan = plan_of grammar in
   let ir = plan.Plan.ir in
   let st = Random.State.make [| seed |] in
   let rng bound = Random.State.int st bound in
   let engine_options = Engine.default_options in
-  let config = { Incr.default_config with spill } in
+  let config = { config with spill } in
   let state = ref None in
   let tree = ref (Fixtures.random_tree ir ~rng ~size:(10 + rng 40)) in
   for step = 0 to edits do
@@ -237,6 +305,18 @@ let run_edit_sequence ~grammar ~seed ~edits ~spill =
       Incr.update ?state:!state config ~plan ~engine_options ~tree:!tree
     in
     state := next;
+    (* exact state: nothing the merges discarded is still held *)
+    Option.iter
+      (fun st ->
+        let _, fresh =
+          Incr.update Incr.default_config ~plan ~engine_options ~tree:!tree
+        in
+        let expected = Incr.memory_cells (Option.get fresh) in
+        if Incr.memory_cells st <> expected then
+          Alcotest.failf
+            "seed %d step %d: the state holds %d cells, a fresh build %d" seed
+            step (Incr.memory_cells st) expected)
+      next;
     let oracle = Demand.evaluate ir !tree in
     if not (outputs_equal result.Incr.outputs oracle.Demand.outputs) then
       Alcotest.failf "seed %d step %d: incremental disagrees with the oracle"
@@ -261,8 +341,20 @@ let prop_edit_sequence_differential =
       let grammar =
         if which = 0 then Fixtures.sum_grammar else Fixtures.env_grammar
       in
-      run_edit_sequence ~grammar ~seed ~edits:6 ~spill:None;
+      run_edit_sequence ~grammar ~seed ~edits:6 ~spill:None ();
       true)
+
+let test_long_sequence_rebuilds_fingerprints () =
+  (* long enough for the fingerprint memo to outgrow 3 * tree + 1024;
+     threshold 1.0 keeps every edit on the delta path *)
+  let metrics = Lg_support.Metrics.create () in
+  let config = { Incr.default_config with threshold = 1.0; metrics } in
+  run_edit_sequence ~config ~grammar:Fixtures.env_grammar ~seed:5 ~edits:250
+    ~spill:None ();
+  match Lg_support.Metrics.find metrics "incremental.compactions" with
+  | Some (Lg_support.Metrics.Counter n) ->
+      Alcotest.(check bool) "the fingerprint rebuild ran" true (n > 0)
+  | _ -> Alcotest.fail "incremental.compactions not published"
 
 let test_spilled_state_differential () =
   (* the versioned store round-trips through a real APT backend between
@@ -272,7 +364,7 @@ let test_spilled_state_differential () =
       let metrics = Lg_support.Metrics.create () in
       ignore metrics;
       run_edit_sequence ~grammar:Fixtures.sum_grammar ~seed:(Hashtbl.hash store)
-        ~edits:4 ~spill:(Some backend))
+        ~edits:4 ~spill:(Some backend) ())
     (List.filter (fun (n, _) -> n <> "faulty") store_backends)
 
 let test_spill_publishes_metrics () =
@@ -296,6 +388,26 @@ let test_spill_publishes_metrics () =
   | Some (Lg_support.Metrics.Counter n) ->
       Alcotest.(check int) "one incremental hit" 1 n
   | _ -> Alcotest.fail "incremental.hits not published"
+
+let test_spill_refuses_a_cut_store () =
+  let versions = Attr_versions.create () in
+  for node = 1 to 5 do
+    ignore
+      (Attr_versions.record versions ~node ~attr:0 (Lg_support.Value.Int node))
+  done;
+  let file = Attr_versions.save versions Lg_apt.Aptfile.Mem in
+  Alcotest.(check int)
+    "a whole store loads" 5
+    (Attr_versions.cardinal (Attr_versions.load file));
+  (* drop the last record: every frame still checks out *)
+  let records = Lg_apt.Aptfile.to_list file in
+  let cut =
+    Lg_apt.Aptfile.of_list Lg_apt.Aptfile.Mem
+      (List.filteri (fun i _ -> i < List.length records - 1) records)
+  in
+  match Attr_versions.load cut with
+  | exception Lg_apt.Apt_error.Error (Lg_apt.Apt_error.Corrupt_record _) -> ()
+  | _ -> Alcotest.fail "a store cut at a record boundary must not load"
 
 (* ---------- fault injection ---------- *)
 
@@ -557,6 +669,8 @@ let () =
             test_fingerprint_interning;
           Alcotest.test_case "merge reuses unchanged subtrees" `Quick
             test_merge_reuses_unchanged;
+          Alcotest.test_case "merge discards an overwritten subtree" `Quick
+            test_merge_discards_overwritten_subtree;
         ] );
       ( "update",
         [
@@ -565,10 +679,14 @@ let () =
           Alcotest.test_case "threshold fallback stays correct" `Quick
             test_threshold_fallback_is_correct;
           QCheck_alcotest.to_alcotest prop_edit_sequence_differential;
+          Alcotest.test_case "long sequence rebuilds the fingerprints" `Quick
+            test_long_sequence_rebuilds_fingerprints;
           Alcotest.test_case "spilled state differential, all stores" `Quick
             test_spilled_state_differential;
           Alcotest.test_case "spill publishes incremental.* metrics" `Quick
             test_spill_publishes_metrics;
+          Alcotest.test_case "spill refuses a store cut at a record" `Quick
+            test_spill_refuses_a_cut_store;
         ] );
       ( "faults",
         [
