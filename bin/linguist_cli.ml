@@ -89,8 +89,8 @@ let apt_store =
     & info [ "apt-store" ] ~docv:"STORE"
         ~doc:
           "APT store backing the intermediate files of evaluator runs: \
-           $(b,mem), $(b,disk), $(b,paged), $(b,prefetch), $(b,zip) or \
-           $(b,paged+zip) (see the $(b,stores) subcommand).")
+           $(b,mem), $(b,paged), $(b,zip) or $(b,faulty) (see the \
+           $(b,stores) subcommand).")
 
 let apt_page_size =
   Arg.(
@@ -336,7 +336,7 @@ let compile_cmd =
         Printf.printf "throughput: %.0f lines/minute\n"
           (Linguist.Driver.throughput_lines_per_minute artifact);
         Printf.printf "apt store: %s\n"
-          (Lg_apt.Aptfile.backend_name options.Linguist.Driver.apt_backend);
+          options.Linguist.Driver.apt_backend.Lg_apt.Aptfile.store;
         emit_manifest ~report ~command:"compile" ~options ~path artifact;
         `Ok ()
     | Error () -> `Error (false, "errors in " ^ path)
@@ -1494,7 +1494,7 @@ let corpus_cmd =
         & opt int Lg_corpus.Emit.default.Lg_corpus.Emit.s_fault_every
         & info [ "fault-every" ] ~docv:"N"
             ~doc:
-              "Give every $(docv)-th disk-store job a deterministic \
+              "Give every $(docv)-th $(b,paged)-store job a deterministic \
                transient-read fault spec ($(b,0) for none).")
     in
     let run dir seed profile n_grammars inputs input_size fault_every =

@@ -1,13 +1,7 @@
 (* The APT file façade: node codec + record accounting over a pluggable
-   byte-record store ([Apt_store]). The legacy [Mem]/[Disk] backends keep
-   their seed byte format and accounting; everything else comes from the
-   store registry. *)
+   byte-record store ([Apt_store]) named in the store registry. *)
 
-type backend =
-  | Mem
-  | Disk of { dir : string }
-  | Store of { name : string; config : Apt_store.config }
-
+type backend = { store : string; config : Apt_store.config }
 type file = Apt_store.file
 
 type writer = {
@@ -18,30 +12,15 @@ type writer = {
 
 type reader = { r_stats : Io_stats.t option; inner_r : Apt_store.reader }
 
-let store_of_backend = function
-  | Mem -> Store_legacy.mem ()
-  | Disk { dir } -> Store_legacy.disk { Apt_store.default_config with dir = Some dir }
-  | Store { name; config } -> Store_registry.find ~config name
-
-(* Every name resolves through the registry — including "mem" and
-   "disk" — so the whole config (durable, legacy_format, faults, ...)
-   reaches the store. The bare [Mem]/[Disk] variants remain for callers
-   that construct backends programmatically with default behavior. *)
-let backend_of_store_name ?(config = Apt_store.default_config) name =
-  if not (List.mem name (Store_registry.names ())) then
-    ignore (Store_registry.find ~config name) (* raises with the known names *);
-  Store { name; config }
-
-let backend_name = function
-  | Mem -> "mem"
-  | Disk _ -> "disk"
-  | Store { name; _ } -> name
+let backend_of_store_name ?(config = Apt_store.default_config) store =
+  ignore (Store_registry.find ~config store) (* raises with the known names *);
+  { store; config }
 
 let writer ?stats backend =
   (match stats with
   | Some s -> Io_stats.bump s.Io_stats.files_created 1
   | None -> ());
-  let store = store_of_backend backend in
+  let store = Store_registry.find ~config:backend.config backend.store in
   { w_stats = stats; buf = Buffer.create 256; inner_w = store.Apt_store.start stats }
 
 let write w node =

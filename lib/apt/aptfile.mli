@@ -10,29 +10,25 @@
 
     This module is a façade: it owns the {!Node} codec and the
     record-level accounting, and delegates the on-medium layout to a
-    pluggable store ({!Apt_store}, resolved through {!Store_registry}).
-    The legacy backends share the seed format byte for byte: [Disk] uses
-    unbuffered real temporary files (the paper's floppy/rigid disk),
-    [Mem] an in-memory buffer (the "virtual memory" variant the paper's
-    conclusions ask about). [Store] selects any registered store —
-    [paged], [prefetch], [zip], [paged+zip], or an extension. *)
+    store from {!Store_registry}: ["mem"] (an in-memory buffer, the
+    "virtual memory" variant the paper's conclusions ask about and the
+    default), ["paged"] (real temporary files through a page pool — the
+    paper's floppy/rigid disk), ["zip"], ["faulty"], or an extension. *)
 
-type backend =
-  | Mem
-  | Disk of { dir : string }  (** temp files created inside [dir] *)
-  | Store of { name : string; config : Apt_store.config }
-      (** a store from {!Store_registry}, e.g. ["paged"] *)
+type backend = {
+  store : string;  (** a {!Store_registry} name *)
+  config : Apt_store.config;
+}
 
 type file
 type writer
 type reader
 
 val backend_of_store_name : ?config:Apt_store.config -> string -> backend
-(** Map a registry name (["mem"], ["disk"], ["paged"], ["paged+zip"], …)
-    to a backend; the CLI's [--apt-store] parser.
+(** Check a registry name (["mem"], ["paged"], ["zip"], ["faulty"], …)
+    and pair it with [config] (default {!Apt_store.default_config}); the
+    CLI's [--apt-store] parser.
     @raise Failure on an unregistered name, listing the known stores. *)
-
-val backend_name : backend -> string
 
 val writer : ?stats:Io_stats.t -> backend -> writer
 val write : writer -> Node.t -> unit
@@ -61,4 +57,4 @@ val backing_path : file -> string option
 (** The backing temp file, when the store has one; for tests/tools. *)
 
 val dispose : file -> unit
-(** Delete the backing temp file (no-op for [Mem]). *)
+(** Delete the backing temp file (no-op for ["mem"]). *)

@@ -11,7 +11,7 @@ type t = {
   records_read : int Atomic.t;
   records_written : int Atomic.t;
   files_created : int Atomic.t;
-  (* page-level counters (paged/prefetching stores) *)
+  (* page-level counters (the paged store) *)
   pages_read : int Atomic.t;
   pages_written : int Atomic.t;
   pool_hits : int Atomic.t;

@@ -8,7 +8,7 @@
     Byte counters record traffic against the backing medium and are
     maintained by the store implementations ({!Apt_store}); record
     counters are maintained by the {!Aptfile} façade. Page-level counters
-    are populated only by the paged/prefetching stores; raw-byte counters
+    are populated only by the paged store; raw-byte counters
     only by compressing store layers.
 
     Every counter is an [Atomic.t]: one tally may be fed by store layers

@@ -85,12 +85,12 @@ let apply_damage rng path actions =
   close_out oc;
   !cut
 
-let layer ~name (config : config) (base : t) : t =
+let layer (config : config) (base : t) : t =
   match config.faults with
-  | None -> { base with s_name = name }
+  | None -> { base with s_name = "faulty" }
   | Some spec ->
       {
-        s_name = name;
+        s_name = "faulty";
         start =
           (fun stats ->
             let w = base.start stats in
@@ -103,7 +103,7 @@ let layer ~name (config : config) (base : t) : t =
               close =
                 (fun () ->
                   let f = w.close () in
-                  let f = { f with f_store = name } in
+                  let f = { f with f_store = "faulty" } in
                   match (f.f_path, write_kinds spec) with
                   | Some path, _ :: _ ->
                       let rng = Random.State.make [| spec.f_seed |] in

@@ -6,7 +6,8 @@
     reads) are injected inside {!Store_pager} — below the checksum
     layer — where the bounded retry policy absorbs them.
 
-    With [config.faults = None] the layer is the base store renamed. *)
+    With [config.faults = None] the layer is the base store renamed.
+    The registry layers it over ["paged"]. *)
 
 val parse_spec : string -> (Apt_store.fault_spec, string) result
 (** Parse ["SEED:RATE:KINDS"] (kinds: comma list of
@@ -14,4 +15,4 @@ val parse_spec : string -> (Apt_store.fault_spec, string) result
 
 val spec_to_string : Apt_store.fault_spec -> string
 
-val layer : name:string -> Apt_store.config -> Apt_store.t -> Apt_store.t
+val layer : Apt_store.config -> Apt_store.t -> Apt_store.t

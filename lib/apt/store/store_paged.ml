@@ -1,9 +1,12 @@
-(* The paged disk store: the same framed record layout as the [disk]
-   store (files are byte-identical), but all I/O goes through a
-   fixed-size page buffer pool ([Store_pager]), so a backward scan costs
-   one physical read per page instead of two seeks per record. With
-   [prefetch > 0] the pool reads ahead in the detected scan direction —
-   that configuration is registered separately as the "prefetch" store.
+(* The paged file store, the one file-backed medium: a framed record
+   stream in a temp file, with all I/O going through a fixed-size page
+   buffer pool ([Store_pager]), so a backward scan costs one physical
+   read per page instead of two seeks per record. On a pool miss during
+   a sequential scan the pager reads ahead [config.prefetch_pages] pages
+   in the scan direction in the same physical operation; the
+   alternating-pass evaluator's access pattern is purely sequential, so
+   nearly every page after the first arrives before its use. Read-side
+   faults ([config.faults]) are injected inside the pager too.
 
    Record decoding is [Apt_store.Record_codec] over the pool: the codec's
    [want] direction tells the pool which neighbouring bytes the decode
@@ -14,7 +17,7 @@
 
 open Apt_store
 
-let make ?(name = "paged") ?(prefetch = 0) config : t =
+let make config : t =
   let format = if config.legacy_format then Legacy else Framed_v1 in
   let open_reader path size stats dir =
     (* sniff first with a raw read so the pool can floor page 0 at the
@@ -35,8 +38,8 @@ let make ?(name = "paged") ?(prefetch = 0) config : t =
     let data_start = Record_codec.data_start r_format in
     let pager =
       Store_pager.create ?stats ~data_start ?faults:config.faults
-        ~page_size:config.page_size ~capacity:config.pool_pages ~prefetch
-        ~path ~size ()
+        ~page_size:config.page_size ~capacity:config.pool_pages
+        ~prefetch:config.prefetch_pages ~path ~size ()
     in
     (* charge the signature bytes through the pager so the accounting
        matches the other stores (and leaves the head at [data_start]) *)
@@ -48,23 +51,13 @@ let make ?(name = "paged") ?(prefetch = 0) config : t =
         src_read = (fun ~pos ~len ~want -> Store_pager.read pager ~pos ~len ~want);
       }
     in
-    let pos = ref (match dir with `Forward -> data_start | `Backward -> size) in
-    let next () =
-      let step =
-        match dir with
-        | `Forward -> Record_codec.next_forward r_format source ~pos:!pos
-        | `Backward -> Record_codec.next_backward r_format source ~pos:!pos
-      in
-      match step with
-      | None -> None
-      | Some (payload, p) ->
-          pos := p;
-          Some payload
-    in
-    { next; close_reader = (fun () -> Store_pager.close pager) }
+    {
+      next = Record_codec.walk r_format source dir;
+      close_reader = (fun () -> Store_pager.close pager);
+    }
   in
   {
-    s_name = name;
+    s_name = "paged";
     start =
       (fun stats ->
         let path = temp_path config in
@@ -86,7 +79,7 @@ let make ?(name = "paged") ?(prefetch = 0) config : t =
             (fun () ->
               let size = Store_pager.close_writer w in
               {
-                f_store = name;
+                f_store = "paged";
                 f_size = size;
                 f_records = !records;
                 f_path = Some path;

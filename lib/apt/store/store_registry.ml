@@ -2,7 +2,7 @@
    populated here (not by side effects in the implementation modules, so
    selective linking can never lose a backend); [register] is the
    extension point for out-of-tree stores, used e.g. by the test suite to
-   plug a custom [APT_STORE] module in via [Apt_store.pack]. *)
+   plug in a custom [Apt_store.t]. *)
 
 type entry = {
   description : string;
@@ -17,30 +17,19 @@ let register ~name ~description make =
 let () =
   register ~name:"mem"
     ~description:"in-memory buffer, whole-record framing (the paper's virtual-memory answer)"
-    (fun c ->
-      Store_legacy.mem
-        ~format:(if c.Apt_store.legacy_format then Apt_store.Legacy else Apt_store.Framed_v1)
-        ());
-  register ~name:"disk"
-    ~description:"unbuffered temp file, whole-record framing (the seed default)"
-    Store_legacy.disk;
+    Store_mem.make;
   register ~name:"paged"
-    ~description:"paged temp file with an LRU buffer pool (same byte format as disk)"
-    (fun c -> Store_paged.make c);
-  register ~name:"prefetch"
-    ~description:"paged store reading ahead N pages on sequential access"
-    Store_prefetch.make;
+    ~description:
+      "temp file through an LRU page pool, reading ahead on sequential scans"
+    Store_paged.make;
   register ~name:"zip"
-    ~description:"front-coded block compression layered over the disk store"
-    (fun c -> Store_zip.layer ~name:"zip" c (Store_legacy.disk c));
-  register ~name:"paged+zip"
     ~description:"front-coded block compression layered over the paged store"
-    (fun c -> Store_zip.layer ~name:"paged+zip" c (Store_paged.make c));
+    (fun c -> Store_zip.layer c (Store_paged.make c));
   register ~name:"faulty"
     ~description:
       "deterministic fault injection (--apt-faults seed:rate:kinds) layered \
-       over the prefetch store"
-    (fun c -> Store_faulty.layer ~name:"faulty" c (Store_prefetch.make c))
+       over the paged store"
+    (fun c -> Store_faulty.layer c (Store_paged.make c))
 
 let names () = List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) table [])
 

@@ -1,12 +1,12 @@
 (** The APT store registry: name -> configured store.
 
-    Builtins: ["mem"], ["disk"] (the byte-compatible seed backends),
-    ["paged"] (LRU buffer pool), ["prefetch"] (paged + read-ahead),
-    ["zip"] and ["paged+zip"] (front-coded block compression layered
-    over disk/paged), ["faulty"] (deterministic fault injection over
-    prefetch, see {!Store_faulty}). [register] plugs in out-of-tree
-    stores, e.g. an {!Apt_store.APT_STORE} module erased with
-    {!Apt_store.pack}. *)
+    Builtins, each kept for a measured win or a tested guarantee:
+    ["mem"] (in-memory, the default and fastest), ["paged"] (a temp file
+    through an LRU page pool with read-ahead: the bounded-memory store),
+    ["zip"] (front-coded block compression over paged: fewest bytes) and
+    ["faulty"] (deterministic fault injection over paged, see
+    {!Store_faulty}). [register] plugs in out-of-tree stores, any
+    {!Apt_store.t}. *)
 
 val register :
   name:string ->

@@ -41,12 +41,24 @@ let encode_block payloads =
 
 let decode_block s =
   let n, pos = Varint.read s 0 in
+  (* every entry takes at least its two varint bytes, so a count past
+     the block's remaining bytes is damage, not a list to allocate *)
+  if n > String.length s - pos then
+    Apt_error.raise_
+      (Apt_error.Corrupt_record
+         {
+           path = None;
+           offset = 0;
+           detail =
+             Printf.sprintf "front-coded block claims %d entries in %d bytes" n
+               (String.length s - pos);
+         });
   let pos = ref pos in
   let prev = ref "" in
   List.init n (fun _ ->
       let prefix, p1 = Varint.read s !pos in
       let suffix, p2 = Varint.read s p1 in
-      if prefix > String.length !prev || p2 + suffix > String.length s then
+      if prefix > String.length !prev || suffix > String.length s - p2 then
         Apt_error.raise_
           (Apt_error.Corrupt_record
              {
@@ -69,7 +81,7 @@ let tally_raw_read stats bytes =
   | Some s -> Io_stats.bump s.Io_stats.raw_bytes_read bytes
   | None -> ()
 
-let layer ~name (config : config) (base : t) : t =
+let layer (config : config) (base : t) : t =
   let block = max 1 config.zip_block in
   (* what the base store's framing would have cost per record *)
   let frame_overhead =
@@ -101,7 +113,7 @@ let layer ~name (config : config) (base : t) : t =
     { next; close_reader = base_reader.close_reader }
   in
   {
-    s_name = name;
+    s_name = "zip";
     start =
       (fun stats ->
         let base_writer = base.start stats in
@@ -127,7 +139,7 @@ let layer ~name (config : config) (base : t) : t =
               let bf = base_writer.close () in
               {
                 bf with
-                f_store = name;
+                f_store = "zip";
                 f_records = !records;
                 f_read = (fun stats dir -> open_reader bf stats dir);
               });

@@ -19,7 +19,7 @@ let default_options =
     max_passes = 16;
     emit_listing = true;
     emit_code = true;
-    apt_backend = Lg_apt.Aptfile.Mem;
+    apt_backend = Lg_apt.Aptfile.backend_of_store_name "mem";
     tracer = Trace.null;
     depth_budget = Engine.default_depth_budget;
     node_budget = 0;

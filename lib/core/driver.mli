@@ -16,7 +16,7 @@ type options = {
   emit_code : bool;  (** default true *)
   apt_backend : Lg_apt.Aptfile.backend;
       (** store backing the intermediate APT files of any evaluator run
-          built from this artifact (default [Mem]); see
+          built from this artifact (default ["mem"]); see
           {!Lg_apt.Store_registry} for the available stores *)
   tracer : Lg_support.Trace.t;
       (** telemetry sink (default {!Lg_support.Trace.null}). Every overlay

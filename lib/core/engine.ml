@@ -16,7 +16,7 @@ let default_depth_budget = 100_000
 
 let default_options =
   {
-    backend = Aptfile.Mem;
+    backend = Aptfile.backend_of_store_name "mem";
     record_trace = false;
     keep_files = false;
     interpretive = false;

@@ -46,7 +46,7 @@ val default_depth_budget : int
     budget fires long before the native stack would. *)
 
 val default_options : options
-(** [Mem] backend, no trace, files disposed as soon as consumed; the
+(** ["mem"] backend, no trace, files disposed as soon as consumed; the
     default depth budget, no node budget. *)
 
 type pass_stats = {

@@ -45,12 +45,8 @@ let store_json backend =
     ]
   in
   Obj
-    (("name", Str (Lg_apt.Aptfile.backend_name backend))
-    ::
-    (match backend with
-    | Lg_apt.Aptfile.Store { config; _ } -> config_members config
-    | Lg_apt.Aptfile.Mem -> []
-    | Lg_apt.Aptfile.Disk { dir } -> [ ("dir", Str dir) ]))
+    (("name", Str backend.Lg_apt.Aptfile.store)
+    :: config_members backend.Lg_apt.Aptfile.config)
 
 let build ?command ?backend ?(metrics = Metrics.ambient ()) ~file
     (a : Driver.artifact) =

@@ -69,8 +69,6 @@ let grammars spec =
 (* Input sub-seeds salted away from the grammar stream. *)
 let input_seed spec i k = Prng.derive spec.s_seed (100_000 + (i * 1000) + k)
 
-let stores = [| "mem"; "paged"; "prefetch" |]
-
 let jobs spec =
   let checks =
     List.concat
@@ -95,7 +93,7 @@ let jobs spec =
   for k = 0 to spec.s_inputs - 1 do
     for i = 0 to spec.s_grammars - 1 do
       let tenant = Jobfile.Grammar (grammar_rel i) in
-      let store = stores.((i + k) mod Array.length stores) in
+      let store = if (i + k) mod 3 = 0 then "mem" else "paged" in
       let faulty =
         spec.s_fault_every > 0
         && (not (String.equal store "mem"))

@@ -12,11 +12,11 @@
     Paths inside [jobs.json] are relative to the corpus root, so two
     {!write}s of one spec are byte-identical file trees — run the
     jobfile with the corpus root as the working directory. The job mix
-    interleaves tenants (inputs outer, grammars inner), cycles APT
-    stores over [mem]/[paged]/[prefetch], marks every third
-    (grammar, input) pair an incremental ["update"] sharing a
-    per-grammar doc, and gives every [s_fault_every]-th job on a disk
-    store a deterministic transient-read fault spec. *)
+    interleaves tenants (inputs outer, grammars inner), puts one job in
+    three on the [mem] APT store and the rest on [paged], marks every
+    third (grammar, input) pair an incremental ["update"] sharing a
+    per-grammar doc, and gives every [s_fault_every]-th [paged] job a
+    deterministic transient-read fault spec. *)
 
 type spec = {
   s_seed : int;
@@ -29,7 +29,7 @@ type spec = {
 
 val default : spec
 (** Seed 1: 20 small-profile grammars, 10 inputs each, faults on every
-    7th disk-store job — the shape [bench 'corpus'] runs. *)
+    7th [paged] job — the shape [bench 'corpus'] runs. *)
 
 val vary : Corpus_gen.config -> int -> Corpus_gen.config
 (** The per-grammar shape variation [grammars] applies: index-cycled

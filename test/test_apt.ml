@@ -17,7 +17,14 @@ let sample_nodes =
 
 let check_node = Alcotest.testable Node.pp Node.equal
 
-let backends temp_dir = [ ("mem", Aptfile.Mem); ("disk", Aptfile.Disk { dir = temp_dir }) ]
+let mem = Aptfile.backend_of_store_name "mem"
+
+let paged dir =
+  Aptfile.backend_of_store_name
+    ~config:{ Apt_store.default_config with dir = Some dir }
+    "paged"
+
+let backends temp_dir = [ ("mem", mem); ("paged", paged temp_dir) ]
 
 let with_temp_dir f =
   let dir = Filename.temp_file "apttest" "" in
@@ -70,7 +77,7 @@ let test_backward_read () =
 
 let test_stats_accounting () =
   let stats = Io_stats.create () in
-  let file = Aptfile.of_list ~stats Aptfile.Mem sample_nodes in
+  let file = Aptfile.of_list ~stats mem sample_nodes in
   Alcotest.(check int) "records written" 4 (Io_stats.get stats.Io_stats.records_written);
   Alcotest.(check int) "bytes = file size" (Aptfile.size_bytes file)
     (Io_stats.get stats.Io_stats.bytes_written);
@@ -81,13 +88,13 @@ let test_stats_accounting () =
     (Io_stats.get stats.Io_stats.bytes_read);
   Alcotest.(check int) "one file" 1 (Io_stats.get stats.Io_stats.files_created)
 
-let test_mem_disk_identical_format () =
+let test_mem_paged_identical_format () =
   with_temp_dir @@ fun dir ->
-  let mem = Aptfile.of_list Aptfile.Mem sample_nodes in
-  let disk = Aptfile.of_list (Aptfile.Disk { dir }) sample_nodes in
-  Alcotest.(check int) "same byte size" (Aptfile.size_bytes mem)
-    (Aptfile.size_bytes disk);
-  Aptfile.dispose disk
+  let in_mem = Aptfile.of_list mem sample_nodes in
+  let on_file = Aptfile.of_list (paged dir) sample_nodes in
+  Alcotest.(check int) "same byte size" (Aptfile.size_bytes in_mem)
+    (Aptfile.size_bytes on_file);
+  Aptfile.dispose on_file
 
 (* ----- trees ----- *)
 
@@ -154,7 +161,7 @@ let test_f1_reversal () =
 (* Forward prefix write / forward prefix read round trip. *)
 let test_prefix_roundtrip () =
   let tree = figure_tree () in
-  let w = Aptfile.writer Aptfile.Mem in
+  let w = Aptfile.writer mem in
   Build.write_prefix_ltr w Build.default_node tree;
   let file = Aptfile.close_writer w in
   let r = Aptfile.read_forward file in
@@ -191,7 +198,7 @@ let prop_f1_random_trees =
     ~count:300
     (QCheck.make tree_gen)
     (fun tree ->
-      let w = Aptfile.writer Aptfile.Mem in
+      let w = Aptfile.writer mem in
       Build.write_postfix_ltr w Build.default_node tree;
       let file = Aptfile.close_writer w in
       let r = Aptfile.read_backward file in
@@ -205,7 +212,7 @@ let prop_forward_backward_mirror =
   QCheck.Test.make ~name:"backward read is reversed forward read" ~count:200
     (QCheck.make tree_gen)
     (fun tree ->
-      let w = Aptfile.writer Aptfile.Mem in
+      let w = Aptfile.writer mem in
       Build.write_postfix_ltr w Build.default_node tree;
       let file = Aptfile.close_writer w in
       let forward = Aptfile.to_list file in
@@ -242,8 +249,8 @@ let () =
           Alcotest.test_case "forward read" `Quick test_forward_read;
           Alcotest.test_case "backward read" `Quick test_backward_read;
           Alcotest.test_case "stats" `Quick test_stats_accounting;
-          Alcotest.test_case "mem/disk same format" `Quick
-            test_mem_disk_identical_format;
+          Alcotest.test_case "mem/paged same format" `Quick
+            test_mem_paged_identical_format;
         ] );
       ( "trees",
         [

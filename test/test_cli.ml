@@ -54,6 +54,10 @@ let expect_cli_error name fragment (rc, _, stderr) =
 let test_stores_listing () =
   let ((_, stdout, _) as r) = run [ "stores" ] in
   expect_ok "stores" r;
+  Alcotest.(check (list string))
+    "the builtin stores"
+    [ "faulty"; "mem"; "paged"; "zip" ]
+    (Lg_apt.Store_registry.names ());
   if not (contains ~needle:"registered APT stores" stdout) then
     Alcotest.failf "stores: missing header:\n%s" stdout;
   (* golden against the registry itself: every store is listed with its
@@ -132,6 +136,14 @@ let test_trace_attrs_summary () =
 let test_bad_store () =
   expect_cli_error "--apt-store bogus" "unknown APT store \"bogus\""
     (run [ "check"; "--apt-store"; "bogus"; grammar ])
+
+(* a store name pruned from the registry is refused like any unknown
+   one, with the list of the stores that remain *)
+let test_removed_store () =
+  expect_cli_error "--apt-store disk"
+    ("unknown APT store \"disk\" (registered: "
+    ^ String.concat ", " (Lg_apt.Store_registry.names ()))
+    (run [ "check"; "--apt-store"; "disk"; grammar ])
 
 let test_bad_page_size () =
   expect_cli_error "--apt-page-size 0" "--apt-page-size must be positive"
@@ -586,6 +598,7 @@ let () =
       ( "diagnostics",
         [
           Alcotest.test_case "unknown store" `Quick test_bad_store;
+          Alcotest.test_case "removed store" `Quick test_removed_store;
           Alcotest.test_case "invalid page size" `Quick test_bad_page_size;
           Alcotest.test_case "unknown flag" `Quick test_unknown_flag;
           Alcotest.test_case "missing input file" `Quick test_missing_file;

@@ -222,7 +222,7 @@ let test_dead_opt_shrinks_files () =
     (Printf.sprintf "optimized (%d) < keep-all (%d)" optimized keep_all)
     true (optimized < keep_all)
 
-let test_disk_and_mem_backends_agree () =
+let test_paged_and_mem_backends_agree () =
   let dir = Filename.temp_file "engtest" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
@@ -237,23 +237,26 @@ let test_disk_and_mem_backends_agree () =
       let plan = Driver.plan_of_ir ir in
       let tree = line_tree ir 30 in
       let mem = Engine.run plan tree in
-      let disk =
+      let paged =
         Engine.run
           ~options:
             {
               Engine.default_options with
-              backend = Lg_apt.Aptfile.Disk { dir };
+              backend =
+                Lg_apt.Aptfile.backend_of_store_name
+                  ~config:{ Lg_apt.Apt_store.default_config with dir = Some dir }
+                  "paged";
             }
           plan tree
       in
       List.iter2
         (fun (n, v1) (_, v2) -> Alcotest.check check_value n v1 v2)
-        mem.Engine.outputs disk.Engine.outputs;
+        mem.Engine.outputs paged.Engine.outputs;
       Alcotest.(check int) "same bytes written"
         (Lg_apt.Io_stats.get
            mem.Engine.stats.Engine.total_io.Lg_apt.Io_stats.bytes_written)
         (Lg_apt.Io_stats.get
-           disk.Engine.stats.Engine.total_io.Lg_apt.Io_stats.bytes_written))
+           paged.Engine.stats.Engine.total_io.Lg_apt.Io_stats.bytes_written))
 
 let test_engine_rejects_foreign_tree () =
   let ir = Fixtures.ir_of_source Fixtures.env_grammar in
@@ -329,8 +332,8 @@ let () =
           Alcotest.test_case "F2 residency" `Quick test_residency_far_below_file_size;
           Alcotest.test_case "dead-attr shrinks files" `Quick
             test_dead_opt_shrinks_files;
-          Alcotest.test_case "disk = mem backend" `Quick
-            test_disk_and_mem_backends_agree;
+          Alcotest.test_case "paged = mem backend" `Quick
+            test_paged_and_mem_backends_agree;
           Alcotest.test_case "foreign tree rejected" `Quick
             test_engine_rejects_foreign_tree;
           Alcotest.test_case "oracle circularity" `Quick

@@ -374,7 +374,11 @@ let test_spill_publishes_metrics () =
   let tree = Fixtures.random_tree plan.Plan.ir ~rng ~size:25 in
   let metrics = Lg_support.Metrics.create () in
   let config =
-    { Incr.default_config with spill = Some Lg_apt.Aptfile.Mem; metrics }
+    {
+      Incr.default_config with
+      spill = Some (Lg_apt.Aptfile.backend_of_store_name "mem");
+      metrics;
+    }
   in
   let engine_options = Engine.default_options in
   let _, state = Incr.update config ~plan ~engine_options ~tree in
@@ -395,14 +399,15 @@ let test_spill_refuses_a_cut_store () =
     ignore
       (Attr_versions.record versions ~node ~attr:0 (Lg_support.Value.Int node))
   done;
-  let file = Attr_versions.save versions Lg_apt.Aptfile.Mem in
+  let mem = Lg_apt.Aptfile.backend_of_store_name "mem" in
+  let file = Attr_versions.save versions mem in
   Alcotest.(check int)
     "a whole store loads" 5
     (Attr_versions.cardinal (Attr_versions.load file));
   (* drop the last record: every frame still checks out *)
   let records = Lg_apt.Aptfile.to_list file in
   let cut =
-    Lg_apt.Aptfile.of_list Lg_apt.Aptfile.Mem
+    Lg_apt.Aptfile.of_list mem
       (List.filteri (fun i _ -> i < List.length records - 1) records)
   in
   match Attr_versions.load cut with
@@ -424,7 +429,7 @@ let faulty_backend ~kinds ~rate =
 let test_fault_during_spill_falls_back_cleanly () =
   (* the versioned store lands on a medium that damages every write: the
      reload fails with a typed error, the update falls back to the full
-     engine (clean Mem backend) and still answers correctly *)
+     engine (clean mem backend) and still answers correctly *)
   let plan = plan_of Fixtures.sum_grammar in
   let st = Random.State.make [| 53 |] in
   let rng bound = Random.State.int st bound in

@@ -465,6 +465,35 @@ let test_batch_missing_file () =
         o.Batch.o_exit
   | _ -> Alcotest.fail "one job, one outcome"
 
+(* A store name the registry no longer has (here one that was pruned)
+   fails its own job with the plain exit 1, naming every store it could
+   have used. *)
+let test_batch_removed_store () =
+  let grammar = write_temp_grammar () in
+  Fun.protect ~finally:(fun () -> Sys.remove grammar) @@ fun () ->
+  let doc =
+    Printf.sprintf
+      {|{ "linguist_jobs": 1,
+          "jobs": [ { "op": "analyze", "file": %S, "store": "prefetch" } ] }|}
+      grammar
+  in
+  match Jobfile.parse doc with
+  | Error e -> Alcotest.failf "parse failed: %s" e
+  | Ok jobs -> (
+      match (Batch.run_sequential jobs).Batch.outcomes with
+      | [ o ] ->
+          Alcotest.(check int) "plain failure" 1 o.Batch.o_exit;
+          let error = Option.value o.Batch.o_error ~default:"" in
+          List.iter
+            (fun needle ->
+              if not (Fixtures.contains_substring ~needle error) then
+                Alcotest.failf "error %S does not mention %S" error needle)
+            [
+              "unknown APT store \"prefetch\"";
+              "registered: " ^ String.concat ", " (Lg_apt.Store_registry.names ());
+            ]
+      | _ -> Alcotest.fail "one job, one outcome")
+
 (* ---------------- supervision: crashes and deadlines ---------------- *)
 
 let counter metrics name =
@@ -1681,6 +1710,8 @@ let () =
             test_batch_fault_isolation;
           Alcotest.test_case "missing input is a per-job failure" `Quick
             test_batch_missing_file;
+          Alcotest.test_case "removed store name is refused" `Quick
+            test_batch_removed_store;
           Alcotest.test_case "corpus pooled = sequential, byte-identical"
             `Quick test_batch_corpus_differential;
         ] );
