@@ -14,6 +14,13 @@
    - the grammar/plan/subsumption/attributes sections of a manifest
      must match exactly: they are facts about the translation, and any
      drift is a behavior change;
+   - hit counters (keys ending in "_hits": pool and read-ahead hits) are
+     informational: they count lookups, whose number depends on how a
+     decoder splits its reads, and the cost they stand for is gated by
+     the misses, seeks and bytes next to them;
+   - ratios (keys ending in "_ratio", such as the compression ratio) get
+     better as they rise: HEAD regresses when it falls below BASE by
+     more than the tolerance;
    - every other numeric leaf is a work counter, where more is worse:
      HEAD regresses when it exceeds BASE by more than the tolerance
      (default 10%, overridable per key with --tolerance NAME=PCT);
@@ -62,6 +69,16 @@ let starts_with ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
 
+let ends_with ~suffix s =
+  let n = String.length suffix and m = String.length s in
+  m >= n && String.sub s (m - n) n = suffix
+
+(* Lookup counts: informational, never gated. *)
+let is_hit_count key = ends_with ~suffix:"_hits" key
+
+(* Ratios get better as they rise: a drop is the regression. *)
+let is_higher_better key = ends_with ~suffix:"_ratio" key
+
 (* Wall-clock and throughput leaves: never gate on them. *)
 let is_time_like key =
   contains ~sub:"seconds" key
@@ -70,6 +87,7 @@ let is_time_like key =
   || contains ~sub:"throughput" key
   || contains ~sub:"lines_per_minute" key
   || starts_with ~prefix:"overlays." key
+
 
 (* Facts about the translation: exact match required. *)
 let is_exact key =
@@ -144,7 +162,10 @@ let compare_docs ~tolerances base head =
       if is_optional key && not (Hashtbl.mem head_tbl key) then
         Printf.printf "gone        %-44s %s (optional series, not gated)\n"
           key (leaf_string b)
-      else if not (is_ignored key || is_time_like key || is_optional key)
+      else if
+        not
+          (is_ignored key || is_time_like key || is_hit_count key
+         || is_optional key)
       then begin
         v.checked <- v.checked + 1;
         match Hashtbl.find_opt head_tbl key with
@@ -161,9 +182,13 @@ let compare_docs ~tolerances base head =
                   | Some t -> t
                   | None -> default_tolerance_pct
                 in
-                let limit = bf *. (1.0 +. (tol /. 100.0)) in
-                if hf > limit && hf -. bf > 0.5 then
-                  regress "%-44s %s -> %s (+%.1f%%, tolerance %.0f%%)" key
+                let worse =
+                  if is_higher_better key then
+                    hf < bf *. (1.0 -. (tol /. 100.0))
+                  else hf > bf *. (1.0 +. (tol /. 100.0)) && hf -. bf > 0.5
+                in
+                if worse then
+                  regress "%-44s %s -> %s (%+.1f%%, tolerance %.0f%%)" key
                     (Json_out.number bf) (Json_out.number hf)
                     (100.0 *. (hf -. bf) /. Float.max 1e-9 (Float.abs bf))
                     tol

@@ -8,8 +8,11 @@
    page: a miss fetches from the requested offset toward the side the
    caller says the scan needs next ([want]), and later requests extend the
    segment with prefix/suffix fetches instead of re-reading held bytes.
-   A full sequential scan therefore moves exactly [size] bytes — never
-   more than the legacy store — and a partial read (say, just the root
+   The codec requests each record's bytes in scan order and a read that
+   spans pages serves them in that order, so no page is evicted before
+   its bytes are used. A full sequential scan therefore moves exactly
+   [size] bytes, whatever the pool and read-ahead sizes — never more
+   than the legacy store — and a partial read (say, just the root
    record) is never charged for bytes on the far side of a frame.
 
    This is also where the resilience policy lives. Every physical
@@ -354,39 +357,55 @@ let read t ~pos ~len ~want =
       page_slice t first ~lo:(pos - (first * t.page_size))
         ~hi:(pos + len - (first * t.page_size)) ~want
     else begin
-      let buf = Buffer.create len in
-      Buffer.add_string buf
-        (page_slice t first ~lo:(pos - (first * t.page_size))
-           ~hi:(page_len t first) ~want);
-      (* Interior pages lie entirely inside this one record, so pooling
+      (* Pages are visited in the scan direction ([`Low] walks down), the
+         order the caller consumes them in, so a page pulled in by
+         read-ahead is served before any later fetch can evict it. The
+         far page is fetched only as far as the read reaches: a partial
+         scan (the root record alone) is never charged for the bytes of
+         the next record. Interior pages lie entirely inside this one record, so pooling
          them buys nothing — a record wider than the pool would evict the
          very boundary pages the scan is about to revisit. Absent interior
          pages are fetched raw, in contiguous runs, and never pooled. *)
-      let n = ref (first + 1) in
-      while !n < last do
-        match Hashtbl.find_opt t.pages !n with
-        | Some _ ->
-            Buffer.add_string buf
-              (page_slice t !n ~lo:0 ~hi:(page_len t !n) ~want);
-            incr n
-        | None ->
-            let hi = ref !n in
-            while !hi + 1 < last && not (Hashtbl.mem t.pages (!hi + 1)) do
-              incr hi
-            done;
-            tally
-              (fun s ->
-                Io_stats.bump s.Io_stats.pool_misses ((!hi - !n + 1));
-                Io_stats.bump s.Io_stats.pages_read ((!hi - !n + 1)))
-              t;
-            Buffer.add_string buf
-              (transfer t ~start:(!n * t.page_size)
-                 ~stop:((!hi * t.page_size) + page_len t !hi));
-            n := !hi + 1
+      let parts = Array.make (last - first + 1) "" in
+      let step, near, far, back =
+        match want with
+        | `High -> (1, first, last, `Low)
+        | `Low -> (-1, last, first, `High)
+      in
+      let slice n =
+        parts.(n - first) <-
+          page_slice t n
+            ~lo:(if n = first then pos - (first * t.page_size) else 0)
+            ~hi:(if n = last then pos + len - (last * t.page_size) else page_len t n)
+            ~want:(if n = far then back else want)
+      in
+      slice near;
+      let n = ref (near + step) in
+      while !n <> far do
+        if Hashtbl.mem t.pages !n then begin
+          slice !n;
+          n := !n + step
+        end
+        else begin
+          let m = ref !n in
+          while !m + step <> far && not (Hashtbl.mem t.pages (!m + step)) do
+            m := !m + step
+          done;
+          let lo = min !n !m and hi = max !n !m in
+          tally
+            (fun s ->
+              Io_stats.bump s.Io_stats.pool_misses (hi - lo + 1);
+              Io_stats.bump s.Io_stats.pages_read (hi - lo + 1))
+            t;
+          parts.(lo - first) <-
+            transfer t ~start:(lo * t.page_size)
+              ~stop:((hi * t.page_size) + page_len t hi);
+          n := !m + step
+        end
       done;
-      Buffer.add_string buf
-        (page_slice t last ~lo:0 ~hi:(pos + len - (last * t.page_size)) ~want);
-      if Buffer.length buf <> len then
+      slice far;
+      let run = String.concat "" (Array.to_list parts) in
+      if String.length run <> len then
         Apt_error.raise_
           (Apt_error.Truncated_file
              {
@@ -394,7 +413,7 @@ let read t ~pos ~len ~want =
                offset = pos;
                detail = "page assembly came up short";
              });
-      Buffer.contents buf
+      run
     end
   end
 
