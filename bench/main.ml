@@ -545,47 +545,22 @@ let store_bench () =
              }
            plan tree))
 
-(* ============ framing overhead and fault absorption ============ *)
+(* ============ transient-fault absorption ============ *)
 
 let faults_bench () =
-  section "Faults: checksummed-framing overhead and transient-fault absorption";
+  section "Faults: transient-fault absorption";
   let t = Pascal_ag.translator () in
   let program = Workloads.synthetic_pascal 1500 in
   let diag = Lg_support.Diag.create () in
   let tree = Option.get (Translator.tree_of_source t ~file:"<p>" ~diag program) in
   let plan = Translator.plan t in
-  let run_with config store =
-    let backend = Lg_apt.Aptfile.backend_of_store_name ~config store in
+  let run_with config =
+    let backend = Lg_apt.Aptfile.backend_of_store_name ~config "paged" in
     wall_time (fun () ->
         Engine.run ~options:{ Engine.default_options with backend } plan tree)
   in
   let base = Lg_apt.Apt_store.default_config in
-  let bytes (r : Engine.result) =
-    Lg_apt.Io_stats.total_bytes r.Engine.stats.Engine.total_io
-  in
-  (* 1. what the CRC32 framing costs over the unchecked seed layout *)
-  let format_rows =
-    List.map
-      (fun (label, config) ->
-        let r, wall = run_with config "paged" in
-        (label, bytes r, wall))
-      [ ("framed-v1", base); ("legacy", { base with legacy_format = true }) ]
-  in
-  rowf "  %-12s %14s %10s\n" "format" "bytes moved" "wall ms";
-  List.iter
-    (fun (label, b, wall) ->
-      rowf "  %-12s %14d %10.2f\n" label b (1000.0 *. wall))
-    format_rows;
-  let framed_b, framed_s =
-    match format_rows with (_, b, s) :: _ -> (b, s) | [] -> assert false
-  in
-  let legacy_b, legacy_s =
-    match List.rev format_rows with (_, b, s) :: _ -> (b, s) | [] -> assert false
-  in
-  rowf "  framing overhead: %+.1f%% bytes, %+.1f%% wall\n"
-    (100.0 *. float_of_int (framed_b - legacy_b) /. float_of_int legacy_b)
-    (100.0 *. (framed_s -. legacy_s) /. Float.max 1e-9 legacy_s);
-  (* 2. transient EIO absorbed by the pager's bounded retries *)
+  (* transient EIO absorbed by the pager's bounded retries *)
   let fault_rows =
     List.map
       (fun rate ->
@@ -603,7 +578,7 @@ let faults_bench () =
                   };
             }
         in
-        let r, wall = run_with config "faulty" in
+        let r, wall = run_with config in
         ( rate,
           Lg_apt.Io_stats.get r.Engine.stats.Engine.total_io.Lg_apt.Io_stats.retries,
           wall ))
@@ -620,17 +595,6 @@ let faults_bench () =
     Obj
       [
         ("workload", Str "pascal_subset synthetic (1500 statements)");
-        ( "formats",
-          Arr
-            (List.map
-               (fun (label, b, wall) ->
-                 Obj
-                   [
-                     ("format", Str label);
-                     ("bytes_moved", int b);
-                     ("wall_ms", Num (1000.0 *. wall));
-                   ])
-               format_rows) );
         ( "transient",
           Arr
             (List.map
@@ -649,7 +613,7 @@ let faults_bench () =
   output_char oc '\n';
   close_out oc;
   rowf "  wrote BENCH_faults.json\n";
-  register_bechamel "faults/framed paged evaluator run" (fun () ->
+  register_bechamel "faults/paged evaluator run" (fun () ->
       ignore
         (Engine.run
            ~options:

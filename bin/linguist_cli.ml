@@ -23,7 +23,7 @@ let options_of ~subsumption ~dead_opt ~max_passes ~apt_store ~apt_page_size
     match apt_faults with
     | None -> None
     | Some spec -> (
-        match Lg_apt.Store_faulty.parse_spec spec with
+        match Lg_apt.Apt_store.parse_spec spec with
         | Ok s -> Some s
         | Error msg ->
             failwith (Printf.sprintf "--apt-faults %s: %s" spec msg))
@@ -89,8 +89,8 @@ let apt_store =
     & info [ "apt-store" ] ~docv:"STORE"
         ~doc:
           "APT store backing the intermediate files of evaluator runs: \
-           $(b,mem), $(b,paged), $(b,zip) or $(b,faulty) (see the \
-           $(b,stores) subcommand).")
+           $(b,mem), $(b,paged) or $(b,zip) (see the $(b,stores) \
+           subcommand).")
 
 let apt_page_size =
   Arg.(
@@ -106,9 +106,10 @@ let apt_faults =
           "Deterministic fault injection for the APT stores: an RNG seed, \
            a per-opportunity rate in [0,1], and a comma-separated list of \
            kinds — $(b,transient), $(b,short), $(b,flip), $(b,torn), or \
-           $(b,all). Write-side kinds (flip, torn) damage the medium only \
-           under $(b,--apt-store) $(b,faulty); read-side kinds apply to \
-           any paged store and are absorbed by bounded retries.")
+           $(b,all). Applies under $(b,--apt-store) $(b,paged) or \
+           $(b,zip): write-side kinds (flip, torn) damage the medium when \
+           a file is closed, and its readers fail with a typed error; \
+           read-side kinds are absorbed by bounded retries.")
 
 let apt_durable =
   Arg.(
@@ -466,8 +467,8 @@ let fsck_cmd =
       & info [ "recover" ] ~docv:"OUT"
           ~doc:
             "Write the longest valid prefix of $(i,FILE.apt) to $(docv) — \
-             atomically, reframed with fresh checksums. This also migrates \
-             legacy (unchecksummed) files to the framed format.")
+             atomically, reframed with fresh checksums. A file without the \
+             $(b,APT1) signature has no valid prefix: nothing is written.")
   in
   let run json path out =
     (* the registry captures the salvage.* counters the scan publishes;
@@ -479,7 +480,8 @@ let fsck_cmd =
     @@ fun () ->
     let report = Lg_apt.Salvage.scan path in
     let recovered =
-      Option.map (fun out -> (out, Lg_apt.Salvage.recover report ~out)) out
+      Option.bind out (fun out ->
+          Option.map (fun n -> (out, n)) (Lg_apt.Salvage.recover report ~out))
     in
     if json then begin
       let open Lg_support.Json_out in
@@ -488,9 +490,6 @@ let fsck_cmd =
           [
             ("path", Str report.Lg_apt.Salvage.sv_path);
             ("size_bytes", int report.Lg_apt.Salvage.sv_size);
-            ( "format",
-              Str (Lg_apt.Salvage.format_name report.Lg_apt.Salvage.sv_format)
-            );
             ("clean", Bool (Lg_apt.Salvage.is_clean report));
             ("valid_bytes", int report.Lg_apt.Salvage.sv_valid_bytes);
             ( "records",
@@ -523,9 +522,12 @@ let fsck_cmd =
     end
     else begin
       Format.printf "%a" Lg_apt.Salvage.pp_report report;
-      match recovered with
-      | Some (out, n) -> Printf.printf "recovered %d records to %s\n" n out
-      | None -> ()
+      match (recovered, out) with
+      | Some (out, n), _ -> Printf.printf "recovered %d records to %s\n" n out
+      | None, Some out ->
+          Printf.printf "nothing recovered: no valid prefix, %s not written\n"
+            out
+      | None, None -> ()
     end;
     match report.Lg_apt.Salvage.sv_issue with
     | None -> `Ok ()

@@ -15,8 +15,8 @@ type t =
       (** The medium ended before the record did (torn write, short
           file). *)
   | Version_mismatch of { path : string option; found : string }
-      (** The file carries an APT signature of a version this build does
-          not read. *)
+      (** The file does not open with the [APT1] signature: damaged,
+          foreign, or a version this build does not read. *)
   | Exhausted_retries of { path : string option; attempts : int; detail : string }
       (** A transient I/O fault persisted through the bounded
           retry-with-backoff policy ({!Store_pager}); the affected pages

@@ -13,7 +13,8 @@
     store from {!Store_registry}: ["mem"] (an in-memory buffer, the
     "virtual memory" variant the paper's conclusions ask about and the
     default), ["paged"] (real temporary files through a page pool — the
-    paper's floppy/rigid disk), ["zip"], ["faulty"], or an extension. *)
+    paper's floppy/rigid disk, and the fault-injection path), ["zip"],
+    or an extension. *)
 
 type backend = {
   store : string;  (** a {!Store_registry} name *)
@@ -25,7 +26,7 @@ type writer
 type reader
 
 val backend_of_store_name : ?config:Apt_store.config -> string -> backend
-(** Check a registry name (["mem"], ["paged"], ["zip"], ["faulty"], …)
+(** Check a registry name (["mem"], ["paged"], ["zip"], …)
     and pair it with [config] (default {!Apt_store.default_config}); the
     CLI's [--apt-store] parser.
     @raise Failure on an unregistered name, listing the known stores. *)

@@ -121,25 +121,6 @@ let modeled_seconds_seek t ~bytes_per_second ~seek_seconds =
   modeled_seconds t ~bytes_per_second
   +. (float_of_int (get t.seeks) *. seek_seconds)
 
-let pp ppf t =
-  Format.fprintf ppf
-    "read %d B / %d rec; wrote %d B / %d rec; %d files" (get t.bytes_read)
-    (get t.records_read) (get t.bytes_written) (get t.records_written)
-    (get t.files_created);
-  if total_pages t > 0 then
-    Format.fprintf ppf "; pages %dr/%dw; pool %d hit/%d miss; %d prefetched"
-      (get t.pages_read) (get t.pages_written) (get t.pool_hits)
-      (get t.pool_misses) (get t.prefetch_hits);
-  if get t.seeks > 0 then Format.fprintf ppf "; %d seeks" (get t.seeks);
-  if get t.retries > 0 || get t.pages_quarantined > 0 then
-    Format.fprintf ppf "; %d retries/%d quarantined" (get t.retries)
-      (get t.pages_quarantined);
-  match compression_ratio t with
-  | Some r ->
-      Format.fprintf ppf "; %d raw B (%.2fx compression)"
-        (get t.raw_bytes_written) r
-  | None -> ()
-
 let to_json_value t =
   Lg_support.Json_out.Obj
     (List.map (fun (name, v) -> (name, Lg_support.Json_out.int v)) (fields t)

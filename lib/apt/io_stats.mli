@@ -85,11 +85,8 @@ val modeled_seconds : t -> bytes_per_second:float -> float
 val modeled_seconds_seek :
   t -> bytes_per_second:float -> seek_seconds:float -> float
 (** Like {!modeled_seconds} but charging each recorded seek separately —
-    distinguishes the per-record seeking of the legacy backward reader
-    from a paged store's few page-boundary seeks. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints every populated counter group. *)
+    what a paged store's pool misses cost on a seeking device, where
+    read-ahead turns many small seeks into a few page-boundary ones. *)
 
 val to_json_value : t -> Lg_support.Json_out.t
 (** One flat JSON object with every counter plus the derived

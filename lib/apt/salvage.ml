@@ -7,7 +7,8 @@
    torn frames, unreadable signatures. The walk stops at the first
    integrity failure; everything before it is the longest valid prefix,
    which [recover] rewrites — reframed and freshly checksummed — to a new
-   file. *)
+   file. A file whose signature is unreadable has no valid prefix at
+   all: nothing in it is trusted, so nothing is recovered. *)
 
 open Apt_store
 
@@ -16,7 +17,6 @@ type record_info = { r_offset : int; r_len : int  (** payload bytes *) }
 type report = {
   sv_path : string;
   sv_size : int;
-  sv_format : format;
   sv_records : record_info list;  (** valid records, in file order *)
   sv_issue : Apt_error.t option;  (** first integrity failure, if any *)
   sv_valid_bytes : int;  (** longest valid prefix of the file *)
@@ -61,26 +61,25 @@ let scan path =
   let data = read_file path in
   let size = String.length data in
   let src = source_of_string (Some path) data in
-  match Record_codec.sniff src with
+  match Record_codec.sniff ~path:(Some path) data with
   | exception Apt_error.Error e ->
       (* unreadable signature: nothing before the first record is valid *)
       publish_report
         {
           sv_path = path;
           sv_size = size;
-          sv_format = Framed_v1;
           sv_records = [];
           sv_issue = Some e;
           sv_valid_bytes = 0;
         }
-  | fmt ->
+  | () ->
       let records = ref [] in
-      let pos = ref (Record_codec.data_start fmt) in
+      let pos = ref Framed.data_start in
       let issue = ref None in
       (try
          let continue = ref true in
          while !continue do
-           match Record_codec.next_forward fmt src ~pos:!pos with
+           match Record_codec.next_forward src ~pos:!pos with
            | None -> continue := false
            | Some (payload, next) ->
                records :=
@@ -92,45 +91,44 @@ let scan path =
         {
           sv_path = path;
           sv_size = size;
-          sv_format = fmt;
           sv_records = List.rev !records;
           sv_issue = !issue;
           sv_valid_bytes = !pos;
         }
 
-(* Rewrite the longest valid prefix to [out], reframed under [format]
-   (fresh checksums — recovery also migrates legacy files). Returns the
-   number of records recovered. *)
-let recover ?(format = Framed_v1) report ~out =
-  let data = read_file report.sv_path in
-  let src = source_of_string (Some report.sv_path) data in
-  let och = Atomic_out.create out in
-  let oc = Atomic_out.channel och in
-  output_string oc (Record_codec.start_marker format);
-  let n =
-    List.fold_left
-      (fun n { r_offset; r_len = _ } ->
-        match Record_codec.next_forward report.sv_format src ~pos:r_offset with
-        | Some (payload, _) ->
-            let header, trailer = Record_codec.frame format payload in
-            output_string oc header;
-            output_string oc payload;
-            output_string oc trailer;
-            n + 1
-        | None -> n)
-      0 report.sv_records
-  in
-  Atomic_out.commit och;
-  let m = Lg_support.Metrics.ambient () in
-  if Lg_support.Metrics.enabled m then
-    Lg_support.Metrics.incr m "salvage.records_recovered" ~by:n;
-  n
-
-let format_name = function Framed_v1 -> "framed-v1" | Legacy -> "legacy"
+(* Rewrite the longest valid prefix to [out], reframed with fresh
+   checksums. Returns the number of records recovered, or [None] —
+   writing nothing — when the signature was unreadable. *)
+let recover report ~out =
+  if report.sv_valid_bytes < Framed.data_start then None
+  else begin
+    let data = read_file report.sv_path in
+    let src = source_of_string (Some report.sv_path) data in
+    let och = Atomic_out.create out in
+    let oc = Atomic_out.channel och in
+    output_string oc Framed.magic;
+    let n =
+      List.fold_left
+        (fun n { r_offset; r_len = _ } ->
+          match Record_codec.next_forward src ~pos:r_offset with
+          | Some (payload, _) ->
+              let header, trailer = Record_codec.frame payload in
+              output_string oc header;
+              output_string oc payload;
+              output_string oc trailer;
+              n + 1
+          | None -> n)
+        0 report.sv_records
+    in
+    Atomic_out.commit och;
+    let m = Lg_support.Metrics.ambient () in
+    if Lg_support.Metrics.enabled m then
+      Lg_support.Metrics.incr m "salvage.records_recovered" ~by:n;
+    Some n
+  end
 
 let pp_report ppf r =
-  Format.fprintf ppf "%s: %d bytes, %s format@." r.sv_path r.sv_size
-    (format_name r.sv_format);
+  Format.fprintf ppf "%s: %d bytes@." r.sv_path r.sv_size;
   List.iter
     (fun { r_offset; r_len } ->
       Format.fprintf ppf "  ok      %8d  payload %d bytes@." r_offset r_len)

@@ -7,17 +7,20 @@
    the node codec and record accounting; stores own the on-medium layout
    and the byte/page/seek accounting.
 
-   Since the resilience PR the byte-compatible stores write a *framed*
-   layout: the file opens with a 4-byte version signature and every
-   record carries its CRC32 on both sides, so torn writes, short reads
-   and bit flips are detected at read time and reported as typed
-   [Apt_error] values with file offsets. Legacy (seed-format) files
-   remain readable: readers sniff the signature and fall back to the
-   unchecked legacy frame. *)
+   Every byte-compatible store writes one *framed* layout: the file
+   opens with a 4-byte version signature and every record carries its
+   CRC32 on both sides, so torn writes, short reads and bit flips are
+   detected at read time and reported as typed [Apt_error] values with
+   file offsets. A file that does not open with the signature is
+   refused, never parsed. *)
 
 type direction = [ `Forward | `Backward ]
 
-(* ---- deterministic fault injection (see Store_faulty) ---- *)
+(* ---- deterministic fault injection ----
+
+   Read-side kinds are injected inside [Store_pager]'s transfers, where
+   the retry policy can absorb them; write-side kinds damage the medium
+   at [Store_paged]'s writer close. *)
 
 type fault_kind = Transient_io | Short_read | Bit_flip | Torn_write
 
@@ -27,6 +30,26 @@ type fault_spec = {
   f_kinds : fault_kind list;
 }
 
+let fault_kinds =
+  [
+    ("transient", Transient_io);
+    ("short", Short_read);
+    ("flip", Bit_flip);
+    ("torn", Torn_write);
+  ]
+
+(* "seed:rate:kinds" with kinds a comma list of transient|short|flip|torn
+   or "all", e.g. "42:0.01:transient,flip". *)
+let parse_spec s =
+  Lg_support.Kind_spec.parse ~noun:"fault" ~example:"42:0.01:transient,flip"
+    ~kinds:fault_kinds s
+  |> Result.map (fun (f_seed, f_rate, f_kinds) -> { f_seed; f_rate; f_kinds })
+
+let spec_to_string { f_seed; f_rate; f_kinds } =
+  Printf.sprintf "%d:%g:%s" f_seed f_rate
+    (String.concat ","
+       (List.map (Lg_support.Kind_spec.name fault_kinds) f_kinds))
+
 type config = {
   dir : string option;  (** backing directory; [None] = system temp dir *)
   page_size : int;
@@ -34,7 +57,6 @@ type config = {
   prefetch_pages : int;  (** read-ahead window on sequential access *)
   zip_block : int;  (** records per compressed block in zip layers *)
   durable : bool;  (** fsync backing files before the atomic rename *)
-  legacy_format : bool;  (** write the unchecked seed layout (benches) *)
   faults : fault_spec option;  (** deterministic fault injection *)
 }
 
@@ -46,7 +68,6 @@ let default_config =
     prefetch_pages = 2;
     zip_block = 32;
     durable = false;
-    legacy_format = false;
     faults = None;
   }
 
@@ -87,46 +108,36 @@ module Crc32 = struct
     !c lxor 0xffffffff
 end
 
-(* ---- the legacy record frame, shared by every on-medium layout ----
-
-   4-byte little-endian payload length on both sides of the payload, so
-   the stream can be walked from either end with O(1) buffering. *)
-
-module Frame = struct
-  let overhead = 8
-
-  let u32_to_string n =
-    let b = Bytes.create 4 in
-    Bytes.set_uint8 b 0 (n land 0xff);
-    Bytes.set_uint8 b 1 ((n lsr 8) land 0xff);
-    Bytes.set_uint8 b 2 ((n lsr 16) land 0xff);
-    Bytes.set_uint8 b 3 ((n lsr 24) land 0xff);
-    Bytes.unsafe_to_string b
-
-  let u32_of_string s pos =
-    Char.code s.[pos]
-    lor (Char.code s.[pos + 1] lsl 8)
-    lor (Char.code s.[pos + 2] lsl 16)
-    lor (Char.code s.[pos + 3] lsl 24)
-end
-
 (* ---- the framed (checksummed) record format, version 1 ----
 
    File   := "APT1" record*
    record := u32 len | u32 crc32(payload) | payload | u32 crc | u32 len
 
-   The (len, crc) pair sits on both sides, so the stream is still
-   walkable from either end; the duplicate is also a cross-check — a
-   flipped length byte makes header and trailer disagree before the
-   checksum is even consulted. *)
-
-type format = Framed_v1 | Legacy
+   All u32 fields are little-endian. The (len, crc) pair sits on both
+   sides, so the stream is walkable from either end with O(1)
+   buffering; the duplicate is also a cross-check — a flipped length
+   byte makes header and trailer disagree before the checksum is even
+   consulted. *)
 
 module Framed = struct
   let magic = "APT1"
   let data_start = String.length magic
   let overhead = 16
 end
+
+let u32_to_string n =
+  let b = Bytes.create 4 in
+  Bytes.set_uint8 b 0 (n land 0xff);
+  Bytes.set_uint8 b 1 ((n lsr 8) land 0xff);
+  Bytes.set_uint8 b 2 ((n lsr 16) land 0xff);
+  Bytes.set_uint8 b 3 ((n lsr 24) land 0xff);
+  Bytes.unsafe_to_string b
+
+let u32_of_string s pos =
+  Char.code s.[pos]
+  lor (Char.code s.[pos + 1] lsl 8)
+  lor (Char.code s.[pos + 2] lsl 16)
+  lor (Char.code s.[pos + 3] lsl 24)
 
 module Record_codec = struct
   type source = {
@@ -143,45 +154,27 @@ module Record_codec = struct
     Apt_error.raise_
       (Apt_error.Truncated_file { path = src.src_path; offset; detail })
 
-  (* Decide the on-medium format from the first bytes of the file. A
-     signature within one byte of "APT1" is treated as a damaged or
-     future version — not silently parsed as a legacy stream. *)
-  let sniff_prefix ~path ~size prefix =
-    if size = 0 then Legacy
-    else if size >= Framed.data_start && String.length prefix >= Framed.data_start
-    then begin
-      let head = String.sub prefix 0 Framed.data_start in
-      if String.equal head Framed.magic then Framed_v1
-      else
-        let matching = ref 0 in
-        String.iteri
-          (fun i c -> if Char.equal c Framed.magic.[i] then incr matching)
-          head;
-        if !matching >= String.length Framed.magic - 1 then
-          Apt_error.raise_ (Apt_error.Version_mismatch { path; found = head })
-        else Legacy
-    end
-    else Legacy
-
-  let sniff (src : source) =
-    if src.src_size < Framed.data_start then
-      sniff_prefix ~path:src.src_path ~size:src.src_size ""
-    else
-      sniff_prefix ~path:src.src_path ~size:src.src_size
-        (src.src_read ~pos:0 ~len:Framed.data_start ~want:`High)
-
-  let data_start = function Framed_v1 -> Framed.data_start | Legacy -> 0
-  let overhead = function Framed_v1 -> Framed.overhead | Legacy -> Frame.overhead
-  let start_marker = function Framed_v1 -> Framed.magic | Legacy -> ""
+  (* Check the signature against the file's first bytes. Anything but
+     "APT1" — damaged, foreign or future-versioned — is refused. *)
+  let sniff ~path head =
+    let n = Framed.data_start in
+    if String.length head < n then
+      Apt_error.raise_
+        (Apt_error.Truncated_file
+           {
+             path;
+             offset = String.length head;
+             detail = "file is shorter than the APT1 signature";
+           });
+    let head = String.sub head 0 n in
+    if not (String.equal head Framed.magic) then
+      Apt_error.raise_ (Apt_error.Version_mismatch { path; found = head })
 
   (* header and trailer strings for [payload] *)
-  let frame format payload =
-    let len = Frame.u32_to_string (String.length payload) in
-    match format with
-    | Legacy -> (len, len)
-    | Framed_v1 ->
-        let crc = Frame.u32_to_string (Crc32.digest payload) in
-        (len ^ crc, crc ^ len)
+  let frame payload =
+    let len = u32_to_string (String.length payload) in
+    let crc = u32_to_string (Crc32.digest payload) in
+    (len ^ crc, crc ^ len)
 
   let check_crc src ~offset ~stored payload =
     let computed = Crc32.digest payload in
@@ -192,89 +185,65 @@ module Record_codec = struct
 
   (* One record starting at [pos], scanning up. Returns (payload, next
      position), or [None] at the end of the stream. *)
-  let next_forward format (src : source) ~pos =
+  let next_forward (src : source) ~pos =
     if pos >= src.src_size then None
-    else
-      match format with
-      | Legacy ->
-          if pos + Frame.overhead > src.src_size then
-            truncated src ~offset:pos "partial legacy frame";
-          let len =
-            Frame.u32_of_string (src.src_read ~pos ~len:4 ~want:`High) 0
-          in
-          if len < 0 || pos + len + Frame.overhead > src.src_size then
-            truncated src ~offset:pos
-              (Printf.sprintf "legacy header claims %d payload bytes" len);
-          let payload = src.src_read ~pos:(pos + 4) ~len ~want:`High in
-          Some (payload, pos + len + Frame.overhead)
-      | Framed_v1 ->
-          if pos + Framed.overhead > src.src_size then
-            truncated src ~offset:pos "partial record frame";
-          let header = src.src_read ~pos ~len:8 ~want:`High in
-          let len = Frame.u32_of_string header 0 in
-          let crc = Frame.u32_of_string header 4 in
-          if len < 0 || pos + len + Framed.overhead > src.src_size then
-            truncated src ~offset:pos
-              (Printf.sprintf "header claims %d payload bytes past EOF" len);
-          (* bytes are requested in scan order (payload before trailer):
-             a pooled source serves each page before it has to evict it *)
-          let payload = src.src_read ~pos:(pos + 8) ~len ~want:`High in
-          let trailer = src.src_read ~pos:(pos + 8 + len) ~len:8 ~want:`High in
-          if Frame.u32_of_string trailer 4 <> len then
-            corrupt src ~offset:pos "trailer length disagrees with header";
-          if Frame.u32_of_string trailer 0 <> crc then
-            corrupt src ~offset:pos "trailer checksum disagrees with header";
-          check_crc src ~offset:pos ~stored:crc payload;
-          Some (payload, pos + len + Framed.overhead)
+    else begin
+      if pos + Framed.overhead > src.src_size then
+        truncated src ~offset:pos "partial record frame";
+      let header = src.src_read ~pos ~len:8 ~want:`High in
+      let len = u32_of_string header 0 in
+      let crc = u32_of_string header 4 in
+      if len < 0 || pos + len + Framed.overhead > src.src_size then
+        truncated src ~offset:pos
+          (Printf.sprintf "header claims %d payload bytes past EOF" len);
+      (* bytes are requested in scan order (payload before trailer):
+         a pooled source serves each page before it has to evict it *)
+      let payload = src.src_read ~pos:(pos + 8) ~len ~want:`High in
+      let trailer = src.src_read ~pos:(pos + 8 + len) ~len:8 ~want:`High in
+      if u32_of_string trailer 4 <> len then
+        corrupt src ~offset:pos "trailer length disagrees with header";
+      if u32_of_string trailer 0 <> crc then
+        corrupt src ~offset:pos "trailer checksum disagrees with header";
+      check_crc src ~offset:pos ~stored:crc payload;
+      Some (payload, pos + len + Framed.overhead)
+    end
 
   (* One record ending at [pos], scanning down. *)
-  let next_backward format (src : source) ~pos =
-    let floor = data_start format in
+  let next_backward (src : source) ~pos =
+    let floor = Framed.data_start in
     if pos <= floor then None
-    else
-      match format with
-      | Legacy ->
-          if pos - Frame.overhead < floor then
-            truncated src ~offset:pos "partial legacy frame";
-          let len =
-            Frame.u32_of_string (src.src_read ~pos:(pos - 4) ~len:4 ~want:`Low) 0
-          in
-          if len < 0 || pos - len - Frame.overhead < floor then
-            truncated src ~offset:pos
-              (Printf.sprintf "legacy trailer claims %d payload bytes" len);
-          let payload = src.src_read ~pos:(pos - 4 - len) ~len ~want:`Low in
-          Some (payload, pos - len - Frame.overhead)
-      | Framed_v1 ->
-          if pos - Framed.overhead < floor then
-            truncated src ~offset:pos "partial record frame";
-          let trailer = src.src_read ~pos:(pos - 8) ~len:8 ~want:`Low in
-          let crc = Frame.u32_of_string trailer 0 in
-          let len = Frame.u32_of_string trailer 4 in
-          if len < 0 || pos - len - Framed.overhead < floor then
-            truncated src ~offset:(pos - 8)
-              (Printf.sprintf "trailer claims %d payload bytes before start" len);
-          let start = pos - len - Framed.overhead in
-          (* header and payload in one request, in scan order, so the
-             lowest page is fetched only from the header up *)
-          let framed = src.src_read ~pos:start ~len:(8 + len) ~want:`Low in
-          let header = String.sub framed 0 8 in
-          let payload = String.sub framed 8 len in
-          if Frame.u32_of_string header 0 <> len then
-            corrupt src ~offset:start "header length disagrees with trailer";
-          if Frame.u32_of_string header 4 <> crc then
-            corrupt src ~offset:start "header checksum disagrees with trailer";
-          check_crc src ~offset:start ~stored:crc payload;
-          Some (payload, start)
+    else begin
+      if pos - Framed.overhead < floor then
+        truncated src ~offset:pos "partial record frame";
+      let trailer = src.src_read ~pos:(pos - 8) ~len:8 ~want:`Low in
+      let crc = u32_of_string trailer 0 in
+      let len = u32_of_string trailer 4 in
+      if len < 0 || pos - len - Framed.overhead < floor then
+        truncated src ~offset:(pos - 8)
+          (Printf.sprintf "trailer claims %d payload bytes before start" len);
+      let start = pos - len - Framed.overhead in
+      (* header and payload in one request, in scan order, so the
+         lowest page is fetched only from the header up *)
+      let framed = src.src_read ~pos:start ~len:(8 + len) ~want:`Low in
+      let header = String.sub framed 0 8 in
+      let payload = String.sub framed 8 len in
+      if u32_of_string header 0 <> len then
+        corrupt src ~offset:start "header length disagrees with trailer";
+      if u32_of_string header 4 <> crc then
+        corrupt src ~offset:start "header checksum disagrees with trailer";
+      check_crc src ~offset:start ~stored:crc payload;
+      Some (payload, start)
+    end
 
-  let walk format src dir =
+  let walk src dir =
     let step, start =
       match dir with
-      | `Forward -> (next_forward, data_start format)
+      | `Forward -> (next_forward, Framed.data_start)
       | `Backward -> (next_backward, src.src_size)
     in
     let pos = ref start in
     fun () ->
-      match step format src ~pos:!pos with
+      match step src ~pos:!pos with
       | None -> None
       | Some (payload, p) ->
           pos := p;

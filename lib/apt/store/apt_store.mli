@@ -7,19 +7,22 @@
     façade keeps the node codec and record accounting; stores own the
     on-medium layout and tally bytes, pages and seeks into {!Io_stats}.
 
-    Byte-compatible stores write the checksummed {e framed} layout
-    ({!Framed}, {!Record_codec}) unless [config.legacy_format] asks for
-    the unchecked seed layout; readers sniff the file signature and
-    accept both. Integrity failures surface as {!Apt_error} values.
+    Every byte-compatible store writes the one checksummed {e framed}
+    layout ({!Framed}, {!Record_codec}); readers check the file
+    signature and refuse anything else. Integrity failures surface as
+    {!Apt_error} values.
 
     A store is a value of the record type {!t} (closures); the builtins
-    are ["mem"], ["paged"] and the ["zip"] and ["faulty"] layers over
-    ["paged"]. Registration happens in {!Store_registry}. *)
+    are ["mem"], ["paged"] and the ["zip"] layer over ["paged"].
+    Registration happens in {!Store_registry}. *)
 
 type direction = [ `Forward | `Backward ]
 
-(** Deterministic fault injection (see {!Store_faulty}): which faults,
-    how often, and the RNG seed that makes a campaign reproducible. *)
+(** Deterministic fault injection: which faults, how often, and the RNG
+    seed that makes a campaign reproducible. Read-side kinds are
+    injected inside {!Store_pager}, below the checksum layer, where the
+    bounded retry policy absorbs them; write-side kinds damage the
+    medium when a ["paged"] writer (and so ["zip"] over it) closes. *)
 type fault_kind =
   | Transient_io  (** read fails once (EIO); absorbed by pager retries *)
   | Short_read  (** a physical read returns fewer bytes than asked *)
@@ -32,6 +35,12 @@ type fault_spec = {
   f_kinds : fault_kind list;
 }
 
+val parse_spec : string -> (fault_spec, string) result
+(** Parse ["SEED:RATE:KINDS"] (kinds: comma list of
+    [transient|short|flip|torn], or [all]) — the [--apt-faults] syntax. *)
+
+val spec_to_string : fault_spec -> string
+
 type config = {
   dir : string option;  (** backing directory; [None] = system temp dir *)
   page_size : int;  (** page size for paged stores, bytes *)
@@ -39,13 +48,12 @@ type config = {
   prefetch_pages : int;  (** read-ahead window on sequential access *)
   zip_block : int;  (** records per compressed block in zip layers *)
   durable : bool;  (** fsync backing files before the atomic rename *)
-  legacy_format : bool;  (** write the unchecked seed layout (benches) *)
   faults : fault_spec option;  (** deterministic fault injection *)
 }
 
 val default_config : config
 (** 4 KiB pages, 8-page pool, 2-page read-ahead, 32-record blocks;
-    framed format, no fsync, no faults. *)
+    no fsync, no faults. *)
 
 type reader = { next : unit -> string option; close_reader : unit -> unit }
 
@@ -67,17 +75,9 @@ module Crc32 : sig
   val digest : string -> int
 end
 
-(** The legacy record frame shared by the byte-compatible layouts:
-    a 4-byte little-endian payload length on {e both} sides. *)
-module Frame : sig
-  val overhead : int
-  val u32_to_string : int -> string
-  val u32_of_string : string -> int -> int
-end
-
 (** Constants of the checksummed framed format, version 1: the file
     opens with the {!Framed.magic} signature and every record is
-    [u32 len | u32 crc | payload | u32 crc | u32 len]. *)
+    [u32 len | u32 crc | payload | u32 crc | u32 len], little-endian. *)
 module Framed : sig
   val magic : string
 
@@ -88,13 +88,11 @@ module Framed : sig
   (** framing bytes added per record *)
 end
 
-type format = Framed_v1 | Legacy
-
 (** The shared record walk: given a positioned byte [source], decode
-    records in either direction under either on-medium format, raising
-    typed {!Apt_error} values (with file offsets) on any integrity
-    failure. All byte-compatible stores and the {!Salvage} scanner are
-    built on this one codec. *)
+    framed records in either direction, raising typed {!Apt_error}
+    values (with file offsets) on any integrity failure. All
+    byte-compatible stores and the {!Salvage} scanner are built on this
+    one codec. *)
 module Record_codec : sig
   type source = {
     src_path : string option;
@@ -102,31 +100,24 @@ module Record_codec : sig
     src_read : pos:int -> len:int -> want:[ `Low | `High ] -> string;
   }
 
-  val sniff : source -> format
-  (** Decide the format from the file signature. A signature within one
-      byte of {!Framed.magic} raises [Version_mismatch] — damaged or
-      future-versioned files are never silently parsed as legacy. *)
+  val sniff : path:string option -> string -> unit
+  (** Check a file's first bytes (at least the signature's four, when
+      the file has them) against {!Framed.magic}. A shorter head raises
+      [Truncated_file]; any other head raises [Version_mismatch] —
+      damaged, foreign or future-versioned files are never parsed. *)
 
-  val sniff_prefix : path:string option -> size:int -> string -> format
-  (** Like {!sniff} for callers that already hold the first bytes. *)
-
-  val data_start : format -> int
-  val overhead : format -> int
-  val start_marker : format -> string
-  (** What a writer emits before the first record. *)
-
-  val frame : format -> string -> string * string
+  val frame : string -> string * string
   (** [(header, trailer)] strings for a payload. *)
 
-  val next_forward : format -> source -> pos:int -> (string * int) option
+  val next_forward : source -> pos:int -> (string * int) option
   (** Record starting at [pos] and the position after it; [None] at the
       end of the stream. *)
 
-  val next_backward : format -> source -> pos:int -> (string * int) option
+  val next_backward : source -> pos:int -> (string * int) option
   (** Record ending at [pos] and the position before it; [None] at the
       start of the stream. *)
 
-  val walk : format -> source -> direction -> unit -> string option
+  val walk : source -> direction -> unit -> string option
   (** The payloads one call at a time, from the first record
       ([`Forward]) or the last ([`Backward]); [None] at the end. Each
       record's bytes are requested in scan order, with [want] set to the

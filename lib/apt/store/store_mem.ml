@@ -1,10 +1,9 @@
 (* The in-memory store: the paper's "virtual memory" answer and the
    default backend. Records are framed exactly as the file stores frame
-   them — the checksummed layout by default, the seed's unchecked
-   [u32 len | payload | u32 len] when [config.legacy_format] asks — so
-   [mem] and [paged] move the same bytes and differ only in medium.
-   Reads sniff the signature and walk through [Apt_store.Record_codec],
-   which turns every integrity failure into a typed [Apt_error]. *)
+   them, so [mem] and [paged] move the same bytes and differ only in
+   medium. Reads check the signature and walk through
+   [Apt_store.Record_codec], which turns every integrity failure into a
+   typed [Apt_error]. *)
 
 open Apt_store
 
@@ -29,40 +28,38 @@ let open_reader data stats dir =
           String.sub data pos len);
     }
   in
-  let format = Record_codec.sniff source in
+  Record_codec.sniff ~path:None data;
   (* the signature was inspected, like any other store's sniff read *)
-  read_tally stats (Record_codec.data_start format);
-  let walk = Record_codec.walk format source dir in
+  read_tally stats Framed.data_start;
+  let walk = Record_codec.walk source dir in
   let next () =
     match walk () with
     | Some p as payload ->
-        read_tally stats (String.length p + Record_codec.overhead format);
+        read_tally stats (String.length p + Framed.overhead);
         payload
     | None -> None
   in
   { next; close_reader = ignore }
 
-let make config : t =
-  let format = if config.legacy_format then Legacy else Framed_v1 in
+let make (_ : config) : t =
   {
     s_name = "mem";
     start =
       (fun stats ->
         let buf = Buffer.create 4096 in
-        Buffer.add_string buf (Record_codec.start_marker format);
+        Buffer.add_string buf Framed.magic;
         (* the signature hits the medium like any other byte *)
-        write_tally stats (Record_codec.data_start format);
+        write_tally stats Framed.data_start;
         let records = ref 0 in
         {
           put =
             (fun payload ->
-              let header, trailer = Record_codec.frame format payload in
+              let header, trailer = Record_codec.frame payload in
               Buffer.add_string buf header;
               Buffer.add_string buf payload;
               Buffer.add_string buf trailer;
               incr records;
-              write_tally stats
-                (String.length payload + Record_codec.overhead format));
+              write_tally stats (String.length payload + Framed.overhead));
           close =
             (fun () ->
               let data = Buffer.contents buf in

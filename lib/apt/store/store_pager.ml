@@ -11,9 +11,9 @@
    The codec requests each record's bytes in scan order and a read that
    spans pages serves them in that order, so no page is evicted before
    its bytes are used. A full sequential scan therefore moves exactly
-   [size] bytes, whatever the pool and read-ahead sizes — never more
-   than the legacy store — and a partial read (say, just the root
-   record) is never charged for bytes on the far side of a frame.
+   [size] bytes, whatever the pool and read-ahead sizes, and a partial
+   read (say, just the root record) is never charged for bytes on the
+   far side of a frame.
 
    This is also where the resilience policy lives. Every physical
    transfer runs under a bounded retry-with-backoff loop: a transient
@@ -38,9 +38,6 @@ type t = {
   page_size : int;
   capacity : int;
   prefetch : int;
-  data_start : int;
-      (** floor for page-0 [`Low] widening: the file signature is read
-          raw by the format sniff, so the pool never re-fetches it *)
   stats : Io_stats.t option;
   pages : (int, page) Hashtbl.t;
   quarantined : (int, unit) Hashtbl.t;
@@ -53,7 +50,7 @@ type t = {
 
 let max_attempts = 4
 
-let create ?stats ?(data_start = 0) ?faults ~page_size ~capacity ~prefetch
+let create ?stats ?faults ~page_size ~capacity ~prefetch
     ~path ~size () =
   if page_size <= 0 then invalid_arg "Store_pager.create: page_size";
   let faults =
@@ -74,7 +71,6 @@ let create ?stats ?(data_start = 0) ?faults ~page_size ~capacity ~prefetch
     page_size;
     capacity = max 2 capacity;
     prefetch = max 0 prefetch;
-    data_start;
     stats;
     pages = Hashtbl.create 16;
     quarantined = Hashtbl.create 4;
@@ -107,7 +103,7 @@ let evict_to_capacity t =
 
 (* Roll the fault dice before a physical read. Only the read-side kinds
    are considered here; write-side kinds (bit flips, torn writes) are
-   applied to the medium by [Store_faulty]. *)
+   applied to the medium at [Store_paged]'s writer close. *)
 let maybe_inject t ~len =
   match t.faults with
   | None -> ()
@@ -243,8 +239,10 @@ let touch t p =
   end
 
 (* The low edge a [`Low]-widened fetch of page [n] may reach: the file
-   signature on page 0 was already read raw by the sniff. *)
-let low_edge t n = if n = 0 then min t.data_start (page_len t 0) else 0
+   signature on page 0 was already read raw by the sniff, so the pool
+   never re-fetches it. *)
+let low_edge t n =
+  if n = 0 then min Apt_store.Framed.data_start (page_len t 0) else 0
 
 (* Serve bytes [lo, hi) of page [n]'s local coordinates. On a miss the
    fetch is widened to the end of the page on the [want] side (those

@@ -24,12 +24,7 @@ let () =
     Store_paged.make;
   register ~name:"zip"
     ~description:"front-coded block compression layered over the paged store"
-    (fun c -> Store_zip.layer c (Store_paged.make c));
-  register ~name:"faulty"
-    ~description:
-      "deterministic fault injection (--apt-faults seed:rate:kinds) layered \
-       over the paged store"
-    (fun c -> Store_faulty.layer c (Store_paged.make c))
+    (fun c -> Store_zip.layer c (Store_paged.make c))
 
 let names () = List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) table [])
 

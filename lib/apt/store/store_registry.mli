@@ -3,10 +3,10 @@
     Builtins, each kept for a measured win or a tested guarantee:
     ["mem"] (in-memory, the default and fastest), ["paged"] (a temp file
     through an LRU page pool with read-ahead: the bounded-memory store),
-    ["zip"] (front-coded block compression over paged: fewest bytes) and
-    ["faulty"] (deterministic fault injection over paged, see
-    {!Store_faulty}). [register] plugs in out-of-tree stores, any
-    {!Apt_store.t}. *)
+    and ["zip"] (front-coded block compression over paged: fewest
+    bytes). Fault injection ([config.faults]) is not a store: ["paged"],
+    and so ["zip"] over it, applies it whenever a spec is set.
+    [register] plugs in out-of-tree stores, any {!Apt_store.t}. *)
 
 val register :
   name:string ->

@@ -83,10 +83,6 @@ let tally_raw_read stats bytes =
 
 let layer (config : config) (base : t) : t =
   let block = max 1 config.zip_block in
-  (* what the base store's framing would have cost per record *)
-  let frame_overhead =
-    Record_codec.overhead (if config.legacy_format then Legacy else Framed_v1)
-  in
   let open_reader (base_file : file) stats dir =
     let base_reader = base_file.f_read stats dir in
     let queue = ref [] in
@@ -102,7 +98,7 @@ let layer (config : config) (base : t) : t =
               let payloads = decode_block b in
               tally_raw_read stats
                 (List.fold_left
-                   (fun acc p -> acc + String.length p + frame_overhead)
+                   (fun acc p -> acc + String.length p + Framed.overhead)
                    0 payloads);
               queue :=
                 (match dir with
@@ -128,7 +124,7 @@ let layer (config : config) (base : t) : t =
         {
           put =
             (fun payload ->
-              tally_raw_write stats (String.length payload + frame_overhead);
+              tally_raw_write stats (String.length payload + Framed.overhead);
               pending := payload :: !pending;
               incr pending_n;
               incr records;

@@ -27,7 +27,6 @@ let store_json backend =
       ("prefetch_pages", int c.Lg_apt.Apt_store.prefetch_pages);
       ("zip_block", int c.Lg_apt.Apt_store.zip_block);
       ("durable", Bool c.Lg_apt.Apt_store.durable);
-      ("legacy_format", Bool c.Lg_apt.Apt_store.legacy_format);
       ( "faults",
         match c.Lg_apt.Apt_store.faults with
         | None -> Null

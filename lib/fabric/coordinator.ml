@@ -168,7 +168,6 @@ type worker = {
   mutable k_assigned : int;
   mutable k_completed : int;
   mutable k_puts : int;
-  k_shipped : (string, unit) Hashtbl.t;
 }
 
 type st = {
@@ -254,9 +253,7 @@ let dispatch st w (p : prepared) =
       in
       (match member "ok" put with
       | Some (Bool true) ->
-          locked st (fun () ->
-              w.k_puts <- w.k_puts + 1;
-              Hashtbl.replace w.k_shipped digest ());
+          locked st (fun () -> w.k_puts <- w.k_puts + 1);
           response := request st w (job_request p)
       | _ -> ())
   | _ -> ());
@@ -396,7 +393,6 @@ let run ?(attempts = 3) ?(redispatch_limit = 1) ?(log = ignore) ~workers jobs =
                  k_assigned = 0;
                  k_completed = 0;
                  k_puts = 0;
-                 k_shipped = Hashtbl.create 8;
                })
              workers);
       results = Array.make (List.length jobs) None;

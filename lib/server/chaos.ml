@@ -1,5 +1,5 @@
 (* Deterministic server-layer fault injection, the serving sibling of
-   Store_faulty's SEED:RATE:KINDS idiom. Job-level rolls are keyed by
+   the APT store's SEED:RATE:KINDS idiom. Job-level rolls are keyed by
    (seed, job id, job file) through MD5, so whether a given job is hit —
    and with which kind — is a pure function of the spec and the job,
    independent of worker count or scheduling. That is what lets the

@@ -1,7 +1,7 @@
 (** Deterministic server-layer chaos injection.
 
     The serving sibling of the APT layer's fault injection
-    ({!Lg_apt.Store_faulty}): a [SEED:RATE:KINDS] spec drives
+    ({!Lg_apt.Apt_store.fault_spec}): a [SEED:RATE:KINDS] spec drives
     reproducible failures {e above} the storage stack — in the worker
     pool and on the wire — so the supervision, deadline, quarantine and
     retry machinery is testable and benchable.

@@ -157,7 +157,7 @@ let job_of_json ~index doc =
         match faults_str with
         | None -> Ok None
         | Some spec -> (
-            match Lg_apt.Store_faulty.parse_spec spec with
+            match Lg_apt.Apt_store.parse_spec spec with
             | Ok f -> Ok (Some f)
             | Error msg -> Error (Printf.sprintf "\"faults\" %s: %s" spec msg))
       in

@@ -104,7 +104,7 @@ val op_name : op -> string
 
 val render_faults : Lg_apt.Apt_store.fault_spec -> string
 (** The [SEED:RATE:KINDS] spec string; inverse of
-    {!Lg_apt.Store_faulty.parse_spec}. *)
+    {!Lg_apt.Apt_store.parse_spec}. *)
 
 val job_to_json : job -> Lg_support.Json_out.t
 (** One job as its jobfile-entry document — what a [serve] client (and

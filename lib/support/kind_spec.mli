@@ -1,8 +1,9 @@
 (** The [SEED:RATE:KINDS] syntax shared by the deterministic injection
-    specs: the APT store's [--apt-faults] ({!Lg_apt.Store_faulty}) and
-    the server's [--chaos] ({!Lg_server.Chaos}). [SEED] is an integer,
-    [RATE] a float in [[0,1]], [KINDS] a comma list of kind names (case
-    folded, empty items ignored) or [all]. *)
+    specs: the APT store's [--apt-faults]
+    ({!Lg_apt.Apt_store.parse_spec}) and the server's [--chaos]
+    ({!Lg_server.Chaos}). [SEED] is an integer, [RATE] a float in
+    [[0,1]], [KINDS] a comma list of kind names (case folded, empty
+    items ignored) or [all]. *)
 
 val parse :
   noun:string ->

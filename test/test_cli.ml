@@ -56,7 +56,7 @@ let test_stores_listing () =
   expect_ok "stores" r;
   Alcotest.(check (list string))
     "the builtin stores"
-    [ "faulty"; "mem"; "paged"; "zip" ]
+    [ "mem"; "paged"; "zip" ]
     (Lg_apt.Store_registry.names ());
   if not (contains ~needle:"registered APT stores" stdout) then
     Alcotest.failf "stores: missing header:\n%s" stdout;
@@ -138,12 +138,16 @@ let test_bad_store () =
     (run [ "check"; "--apt-store"; "bogus"; grammar ])
 
 (* a store name pruned from the registry is refused like any unknown
-   one, with the list of the stores that remain *)
+   one, with the list of the stores that remain — [faulty] too, whose
+   fault injection [paged] applies itself *)
 let test_removed_store () =
-  expect_cli_error "--apt-store disk"
-    ("unknown APT store \"disk\" (registered: "
-    ^ String.concat ", " (Lg_apt.Store_registry.names ()))
-    (run [ "check"; "--apt-store"; "disk"; grammar ])
+  List.iter
+    (fun store ->
+      expect_cli_error ("--apt-store " ^ store)
+        (Printf.sprintf "unknown APT store %S (registered: %s" store
+           (String.concat ", " (Lg_apt.Store_registry.names ())))
+        (run [ "check"; "--apt-store"; store; grammar ]))
+    [ "disk"; "faulty" ]
 
 let test_bad_page_size () =
   expect_cli_error "--apt-page-size 0" "--apt-page-size must be positive"
@@ -168,10 +172,10 @@ let test_bad_fault_spec () =
 let write_apt path ~damage =
   let open Lg_apt.Apt_store in
   let b = Buffer.create 64 in
-  Buffer.add_string b (Record_codec.start_marker Framed_v1);
+  Buffer.add_string b Framed.magic;
   List.iter
     (fun p ->
-      let header, trailer = Record_codec.frame Framed_v1 p in
+      let header, trailer = Record_codec.frame p in
       Buffer.add_string b header;
       Buffer.add_string b p;
       Buffer.add_string b trailer)
@@ -217,10 +221,29 @@ let test_fsck_truncated_exit_41 () =
   expect_fsck "truncated file" 41 "truncated APT file"
     (run [ "apt-fsck"; path ])
 
+(* A signature that is not APT1 — one flipped bit, two zeroed bytes, or
+   a file in the unchecked seed layout ([u32 len | payload | u32 len], no
+   signature at all) — is refused with exit 42, and there is no valid
+   prefix for --recover to write. *)
 let test_fsck_version_exit_42 () =
-  with_apt (patch 2 (fun c -> c lxor 0x01)) @@ fun path ->
-  expect_fsck "version mismatch" 42 "APT version mismatch"
-    (run [ "apt-fsck"; path ])
+  List.iter
+    (fun (name, damage) ->
+      with_apt damage @@ fun path ->
+      let out = Filename.temp_file "cli_apt" ".recovered" in
+      Sys.remove out;
+      let ((_, stdout, _) as r) = run [ "apt-fsck"; path; "--recover"; out ] in
+      expect_fsck name 42 "APT version mismatch" r;
+      if not (contains ~needle:"nothing recovered" stdout) then
+        Alcotest.failf "%s: unexpected stdout:\n%s" name stdout;
+      if Sys.file_exists out then begin
+        Sys.remove out;
+        Alcotest.failf "%s: --recover wrote a file" name
+      end)
+    [
+      ("version mismatch", patch 2 (fun c -> c lxor 0x01));
+      ("zeroed signature", fun d -> patch 0 (fun _ -> 0) (patch 1 (fun _ -> 0) d));
+      ("seed layout", fun _ -> "\x05\x00\x00\x00alpha\x05\x00\x00\x00");
+    ]
 
 let test_fsck_recover () =
   with_apt (patch (42 + 8 + 1) (fun c -> c lxor 0x04)) @@ fun path ->
@@ -249,9 +272,26 @@ let test_exhausted_retries_exit_43 () =
   expect_typed_error "exhausted retries" 43 "APT I/O failed"
     (run
        [
-         "analyze"; "--apt-store"; "faulty"; "--apt-faults"; "1:1.0:transient";
+         "analyze"; "--apt-store"; "paged"; "--apt-faults"; "1:1.0:transient";
          grammar;
        ])
+
+(* Write-side kinds damage the medium under paged and zip alike, and the
+   evaluation fails typed instead of finishing on a damaged file. *)
+let test_write_faults_honoured () =
+  List.iter
+    (fun store ->
+      let rc, _, stderr =
+        run
+          [
+            "analyze"; "--apt-store"; store; "--apt-faults"; "1:1.0:torn,flip";
+            grammar;
+          ]
+      in
+      if rc <> 40 && rc <> 41 then
+        Alcotest.failf "%s: expected exit 40 or 41, got %d:\n%s" store rc
+          stderr)
+    [ "paged"; "zip" ]
 
 let test_depth_budget_exit_44 () =
   expect_typed_error "depth budget" 44 "evaluation exceeded the depth budget"
@@ -463,7 +503,7 @@ let test_transient_faults_absorbed () =
   let ((_, _, _) as r) =
     run
       [
-        "analyze"; "--apt-store"; "faulty"; "--apt-faults"; "7:0.01:transient";
+        "analyze"; "--apt-store"; "paged"; "--apt-faults"; "7:0.01:transient";
         grammar;
       ]
   in
@@ -620,6 +660,8 @@ let () =
         [
           Alcotest.test_case "exhausted retries exit 43" `Quick
             test_exhausted_retries_exit_43;
+          Alcotest.test_case "write faults fail paged and zip typed" `Quick
+            test_write_faults_honoured;
           Alcotest.test_case "depth budget exits 44" `Quick
             test_depth_budget_exit_44;
           Alcotest.test_case "node budget exits 44" `Quick

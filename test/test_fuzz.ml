@@ -202,7 +202,7 @@ let test_fuzz_campaign () =
 
 (* ---------------------------------------------------------------- *)
 (* Fault-injection campaign: the same generated grammars evaluated over
-   the "faulty" store. Transient EIO at a low rate must be absorbed by
+   the "paged" store under a fault spec. Transient EIO at a low rate must be absorbed by
    the pager's bounded retries — every run matches the oracle exactly and
    the retry counter shows the faults were real. Destructive damage (bit
    flips, torn writes) must either leave the run unaffected or surface as
@@ -212,7 +212,7 @@ let faulty_backend spec =
   let config =
     { Lg_apt.Apt_store.default_config with faults = Some spec }
   in
-  Lg_apt.Aptfile.backend_of_store_name ~config "faulty"
+  Lg_apt.Aptfile.backend_of_store_name ~config "paged"
 
 let run_faulty ~spec plan tree =
   Engine.run

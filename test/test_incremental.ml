@@ -365,7 +365,7 @@ let test_spilled_state_differential () =
       ignore metrics;
       run_edit_sequence ~grammar:Fixtures.sum_grammar ~seed:(Hashtbl.hash store)
         ~edits:4 ~spill:(Some backend) ())
-    (List.filter (fun (n, _) -> n <> "faulty") store_backends)
+    store_backends
 
 let test_spill_publishes_metrics () =
   let plan = plan_of Fixtures.sum_grammar in
@@ -424,7 +424,7 @@ let faulty_backend ~kinds ~rate =
         Some { Lg_apt.Apt_store.f_seed = 13; f_rate = rate; f_kinds = kinds };
     }
   in
-  Lg_apt.Aptfile.backend_of_store_name ~config "faulty"
+  Lg_apt.Aptfile.backend_of_store_name ~config "paged"
 
 let test_fault_during_spill_falls_back_cleanly () =
   (* the versioned store lands on a medium that damages every write: the

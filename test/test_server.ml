@@ -381,7 +381,7 @@ let test_batch_fault_isolation () =
     Jobfile.make ~id ~store:"paged" ~op:Jobfile.Analyze ~file:grammar ()
   in
   let poisoned =
-    Jobfile.make ~id:"poisoned" ~store:"faulty"
+    Jobfile.make ~id:"poisoned" ~store:"paged"
       ~faults:
         {
           Lg_apt.Apt_store.f_seed = 11;
@@ -465,34 +465,38 @@ let test_batch_missing_file () =
         o.Batch.o_exit
   | _ -> Alcotest.fail "one job, one outcome"
 
-(* A store name the registry no longer has (here one that was pruned)
-   fails its own job with the plain exit 1, naming every store it could
-   have used. *)
+(* A store name the registry no longer has (one that was pruned, or
+   [faulty], whose fault injection [paged] applies itself) fails its own
+   job with the plain exit 1, naming every store it could have used. *)
 let test_batch_removed_store () =
   let grammar = write_temp_grammar () in
   Fun.protect ~finally:(fun () -> Sys.remove grammar) @@ fun () ->
-  let doc =
-    Printf.sprintf
-      {|{ "linguist_jobs": 1,
-          "jobs": [ { "op": "analyze", "file": %S, "store": "prefetch" } ] }|}
-      grammar
-  in
-  match Jobfile.parse doc with
-  | Error e -> Alcotest.failf "parse failed: %s" e
-  | Ok jobs -> (
-      match (Batch.run_sequential jobs).Batch.outcomes with
-      | [ o ] ->
-          Alcotest.(check int) "plain failure" 1 o.Batch.o_exit;
-          let error = Option.value o.Batch.o_error ~default:"" in
-          List.iter
-            (fun needle ->
-              if not (Fixtures.contains_substring ~needle error) then
-                Alcotest.failf "error %S does not mention %S" error needle)
-            [
-              "unknown APT store \"prefetch\"";
-              "registered: " ^ String.concat ", " (Lg_apt.Store_registry.names ());
-            ]
-      | _ -> Alcotest.fail "one job, one outcome")
+  List.iter
+    (fun store ->
+      let doc =
+        Printf.sprintf
+          {|{ "linguist_jobs": 1,
+              "jobs": [ { "op": "analyze", "file": %S, "store": %S } ] }|}
+          grammar store
+      in
+      match Jobfile.parse doc with
+      | Error e -> Alcotest.failf "parse failed: %s" e
+      | Ok jobs -> (
+          match (Batch.run_sequential jobs).Batch.outcomes with
+          | [ o ] ->
+              Alcotest.(check int) (store ^ ": plain failure") 1 o.Batch.o_exit;
+              let error = Option.value o.Batch.o_error ~default:"" in
+              List.iter
+                (fun needle ->
+                  if not (Fixtures.contains_substring ~needle error) then
+                    Alcotest.failf "error %S does not mention %S" error needle)
+                [
+                  Printf.sprintf "unknown APT store %S" store;
+                  "registered: "
+                  ^ String.concat ", " (Lg_apt.Store_registry.names ());
+                ]
+          | _ -> Alcotest.fail "one job, one outcome"))
+    [ "prefetch"; "faulty" ]
 
 (* ---------------- supervision: crashes and deadlines ---------------- *)
 
@@ -681,8 +685,8 @@ let test_spec_parsers_agree () =
   let chaos s = render (Result.map Chaos.render_spec (Chaos.parse_spec s)) in
   let fault s =
     render
-      (Result.map Lg_apt.Store_faulty.spec_to_string
-         (Lg_apt.Store_faulty.parse_spec s))
+      (Result.map Lg_apt.Apt_store.spec_to_string
+         (Lg_apt.Apt_store.parse_spec s))
   in
   let unknown noun kinds bad =
     Printf.sprintf "error: unknown %s kind %S (expected %s|all)" noun bad kinds

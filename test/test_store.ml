@@ -1,7 +1,8 @@
 (* Tests for the pluggable APT store subsystem: every registered store
    must stream records back in both directions, the byte-compatible
-   stores must pin the legacy on-medium format exactly, corrupt or
-   truncated backing files must fail loudly, and the registry must accept
+   stores must pin the framed on-medium format exactly and refuse any
+   other, corrupt or truncated backing files must fail loudly, write-side
+   fault specs must damage the medium, and the registry must accept
    out-of-tree stores written as an [Apt_store.t] record. *)
 open Lg_support
 open Lg_apt
@@ -115,7 +116,9 @@ let prop_roundtrip_random =
 let le32 n =
   String.init 4 (fun i -> Char.chr ((n lsr (8 * i)) land 0xff))
 
-let legacy_bytes payloads =
+(* the unchecked seed layout: [u32 len | payload | u32 len], no
+   signature *)
+let seed_bytes payloads =
   String.concat ""
     (List.map (fun p -> le32 (String.length p) ^ p ^ le32 (String.length p))
        payloads)
@@ -161,40 +164,6 @@ let test_framed_format_pin () =
          [ ("AB", 0x30694c07); ("", 0x0); ("xyz", 0xeb8eba67) ])
     [ "AB"; ""; "xyz" ]
 
-let test_legacy_format_pin () =
-  with_temp_dir @@ fun dir ->
-  let payloads = [ "AB"; ""; "xyz" ] in
-  pin_format_bytes dir
-    ~config:{ (config_in dir) with legacy_format = true }
-    ~expected:(legacy_bytes payloads) payloads
-
-(* Legacy (seed-era) files keep reading without any flag: sniffing falls
-   back on the absent signature. *)
-let test_legacy_files_still_read () =
-  with_temp_dir @@ fun dir ->
-  let payloads = [ "old"; ""; String.make 100 'k' ] in
-  List.iter
-    (fun name ->
-      let legacy =
-        Store_registry.find
-          ~config:{ (config_in dir) with legacy_format = true }
-          name
-      in
-      let w = legacy.start None in
-      List.iter w.put payloads;
-      let f = w.close () in
-      (* reread the same backing file through a framed-default store *)
-      Alcotest.(check (list string))
-        (name ^ ": legacy forward")
-        payloads
-        (drain (f.f_read None `Forward));
-      Alcotest.(check (list string))
-        (name ^ ": legacy backward")
-        (List.rev payloads)
-        (drain (f.f_read None `Backward));
-      f.f_dispose ())
-    [ "mem"; "paged" ]
-
 (* ----- corruption and truncation fail loudly, with typed errors ----- *)
 
 let fails_to_read (f : file) dir =
@@ -214,6 +183,55 @@ let patch_byte path offset value =
   let oc = open_out_bin path in
   output_bytes oc bytes;
   close_out oc
+
+(* ----- a head that is not APT1 is refused, never parsed ----- *)
+
+let overwrite path data =
+  let oc = open_out_bin path in
+  output_string oc data;
+  close_out oc
+
+let expect_version_mismatch label read =
+  List.iter
+    (fun dirn ->
+      match drain (read dirn) with
+      | exception Apt_error.Error (Apt_error.Version_mismatch _) -> ()
+      | exception e -> Alcotest.failf "%s: raised %s" label (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s: read as data" label)
+    [ `Forward; `Backward ]
+
+(* Two zeroed signature bytes, and a file in the seed layout, under
+   every reader: [mem]'s over the bytes themselves, [paged]'s and
+   [zip]'s over their backing file rewritten in place (at its written
+   size, which the reader keeps). *)
+let test_foreign_signature_refused () =
+  with_temp_dir @@ fun dir ->
+  let zero_signature data =
+    String.mapi (fun i c -> if i < 2 then '\x00' else c) data
+  in
+  let framed = framed_bytes [ ("AB", 0x30694c07); ("xyz", 0xeb8eba67) ] in
+  List.iter
+    (fun (label, data) ->
+      expect_version_mismatch ("mem, " ^ label) (Store_mem.open_reader data None))
+    [
+      ("zeroed signature", zero_signature framed);
+      ("seed layout", "\x05\x00\x00\x00alpha\x05\x00\x00\x00");
+    ];
+  List.iter
+    (fun name ->
+      List.iter
+        (fun (label, damage) ->
+          let f = write_store dir name [ "alpha"; "beta" ] in
+          let path = Option.get f.f_path in
+          overwrite path (damage (file_bytes path));
+          expect_version_mismatch (name ^ ", " ^ label) (f.f_read None);
+          f.f_dispose ())
+        [
+          ("zeroed signature", zero_signature);
+          ( "seed layout",
+            fun data -> seed_bytes [ String.make (String.length data - 8) 'k' ] );
+        ])
+    [ "paged"; "zip" ]
 
 let test_corrupt_frames () =
   with_temp_dir @@ fun dir ->
@@ -302,31 +320,18 @@ let test_corrupt_zip_block () =
   Alcotest.(check bool) "corrupt block: read fails" true
     (fails_to_read f `Forward);
   f.f_dispose ();
-  (* under the legacy (unchecked) layout the block decoder itself must
-     catch the damage: the first record's suffix-length varint sits after
-     the 4 frame bytes, the record count and the shared-prefix varint *)
-  let f =
-    write_store
-      ~config_of:(fun dir -> { (config_in dir) with legacy_format = true })
-      dir "zip" [ "hello"; "help!" ]
-  in
-  let path = Option.get f.f_path in
-  patch_byte path 6 0x7f;
-  Alcotest.(check bool) "corrupt legacy block: decoder fails" true
-    (fails_to_read f `Forward);
-  f.f_dispose ();
-  (* a hostile record count: the 9-byte varint ff..ff 7f decodes to -1,
-     and 100 is more entries than the 12-byte block has bytes. Both must
-     fail typed, in either direction, not as an allocation error *)
+  (* the block decoder's own checks: hostile block payloads, each in a
+     correct APT1 frame with a valid checksum so the base store hands
+     them up. The file keeps its written size (the reader's), so each
+     payload is padded to the original block's length *)
   List.iter
-    (fun (label, count, reason) ->
-      let f =
-        write_store
-          ~config_of:(fun dir -> { (config_in dir) with legacy_format = true })
-          dir "zip" [ "hello"; "help!" ]
-      in
+    (fun (label, block, reason) ->
+      let f = write_store dir "zip" [ "hello"; "help!" ] in
       let path = Option.get f.f_path in
-      String.iteri (fun i c -> patch_byte path (4 + i) (Char.code c)) count;
+      let width = f.f_size - Framed.data_start - Framed.overhead in
+      let block = block ^ String.make (width - String.length block) '\x00' in
+      let header, trailer = Record_codec.frame block in
+      overwrite path (Framed.magic ^ header ^ block ^ trailer);
       List.iter
         (fun dirn ->
           match drain (f.f_read None dirn) with
@@ -339,16 +344,22 @@ let test_corrupt_zip_block () =
         [ `Forward; `Backward ];
       f.f_dispose ())
     [
+      (* the 9-byte varint ff..ff 7f decodes to -1 *)
       ("count -1", "\xff\xff\xff\xff\xff\xff\xff\xff\x7f", "decodes negative");
+      ( "10-byte count",
+        "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x7f",
+        "longer than 9 bytes" );
+      (* more entries than the 12-byte block has bytes *)
       ("count 100", "\x64", "claims 100 entries");
+      (* one entry whose suffix runs past the block's end *)
+      ("suffix past the end", "\x01\x00\x7f", "refers outside its bounds");
     ]
 
-(* The hostile-medium sweep: a 40-record file under each file store,
-   framed and legacy, cut short at every offset after close and,
-   separately, with the byte at every offset inverted, then scanned in
-   both directions. A scan may return payloads (a legacy file has no
-   checksum to notice a flip) or fail with a typed [Apt_error]; any other
-   exception has escaped the store. *)
+(* The hostile-medium sweep: a 40-record file under each file store, cut
+   short at every offset after close and, separately, with the byte at
+   every offset inverted, then scanned in both directions. A scan must
+   fail with a typed [Apt_error]; any other exception has escaped the
+   store, and a scan that finishes has read damage as data. *)
 let test_hostile_medium_sweep () =
   with_temp_dir @@ fun dir ->
   let payloads =
@@ -362,44 +373,36 @@ let test_hostile_medium_sweep () =
   in
   List.iter
     (fun name ->
-      List.iter
-        (fun legacy_format ->
-          let f =
-            write_store
-              ~config_of:(fun dir -> { (config_in dir) with legacy_format })
-              dir name payloads
-          in
-          let path = Option.get f.f_path in
-          let original = file_bytes path in
-          for offset = 0 to String.length original - 1 do
+      let f = write_store dir name payloads in
+      let path = Option.get f.f_path in
+      let original = file_bytes path in
+      for offset = 0 to String.length original - 1 do
+        List.iter
+          (fun (damage, bytes) ->
+            overwrite path bytes;
             List.iter
-              (fun (damage, bytes) ->
-                let oc = open_out_bin path in
-                output_string oc bytes;
-                close_out oc;
-                List.iter
-                  (fun dirn ->
-                    match scan f dirn with
-                    | () | (exception Apt_error.Error _) -> ()
-                    | exception e ->
-                        Alcotest.failf "%s%s, %s at offset %d, %s scan: %s"
-                          name
-                          (if legacy_format then " (legacy)" else "")
-                          damage offset
-                          (match dirn with `Forward -> "forward" | `Backward -> "backward")
-                          (Printexc.to_string e))
-                  [ `Forward; `Backward ])
-              [
-                ("truncated", String.sub original 0 offset);
-                ( "flipped",
-                  String.mapi
-                    (fun i c ->
-                      if i = offset then Char.chr (Char.code c lxor 0xff) else c)
-                    original );
-              ]
-          done;
-          f.f_dispose ())
-        [ false; true ])
+              (fun dirn ->
+                let fail what =
+                  Alcotest.failf "%s, %s at offset %d, %s scan: %s" name damage
+                    offset
+                    (match dirn with `Forward -> "forward" | `Backward -> "backward")
+                    what
+                in
+                match scan f dirn with
+                | exception Apt_error.Error _ -> ()
+                | exception e -> fail (Printexc.to_string e)
+                | () -> fail "damage read as data")
+              [ `Forward; `Backward ])
+          [
+            ("truncated", String.sub original 0 offset);
+            ( "flipped",
+              String.mapi
+                (fun i c ->
+                  if i = offset then Char.chr (Char.code c lxor 0xff) else c)
+                original );
+          ]
+      done;
+      f.f_dispose ())
     [ "paged"; "zip" ]
 
 (* ----- crash-safe writes: temp file + atomic rename on close ----- *)
@@ -433,6 +436,65 @@ let test_atomic_writes () =
         (drain (f.f_read None `Forward));
       f.f_dispose ())
     [ "paged"; "zip" ]
+
+(* ----- write-side faults damage the medium under paged and zip ----- *)
+
+let fault_payloads =
+  List.init 24 (fun i -> Printf.sprintf "node-%02d:%s" i (String.make (i mod 7) 'v'))
+
+let write_faults dir =
+  {
+    (config_in dir) with
+    faults = Some (Result.get_ok (Apt_store.parse_spec "11:0.3:torn,flip"));
+  }
+
+(* The spec's write kinds reach the medium whichever file store wrote
+   it, and every read of the damaged file fails typed: exit 40 (corrupt
+   record) or 41 (truncated file). [zip] rolls once per block, so small
+   blocks give it several chances. *)
+let test_write_faults_honoured () =
+  with_temp_dir @@ fun dir ->
+  List.iter
+    (fun (name, config) ->
+      let f = write_store ~config_of:(fun _ -> config) dir name fault_payloads in
+      List.iter
+        (fun dirn ->
+          match drain (f.f_read None dirn) with
+          | exception Apt_error.Error e
+            when List.mem (Apt_error.exit_code e) [ 40; 41 ] ->
+              ()
+          | exception e ->
+              Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
+          | _ -> Alcotest.failf "%s: damaged file read clean" name)
+        [ `Forward; `Backward ];
+      f.f_dispose ())
+    [ ("paged", write_faults dir); ("zip", { (write_faults dir) with zip_block = 4 }) ]
+
+(* The damage is a pure function of the spec and the records written:
+   the same RNG, one roll per record, the same flips and tear as the
+   dedicated fault-injection store it replaces wrote for this spec and
+   these payloads — two bit flips, then a cut at byte 252 of 646. *)
+let test_write_damage_pinned () =
+  with_temp_dir @@ fun dir ->
+  let clean = write_store dir "paged" fault_payloads in
+  let expected =
+    let b = Bytes.of_string (file_bytes (Option.get clean.f_path)) in
+    Alcotest.(check int) "clean size" 646 (Bytes.length b);
+    List.iter
+      (fun (off, mask) ->
+        Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor mask)))
+      [ (46, 0x04); (107, 0x80) ];
+    Bytes.sub_string b 0 252
+  in
+  clean.f_dispose ();
+  let f =
+    write_store ~config_of:(fun _ -> write_faults dir) dir "paged" fault_payloads
+  in
+  Alcotest.(check int) "damaged size" 252 f.f_size;
+  Alcotest.(check int) "records written" 24 f.f_records;
+  Alcotest.(check string) "damaged bytes" expected
+    (file_bytes (Option.get f.f_path));
+  f.f_dispose ()
 
 (* ----- stats through the store stack ----- *)
 
@@ -501,22 +563,18 @@ let test_full_scan_reads_file_size () =
     [ "paged"; "zip" ]
 
 (* The same guarantee over random payloads and pool shapes: any page
-   size, pool size and read-ahead window, either format, either
-   direction. A legacy frame carries its length at both ends and a scan
-   reads only the near one, so a legacy scan may skip the far copies
-   when they sit alone on a page; it must still never read a byte
-   twice. *)
+   size, pool size and read-ahead window, either direction. *)
 let prop_full_scan_exact =
   QCheck.Test.make ~name:"full scan reads f_size under any pool shape"
     ~count:60
     (QCheck.make
        QCheck.Gen.(
          tup2 payloads_gen
-           (tup4 (int_range 8 96) (int_range 2 6) (int_range 0 4) bool)))
-    (fun (payloads, (page_size, pool_pages, prefetch_pages, legacy_format)) ->
+           (triple (int_range 8 96) (int_range 2 6) (int_range 0 4))))
+    (fun (payloads, (page_size, pool_pages, prefetch_pages)) ->
       with_temp_dir @@ fun dir ->
       let config =
-        { (config_in dir) with page_size; pool_pages; prefetch_pages; legacy_format }
+        { (config_in dir) with page_size; pool_pages; prefetch_pages }
       in
       List.iter
         (fun name ->
@@ -526,9 +584,8 @@ let prop_full_scan_exact =
                 scan_with_stats (Store_registry.find ~config name) payloads dirn
               in
               let read = Io_stats.get stats.Io_stats.bytes_read in
-              if read > f.f_size || ((not legacy_format) && read <> f.f_size) then
-                QCheck.Test.fail_reportf "%s%s %s: read %d of %d bytes" name
-                  (if legacy_format then " (legacy)" else "")
+              if read <> f.f_size then
+                QCheck.Test.fail_reportf "%s %s: read %d of %d bytes" name
                   (match dirn with `Forward -> "forward" | `Backward -> "backward")
                   read f.f_size)
             [ `Forward; `Backward ])
@@ -643,10 +700,8 @@ let () =
         [
           Alcotest.test_case "framed layout pinned byte-for-byte" `Quick
             test_framed_format_pin;
-          Alcotest.test_case "legacy layout pinned byte-for-byte" `Quick
-            test_legacy_format_pin;
-          Alcotest.test_case "legacy files still read" `Quick
-            test_legacy_files_still_read;
+          Alcotest.test_case "foreign signature is refused" `Quick
+            test_foreign_signature_refused;
         ] );
       ( "corruption",
         [
@@ -660,7 +715,13 @@ let () =
             test_hostile_medium_sweep;
         ] );
       ( "resilience",
-        [ Alcotest.test_case "atomic rename on close" `Quick test_atomic_writes ] );
+        [
+          Alcotest.test_case "atomic rename on close" `Quick test_atomic_writes;
+          Alcotest.test_case "write faults damage paged and zip" `Quick
+            test_write_faults_honoured;
+          Alcotest.test_case "write damage pinned byte-for-byte" `Quick
+            test_write_damage_pinned;
+        ] );
       ( "stats",
         [
           Alcotest.test_case "paged pool accounting" `Quick test_paged_stats;
