@@ -138,10 +138,7 @@ let e2 () =
   rowf "  shape: both positive: %b; linguist.ag >= pascal_subset.ag: %b\n"
     (lg > 0.0 && pa > 0.0) (lg >= pa);
   register_bechamel "e2/subsumption analysis on linguist.ag" (fun () ->
-      let a = Lazy.force linguist_artifact in
-      let pr = a.Driver.passes in
-      let dead = Dead.analyze a.Driver.ir pr in
-      ignore (Subsume.analyze a.Driver.ir pr dead))
+      ignore (Subsume.analyze (Lazy.force linguist_artifact).Driver.ir))
 
 (* ============ E3: evaluator module sizes per pass ============ *)
 
@@ -636,8 +633,8 @@ let schulz_ablation () =
   let diag = Lg_support.Diag.create () in
   let tree = Option.get (Translator.tree_of_source t ~file:"<p>" ~diag program) in
   let plan = Translator.plan t in
-  let (_ : Engine.result), compiled_s = wall_time (fun () -> Engine.run plan tree) in
-  let (_ : Engine.result), interp_s =
+  let compiled, compiled_s = wall_time (fun () -> Engine.run plan tree) in
+  let interp, interp_s =
     wall_time (fun () ->
         Engine.run
           ~options:{ Engine.default_options with interpretive = true }
@@ -647,6 +644,18 @@ let schulz_ablation () =
   rowf "  interpretive (Schulz-style):     %8.2f ms (%.2fx)\n"
     (1000.0 *. interp_s)
     (interp_s /. Float.max 1e-9 compiled_s);
+  (* the ablation compares two ways to the same answer: a disagreement is
+     a bug, not a data point *)
+  let same_outputs =
+    List.equal
+      (fun (n1, v1) (n2, v2) -> String.equal n1 n2 && Lg_support.Value.equal v1 v2)
+      compiled.Engine.outputs interp.Engine.outputs
+  in
+  rowf "  check: interpretive outputs equal compiled: %b\n" same_outputs;
+  if not same_outputs then begin
+    prerr_endline "schulz: interpretive and compiled outputs differ";
+    exit 1
+  end;
   rowf
     "  The gap is negligible: record movement dominates either way, which is\n\
     \   the paper's own finding — 'apparently semantic function evaluation is\n\
@@ -666,9 +675,7 @@ let policy_ablation () =
   let measure policy src file =
     let a = Driver.process_exn ~file src in
     let ir = a.Driver.ir in
-    let pr = a.Driver.passes in
-    let dead = Dead.analyze ir pr in
-    let alloc = Subsume.analyze ~policy ir pr dead in
+    let alloc = Subsume.analyze ~policy ir in
     let r = Subsume.report ir alloc in
     (r.Subsume.chosen, r.Subsume.subsumed_copy_rules)
   in

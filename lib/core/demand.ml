@@ -102,37 +102,12 @@ let eval_all (ir : Ir.t) tree =
       | Ir.Lhs | Ir.Limb_occ -> ctx
       | Ir.Rhs i -> (Lazy.force ctx.kids).(i)
     in
-    let rec eval_scalar (e : Ir.cexpr) =
-      match e with
-      | Ir.Cconst v -> v
-      | Ir.Cref aref -> instance_value (owner_of aref) aref.Ir.attr
-      | Ir.Ccall (f, args) -> Value.apply f (List.map eval_scalar args)
-      | Ir.Cbinop (op, a, b) -> Sem_ops.binop op (eval_scalar a) (eval_scalar b)
-      | Ir.Cnot a -> Sem_ops.not_ (eval_scalar a)
-      | Ir.Cneg a -> Sem_ops.neg (eval_scalar a)
-      | Ir.Cif _ -> invalid_arg "Demand: conditional in scalar position"
-    in
-    let rec eval_multi (e : Ir.cexpr) =
-      match e with
-      | Ir.Cif (branches, else_) ->
-          let rec pick = function
-            | [] -> List.concat_map eval_multi else_
-            | (cond, values) :: rest ->
-                if Value.is_true (eval_scalar cond) then
-                  List.concat_map eval_multi values
-                else pick rest
-          in
-          pick branches
-      | e -> [ eval_scalar e ]
-    in
-    let values = eval_multi r.Ir.r_rhs in
     let values =
-      match (values, r.Ir.r_targets) with
-      | [ v ], _ :: _ :: _ -> List.map (fun _ -> v) r.Ir.r_targets
-      | vs, _ -> vs
+      Sem_ops.eval_rule
+        (fun (aref : Ir.aref) -> instance_value (owner_of aref) aref.Ir.attr)
+        r.Ir.r_rhs
+        ~n_targets:(List.length r.Ir.r_targets)
     in
-    if List.length values <> List.length r.Ir.r_targets then
-      invalid_arg "Demand: arity mismatch (checker bug)";
     List.iter2
       (fun (tgt : Ir.aref) v ->
         let owner = owner_of tgt in

@@ -65,7 +65,7 @@ let analyses ~options ir pr =
   let mode = if options.dead_opt then Dead.Optimized else Dead.Keep_all in
   let dead = Dead.analyze ~mode ir pr in
   let alloc =
-    if options.subsumption then Subsume.analyze ir pr dead
+    if options.subsumption then Subsume.analyze ir
     else Subsume.none ir
   in
   (dead, alloc)

@@ -180,8 +180,6 @@ type accounting = {
   mutable max_resident : int;
 }
 
-let truthy = Value.is_true
-
 let run ?(options = default_options) (plan : Plan.t) tree =
   let ir = plan.Plan.ir in
   if options.interpretive && plan.Plan.alloc.Subsume.n_globals > 0 then
@@ -295,60 +293,11 @@ let run ?(options = default_options) (plan : Plan.t) tree =
         | Plan.Lglobal g -> globals.(g) <- v
         | Plan.Lframe f -> frame.(f) <- v
       in
-      let rec eval_scalar (e : Plan.rexpr) =
-        match e with
-        | Plan.Rconst v -> v
-        | Plan.Rread loc -> read_loc loc
-        | Plan.Rcall (f, args) -> Value.apply f (List.map eval_scalar args)
-        | Plan.Rbinop (op, a, b) -> Sem_ops.binop op (eval_scalar a) (eval_scalar b)
-        | Plan.Rnot a -> Sem_ops.not_ (eval_scalar a)
-        | Plan.Rneg a -> Sem_ops.neg (eval_scalar a)
-        | Plan.Rif _ -> fail "conditional in scalar position"
-      in
-      let rec eval_multi (e : Plan.rexpr) =
-        match e with
-        | Plan.Rif (branches, else_) ->
-            let rec pick = function
-              | [] -> List.concat_map eval_multi else_
-              | (cond, values) :: rest ->
-                  if truthy (eval_scalar cond) then
-                    List.concat_map eval_multi values
-                  else pick rest
-            in
-            pick branches
-        | e -> [ eval_scalar e ]
-      in
       (* Schulz-style interpretation: resolve every occurrence from the IR
          at evaluation time (per-access slot search), ignoring the
          compiled expression. *)
-      let interp_rule rid =
-        let r = ir.rules.(rid) in
-        let read_aref (aref : Ir.aref) =
-          read_loc (Plan.Lnode (aref.Ir.occ, Plan.slot_in_node ir prod aref))
-        in
-        let rec iscalar (e : Ir.cexpr) =
-          match e with
-          | Ir.Cconst v -> v
-          | Ir.Cref aref -> read_aref aref
-          | Ir.Ccall (f, args) -> Value.apply f (List.map iscalar args)
-          | Ir.Cbinop (op, a, b) -> Sem_ops.binop op (iscalar a) (iscalar b)
-          | Ir.Cnot a -> Sem_ops.not_ (iscalar a)
-          | Ir.Cneg a -> Sem_ops.neg (iscalar a)
-          | Ir.Cif _ -> fail "interpretive: conditional in scalar position"
-        in
-        let rec imulti (e : Ir.cexpr) =
-          match e with
-          | Ir.Cif (branches, else_) ->
-              let rec pick = function
-                | [] -> List.concat_map imulti else_
-                | (cond, values) :: rest ->
-                    if truthy (iscalar cond) then List.concat_map imulti values
-                    else pick rest
-              in
-              pick branches
-          | e -> [ iscalar e ]
-        in
-        imulti r.Ir.r_rhs
+      let read_aref (aref : Ir.aref) =
+        read_loc (Plan.Lnode (aref.Ir.occ, Plan.slot_in_node ir prod aref))
       in
       List.iter
         (fun (action : Plan.action) ->
@@ -370,19 +319,13 @@ let run ?(options = default_options) (plan : Plan.t) tree =
               incr pass_rules;
               if trace_attrs then
                 attr_counts.(ns.ns_prod) <- attr_counts.(ns.ns_prod) + 1;
+              let n_targets = List.length targets in
               let values =
-                if options.interpretive then interp_rule rule
-                else eval_multi code
+                if options.interpretive then
+                  Sem_ops.eval_rule read_aref ir.rules.(rule).Ir.r_rhs
+                    ~n_targets
+                else Sem_ops.eval_rule read_loc code ~n_targets
               in
-              let values =
-                match (values, targets) with
-                | [ v ], _ :: _ :: _ ->
-                    List.map (fun _ -> v) targets (* broadcast *)
-                | vs, _ -> vs
-              in
-              if List.length values <> List.length targets then
-                fail "rule %d: %d values for %d targets" rule
-                  (List.length values) (List.length targets);
               List.iter2 write_loc targets values;
               if options.record_trace then trace := (rule, values) :: !trace
           | Plan.Save { global; frame = f } ->

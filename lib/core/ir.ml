@@ -24,14 +24,16 @@ type symbol = {
 type occ = Lhs | Rhs of int | Limb_occ
 type aref = { occ : occ; attr : int }
 
-type cexpr =
+type 'leaf expr =
   | Cconst of Value.t
-  | Cref of aref
-  | Ccall of string * cexpr list
-  | Cbinop of Ag_ast.binop * cexpr * cexpr
-  | Cnot of cexpr
-  | Cneg of cexpr
-  | Cif of (cexpr * cexpr list) list * cexpr list
+  | Cref of 'leaf
+  | Ccall of string * 'leaf expr list
+  | Cbinop of Ag_ast.binop * 'leaf expr * 'leaf expr
+  | Cnot of 'leaf expr
+  | Cneg of 'leaf expr
+  | Cif of ('leaf expr * 'leaf expr list) list * 'leaf expr list
+
+type cexpr = aref expr
 
 type rule = {
   r_id : int;
@@ -88,8 +90,8 @@ let slot_of_attr t attr_id =
   in
   index 0 t.symbols.(a.a_sym).s_attrs
 
-let is_copy_rule r =
-  match (r.r_targets, r.r_rhs) with [ _ ], Cref _ -> true | _ -> false
+let copy_ends r =
+  match (r.r_targets, r.r_rhs) with [ t ], Cref s -> Some (t, s) | _ -> None
 
 let rule_defines r aref = List.mem aref r.r_targets
 
@@ -114,27 +116,34 @@ let rec arity = function
         (List.hd candidates)
         (List.tl candidates)
 
+let rec map f = function
+  | Cconst v -> Cconst v
+  | Cref l -> Cref (f l)
+  | Ccall (g, args) -> Ccall (g, List.map (map f) args)
+  | Cbinop (op, a, b) -> Cbinop (op, map f a, map f b)
+  | Cnot a -> Cnot (map f a)
+  | Cneg a -> Cneg (map f a)
+  | Cif (branches, else_) ->
+      Cif
+        ( List.map (fun (c, vs) -> (map f c, List.map (map f) vs)) branches,
+          List.map (map f) else_ )
+
+let rec fold f acc = function
+  | Cconst _ -> acc
+  | Cref l -> f acc l
+  | Ccall (_, args) -> List.fold_left (fold f) acc args
+  | Cbinop (_, a, b) -> fold f (fold f acc a) b
+  | Cnot a | Cneg a -> fold f acc a
+  | Cif (branches, else_) ->
+      let acc =
+        List.fold_left
+          (fun acc (c, vs) -> List.fold_left (fold f) (fold f acc c) vs)
+          acc branches
+      in
+      List.fold_left (fold f) acc else_
+
 let free_refs e =
-  let acc = ref [] in
-  let add r = if not (List.mem r !acc) then acc := r :: !acc in
-  let rec go = function
-    | Cconst _ -> ()
-    | Cref r -> add r
-    | Ccall (_, args) -> List.iter go args
-    | Cbinop (_, a, b) ->
-        go a;
-        go b
-    | Cnot a | Cneg a -> go a
-    | Cif (branches, else_) ->
-        List.iter
-          (fun (c, vs) ->
-            go c;
-            List.iter go vs)
-          branches;
-        List.iter go else_
-  in
-  go e;
-  List.rev !acc
+  List.rev (fold (fun acc r -> if List.mem r acc then acc else r :: acc) [] e)
 
 type stats = {
   lines : int;
@@ -158,7 +167,9 @@ let stats t =
       0 t.prods
   in
   let n_copy_rules =
-    Array.fold_left (fun acc r -> if is_copy_rule r then acc + 1 else acc) 0 t.rules
+    Array.fold_left
+      (fun acc r -> if Option.is_some (copy_ends r) then acc + 1 else acc)
+      0 t.rules
   in
   let n_implicit_copy_rules =
     Array.fold_left (fun acc r -> if r.r_implicit then acc + 1 else acc) 0 t.rules
@@ -235,34 +246,30 @@ let binop_text = function
   | Ag_ast.And -> "and"
   | Ag_ast.Or -> "or"
 
-let rec pp_cexpr t p ppf = function
+let rec pp_expr pp_leaf ppf = function
   | Cconst v -> Value.pp ppf v
-  | Cref r -> pp_aref t p ppf r
+  | Cref l -> pp_leaf ppf l
   | Ccall (f, args) ->
-      Format.fprintf ppf "@[<hov 2>%s(%a)@]" f
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-           (pp_cexpr t p))
-        args
+      Format.fprintf ppf "@[<hov 2>%s(%a)@]" f (pp_exprs pp_leaf) args
   | Cbinop (op, a, b) ->
-      Format.fprintf ppf "(%a %s %a)" (pp_cexpr t p) a (binop_text op)
-        (pp_cexpr t p) b
-  | Cnot a -> Format.fprintf ppf "not %a" (pp_cexpr t p) a
-  | Cneg a -> Format.fprintf ppf "-%a" (pp_cexpr t p) a
+      Format.fprintf ppf "(%a %s %a)" (pp_expr pp_leaf) a (binop_text op)
+        (pp_expr pp_leaf) b
+  | Cnot a -> Format.fprintf ppf "not %a" (pp_expr pp_leaf) a
+  | Cneg a -> Format.fprintf ppf "-%a" (pp_expr pp_leaf) a
   | Cif (branches, else_) ->
       Format.fprintf ppf "@[<hv 0>";
       List.iteri
         (fun i (c, vs) ->
           Format.fprintf ppf "%s %a then@;<1 2>%a@ "
             (if i = 0 then "if" else "elsif")
-            (pp_cexpr t p) c (pp_cexprs t p) vs)
+            (pp_expr pp_leaf) c (pp_exprs pp_leaf) vs)
         branches;
-      Format.fprintf ppf "else@;<1 2>%a@ endif@]" (pp_cexprs t p) else_
+      Format.fprintf ppf "else@;<1 2>%a@ endif@]" (pp_exprs pp_leaf) else_
 
-and pp_cexprs t p ppf exprs =
+and pp_exprs pp_leaf ppf exprs =
   Format.pp_print_list
     ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-    (pp_cexpr t p) ppf exprs
+    (pp_expr pp_leaf) ppf exprs
 
 let pp_rule t ppf r =
   let p = t.prods.(r.r_prod) in
@@ -270,5 +277,7 @@ let pp_rule t ppf r =
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
        (pp_aref t p))
-    r.r_targets (pp_cexpr t p) r.r_rhs
+    r.r_targets
+    (pp_expr (pp_aref t p))
+    r.r_rhs
     (if r.r_implicit then "   # implicit" else "")

@@ -34,17 +34,24 @@ type occ = Lhs | Rhs of int | Limb_occ
 type aref = { occ : occ; attr : int }
 (** A reference to one attribute instance, production-relative. *)
 
-(** Compiled semantic expression: occurrences resolved, constants folded
-    to values, interpreted/uninterpreted function split deferred to
-    evaluation. *)
-type cexpr =
+(** Semantic expression over a leaf type: constants folded to values,
+    interpreted/uninterpreted function split deferred to evaluation. The
+    one expression type of the system: rules carry [aref expr]
+    ({!cexpr}), evaluation plans carry [Plan.loc expr], and
+    {!Sem_ops.eval_rule} evaluates either given a leaf reader. *)
+type 'leaf expr =
   | Cconst of Lg_support.Value.t
-  | Cref of aref
-  | Ccall of string * cexpr list
-  | Cbinop of Ag_ast.binop * cexpr * cexpr
-  | Cnot of cexpr
-  | Cneg of cexpr
-  | Cif of (cexpr * cexpr list) list * cexpr list
+  | Cref of 'leaf
+  | Ccall of string * 'leaf expr list
+  | Cbinop of Ag_ast.binop * 'leaf expr * 'leaf expr
+  | Cnot of 'leaf expr
+  | Cneg of 'leaf expr
+  | Cif of ('leaf expr * 'leaf expr list) list * 'leaf expr list
+      (** branches of (condition, values), then the else values; only at
+          the top of a right-hand side or of a branch value list *)
+
+type cexpr = aref expr
+(** A rule's right-hand side: leaves are production-relative references. *)
 
 type rule = {
   r_id : int;
@@ -88,17 +95,21 @@ val slot_of_attr : t -> int -> int
 (** Position of an attribute within its symbol's attribute list — the
     in-memory node layout used by the evaluator. *)
 
-val is_copy_rule : rule -> bool
-(** Single target whose right-hand side is a bare attribute reference. *)
+val copy_ends : rule -> (aref * aref) option
+(** [Some (target, source)] for a copy-rule: a single target whose
+    right-hand side is a bare attribute reference. *)
 
 val rule_defines : rule -> aref -> bool
 
-val arity : cexpr -> int option
+val arity : 'leaf expr -> int option
 (** Number of values an expression produces; [None] if the branch lists of
     some conditional disagree (ill-formed, rejected by {!Check}). *)
 
+val map : ('a -> 'b) -> 'a expr -> 'b expr
+(** Replace every leaf, keeping the expression's shape. *)
+
 val free_refs : cexpr -> aref list
-(** Deduplicated free attribute references. *)
+(** Deduplicated free attribute references, in first-use order. *)
 
 (** {1 Statistics — experiment E1} *)
 
@@ -120,6 +131,13 @@ val to_cfg : t -> Lg_grammar.Cfg.t
 (** The underlying context-free grammar, as handed to the LALR parse-table
     builder — the paper's "exactly the same input file to both" discipline. *)
 
+val occ_name : t -> production -> occ -> string
+(** [SYM$lhs], [SYM$i] (1-based) or the limb's name. *)
+
 val pp_aref : t -> production -> Format.formatter -> aref -> unit
-val pp_cexpr : t -> production -> Format.formatter -> cexpr -> unit
+
+val pp_expr :
+  (Format.formatter -> 'leaf -> unit) -> Format.formatter -> 'leaf expr -> unit
+(** The one expression printer, given a leaf printer. *)
+
 val pp_rule : t -> Format.formatter -> rule -> unit

@@ -106,23 +106,23 @@ let generate_pass (plan : Plan.t) ~pass =
       in
       let rec expr_text (e : Plan.rexpr) =
         match e with
-        | Plan.Rconst v -> pascal_const v
-        | Plan.Rread loc -> loc_text loc
-        | Plan.Rcall (f, args) ->
+        | Ir.Cconst v -> pascal_const v
+        | Ir.Cref loc -> loc_text loc
+        | Ir.Ccall (f, args) ->
             if args = [] then ident f
             else
               Printf.sprintf "%s(%s)" (ident f)
                 (String.concat ", " (List.map expr_text args))
-        | Plan.Rbinop (op, a, b) ->
+        | Ir.Cbinop (op, a, b) ->
             Printf.sprintf "(%s %s %s)" (expr_text a) (binop_text op) (expr_text b)
-        | Plan.Rnot a -> Printf.sprintf "NOT %s" (expr_text a)
-        | Plan.Rneg a -> Printf.sprintf "-%s" (expr_text a)
-        | Plan.Rif _ -> "{nested if}"
+        | Ir.Cnot a -> Printf.sprintf "NOT %s" (expr_text a)
+        | Ir.Cneg a -> Printf.sprintf "-%s" (expr_text a)
+        | Ir.Cif _ -> "{nested if}"
       in
       (* Emit an assignment of [code] to [targets] as statements. *)
       let rec emit_assign indent targets code =
         match (code : Plan.rexpr) with
-        | Plan.Rif (branches, else_) ->
+        | Ir.Cif (branches, else_) ->
             List.iteri
               (fun i (cond, values) ->
                 emit sink Sem "%s%s %s then begin\n" indent
@@ -151,7 +151,7 @@ let generate_pass (plan : Plan.t) ~pass =
           match values with
           | [] -> ()
           | v :: rest ->
-              let n = Option.value ~default:1 (arity_of v) in
+              let n = Option.value ~default:1 (Ir.arity v) in
               let taken, remaining =
                 let rec split k acc = function
                   | l when k = 0 -> (List.rev acc, l)
@@ -166,17 +166,6 @@ let generate_pass (plan : Plan.t) ~pass =
         if List.length values = 1 && List.length targets > 1 then
           emit_assign indent targets (List.hd values)
         else go targets values
-      and arity_of (e : Plan.rexpr) =
-        match e with
-        | Plan.Rif (branches, _) -> (
-            match branches with
-            | (_, vs) :: _ ->
-                Some
-                  (List.fold_left
-                     (fun acc v -> acc + Option.value ~default:1 (arity_of v))
-                     0 vs)
-            | [] -> Some 1)
-        | _ -> Some 1
       in
       (* Declarations. *)
       emit sink Husk "procedure %s (VAR %s : %s_PQZ_type);\n" proc_name lhs_name

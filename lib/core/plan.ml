@@ -1,15 +1,5 @@
-open Lg_support
-
 type loc = Lnode of Ir.occ * int | Lglobal of int | Lframe of int
-
-type rexpr =
-  | Rconst of Value.t
-  | Rread of loc
-  | Rcall of string * rexpr list
-  | Rbinop of Ag_ast.binop * rexpr * rexpr
-  | Rnot of rexpr
-  | Rneg of rexpr
-  | Rif of (rexpr * rexpr list) list * rexpr list
+type rexpr = loc Ir.expr
 
 type action =
   | Read_child of int
@@ -75,45 +65,23 @@ let record_attrs t ~sym ~prod ~pass =
   if prod < 0 then symbol_part
   else symbol_part @ Dead.write_set_limb t.dead ~prod ~pass
 
-let occ_text (ir : Ir.t) (prod : Ir.production) = function
-  | Ir.Lhs -> ir.symbols.(prod.p_lhs).Ir.s_name ^ "$lhs"
-  | Ir.Rhs i -> Printf.sprintf "%s$%d" ir.symbols.(prod.p_rhs.(i)).Ir.s_name (i + 1)
-  | Ir.Limb_occ -> (
-      match prod.p_limb with
-      | Some l -> ir.symbols.(l).Ir.s_name
-      | None -> "<limb>")
-
 let pp_loc ir prod ppf = function
-  | Lnode (occ, slot) -> Format.fprintf ppf "%s[%d]" (occ_text ir prod occ) slot
+  | Lnode (occ, slot) -> Format.fprintf ppf "%s[%d]" (Ir.occ_name ir prod occ) slot
   | Lglobal g -> Format.fprintf ppf "G%d" g
   | Lframe f -> Format.fprintf ppf "t%d" f
 
-let rec pp_rexpr ir prod ppf = function
-  | Rconst v -> Value.pp ppf v
-  | Rread l -> pp_loc ir prod ppf l
-  | Rcall (f, args) ->
-      Format.fprintf ppf "%s(%a)" f
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-           (pp_rexpr ir prod))
-        args
-  | Rbinop (_, a, b) ->
-      Format.fprintf ppf "(%a op %a)" (pp_rexpr ir prod) a (pp_rexpr ir prod) b
-  | Rnot a -> Format.fprintf ppf "not %a" (pp_rexpr ir prod) a
-  | Rneg a -> Format.fprintf ppf "-%a" (pp_rexpr ir prod) a
-  | Rif (branches, _) ->
-      Format.fprintf ppf "if<%d branches>" (List.length branches)
-
 let pp_action ir prod ppf = function
-  | Read_child i -> Format.fprintf ppf "read %s" (occ_text ir prod (Ir.Rhs i))
-  | Visit_child i -> Format.fprintf ppf "visit %s" (occ_text ir prod (Ir.Rhs i))
-  | Write_child i -> Format.fprintf ppf "write %s" (occ_text ir prod (Ir.Rhs i))
+  | Read_child i -> Format.fprintf ppf "read %s" (Ir.occ_name ir prod (Ir.Rhs i))
+  | Visit_child i -> Format.fprintf ppf "visit %s" (Ir.occ_name ir prod (Ir.Rhs i))
+  | Write_child i -> Format.fprintf ppf "write %s" (Ir.occ_name ir prod (Ir.Rhs i))
   | Eval { rule; targets; code } ->
       Format.fprintf ppf "eval r%d: %a := %a" rule
         (Format.pp_print_list
            ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
            (pp_loc ir prod))
-        targets (pp_rexpr ir prod) code
+        targets
+        (Ir.pp_expr (pp_loc ir prod))
+        code
   | Save { global; frame } -> Format.fprintf ppf "save t%d := G%d" frame global
   | Set_global { global; from } ->
       Format.fprintf ppf "set G%d := %a" global (pp_loc ir prod) from

@@ -18,15 +18,9 @@ type loc =
   | Lglobal of int  (** statically allocated global variable *)
   | Lframe of int  (** per-invocation temporary (the [_QZP] temps) *)
 
-(** {!Ir.cexpr} with attribute references resolved to locations. *)
-type rexpr =
-  | Rconst of Lg_support.Value.t
-  | Rread of loc
-  | Rcall of string * rexpr list
-  | Rbinop of Ag_ast.binop * rexpr * rexpr
-  | Rnot of rexpr
-  | Rneg of rexpr
-  | Rif of (rexpr * rexpr list) list * rexpr list
+type rexpr = loc Ir.expr
+(** A rule's right-hand side with attribute references resolved to
+    locations. *)
 
 type action =
   | Read_child of int  (** child index (production position, 0-based) *)
@@ -73,3 +67,5 @@ val record_attrs : t -> sym:int -> prod:int -> pass:int -> int list
     the write set of the production's limb. *)
 
 val pp_action : Ir.t -> Ir.production -> Format.formatter -> action -> unit
+(** One line per action; an [Eval]'s code prints through {!Ir.pp_expr}, so
+    it reads like the rule it came from. *)

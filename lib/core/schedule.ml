@@ -157,25 +157,12 @@ let build (ir : Ir.t) (pr : Pass_assign.result) ~dead ~(alloc : Subsume.allocati
                       prod.p_tag pass (Ir.pp_aref ir prod) aref))
             else Lnode (aref.Ir.occ, slot_in_node ir prod aref)
     in
-    let rec resolve (e : Ir.cexpr) =
-      match e with
-      | Ir.Cconst v -> Rconst v
-      | Ir.Cref a -> Rread (loc_of a)
-      | Ir.Ccall (f, args) -> Rcall (f, List.map resolve args)
-      | Ir.Cbinop (op, a, b) -> Rbinop (op, resolve a, resolve b)
-      | Ir.Cnot a -> Rnot (resolve a)
-      | Ir.Cneg a -> Rneg (resolve a)
-      | Ir.Cif (branches, else_) ->
-          Rif
-            ( List.map (fun (c, vs) -> (resolve c, List.map resolve vs)) branches,
-              List.map resolve else_ )
-    in
     let emit_rule rid =
       let r = ir.rules.(rid) in
       (* Subsumable copy handling. *)
       let as_subsumable_copy =
-        match (r.Ir.r_targets, r.Ir.r_rhs) with
-        | [ tgt ], Ir.Cref src
+        match Ir.copy_ends r with
+        | Some (tgt, src)
           when is_static tgt.Ir.attr && is_static src.Ir.attr
                && alloc.global_of.(tgt.Ir.attr) = alloc.global_of.(src.Ir.attr)
           ->
@@ -193,7 +180,7 @@ let build (ir : Ir.t) (pr : Pass_assign.result) ~dead ~(alloc : Subsume.allocati
           else begin
             (* Explicit: evaluate into a temp and bracket the visit. *)
             let ft = fresh_frame () in
-            emit (Eval { rule = rid; code = resolve (Ir.Cref src); targets = [ Lframe ft ] });
+            emit (Eval { rule = rid; code = Ir.Cref (loc_of src); targets = [ Lframe ft ] });
             Hashtbl.replace where tgt (Wloc (Lframe ft));
             match tgt.Ir.occ with
             | Ir.Rhs i -> child_setups.(i) <- (g, ft, tgt) :: child_setups.(i)
@@ -204,7 +191,7 @@ let build (ir : Ir.t) (pr : Pass_assign.result) ~dead ~(alloc : Subsume.allocati
           deferred := (rid, tgt, src, g) :: !deferred;
           Hashtbl.replace where tgt (Walias src)
       | None ->
-          let code = resolve r.Ir.r_rhs in
+          let code = Ir.map loc_of r.Ir.r_rhs in
           let targets =
             List.map
               (fun (tgt : Ir.aref) ->
@@ -343,7 +330,7 @@ let build (ir : Ir.t) (pr : Pass_assign.result) ~dead ~(alloc : Subsume.allocati
             (Eval
                {
                  rule = rid;
-                 code = Rread (loc_of src);
+                 code = Ir.Cref (loc_of src);
                  targets = [ Lglobal g ];
                });
           aliases.(g) <- [ tgt ]

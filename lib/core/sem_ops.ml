@@ -1,8 +1,10 @@
-(* Shared dynamic semantics of the infix operators, used by both the
-   alternating-pass engine and the demand-driven oracle so differential
-   tests compare evaluation order, never operator meaning. Arithmetic and
-   ordering apply to integers; anything else becomes an uninterpreted term,
-   matching the paper's treatment of unknown operations. *)
+(* The one meaning of a semantic expression: the operators and the rule
+   evaluator shared by the alternating-pass engine (compiled and
+   interpretive), the demand-driven oracle and incremental propagation, so
+   differential tests compare evaluation order and instance storage, never
+   expression meaning. Each caller supplies only a leaf reader. Arithmetic
+   and ordering apply to integers; anything else becomes an uninterpreted
+   term, matching the paper's treatment of unknown operations. *)
 
 open Lg_support
 
@@ -32,3 +34,36 @@ let not_ a = Value.Bool (not (truthy a))
 let neg = function
   | Value.Int n -> Value.Int (-n)
   | v -> Value.Term ("-", [ v ])
+
+let rec eval_scalar read = function
+  | Ir.Cconst v -> v
+  | Ir.Cref l -> read l
+  | Ir.Ccall (f, args) -> Value.apply f (List.map (eval_scalar read) args)
+  | Ir.Cbinop (op, a, b) -> binop op (eval_scalar read a) (eval_scalar read b)
+  | Ir.Cnot a -> not_ (eval_scalar read a)
+  | Ir.Cneg a -> neg (eval_scalar read a)
+  | Ir.Cif _ -> invalid_arg "Sem_ops: conditional in scalar position"
+
+let rec eval_multi read = function
+  | Ir.Cif (branches, else_) ->
+      let rec pick = function
+        | [] -> List.concat_map (eval_multi read) else_
+        | (cond, values) :: rest ->
+            if truthy (eval_scalar read cond) then
+              List.concat_map (eval_multi read) values
+            else pick rest
+      in
+      pick branches
+  | e -> [ eval_scalar read e ]
+
+(* The values a rule assigns to its [n_targets] targets, in target order:
+   a single value is broadcast to every target. *)
+let eval_rule read e ~n_targets =
+  match eval_multi read e with
+  | [ v ] when n_targets > 1 -> List.init n_targets (fun _ -> v)
+  | vs ->
+      if List.length vs <> n_targets then
+        invalid_arg
+          (Printf.sprintf "Sem_ops: %d values for %d targets (checker bug)"
+             (List.length vs) n_targets);
+      vs

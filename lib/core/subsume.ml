@@ -28,17 +28,7 @@ let none (ir : Ir.t) =
     group_is_syn = [||];
   }
 
-(* A copy-rule t = s is subsumable when both ends are static members of the
-   same (name, class) group. *)
-let copy_ends (r : Ir.rule) =
-  match (r.Ir.r_targets, r.Ir.r_rhs) with
-  | [ t ], Ir.Cref s -> Some (t.Ir.attr, s.Ir.attr)
-  | _ -> None
-
-let analyze ?(costs = default_costs) ?(policy = Per_group) (ir : Ir.t)
-    (pr : Pass_assign.result) (dead : Dead.t) =
-  ignore pr;
-  ignore dead;
+let analyze ?(costs = default_costs) ?(policy = Per_group) (ir : Ir.t) =
   let nattrs = Array.length ir.attrs in
   (* Candidates: every attribute with a (name, class) group. A statically
      allocated attribute that is also significant keeps its record slot;
@@ -64,9 +54,12 @@ let analyze ?(costs = default_costs) ?(policy = Per_group) (ir : Ir.t)
         (fun t -> defs_of.(t.Ir.attr) <- r.Ir.r_id :: defs_of.(t.Ir.attr))
         r.Ir.r_targets)
     ir.rules;
+  (* A copy-rule t = s is subsumable when both ends are static members of
+     the same (name, class) group. *)
   let subsumable r =
-    match copy_ends ir.rules.(r) with
-    | Some (t, s) -> static.(t) && static.(s) && same_group t s
+    match Ir.copy_ends ir.rules.(r) with
+    | Some ({ attr = t; _ }, { attr = s; _ }) ->
+        static.(t) && static.(s) && same_group t s
     | None -> false
   in
   (match policy with
@@ -146,8 +139,8 @@ let analyze ?(costs = default_costs) ?(policy = Per_group) (ir : Ir.t)
   }
 
 let is_subsumable_copy _ir alloc (r : Ir.rule) =
-  match copy_ends r with
-  | Some (t, s) ->
+  match Ir.copy_ends r with
+  | Some ({ attr = t; _ }, { attr = s; _ }) ->
       alloc.static.(t) && alloc.static.(s)
       && alloc.global_of.(t) = alloc.global_of.(s)
       && alloc.global_of.(t) >= 0

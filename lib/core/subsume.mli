@@ -45,8 +45,7 @@ val default_costs : costs
     code, mirroring the paper's "percentage ... based on the relative
     costs". *)
 
-val analyze :
-  ?costs:costs -> ?policy:policy -> Ir.t -> Pass_assign.result -> Dead.t -> allocation
+val analyze : ?costs:costs -> ?policy:policy -> Ir.t -> allocation
 
 val none : Ir.t -> allocation
 (** The empty allocation (subsumption disabled). *)

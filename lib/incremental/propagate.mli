@@ -5,9 +5,11 @@
 
     {ol
     {- {b Demand} — every fresh production instance (a {!Tree_diff}
-       seed) fires all of its semantic rules; a rule input that is not
-       yet in the versioned store is computed recursively, exactly as
-       {!Linguist.Demand} does, while an input cached by a previous
+       seed) fires all of its semantic rules through
+       [Linguist.Sem_ops.eval_rule], the evaluator every engine mode and
+       {!Linguist.Demand} share; a rule input that is not yet in the
+       versioned store is computed recursively, as {!Linguist.Demand}
+       does, while an input cached by a previous
        update is trusted and returned in O(1) — the cutoff that makes the
        pass O(edit).}
     {- {b Change propagation} — when a firing overwrites a cached value

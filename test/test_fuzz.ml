@@ -4,7 +4,8 @@
 
    Every optimization combo is crossed with every registered APT store
    backend, so a store that corrupts the intermediate files shows up as a
-   differential failure, not just a store-level test failure. On a mismatch
+   differential failure, not just a store-level test failure. Combos
+   without static subsumption also run the interpretive engine mode. On a mismatch
    the campaign greedily drops productions from the generated source while
    the failure persists and reports the minimized reproducer. *)
 open Linguist
@@ -35,12 +36,26 @@ let verdict_of_ir ~seed ~rng ~source ir =
             (fun (combo, options) ->
               let plan = Driver.plan_of_ir ~options ir in
               let oracle = Demand.evaluate plan.Plan.ir tree in
+              (* every store, plus the Schulz-style interpretive mode on
+                 the plans it accepts (no static subsumption) *)
+              let modes =
+                List.map
+                  (fun (store, backend) ->
+                    (store, { Engine.default_options with backend }))
+                  store_backends
+                @
+                if options.Driver.subsumption then []
+                else
+                  [
+                    ( "interpretive",
+                      { Engine.default_options with interpretive = true } );
+                  ]
+              in
               List.filter_map
-                (fun (store, backend) ->
+                (fun (mode, engine_options) ->
                   let engine =
                     Engine.run
-                      ~options:
-                        { Engine.default_options with record_trace = true; backend }
+                      ~options:{ engine_options with record_trace = true }
                       plan tree
                   in
                   let outputs_equal =
@@ -53,8 +68,8 @@ let verdict_of_ir ~seed ~rng ~source ir =
                     && Fixtures.traces_agree plan engine.Engine.trace
                          oracle.Demand.applications
                   then None
-                  else Some (combo ^ "/" ^ store))
-                store_backends)
+                  else Some (combo ^ "/" ^ mode))
+                modes)
             Fixtures.all_option_combos
         in
         match failures with

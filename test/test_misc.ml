@@ -118,7 +118,7 @@ let test_per_attribute_policy_differential () =
   let pr = Linguist.Pass_assign.compute_exn ir in
   let dead = Linguist.Dead.analyze ir pr in
   let alloc =
-    Linguist.Subsume.analyze ~policy:Linguist.Subsume.Per_attribute ir pr dead
+    Linguist.Subsume.analyze ~policy:Linguist.Subsume.Per_attribute ir
   in
   let plan = Linguist.Schedule.build ir pr ~dead ~alloc in
   let st = Random.State.make [| 77 |] in
@@ -134,14 +134,8 @@ let test_per_attribute_policy_differential () =
 
 let test_policies_pick_nested_sets () =
   let ir = Fixtures.ir_of_source Lg_languages.Linguist_ag.ag_source in
-  let pr = Linguist.Pass_assign.compute_exn ir in
-  let dead = Linguist.Dead.analyze ir pr in
-  let local =
-    Linguist.Subsume.analyze ~policy:Linguist.Subsume.Per_attribute ir pr dead
-  in
-  let global =
-    Linguist.Subsume.analyze ~policy:Linguist.Subsume.Per_group ir pr dead
-  in
+  let local = Linguist.Subsume.analyze ~policy:Linguist.Subsume.Per_attribute ir in
+  let global = Linguist.Subsume.analyze ~policy:Linguist.Subsume.Per_group ir in
   let count a =
     Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 a.Linguist.Subsume.static
   in
@@ -173,6 +167,28 @@ let test_pretty_printers () =
               action)
         > 0))
     pp0.Linguist.Plan.pp_actions;
+  (* an Eval prints its rule's expression, operators included:
+     tree0.SUM = tree1.SUM + tree2.SUM *)
+  let fork = ir.Linguist.Ir.prods.(1) in
+  let sum =
+    Option.get
+      (Linguist.Ir.find_attr ir ~sym:fork.Linguist.Ir.p_lhs ~name:"SUM")
+  in
+  let sum_evals =
+    Array.to_list plan.Linguist.Plan.pass_plans
+    |> List.concat_map (fun (pl : Linguist.Plan.pass_plan) ->
+           pl.Linguist.Plan.pl_prods.(1).Linguist.Plan.pp_actions)
+    |> List.filter_map (function
+         | Linguist.Plan.Eval { rule; _ } as action
+           when ir.Linguist.Ir.rules.(rule).Linguist.Ir.r_targets
+                = [ { Linguist.Ir.occ = Linguist.Ir.Lhs; attr = sum.Linguist.Ir.a_id } ]
+           ->
+             Some (Format.asprintf "%a" (Linguist.Plan.pp_action ir fork) action)
+         | _ -> None)
+  in
+  Alcotest.(check (list string)) "Plan.pp_action prints +"
+    [ "eval r4: tree$lhs[0] := (tree$1[0] + tree$2[0])" ]
+    sum_evals;
   Alcotest.(check bool) "Circularity.pp_verdict" true
     (String.length
        (Format.asprintf "%a"

@@ -7,9 +7,7 @@ open Lg_support
 
 let alloc_of src =
   let ir = Fixtures.ir_of_source src in
-  let pr = Pass_assign.compute_exn ir in
-  let dead = Dead.analyze ir pr in
-  (ir, pr, Subsume.analyze ir pr dead)
+  (ir, Pass_assign.compute_exn ir, Subsume.analyze ir)
 
 let attr_id ir sym attr =
   let sym_id =
