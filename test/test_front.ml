@@ -432,6 +432,66 @@ let test_to_cfg_parses_inputs () =
   Alcotest.(check bool) ". alone rejected" false
     (Lg_lalr.Driver.accepts tables [ term "POINT" ])
 
+(* ----- diagnostics parity: scan and syntax errors, mixed ----- *)
+
+let rendered diag =
+  List.map
+    (fun (d : Lg_support.Diag.t) ->
+      Format.asprintf "%a-%a %s" Lg_support.Loc.pp d.span Lg_support.Loc.pp_pos
+        d.span.end_p d.message)
+    (Lg_support.Diag.to_list diag)
+
+(* One illegal character before the first syntax error and one after it:
+   every scan error and every recovered syntax error is reported, in
+   source order. *)
+let test_parity_ag_source () =
+  let src =
+    "grammar X;\n\
+     root a;\n\
+     terminals b @ ; end\n\
+     nonterminals a has syn P : t; ; end\n\
+     productions\n\
+    \  a ::= -> ;\n\
+    \  a ::= b ! b -> L : a.P = (1 + ;\n\
+     end\n"
+  in
+  match Driver.process ~file:"<t>" src with
+  | Ok _ -> Alcotest.fail "must fail"
+  | Error diag ->
+      Alcotest.(check (list string))
+        "every scan and syntax error, in source order"
+        [
+          "<t>:3.13-3.14 illegal character '@'";
+          "<t>:4.31-4.32 syntax error: found SEMI, expected one of: IDENT, END";
+          "<t>:6.12-6.13 syntax error: found SEMI, expected one of: IDENT";
+          "<t>:7.11-7.12 illegal character '!'";
+          "<t>:7.33-7.34 syntax error: found SEMI, expected one of: NUMBER, \
+           STRING, IDENT, MINUS, LPAREN, NOT, TRUE, FALSE";
+          "<t>:7.33-7.34 syntax error: found SEMI, expected one of: RPAREN";
+        ]
+        (rendered diag)
+
+let desk_calc_diagnostics src =
+  let t = Lg_languages.Desk_calc.translator () in
+  match Translator.translate t ~file:"<input>" src with
+  | Ok _ -> Alcotest.fail "must fail"
+  | Error diag -> rendered diag
+
+(* A scan error suppresses syntax errors: the translator reports only
+   the illegal character. *)
+let test_parity_desk_calc_scan_error () =
+  Alcotest.(check (list string))
+    "illegal character only"
+    [ "<input>:1.13-1.14 illegal character '@'" ]
+    (desk_calc_diagnostics "x := ; y := @ 1; z := ;")
+
+(* With no scan error, the first syntax error is reported, alone. *)
+let test_parity_desk_calc_syntax_error () =
+  Alcotest.(check (list string))
+    "first syntax error"
+    [ "<input>:1.6-1.7 syntax error; expected one of: ID, NUM, LPAR" ]
+    (desk_calc_diagnostics "x := ; y := 1 1; z := ;")
+
 let () =
   Alcotest.run "front"
     [
@@ -448,6 +508,15 @@ let () =
             test_multiple_syntax_errors_reported;
           Alcotest.test_case "figure 5 multi-target" `Quick
             test_figure5_multi_target;
+        ] );
+      ( "diagnostics parity",
+        [
+          Alcotest.test_case "AG source, scan and syntax errors" `Quick
+            test_parity_ag_source;
+          Alcotest.test_case "desk_calc, scan error only" `Quick
+            test_parity_desk_calc_scan_error;
+          Alcotest.test_case "desk_calc, first syntax error" `Quick
+            test_parity_desk_calc_syntax_error;
         ] );
       ( "check",
         [
