@@ -12,7 +12,8 @@
      e5  throughput vs a conventional compiler      (paper §V)
      e6  subsumption's (non-)effect on runtime      (paper §III)
      f1  alternating file order                     (paper §II diagram)
-     f2  memory residency: APT on disk, spine in RAM (paper §I/II)
+     f2  memory residency: APT on disk, spine in RAM (paper §I/II);
+         tokens, AST words and allocation of a streamed AG parse
      abl ablations beyond the paper (dead-attribute files, backends)
 *)
 open Linguist
@@ -383,7 +384,35 @@ let f2 () =
         (float_of_int apt /. float_of_int (max 1 resident)))
     [ 25; 50; 100; 200; 400 ];
   rowf "  paper: a >42KB APT evaluated in 48KB of dynamic memory\n";
-  rowf "  shape: APT bytes grow with input; resident spine grows with depth only\n"
+  rowf "  shape: APT bytes grow with input; resident spine grows with depth only\n";
+  (* The front end streams tokens from the scanner into the LR driver, so
+     parsing an AG source holds its AST and no token list. Minor words are
+     exact run to run on one domain. *)
+  let xl =
+    Lg_corpus.Corpus_gen.generate ~name:"xl"
+      (Lg_corpus.Corpus_gen.config_of_profile Lg_corpus.Corpus_gen.Xl)
+      ~seed:1
+  in
+  ignore (Lg_support.Once.force Ag_grammar.tables);
+  rowf "\n  %-20s %10s %12s %18s\n" "AG source" "tokens" "AST words"
+    "parse minor words";
+  List.iter
+    (fun (name, source) ->
+      let tokens =
+        Seq.length
+          (Ag_lexer.tokens ~file:name ~diag:(Lg_support.Diag.create ()) source)
+      in
+      let diag = Lg_support.Diag.create () in
+      let before = Gc.minor_words () in
+      let spec = Ag_parse.parse ~file:name ~diag source in
+      let words = Gc.minor_words () -. before in
+      rowf "  %-20s %10d %12d %18.0f\n" name tokens
+        (Obj.reachable_words (Obj.repr spec))
+        words)
+    [
+      ("linguist.ag", Linguist_ag.ag_source);
+      ("xl corpus (seed 1)", xl.Lg_corpus.Corpus_gen.g_source);
+    ]
 
 (* ============ ablations beyond the paper ============ *)
 

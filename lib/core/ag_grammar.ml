@@ -113,16 +113,26 @@ let cfg =
       Lg_grammar.Cfg.make ~terminals:Ag_lexer.token_kinds ~nonterminals
         ~start:"spec" productions)
 
+type tables = {
+  lalr : Lg_lalr.Tables.t;
+  terminal_of_kind : (string, int) Hashtbl.t;
+}
+
 let tables =
   Lg_support.Once.make (fun () ->
-      let t = Lg_lalr.Tables.build (Lg_support.Once.force cfg) in
-     (match Lg_lalr.Tables.unresolved_conflicts t with
-     | [] -> ()
-     | c :: _ ->
-         failwith
-           (Format.asprintf "Ag_grammar: the AG language grammar has a %a"
-              (Lg_lalr.Tables.pp_conflict t) c));
-     t)
+      let g = Lg_support.Once.force cfg in
+      let lalr = Lg_lalr.Tables.build g in
+      (match Lg_lalr.Tables.unresolved_conflicts lalr with
+      | [] -> ()
+      | c :: _ ->
+          failwith
+            (Format.asprintf "Ag_grammar: the AG language grammar has a %a"
+               (Lg_lalr.Tables.pp_conflict lalr) c));
+      let terminal_of_kind = Hashtbl.create 64 in
+      Array.iteri
+        (fun i kind -> Hashtbl.replace terminal_of_kind kind i)
+        g.Lg_grammar.Cfg.terminals;
+      { lalr; terminal_of_kind })
 
 let production_tag i =
   let g = Lg_support.Once.force cfg in

@@ -7,7 +7,14 @@
     driver). The grammar is conflict-free LALR(1); {!tables} asserts so. *)
 
 val cfg : Lg_grammar.Cfg.t Lg_support.Once.t
-val tables : Lg_lalr.Tables.t Lg_support.Once.t
+type tables = {
+  lalr : Lg_lalr.Tables.t;
+  terminal_of_kind : (string, int) Hashtbl.t;
+      (** token kind -> terminal index, built with [lalr] so the parser
+          classifies each token with one lookup *)
+}
+
+val tables : tables Lg_support.Once.t
 
 val production_tag : int -> string
 (** Tag of a production index — the key {!Ag_parse} dispatches on. *)

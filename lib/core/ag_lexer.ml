@@ -54,8 +54,8 @@ let spec =
 
 let tables = Lg_support.Once.make (fun () -> Lg_scanner.Tables.compile spec)
 
-let scan ~file ~diag input =
-  Lg_scanner.Engine.scan (Lg_support.Once.force tables) ~file ~diag input
+let tokens ~file ~diag input =
+  Lg_scanner.Engine.tokens (Lg_support.Once.force tables) ~file ~diag input
 
 let token_kinds =
   [

@@ -18,11 +18,13 @@ val tables : Lg_scanner.Tables.t Lg_support.Once.t
 val keywords : (string * string) list
 (** lexeme/token-kind pairs for the reserved words. *)
 
-val scan :
+val tokens :
   file:string ->
   diag:Lg_support.Diag.collector ->
   string ->
-  Lg_scanner.Engine.token list
+  Lg_scanner.Engine.token Seq.t
+(** {!Lg_scanner.Engine.tokens} over {!tables}: lazy, and reporting to
+    [diag] as it is forced, so force it once. *)
 
 val token_kinds : string list
 (** Every token kind the scanner can produce — the terminal alphabet of

@@ -116,4 +116,8 @@ val tree_of_source :
   diag:Lg_support.Diag.collector ->
   string ->
   Lg_apt.Tree.t option
-(** Scanner + parser only: the APT with intrinsic attributes set. *)
+(** Scanner + parser only: the APT with intrinsic attributes set. Tokens
+    stream from the scanner into the parser, so no token list is built.
+    [None] when [diag] holds any error afterwards: every scan error and
+    token-kind error is reported, and then no syntax error is; otherwise
+    the first syntax error is reported. *)

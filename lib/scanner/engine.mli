@@ -9,14 +9,25 @@ type token = { kind : string; lexeme : string; span : Lg_support.Loc.span }
 
 val pp_token : Format.formatter -> token -> unit
 
+val tokens :
+  Tables.t ->
+  file:string ->
+  diag:Lg_support.Diag.collector ->
+  string ->
+  token Seq.t
+(** Scan a whole input lazily: each token is matched when the sequence is
+    forced that far. [Skip] rules produce no tokens. Never raises on bad
+    input; errors go to [diag] as the bytes they cover are reached. Those
+    diagnostics are side effects of forcing, so consume the sequence once:
+    forcing it again scans again and reports every error twice. *)
+
 val scan :
   Tables.t ->
   file:string ->
   diag:Lg_support.Diag.collector ->
   string ->
   token list
-(** Scan a whole input. [Skip] rules produce no tokens. Never raises on bad
-    input; errors go to [diag]. *)
+(** [tokens], forced to the end into a list. *)
 
 val line_count : string -> int
 (** Number of source lines, counting a trailing fragment as a line — the
