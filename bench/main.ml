@@ -14,6 +14,8 @@
      f1  alternating file order                     (paper §II diagram)
      f2  memory residency: APT on disk, spine in RAM (paper §I/II);
          tokens, AST words and allocation of a streamed AG parse
+     residency  incremental-state words and translation allocation of
+         the Pascal translator's sequence-building rules (exact counts)
      abl ablations beyond the paper (dead-attribute files, backends)
 *)
 open Linguist
@@ -413,6 +415,47 @@ let f2 () =
       ("linguist.ag", Linguist_ag.ag_source);
       ("xl corpus (seed 1)", xl.Lg_corpus.Corpus_gen.g_source);
     ]
+
+(* ============ residency of sequence-building translations ============ *)
+
+(* The Pascal translator builds its code list left-recursively with
+   Append. These counts are exact run to run on one domain, so they
+   compare commits without noise: the words an incremental state keeps
+   for a fresh document, and the words one translation allocates and
+   promotes. *)
+let residency () =
+  section "Residency: incremental state and translation allocation (exact)";
+  let t = Pascal_ag.translator () in
+  let plan = Translator.plan t in
+  rowf "  %-20s %12s %14s %10s\n" "Pascal statements" "APT nodes"
+    "Incr words" "MB";
+  List.iter
+    (fun n ->
+      let diag = Lg_support.Diag.create () in
+      let tree =
+        Option.get
+          (Translator.tree_of_source t ~file:"<residency>" ~diag
+             (Workloads.synthetic_pascal n))
+      in
+      let _, state =
+        Lg_incremental.Incr.update Lg_incremental.Incr.default_config ~plan
+          ~engine_options:Engine.default_options ~tree
+      in
+      let words = Obj.reachable_words (Obj.repr (Option.get state)) in
+      rowf "  %-20d %12d %14d %10.2f\n" n (Lg_apt.Tree.size tree) words
+        (float_of_int (words * (Sys.word_size / 8)) /. 1048576.0))
+    [ 100; 300; 600 ];
+  let source = Workloads.synthetic_pascal 800 in
+  (* warm-up, then start from an empty minor heap *)
+  ignore (Translator.translate_exn t ~file:"<residency>" source);
+  Gc.minor ();
+  let minor0 = Gc.minor_words ()
+  and promoted0 = (Gc.quick_stat ()).Gc.promoted_words in
+  ignore (Translator.translate_exn t ~file:"<residency>" source);
+  let minor = Gc.minor_words () -. minor0
+  and promoted = (Gc.quick_stat ()).Gc.promoted_words -. promoted0 in
+  rowf "\n  %-20s %14s %16s\n" "translate" "minor words" "promoted words";
+  rowf "  %-20s %14.0f %16.0f\n" "pascal, 800 stmts" minor promoted
 
 (* ============ ablations beyond the paper ============ *)
 
@@ -1665,7 +1708,8 @@ let fabric_bench () =
 let all =
   [
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
-    ("f1", f1); ("f2", f2); ("abl", ablations); ("policy", policy_ablation);
+    ("f1", f1); ("f2", f2); ("residency", residency); ("abl", ablations);
+    ("policy", policy_ablation);
     ("schulz", schulz_ablation); ("stores", store_bench);
     ("faults", faults_bench); ("batch", batch_bench);
     ("incremental", incremental_bench); ("corpus", corpus_bench);

@@ -146,7 +146,7 @@ let evaluate (ir : Ir.t) tree =
     List.filter_map
       (fun (a : Ir.attr) ->
         if a.a_kind = Ir.Synthesized then
-          Some (a.a_name, instance_value root_ctx a.a_id)
+          Some (a.a_name, Value.normalize (instance_value root_ctx a.a_id))
         else None)
       (Ir.attrs_of_sym ir ir.root)
   in
@@ -165,4 +165,4 @@ let instance (ir : Ir.t) tree ~path ~attr =
   in
   match Ir.find_attr ir ~sym ~name:attr with
   | None -> invalid_arg "Demand.instance: no such attribute"
-  | Some a -> instance_value target a.Ir.a_id
+  | Some a -> Value.normalize (instance_value target a.Ir.a_id)

@@ -69,7 +69,10 @@ let outputs_of (ir : Ir.t) versions parents tree =
   List.filter_map
     (fun (a : Ir.attr) ->
       if a.Ir.a_kind = Ir.Synthesized then
-        Some (a.Ir.a_name, Propagate.demand ~ir ~versions ~parents tree a.Ir.a_id)
+        Some
+          ( a.Ir.a_name,
+            Value.normalize
+              (Propagate.demand ~ir ~versions ~parents tree a.Ir.a_id) )
       else None)
     (Ir.attrs_of_sym ir ir.Ir.root)
 

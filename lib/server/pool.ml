@@ -8,11 +8,11 @@
    Supervision model: each of the [n_workers] slots is owned by exactly
    one live domain, identified by the slot's epoch. A worker that dies
    under a job (an exception escaping the job harness: Crash,
-   Out_of_memory) spawns its own successor into its slot before
-   exiting; the watchdog abandons a worker stuck past its job's
-   deadline by bumping the slot epoch and spawning a replacement — the
-   abandoned domain notices the epoch change when its job finally
-   returns and exits quietly. Replaced domains are parked on a zombie
+   Out_of_memory) spawns its own successor into its slot before the
+   job's failure is published; the watchdog abandons a worker stuck
+   past its job's deadline by bumping the slot epoch and spawning a
+   replacement — the abandoned domain notices the epoch change when
+   its job finally returns and exits quietly. Replaced domains are parked on a zombie
    list and joined by [drain]. *)
 
 type reject = { rj_depth : int; rj_capacity : int }
@@ -56,7 +56,9 @@ type slot = {
 
 type packaged = {
   p_inflight : inflight;
-  p_run : unit -> unit;  (* fills the cell; raises only to kill the worker *)
+  p_run : retire:(unit -> unit) -> unit;
+      (* fills the cell; raises only to kill the worker, and calls
+         [retire] first, before it publishes that failure *)
 }
 
 type t = {
@@ -172,7 +174,14 @@ and worker_loop t slot epoch =
       else begin
         slot.s_inflight <- Some p.p_inflight;
         Mutex.unlock t.lock;
-        let death = (try p.p_run (); None with e -> Some e) in
+        (* a job about to kill this worker hands the slot to a successor
+           first, so an awaiter of its failure also sees the restart *)
+        let retire () =
+          locked t (fun () ->
+              if slot.s_epoch = epoch && not (t.closing && queues_empty t) then
+                replace_worker t slot)
+        in
+        let death = (try p.p_run ~retire; None with e -> Some e) in
         Mutex.lock t.lock;
         let abandoned = slot.s_epoch <> epoch in
         if not abandoned then slot.s_inflight <- None;
@@ -181,8 +190,9 @@ and worker_loop t slot epoch =
             Mutex.unlock t.lock;
             worker_loop t slot epoch
         | _, true ->
-            (* the watchdog already replaced us; our result (if any) lost
-               the fill race, so just let this domain end *)
+            (* the watchdog or [retire] already replaced us; after the
+               watchdog, our result (if any) lost the fill race. Either
+               way, just let this domain end *)
             Mutex.unlock t.lock
         | Some _, false ->
             (* the worker domain is dying: spawn our own successor unless
@@ -261,7 +271,7 @@ let submit ?(label = "") ?(lane = Interactive) ?deadline t f =
       if_fail = (fun e -> fill cell (Error e));
     }
   in
-  let run () =
+  let run ~retire =
     (* the SLO split: queue wait ends when a worker picks the job up,
        service is everything from there to completion — both on the
        latency ladder, where job_seconds (their sum) keeps its coarse
@@ -309,9 +319,11 @@ let submit ?(label = "") ?(lane = Interactive) ?deadline t f =
     | `Ok v -> ignore (fill cell (Ok v))
     | `Err e -> ignore (fill cell (Error e))
     | `Died e ->
-        (* count before publishing the result: an awaiter reading the
-           registry right after [await] must see the crash *)
+        (* count and replace before publishing the result: an awaiter
+           reading the registry right after [await] must see the crash
+           and the restart *)
         Lg_support.Metrics.incr t.metrics "server.worker_crashes";
+        retire ();
         ignore (fill cell (Error e));
         raise (Crash "worker lost")
   in

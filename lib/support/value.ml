@@ -5,47 +5,138 @@ type t =
   | Str of string
   | Name of Interner.name
   | List of t list
+  | Cat of t * t * int
   | Set of t list
   | Pf of (t * t) list
   | Term of string * t list
 
-(* Structural order; constructors compare by declaration order. Set and Pf
-   are canonical, so this is also a semantic order. *)
-let rec compare a b =
-  match (a, b) with
-  | Bottom, Bottom -> 0
-  | Bottom, _ -> -1
-  | _, Bottom -> 1
-  | Int x, Int y -> Stdlib.compare x y
-  | Int _, _ -> -1
-  | _, Int _ -> 1
-  | Bool x, Bool y -> Stdlib.compare x y
-  | Bool _, _ -> -1
-  | _, Bool _ -> 1
-  | Str x, Str y -> String.compare x y
-  | Str _, _ -> -1
-  | _, Str _ -> 1
-  | Name x, Name y -> Stdlib.compare x y
-  | Name _, _ -> -1
-  | _, Name _ -> 1
-  | List x, List y -> compare_list x y
-  | List _, _ -> -1
-  | _, List _ -> 1
-  | Set x, Set y -> compare_list x y
-  | Set _, _ -> -1
-  | _, Set _ -> 1
-  | Pf x, Pf y -> compare_pairs x y
-  | Pf _, _ -> -1
-  | _, Pf _ -> 1
-  | Term (f, x), Term (g, y) -> (
-      match String.compare f g with 0 -> compare_list x y | n -> n)
+(* Sequences -------------------------------------------------------------- *)
 
-and compare_list x y =
-  match (x, y) with
-  | [], [] -> 0
-  | [], _ :: _ -> -1
-  | _ :: _, [] -> 1
-  | a :: x, b :: y -> ( match compare a b with 0 -> compare_list x y | n -> n)
+(* A sequence is a [List] or a rope of [Cat] nodes over non-empty
+   sequences. Left-recursive rules such as [S0.CODE = Append(S1.CODE, ...)]
+   build left-deep ropes as long as the list, so every traversal keeps its
+   pending nodes in an explicit stack instead of recursing. As elsewhere in
+   the package, [Bottom] reads as the empty sequence and any other value as
+   a sequence of one. *)
+
+let seq_length = function
+  | List items -> List.length items
+  | Cat (_, _, n) -> n
+  | Bottom -> 0
+  | _ -> 1
+
+(* The items in order; a rope's last chunk is shared, not copied. *)
+let items_of v =
+  let rec go acc stack = function
+    | Cat (l, r, _) -> go acc (l :: stack) r
+    | List items -> next (match acc with [] -> items | _ -> items @ acc) stack
+    | Bottom -> next acc stack
+    | v -> next (v :: acc) stack
+  and next acc = function [] -> acc | v :: stack -> go acc stack v in
+  go [] [] v
+
+let iter_items f v =
+  let rec go stack = function
+    | Cat (l, r, _) -> go (r :: stack) l
+    | v ->
+        List.iter f (items_of v);
+        next stack
+  and next = function [] -> () | v :: stack -> go stack v in
+  go [] v
+
+let as_seq = function
+  | (List _ | Cat _) as v -> v
+  | Bottom -> List []
+  | v -> List [ v ]
+
+(* [a] then [b] in O(1) beyond counting a flat operand, sharing both. *)
+let append a b =
+  let a = as_seq a and b = as_seq b in
+  match (seq_length a, seq_length b) with
+  | 0, _ -> b
+  | _, 0 -> a
+  | la, lb -> Cat (a, b, la + lb)
+
+let cons x l =
+  match as_seq l with
+  | List items -> List (x :: items)
+  | l -> Cat (List [ x ], l, seq_length l + 1)
+
+(* A rope as the flat list it stands for; any other value as itself. *)
+let flat = function Cat _ as v -> List (items_of v) | v -> v
+
+(* One traversal step: a rope node's items, and the stack with its
+   operands pushed in order. *)
+let step node stack =
+  match node with
+  | Cat (l, r, _) -> ([], l :: r :: stack)
+  | v -> (items_of v, stack)
+
+(* Structural order; constructors compare by declaration order, except that
+   a [Cat] compares as the [List] of its items. Set and Pf are canonical, so
+   this is also a semantic order. *)
+let rec compare a b =
+  if a == b then 0
+  else
+    match (a, b) with
+    | Bottom, Bottom -> 0
+    | Bottom, _ -> -1
+    | _, Bottom -> 1
+    | Int x, Int y -> Stdlib.compare x y
+    | Int _, _ -> -1
+    | _, Int _ -> 1
+    | Bool x, Bool y -> Stdlib.compare x y
+    | Bool _, _ -> -1
+    | _, Bool _ -> 1
+    | Str x, Str y -> String.compare x y
+    | Str _, _ -> -1
+    | _, Str _ -> 1
+    | Name x, Name y -> Stdlib.compare x y
+    | Name _, _ -> -1
+    | _, Name _ -> 1
+    | (List _ | Cat _), (List _ | Cat _) -> compare_seq [] [ a ] [] [ b ]
+    | (List _ | Cat _), _ -> -1
+    | _, (List _ | Cat _) -> 1
+    | Set x, Set y -> compare_list x y
+    | Set _, _ -> -1
+    | _, Set _ -> 1
+    | Pf x, Pf y -> compare_pairs x y
+    | Pf _, _ -> -1
+    | _, Pf _ -> 1
+    | Term (f, x), Term (g, y) -> (
+        match String.compare f g with 0 -> compare_list x y | n -> n)
+
+and compare_list x y = compare_seq x [] y []
+
+(* Two sequences in lockstep, each as its current chunk of items and a stack
+   of rope nodes still to visit. When both chunks run out with the same
+   node on top of both stacks, that shared node is skipped unvisited. *)
+and compare_seq xs sa ys sb =
+  match (xs, ys) with
+  | x :: xs, y :: ys -> (
+      match compare x y with 0 -> compare_seq xs sa ys sb | n -> n)
+  | [], [] -> (
+      match (sa, sb) with
+      | [], [] -> 0
+      | a :: sa, b :: sb when a == b -> compare_seq [] sa [] sb
+      | a :: sa, _ ->
+          let xs, sa = step a sa in
+          compare_seq xs sa [] sb
+      | [], b :: sb ->
+          let ys, sb = step b sb in
+          compare_seq [] [] ys sb)
+  | [], _ :: _ -> (
+      match sa with
+      | [] -> -1
+      | a :: sa ->
+          let xs, sa = step a sa in
+          compare_seq xs sa ys sb)
+  | _ :: _, [] -> (
+      match sb with
+      | [] -> 1
+      | b :: sb ->
+          let ys, sb = step b sb in
+          compare_seq xs sa ys sb)
 
 and compare_pairs x y =
   match (x, y) with
@@ -70,6 +161,7 @@ let rec pp ppf v =
   | Str s -> Format.fprintf ppf "%S" s
   | Name n -> Format.fprintf ppf "#%d" n
   | List items -> Format.fprintf ppf "@[<hov 1>[%a]@]" (pp_items ";") items
+  | Cat _ -> pp ppf (flat v)
   | Set items -> Format.fprintf ppf "@[<hov 1>{%a}@]" (pp_items ";") items
   | Pf bindings ->
       let pp_binding ppf (k, v) = Format.fprintf ppf "%a->%a" pp k pp v in
@@ -84,49 +176,100 @@ let rec pp ppf v =
 
 let to_string v = Format.asprintf "%a" pp v
 
+let rec normalize v =
+  match v with
+  | Bottom | Int _ | Bool _ | Str _ | Name _ -> v
+  | List items -> List (List.map normalize items)
+  | Cat _ -> List (List.map normalize (items_of v))
+  | Set items -> Set (List.map normalize items)
+  | Pf bindings -> Pf (List.map (fun (k, d) -> (normalize k, normalize d)) bindings)
+  | Term (f, args) -> Term (f, List.map normalize args)
+
 (* Sets ------------------------------------------------------------------ *)
+
+(* Canonical element lists are sorted and duplicate-free, so union,
+   intersection and difference are single merges. *)
 
 let set_of_list items = Set (List.sort_uniq compare items)
 
 let set_elements = function
   | Set items -> items
   | Bottom -> []
-  | List items -> List.sort_uniq compare items
+  | (List _ | Cat _) as v -> List.sort_uniq compare (items_of v)
   | v -> [ v ]
 
-let set_add x s = set_of_list (x :: set_elements s)
-let set_union a b = set_of_list (set_elements a @ set_elements b)
+let[@tail_mod_cons] rec union_items xs ys =
+  match (xs, ys) with
+  | [], rest | rest, [] -> rest
+  | x :: xs', y :: ys' ->
+      let c = compare x y in
+      if c < 0 then x :: union_items xs' ys
+      else if c > 0 then y :: union_items xs ys'
+      else x :: union_items xs' ys'
+
+(* The items of [xs] that are ([keep = true]) or are not in [ys]. *)
+let[@tail_mod_cons] rec filter_items ~keep xs ys =
+  match (xs, ys) with
+  | [], _ -> []
+  | _, [] -> if keep then [] else xs
+  | x :: xs', y :: ys' ->
+      let c = compare x y in
+      if c < 0 then
+        if keep then filter_items ~keep xs' ys else x :: filter_items ~keep xs' ys
+      else if c > 0 then filter_items ~keep xs ys'
+      else if keep then x :: filter_items ~keep xs' ys'
+      else filter_items ~keep xs' ys'
+
+let set_union a b = Set (union_items (set_elements a) (set_elements b))
+let set_add x s = Set (union_items [ x ] (set_elements s))
 let set_mem x s = List.exists (equal x) (set_elements s)
-
-let set_inter a b =
-  let eb = set_elements b in
-  set_of_list (List.filter (fun x -> List.exists (equal x) eb) (set_elements a))
-
-let set_minus a b =
-  let eb = set_elements b in
-  set_of_list
-    (List.filter (fun x -> not (List.exists (equal x) eb)) (set_elements a))
+let set_inter a b = Set (filter_items ~keep:true (set_elements a) (set_elements b))
+let set_minus a b = Set (filter_items ~keep:false (set_elements a) (set_elements b))
 
 (* Partial functions ------------------------------------------------------ *)
 
-let pf_bindings = function Pf bs -> bs | Bottom -> [] | _ -> []
+let pf_bindings = function Pf bs -> bs | _ -> []
 
 let pf_bind ~key ~data pf =
-  let rest = List.filter (fun (k, _) -> not (equal k key)) (pf_bindings pf) in
-  Pf (List.sort (fun (a, _) (b, _) -> compare a b) ((key, data) :: rest))
+  let[@tail_mod_cons] rec insert = function
+    | [] -> [ (key, data) ]
+    | ((k, _) as b) :: rest as bs ->
+        let c = compare k key in
+        if c < 0 then b :: insert rest
+        else if c = 0 then (key, data) :: rest
+        else (key, data) :: bs
+  in
+  Pf (insert (pf_bindings pf))
 
 let pf_eval pf key =
   match List.find_opt (fun (k, _) -> equal k key) (pf_bindings pf) with
   | Some (_, v) -> v
   | None -> Bottom
 
-let pf_domain pf = set_of_list (List.map fst (pf_bindings pf))
+let pf_domain pf = Set (List.map fst (pf_bindings pf))
+
+(* Left-biased: a binding of [a] wins unless it binds [Bottom], which
+   {!pf_eval} cannot tell from no binding. *)
+let pf_union a b =
+  let[@tail_mod_cons] rec merge xs ys =
+    match (xs, ys) with
+    | [], rest | rest, [] -> rest
+    | ((ka, va) as x) :: xs', ((kb, _) as y) :: ys' ->
+        let c = compare ka kb in
+        if c < 0 then x :: merge xs' ys
+        else if c > 0 then y :: merge xs ys'
+        else (match va with Bottom -> y | _ -> x) :: merge xs' ys'
+  in
+  match pf_bindings b with [] -> a | bb -> Pf (merge (pf_bindings a) bb)
 
 (* Truthiness ------------------------------------------------------------- *)
 
 let is_true = function Bool b -> b | _ -> false
 let as_int = function Int n -> Some n | _ -> None
-let as_list = function List items -> Some items | _ -> None
+let as_list = function
+  | List items -> Some items
+  | Cat _ as v -> Some (items_of v)
+  | _ -> None
 
 (* Standard library ------------------------------------------------------- *)
 
@@ -141,16 +284,11 @@ let normalize_name s =
     s;
   Buffer.contents buf
 
-let list_of = function
-  | List items -> items
-  | Bottom -> []
-  | v -> [ v ]
-
 let int_of = function Int n -> n | Bool true -> 1 | _ -> 0
 
 let fn_consmsg = function
   | [ _line; Bottom; _name; rest ] -> rest
-  | [ line; err; name; rest ] -> List (Term ("msg", [ line; err; name ]) :: list_of rest)
+  | [ line; err; name; rest ] -> cons (Term ("msg", [ line; err; name ])) rest
   | args -> Term ("cons$msg", args)
 
 let functions : (string * (t list -> t)) list =
@@ -166,34 +304,36 @@ let functions : (string * (t list -> t)) list =
     ( "sizeof",
       function
       | [ Set items ] -> Int (List.length items)
-      | [ List items ] -> Int (List.length items)
+      | [ (List _ | Cat _) as l ] -> Int (seq_length l)
       | [ Pf bs ] -> Int (List.length bs)
       | [ Bottom ] -> Int 0
       | args -> Term ("sizeof", args) );
-    ("cons", function [ x; l ] -> List (x :: list_of l) | args -> Term ("cons", args));
+    ("cons", function [ x; l ] -> cons x l | args -> Term ("cons", args));
     ( "cons2",
       function
-      | [ a; b; l ] -> List (List [ a; b ] :: list_of l)
+      | [ a; b; l ] -> cons (List [ a; b ]) l
       | args -> Term ("cons2", args) );
     ( "cons3",
       function
-      | [ a; b; c; l ] -> List (List [ a; b; c ] :: list_of l)
+      | [ a; b; c; l ] -> cons (List [ a; b; c ]) l
       | args -> Term ("cons3", args) );
     ( "append",
-      function [ a; b ] -> List (list_of a @ list_of b) | args -> Term ("append", args) );
-    ("reverse", function [ l ] -> List (List.rev (list_of l)) | args -> Term ("reverse", args));
+      function [ a; b ] -> append a b | args -> Term ("append", args) );
+    ("reverse", function [ l ] -> List (List.rev (items_of l)) | args -> Term ("reverse", args));
     ( "lengthof",
-      function [ l ] -> Int (List.length (list_of l)) | args -> Term ("lengthof", args) );
+      function [ l ] -> Int (seq_length l) | args -> Term ("lengthof", args) );
     ( "head",
-      function
-      | [ List (x :: _) ] -> x
-      | [ List [] ] | [ Bottom ] -> Bottom
-      | args -> Term ("head", args) );
+      fun args ->
+        match List.map flat args with
+        | [ List (x :: _) ] -> x
+        | [ List [] ] | [ Bottom ] -> Bottom
+        | args -> Term ("head", args) );
     ( "tail",
-      function
-      | [ List (_ :: rest) ] -> List rest
-      | [ List [] ] | [ Bottom ] -> Bottom
-      | args -> Term ("tail", args) );
+      fun args ->
+        match List.map flat args with
+        | [ List (_ :: rest) ] -> List rest
+        | [ List [] ] | [ Bottom ] -> Bottom
+        | args -> Term ("tail", args) );
     ( "conspf",
       function
       | [ key; data; pf ] -> pf_bind ~key ~data pf
@@ -202,21 +342,10 @@ let functions : (string * (t list -> t)) list =
       function [ pf; key ] -> pf_eval pf key | args -> Term ("evalPF", args) );
     ("domainof", function [ pf ] -> pf_domain pf | args -> Term ("domainof", args));
     ( "unionpf",
-      function
-      | [ a; b ] ->
-          (* left-biased: bindings of [a] win *)
-          List.fold_left
-            (fun pf (k, v) ->
-              match pf_eval pf k with
-              | Bottom -> pf_bind ~key:k ~data:v pf
-              | _ -> pf)
-            a (pf_bindings b)
-      | args -> Term ("unionpf", args) );
+      function [ a; b ] -> pf_union a b | args -> Term ("unionpf", args) );
     ("consmsg", fn_consmsg);
     ( "mergemsgs",
-      function
-      | [ a; b ] -> List (list_of a @ list_of b)
-      | args -> Term ("merge$msgs", args) );
+      function [ a; b ] -> append a b | args -> Term ("merge$msgs", args) );
     ( "incrifzero",
       function
       | [ x; n ] -> if equal x (Int 0) then Int (int_of n + 1) else n
@@ -239,9 +368,15 @@ let functions : (string * (t list -> t)) list =
     ("abs", function [ Int a ] -> Int (abs a) | args -> Term ("abs", args));
     ("pair", function [ a; b ] -> List [ a; b ] | args -> Term ("pair", args));
     ( "first",
-      function [ List (x :: _) ] -> x | args -> Term ("first", args) );
+      fun args ->
+        match List.map flat args with
+        | [ List (x :: _) ] -> x
+        | args -> Term ("first", args) );
     ( "second",
-      function [ List (_ :: y :: _) ] -> y | args -> Term ("second", args) );
+      fun args ->
+        match List.map flat args with
+        | [ List (_ :: y :: _) ] -> y
+        | args -> Term ("second", args) );
     ("nameof", function [ Name n ] -> Name n | [ v ] -> v | args -> Term ("nameof", args));
     ("not", function [ Bool b ] -> Bool (not b) | args -> Term ("not", args));
   ]
@@ -316,9 +451,10 @@ let rec encode buf v =
   | Name n ->
       Buffer.add_char buf '\004';
       add_varint buf n
-  | List items ->
+  | List _ | Cat _ ->
       Buffer.add_char buf '\005';
-      encode_list buf items
+      add_varint buf (seq_length v);
+      iter_items (encode buf) v
   | Set items ->
       Buffer.add_char buf '\006';
       encode_list buf items

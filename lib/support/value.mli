@@ -11,7 +11,16 @@
 
     Values are immutable; sets and partial functions are kept in a canonical
     (sorted, duplicate-free) form so that structural equality coincides with
-    semantic equality. *)
+    semantic equality, and set and partial-function operations are linear
+    merges of those forms.
+
+    A sequence is either a flat [List] or a rope of [Cat] nodes, so that
+    [Append], [MergeMsgs] and [Cons] onto a rope take O(1) time and share
+    their operands: a left-recursive translation then builds its code list
+    in linear rather than quadratic space. No function of this module
+    reveals the representation: {!compare}, {!pp}, {!encode} and every library function
+    treat a [Cat] exactly as the [List] of its items, and {!decode} yields
+    flat lists only. *)
 
 type t =
   | Bottom  (** the undefined/absent value; also the paper's [no$msg] etc. *)
@@ -20,6 +29,9 @@ type t =
   | Str of string
   | Name of Interner.name  (** name-table index (intrinsic attributes) *)
   | List of t list  (** a sequence; tuples are short sequences *)
+  | Cat of t * t * int
+      (** the concatenation of two non-empty sequences ([List] or [Cat])
+          and its item count. Built by {!apply}; removed by {!normalize}. *)
   | Set of t list  (** invariant: sorted by {!compare}, no duplicates *)
   | Pf of (t * t) list  (** partial function; invariant: key-sorted *)
   | Term of string * t list
@@ -30,6 +42,13 @@ val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
+
+val normalize : t -> t
+(** The same value with every [Cat], at any depth, replaced by the flat
+    [List] of its items. The in-memory evaluators ([Demand], [Incr]) call
+    it on the values they hand out, and [Engine]'s outputs are decoded
+    from its last APT file, so code outside this module that matches
+    [List] never meets a rope. *)
 
 (** {1 Sets} *)
 

@@ -524,6 +524,10 @@ let test_pool_crash_respawn () =
       Alcotest.(check int) "typed exit code" 51 (Server_error.exit_code e)
   | Error e -> Alcotest.failf "wrong error: %s" (Printexc.to_string e)
   | Ok () -> Alcotest.fail "crashed job reported success");
+  (* the crash and the restart are both counted before the failure is
+     published *)
+  Alcotest.(check int) "restart visible to the awaiter" 1
+    (counter metrics "server.worker_restarts");
   (* the dead worker's replacement restores full capacity *)
   let after =
     List.init 8 (fun i ->
