@@ -1617,6 +1617,23 @@ let fabric_bench () =
   in
   let interactive_jobs, interactive_wait = sum_lanes "interactive" in
   let bulk_jobs, bulk_wait = sum_lanes "bulk" in
+  (* each worker's own tenant ledger: one row per session digest it
+     served, labelled [translator:...] for shipped grammars *)
+  let tenant_labels ep =
+    let open Lg_support.Json_out in
+    match
+      member "tenants"
+        (Lg_server.Server.request_endpoint ~endpoint:ep
+           (Obj [ ("op", Str "tenants") ]))
+    with
+    | Some (Arr rows) ->
+        List.filter_map
+          (fun row ->
+            match member "label" row with Some (Str l) -> Some l | _ -> None)
+          rows
+    | _ -> []
+  in
+  let ledgers = [ tenant_labels ep1; tenant_labels ep2 ] in
   List.iter
     (fun ep ->
       ignore
@@ -1627,45 +1644,45 @@ let fabric_bench () =
   Thread.join w1;
   Thread.join w2;
   let identical = results_doc report.Lg_fabric.Coordinator.summary = results_doc seq in
-  (* builds-once: replay the deterministic shard plan and compare each
-     worker's session_builds counter against the distinct session
-     digests it was assigned *)
-  let affinity j = Option.map fst (Lg_server.Batch.culprit j) in
-  let plan = Lg_fabric.Shard.plan ~workers:2 ~affinity jobs in
-  let job_arr = Array.of_list jobs in
-  let expected_builds w =
-    plan.Lg_fabric.Shard.assignments.(w)
-    |> List.filter_map (fun i -> affinity job_arr.(i))
-    |> List.sort_uniq compare |> List.length
-  in
+  let workers = report.Lg_fabric.Coordinator.workers in
+  (* builds-once: a worker builds each grammar it was sent exactly once,
+     whichever jobs the pull order happened to give it *)
   let builds_once =
+    List.for_all
+      (fun (w : Lg_fabric.Coordinator.worker_report) ->
+        w.Lg_fabric.Coordinator.w_session_builds
+        = w.Lg_fabric.Coordinator.w_grammars)
+      workers
+  in
+  (* puts-once: a worker is shipped each non-built-in grammar it was
+     sent exactly once — its ledger holds its w_grammars tenants, and
+     the translator ones among them match its puts *)
+  let puts_once =
     List.for_all2
-      (fun (w : Lg_fabric.Coordinator.worker_report) expected ->
-        w.Lg_fabric.Coordinator.w_session_builds = expected)
-      report.Lg_fabric.Coordinator.workers
-      [ expected_builds 0; expected_builds 1 ]
+      (fun (w : Lg_fabric.Coordinator.worker_report) labels ->
+        let shipped =
+          List.length
+            (List.filter (String.starts_with ~prefix:"translator:") labels)
+        in
+        List.length labels = w.Lg_fabric.Coordinator.w_grammars
+        && w.Lg_fabric.Coordinator.w_grammar_puts = shipped)
+      workers ledgers
   in
-  let builds_total =
-    List.fold_left
-      (fun acc (w : Lg_fabric.Coordinator.worker_report) ->
-        acc + max 0 w.Lg_fabric.Coordinator.w_session_builds)
-      0 report.Lg_fabric.Coordinator.workers
-  in
-  let puts_total =
-    List.fold_left
-      (fun acc (w : Lg_fabric.Coordinator.worker_report) ->
-        acc + w.Lg_fabric.Coordinator.w_grammar_puts)
-      0 report.Lg_fabric.Coordinator.workers
+  let per_worker f =
+    String.concat "/" (List.map (fun w -> string_of_int (f w)) workers)
   in
   let summary = report.Lg_fabric.Coordinator.summary in
   rowf "  %d jobs over 2 workers: %d ok, %d failed, %d redispatched\n" n_jobs
     summary.Lg_server.Batch.n_ok summary.Lg_server.Batch.n_failed
     report.Lg_fabric.Coordinator.redispatched;
-  rowf "  %d affinity group(s), %d spilled; %d grammar(s) shipped\n"
-    report.Lg_fabric.Coordinator.groups report.Lg_fabric.Coordinator.spilled
-    puts_total;
-  rowf "  byte-identical to sequential: %b; builds once per grammar: %b (%d builds)\n"
-    identical builds_once builds_total;
+  rowf "  per worker: jobs %s, grammars %s, puts %s, builds %s\n"
+    (per_worker (fun w -> w.Lg_fabric.Coordinator.w_completed))
+    (per_worker (fun w -> w.Lg_fabric.Coordinator.w_grammars))
+    (per_worker (fun w -> w.Lg_fabric.Coordinator.w_grammar_puts))
+    (per_worker (fun w -> w.Lg_fabric.Coordinator.w_session_builds));
+  rowf "  byte-identical to sequential: %b; builds once per grammar: %b; \
+        puts once per grammar: %b\n"
+    identical builds_once puts_once;
   rowf "  lanes: %d interactive (wait %.4f s total), %d bulk (wait %.4f s total)\n"
     interactive_jobs interactive_wait bulk_jobs bulk_wait;
   rowf "  wall: sequential %.3f s, fabric %.3f s\n" seq_wall fabric_wall;
@@ -1678,13 +1695,10 @@ let fabric_bench () =
         ("workers", int 2);
         ("n_ok", int summary.Lg_server.Batch.n_ok);
         ("n_failed", int summary.Lg_server.Batch.n_failed);
-        ("groups", int report.Lg_fabric.Coordinator.groups);
-        ("spilled", int report.Lg_fabric.Coordinator.spilled);
         ("redispatched", int report.Lg_fabric.Coordinator.redispatched);
-        ("grammar_puts", int puts_total);
-        ("session_builds", int builds_total);
         ("byte_identical", int (if identical then 1 else 0));
         ("builds_once_per_grammar", int (if builds_once then 1 else 0));
+        ("puts_once_per_grammar", int (if puts_once then 1 else 0));
         ( "lanes",
           Obj
             [
@@ -1701,7 +1715,13 @@ let fabric_bench () =
   output_string oc (to_string ~pretty:true json);
   output_char oc '\n';
   close_out oc;
-  rowf "  wrote BENCH_fabric.json\n"
+  rowf "  wrote BENCH_fabric.json\n";
+  (* [diff] reads these flags as counters, where a drop to 0 looks like
+     an improvement: a broken guarantee fails the run itself *)
+  if not (identical && builds_once && puts_once) then begin
+    prerr_endline "fabric: a placement guarantee failed (see above)";
+    exit 1
+  end
 
 (* ---------- driver ---------- *)
 

@@ -1301,8 +1301,9 @@ let coordinate_cmd =
     (Cmd.info "coordinate"
        ~doc:
          "Distribute a jobfile over running $(b,serve) workers: \
-          grammar-affinity sharding (each grammar compiles once per \
-          worker), on-demand grammar shipping, interactive/bulk lanes, \
+          pull-based dispatch that prefers grammars a worker already \
+          holds (each grammar compiles at most once per worker), \
+          on-demand grammar shipping, interactive/bulk lanes, \
           and re-dispatch on worker loss — with results byte-identical \
           to a local $(b,batch) run (see docs/FABRIC.md).")
     Term.(

@@ -2,26 +2,30 @@
    of worker endpoints, and distributes the jobs so the merged results
    are byte-identical to running the jobfile locally.
 
-   Placement is {!Shard}'s affinity plan — jobs naming the same grammar
-   land together so each grammar compiles once per worker. Each worker
-   gets a dispatch thread working through that worker's two lanes
-   (interactive [update] jobs ahead of bulk), one request per job over a
-   fresh connection, with the grammar-shipping handshake inline: a
-   [grammar_miss] refusal is answered with a [grammar_put] of the
-   content-addressed source, then the job is retried on the same
-   worker. Inputs are inlined into the jobs themselves ([j_source]), so
-   worker hosts need no copy of the corpus.
+   Placement is pull-based. All jobs wait on one shared queue with two
+   lanes (interactive [update] jobs ahead of bulk). Each worker has a
+   dispatch thread that takes its next job by {!next}: one whose
+   grammar (session digest) that worker already holds, else one whose
+   grammar no open worker holds, else the lane head. Affinity is a
+   preference, not a partition: a grammar is built once on each worker
+   that takes one of its jobs, and an idle worker always finds work.
+   One request goes out per job over a fresh connection, with the
+   grammar-shipping handshake inline: a [grammar_miss] refusal is
+   answered with a [grammar_put] of the content-addressed source, then
+   the job is retried on the same worker. Inputs are inlined into the
+   jobs themselves ([j_source]), so worker hosts need no copy of the
+   corpus.
 
    Failure semantics: a transport failure (connect retries exhausted)
-   marks the worker lost and re-queues everything it still owed onto
-   the least-loaded surviving worker; a job that comes back with a
-   typed serving failure (exit 50–52: deadline, worker crash,
-   quarantine) is re-dispatched to a different worker up to
-   [redispatch_limit] times before the failure is accepted as the
-   job's outcome. Either way every job ends with exactly one outcome —
-   a final serial sweep catches work stranded by late deaths, and only
-   if the whole fleet is gone does a job get the synthesized
-   [worker_lost] failure. *)
+   marks the worker lost and puts its in-flight job back on the shared
+   queue; a job that comes back with a typed serving failure (exit
+   50–52: deadline, worker crash, quarantine) is put back marked to
+   avoid the worker that failed it, up to [redispatch_limit] times,
+   before the failure is accepted as the job's outcome. A dispatch
+   thread stops only when the queue is empty and no job is in flight,
+   so re-queued work always finds a surviving worker. Every job ends
+   with exactly one outcome; only if the whole fleet is gone does a job
+   get the synthesized [worker_lost] failure. *)
 
 open Lg_support.Json_out
 module Transport = Lg_server.Transport
@@ -33,6 +37,7 @@ type worker_report = {
   w_endpoint : string;
   w_assigned : int;
   w_completed : int;
+  w_grammars : int;
   w_grammar_puts : int;
   w_session_builds : int;  (** scraped from the worker's metrics; -1 if lost *)
   w_lost : bool;
@@ -41,10 +46,48 @@ type worker_report = {
 type report = {
   summary : Batch.summary;
   workers : worker_report list;
-  groups : int;
-  spilled : int;
   redispatched : int;
 }
+
+(* ---------- the pull order ---------- *)
+
+type ticket = {
+  t_digest : string option;
+  t_interactive : bool;
+  t_avoid : int option;
+}
+
+(* Lane first, then cost: 0 — nothing new to build on [worker]; 1 — a
+   build no other open worker has done (or none needed); 2 — a build
+   that duplicates another worker's. Earliest wins within a rank. A job
+   is never handed back to the worker that failed it while another
+   worker is open. *)
+let next ~worker ~others ~holds queue =
+  let rank t =
+    match t.t_digest with
+    | Some d when holds worker d -> 0
+    | Some d when List.exists (fun o -> holds o d) others -> 2
+    | _ -> 1
+  in
+  let eligible lane t =
+    t.t_interactive = lane && (others = [] || t.t_avoid <> Some worker)
+  in
+  let rec scan lane best = function
+    | [] -> Option.map snd best
+    | ((t, _) as e) :: rest when eligible lane t -> (
+        match (rank t, best) with
+        | 0, _ -> Some e
+        | r, Some (b, _) when b <= r -> scan lane best rest
+        | r, _ -> scan lane (Some (r, e)) rest)
+    | _ :: rest -> scan lane best rest
+  in
+  match
+    match scan true None queue with
+    | Some _ as e -> e
+    | None -> scan false None queue
+  with
+  | Some e -> Some (e, List.filter (fun e' -> e' != e) queue)
+  | None -> None
 
 (* ---------- preparation ---------- *)
 
@@ -59,6 +102,7 @@ type prepared = {
   p_job : Jobfile.job;  (* input inlined *)
   p_grammar : (string * string * string) option;
       (* (digest, basename, source) — the handshake's shipment *)
+  p_digest : string option;  (* the session the job builds, if any *)
   p_interactive : bool;
   mutable p_redispatched : int;
 }
@@ -104,10 +148,22 @@ let prepare jobs =
             grammar_of path
         | _ -> None
       in
+      let p_digest =
+        match p_grammar with
+        | Some (digest, _, _) -> Some digest
+        | None -> Option.map fst (Batch.culprit job)
+      in
       let p_interactive =
         match job.Jobfile.j_op with Jobfile.Update _ -> true | _ -> false
       in
-      { p_index = i; p_job = job; p_grammar; p_interactive; p_redispatched = 0 })
+      {
+        p_index = i;
+        p_job = job;
+        p_grammar;
+        p_digest;
+        p_interactive;
+        p_redispatched = 0;
+      })
     jobs
 
 (* ---------- the wire ---------- *)
@@ -156,15 +212,14 @@ let worker_lost_outcome (p : prepared) =
     o_update = None;
   }
 
-(* ---------- per-worker dispatch state ---------- *)
+(* ---------- dispatch state ---------- *)
 
 type worker = {
   k_index : int;
   k_endpoint : Transport.endpoint;
-  mutable k_interactive : prepared list;  (* both lanes: FIFO, reversed *)
-  mutable k_bulk : prepared list;
+  k_held : (string, unit) Hashtbl.t;  (* digests of the jobs it took *)
   mutable k_alive : bool;
-  mutable k_closed : bool;  (* thread done; no new work may land here *)
+  mutable k_closed : bool;  (* thread done; it takes no more work *)
   mutable k_assigned : int;
   mutable k_completed : int;
   mutable k_puts : int;
@@ -172,7 +227,10 @@ type worker = {
 
 type st = {
   lock : Mutex.t;
+  changed : Condition.t;  (* the queue, the in-flight count or the fleet *)
   fleet : worker array;
+  mutable queue : (ticket * prepared) list;  (* both lanes, FIFO *)
+  mutable in_flight : int;
   results : Batch.outcome option array;
   mutable redispatched : int;
   attempts : int;
@@ -184,25 +242,24 @@ let locked st f =
   Mutex.lock st.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock st.lock) f
 
-(* under the lock *)
-let remaining w = List.length w.k_interactive + List.length w.k_bulk
+let ticket ?avoid p =
+  ({ t_digest = p.p_digest; t_interactive = p.p_interactive; t_avoid = avoid }, p)
 
-let push w p =
-  w.k_assigned <- w.k_assigned + 1;
-  if p.p_interactive then w.k_interactive <- w.k_interactive @ [ p ]
-  else w.k_bulk <- w.k_bulk @ [ p ]
+(* under the lock: the workers other than [w] still taking work *)
+let others st w =
+  Array.fold_right
+    (fun o acc ->
+      if o.k_index <> w.k_index && o.k_alive && not o.k_closed then
+        o.k_index :: acc
+      else acc)
+    st.fleet []
 
-(* under the lock: the surviving worker with the least work left, for
-   re-queues — [None] once the whole fleet is dead or closed *)
-let best_target st ~not_worker =
-  Array.fold_left
-    (fun best w ->
-      if w.k_alive && (not w.k_closed) && w.k_index <> not_worker then
-        match best with
-        | Some b when remaining b <= remaining w -> best
-        | _ -> Some w
-      else best)
-    None st.fleet
+(* under the lock: [w] gives [p] back; it counts as re-dispatched when
+   another worker is open to take it *)
+let requeue st w ?avoid p =
+  st.queue <- st.queue @ [ ticket ?avoid p ];
+  if others st w <> [] then st.redispatched <- st.redispatched + 1;
+  Condition.broadcast st.changed
 
 let job_request (p : prepared) =
   let lane = if p.p_interactive then "interactive" else "bulk" in
@@ -275,77 +332,62 @@ let dispatch st w (p : prepared) =
 let typed_serving_failure (o : Batch.outcome) =
   (not o.Batch.o_ok) && o.Batch.o_exit >= 50 && o.Batch.o_exit <= 52
 
-let record st (p : prepared) outcome = st.results.(p.p_index) <- Some outcome
-
-(* a worker died owing work: everything still queued (plus the job in
-   flight) moves to the least-loaded survivor; with no survivor it
-   stays unrecorded for the final sweep to settle *)
-let fail_worker st w (p : prepared) e =
-  let stranded =
-    locked st (fun () ->
-        w.k_alive <- false;
-        w.k_closed <- true;
-        let owed = (p :: w.k_interactive) @ w.k_bulk in
-        w.k_interactive <- [];
-        w.k_bulk <- [];
-        List.filter
-          (fun p ->
-            match best_target st ~not_worker:w.k_index with
-            | Some target ->
-                push target p;
-                st.redispatched <- st.redispatched + 1;
-                false
-            | None -> true)
-          owed)
-  in
-  st.log
-    (Printf.sprintf "fabric: worker %s lost (%s), %d job(s) re-queued"
-       (Transport.to_string w.k_endpoint)
-       (Printexc.to_string e)
-       (List.length stranded));
-  ignore stranded
+(* under the lock: the job [w] runs next, waiting while the queue holds
+   nothing for it but work is still in flight; [None] once the queue is
+   dry and nothing can come back to it *)
+let rec take st w =
+  let holds i d = Hashtbl.mem st.fleet.(i).k_held d in
+  match next ~worker:w.k_index ~others:(others st w) ~holds st.queue with
+  | Some ((_, p), rest) ->
+      st.queue <- rest;
+      st.in_flight <- st.in_flight + 1;
+      w.k_assigned <- w.k_assigned + 1;
+      Option.iter (fun d -> Hashtbl.replace w.k_held d ()) p.p_digest;
+      Some p
+  | None when st.queue = [] && st.in_flight = 0 ->
+      w.k_closed <- true;
+      Condition.broadcast st.changed;
+      None
+  | None ->
+      Condition.wait st.changed st.lock;
+      take st w
 
 let worker_loop st w =
-  let pop () =
-    locked st (fun () ->
-        match (w.k_interactive, w.k_bulk) with
-        | p :: rest, _ ->
-            w.k_interactive <- rest;
-            Some p
-        | [], p :: rest ->
-            w.k_bulk <- rest;
-            Some p
-        | [], [] ->
-            w.k_closed <- true;
-            None)
-  in
   let rec go () =
-    match pop () with
+    match locked st (fun () -> take st w) with
     | None -> ()
     | Some p -> (
         match dispatch st w p with
         | outcome ->
-            (* a typed serving failure gets another chance on a
-               different worker — the 50–52 codes are exactly the
-               "this host, this moment" classes *)
-            let redispatch =
-              typed_serving_failure outcome
-              && p.p_redispatched < st.redispatch_limit
-              && locked st (fun () ->
-                     match best_target st ~not_worker:w.k_index with
-                     | Some target ->
-                         p.p_redispatched <- p.p_redispatched + 1;
-                         push target p;
-                         st.redispatched <- st.redispatched + 1;
-                         true
-                     | None -> false)
-            in
-            if not redispatch then begin
-              record st p outcome;
-              locked st (fun () -> w.k_completed <- w.k_completed + 1)
-            end;
+            locked st (fun () ->
+                st.in_flight <- st.in_flight - 1;
+                (* a typed serving failure gets another chance on a
+                   different worker — the 50–52 codes are exactly the
+                   "this host, this moment" classes *)
+                if
+                  typed_serving_failure outcome
+                  && p.p_redispatched < st.redispatch_limit
+                  && others st w <> []
+                then begin
+                  p.p_redispatched <- p.p_redispatched + 1;
+                  requeue st w ~avoid:w.k_index p
+                end
+                else begin
+                  st.results.(p.p_index) <- Some outcome;
+                  w.k_completed <- w.k_completed + 1;
+                  Condition.broadcast st.changed
+                end);
             go ()
-        | exception Worker_down e -> fail_worker st w p e)
+        | exception Worker_down e ->
+            locked st (fun () ->
+                w.k_alive <- false;
+                w.k_closed <- true;
+                st.in_flight <- st.in_flight - 1;
+                requeue st w p);
+            st.log
+              (Printf.sprintf "fabric: worker %s lost (%s), its job re-queued"
+                 (Transport.to_string w.k_endpoint)
+                 (Printexc.to_string e)))
   in
   go ()
 
@@ -370,15 +412,11 @@ let run ?(attempts = 3) ?(redispatch_limit = 1) ?(log = ignore) ~workers jobs =
   if workers = [] then invalid_arg "Coordinator.run: no workers";
   let started = Unix.gettimeofday () in
   let prepared = prepare jobs in
-  let shard =
-    Shard.plan ~workers:(List.length workers)
-      ~affinity:(fun p -> Option.map fst (Batch.culprit p.p_job))
-      prepared
-  in
   let prepared_arr = Array.of_list prepared in
   let st =
     {
       lock = Mutex.create ();
+      changed = Condition.create ();
       fleet =
         Array.of_list
           (List.mapi
@@ -386,8 +424,7 @@ let run ?(attempts = 3) ?(redispatch_limit = 1) ?(log = ignore) ~workers jobs =
                {
                  k_index = i;
                  k_endpoint = endpoint;
-                 k_interactive = [];
-                 k_bulk = [];
+                 k_held = Hashtbl.create 8;
                  k_alive = true;
                  k_closed = false;
                  k_assigned = 0;
@@ -395,6 +432,8 @@ let run ?(attempts = 3) ?(redispatch_limit = 1) ?(log = ignore) ~workers jobs =
                  k_puts = 0;
                })
              workers);
+      queue = List.map (fun p -> ticket p) prepared;
+      in_flight = 0;
       results = Array.make (List.length jobs) None;
       redispatched = 0;
       attempts;
@@ -402,51 +441,23 @@ let run ?(attempts = 3) ?(redispatch_limit = 1) ?(log = ignore) ~workers jobs =
       log;
     }
   in
-  Array.iteri
-    (fun w indices ->
-      List.iter (fun i -> push st.fleet.(w) prepared_arr.(i)) indices)
-    shard.Shard.assignments;
   log
-    (Printf.sprintf "fabric: %d job(s), %d group(s), %d spilled, %d worker(s)"
-       (List.length jobs) shard.Shard.groups shard.Shard.spilled
+    (Printf.sprintf "fabric: %d job(s), %d worker(s)" (List.length jobs)
        (List.length workers));
   let threads =
     Array.to_list
       (Array.map (fun w -> Thread.create (worker_loop st) w) st.fleet)
   in
   List.iter Thread.join threads;
-  (* the sweep: anything stranded by a death after the survivors had
-     already closed runs serially on whoever is still alive *)
-  Array.iteri
-    (fun i result ->
-      if result = None then begin
-        let p = prepared_arr.(i) in
-        let rec try_fleet k =
-          if k >= Array.length st.fleet then record st p (worker_lost_outcome p)
-          else
-            let w = st.fleet.(k) in
-            if not w.k_alive then try_fleet (k + 1)
-            else
-              match dispatch st w p with
-              | outcome ->
-                  record st p outcome;
-                  w.k_completed <- w.k_completed + 1;
-                  (* a swept job is by construction running somewhere
-                     other than the dead worker it was assigned to *)
-                  st.redispatched <- st.redispatched + 1
-              | exception Worker_down e ->
-                  fail_worker st w p e;
-                  try_fleet (k + 1)
-        in
-        try_fleet 0
-      end)
-    st.results;
   let outcomes =
     Array.to_list
       (Array.mapi
          (fun i -> function
            | Some o -> o
-           | None -> worker_lost_outcome prepared_arr.(i))
+           | None ->
+               (* threads stop early only when their worker is lost, so
+                  an unanswered job means the whole fleet is gone *)
+               worker_lost_outcome prepared_arr.(i))
          st.results)
   in
   let n_ok = List.length (List.filter (fun o -> o.Batch.o_ok) outcomes) in
@@ -459,6 +470,7 @@ let run ?(attempts = 3) ?(redispatch_limit = 1) ?(log = ignore) ~workers jobs =
                w_endpoint = Transport.to_string w.k_endpoint;
                w_assigned = w.k_assigned;
                w_completed = w.k_completed;
+               w_grammars = Hashtbl.length w.k_held;
                w_grammar_puts = w.k_puts;
                w_session_builds = scrape_builds st w;
                w_lost = not w.k_alive;
@@ -466,8 +478,10 @@ let run ?(attempts = 3) ?(redispatch_limit = 1) ?(log = ignore) ~workers jobs =
            in
            log
              (Printf.sprintf
-                "fabric: worker %s jobs=%d grammar_puts=%d session_builds=%d%s"
-                r.w_endpoint r.w_completed r.w_grammar_puts r.w_session_builds
+                "fabric: worker %s jobs=%d grammars=%d grammar_puts=%d \
+                 session_builds=%d%s"
+                r.w_endpoint r.w_completed r.w_grammars r.w_grammar_puts
+                r.w_session_builds
                 (if r.w_lost then " lost" else ""));
            r)
          st.fleet)
@@ -482,7 +496,5 @@ let run ?(attempts = 3) ?(redispatch_limit = 1) ?(log = ignore) ~workers jobs =
         wall_seconds = Unix.gettimeofday () -. started;
       };
     workers = reports;
-    groups = shard.Shard.groups;
-    spilled = shard.Shard.spilled;
     redispatched = st.redispatched;
   }

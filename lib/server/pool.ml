@@ -141,13 +141,18 @@ and worker t slot epoch =
   (* the pool's registry becomes this domain's ambient, so store layers
      and the evaluator publish into it exactly as they do single-threaded *)
   Lg_support.Metrics.install t.metrics;
-  (* minor collections are stop-the-world across every domain in OCaml 5:
-     with the 256k-word default, allocation-heavy evaluation makes the
-     domains spend their time synchronizing instead of evaluating. A
-     larger per-domain minor heap restores throughput; an explicit
-     OCAMLRUNPARAM s=... above this floor is respected. *)
+  (* minor collections stop every domain in OCaml 5, and a domain
+     blocked in [Condition.wait] or [accept] joins each one through its
+     backup thread — which, on a host with every core busy, must first
+     wait for the scheduler. With the 256k-word default the domains
+     spend their time in those handshakes: two allocating domains
+     beside a blocked one took 2.2 s at 256k words against 0.72 s at 1M
+     and 0.42 s at 4M. Each step up costs committed memory per worker
+     domain (8 MB at 1M words, 32 MB at 4M), and 1M is where the
+     end-to-end sweep in docs/SERVER.md stops paying for more. An
+     explicit OCAMLRUNPARAM s=... above this floor is respected. *)
   let g = Gc.get () in
-  let floor_words = 4 * 1024 * 1024 in
+  let floor_words = 1024 * 1024 in
   if g.Gc.minor_heap_size < floor_words then
     Gc.set { g with Gc.minor_heap_size = floor_words };
   worker_loop t slot epoch

@@ -1,9 +1,9 @@
 (* The distributed evaluation fabric: the shard planner's affinity and
-   spill policy, the pool's priority lanes, windowed SLO histograms,
-   the persistent tenant ledger, postmortem retention, the
-   grammar-shipping handshake against a real TCP serve, coordinator
-   byte-identity with the sequential baseline, and re-dispatch on
-   worker loss. *)
+   spill policy, the coordinator's pull order, the pool's priority
+   lanes, windowed SLO histograms, the persistent tenant ledger,
+   postmortem retention, the grammar-shipping handshake against a real
+   TCP serve, coordinator byte-identity with the sequential baseline,
+   and re-dispatch on worker loss and on typed worker crashes. *)
 
 open Lg_server
 open Lg_fabric
@@ -51,6 +51,58 @@ let test_shard_spill () =
     (fun indices ->
       Alcotest.(check int) "balanced" 5 (List.length indices))
     plan.Shard.assignments
+
+(* ---------------- pull order ---------------- *)
+
+let ticket ?digest ?(interactive = false) ?avoid name =
+  ( {
+      Coordinator.t_digest = digest;
+      t_interactive = interactive;
+      t_avoid = avoid;
+    },
+    name )
+
+(* worker 0 holds "a", worker 1 holds "b" *)
+let holds w d = (w, d) = (0, "a") || (w, d) = (1, "b")
+
+let pick ?(worker = 0) ?(others = [ 1 ]) queue =
+  match Coordinator.next ~worker ~others ~holds queue with
+  | Some ((_, name), rest) -> (name, List.map snd rest)
+  | None -> ("none", List.map snd queue)
+
+let test_pull_order () =
+  let check msg want queue =
+    Alcotest.(check string) msg want (fst (pick queue))
+  in
+  check "held beats unheld" "held"
+    [ ticket ~digest:"c" "unheld"; ticket ~digest:"a" "held" ];
+  check "unheld beats held elsewhere" "unheld"
+    [ ticket ~digest:"b" "theirs"; ticket ~digest:"c" "unheld" ];
+  check "no digest ranks as unheld" "plain"
+    [ ticket ~digest:"b" "theirs"; ticket "plain" ];
+  check "lane head when all are held elsewhere" "first"
+    [ ticket ~digest:"b" "first"; ticket ~digest:"b" "second" ];
+  check "earliest within a rank" "c1"
+    [ ticket ~digest:"c" "c1"; ticket ~digest:"d" "d1" ];
+  check "interactive beats bulk" "edit"
+    [ ticket ~digest:"a" "bulk"; ticket ~digest:"b" ~interactive:true "edit" ];
+  check "bulk once the interactive lane has nothing eligible" "bulk"
+    [ ticket ~digest:"a" ~interactive:true ~avoid:0 "edit";
+      ticket ~digest:"b" "bulk" ];
+  (* the worker that failed a job typed never gets it back while
+     another worker is open — only once it is the last one standing *)
+  let failed = [ ticket ~digest:"a" ~avoid:0 "failed" ] in
+  check "avoided while another is open" "none" failed;
+  Alcotest.(check string) "the other worker takes it" "failed"
+    (fst (pick ~worker:1 ~others:[ 0 ] failed));
+  Alcotest.(check string) "last worker standing takes it" "failed"
+    (fst (pick ~others:[] failed));
+  (* the chosen job leaves the queue, the rest keep their order *)
+  Alcotest.(check (pair string (list string))) "rest in order"
+    ("held", [ "x"; "y" ])
+    (pick [ ticket "x"; ticket ~digest:"a" "held"; ticket "y" ]);
+  Alcotest.(check (pair string (list string))) "empty queue" ("none", [])
+    (pick [])
 
 (* ---------------- priority lanes ---------------- *)
 
@@ -171,12 +223,17 @@ let with_temp_dir f =
   let dir = Filename.temp_file "fabric_test" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
+  (* recursive: the coordinator test lays a corpus out in a subdirectory *)
+  let rec rm_rf path =
+    if Sys.is_directory path then begin
+      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
+  in
   Fun.protect
     ~finally:(fun () ->
-      Array.iter
-        (fun n -> try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
-        (Sys.readdir dir);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+      try rm_rf dir with Sys_error _ | Unix.Unix_error _ -> ())
     (fun () -> f dir)
 
 let test_postmortem_retention () =
@@ -213,14 +270,15 @@ let test_postmortem_retention () =
 
 (* ---------------- in-process TCP serve helpers ---------------- *)
 
-let start_tcp_serve ?metrics ?tenants_file ~dir name =
+let start_tcp_serve ?metrics ?tenants_file ?chaos ~dir name =
   let socket = Filename.concat dir (name ^ ".sock") in
   let m = Mutex.create () and c = Condition.create () in
   let port = ref 0 in
   let thread =
     Thread.create
       (fun () ->
-        Server.serve ?metrics ?tenants_file ~workers:1 ~tcp:"127.0.0.1:0"
+        Server.serve ?metrics ?tenants_file ?chaos ~workers:1
+          ~tcp:"127.0.0.1:0"
           ~on_tcp_port:(fun p ->
             Mutex.lock m;
             port := p;
@@ -375,21 +433,13 @@ let test_coordinator_byte_identity () =
     "coordinator results byte-identical to sequential" (doc seq)
     (doc report.Coordinator.summary);
   Alcotest.(check int) "nothing redispatched" 0 report.Coordinator.redispatched;
-  (* builds-once: each worker's session_builds equals the distinct
-     session digests the (deterministic) plan assigned it *)
-  let affinity j = Option.map fst (Batch.culprit j) in
-  let plan = Shard.plan ~workers:2 ~affinity jobs in
-  let arr = Array.of_list jobs in
-  let expected w =
-    plan.Shard.assignments.(w)
-    |> List.filter_map (fun i -> affinity arr.(i))
-    |> List.sort_uniq compare |> List.length
-  in
+  (* builds-once: whichever jobs the pull order gave a worker, its
+     session_builds equals the distinct session digests it was sent *)
   List.iteri
     (fun i (w : Coordinator.worker_report) ->
       Alcotest.(check int)
         (Printf.sprintf "worker %d builds each grammar once" i)
-        (expected i) w.Coordinator.w_session_builds)
+        w.Coordinator.w_grammars w.Coordinator.w_session_builds)
     report.Coordinator.workers
 
 (* ---------------- worker loss: re-dispatch, zero job loss ------------ *)
@@ -445,6 +495,54 @@ let test_worker_loss_redispatch () =
         alive.Coordinator.w_completed
   | _ -> Alcotest.fail "expected two worker reports"
 
+(* a worker whose serve crashes every job (a typed exit 51) beside a
+   healthy one: each crashed job goes back on the queue marked to avoid
+   the crashing worker, so the healthy one answers everything *)
+let test_crash_redispatch () =
+  with_temp_dir @@ fun dir ->
+  let chaos =
+    Chaos.create { Chaos.c_seed = 1; c_rate = 1.0; c_kinds = [ Chaos.Crash ] }
+  in
+  let crashing = start_tcp_serve ~chaos ~dir "crash" in
+  let healthy = start_tcp_serve ~dir "healthy" in
+  let jobs =
+    List.init 6 (fun i ->
+        Jobfile.make
+          ~id:(Printf.sprintf "calc-%d" i)
+          ~source:(Printf.sprintf "x := %d;\nprint x;\n" i)
+          ~op:(Jobfile.Translate (Jobfile.Language "desk_calc"))
+          ~file:(Printf.sprintf "in-%d.calc" i)
+          ())
+  in
+  let report =
+    Coordinator.run ~workers:[ snd crashing; snd healthy ] jobs
+  in
+  shutdown_serve crashing;
+  shutdown_serve healthy;
+  let doc s =
+    Lg_support.Json_out.to_string (Batch.to_json ~timings:false s)
+  in
+  let seq =
+    Batch.run_sequential ~metrics:(Lg_support.Metrics.create ()) jobs
+  in
+  Alcotest.(check string)
+    "results byte-identical to sequential" (doc seq)
+    (doc report.Coordinator.summary);
+  match report.Coordinator.workers with
+  | [ bad; good ] ->
+      Alcotest.(check int) "the crashing worker answers nothing" 0
+        bad.Coordinator.w_completed;
+      Alcotest.(check int) "the healthy worker answers everything" 6
+        good.Coordinator.w_completed;
+      Alcotest.(check int) "every job the crashing worker took moved"
+        bad.Coordinator.w_assigned report.Coordinator.redispatched;
+      Alcotest.(check int) "every redispatch landed on the healthy worker"
+        (6 + report.Coordinator.redispatched)
+        (bad.Coordinator.w_assigned + good.Coordinator.w_assigned);
+      Alcotest.(check bool) "neither worker lost" false
+        (bad.Coordinator.w_lost || good.Coordinator.w_lost)
+  | _ -> Alcotest.fail "expected two worker reports"
+
 (* ---------------- ledger persistence through a serve restart -------- *)
 
 let test_tenants_survive_restart () =
@@ -498,6 +596,11 @@ let () =
           Alcotest.test_case "hot group spills to balance" `Quick
             test_shard_spill;
         ] );
+      ( "pull",
+        [
+          Alcotest.test_case "held > unheld > head; lanes; avoid"
+            `Quick test_pull_order;
+        ] );
       ( "lanes",
         [
           Alcotest.test_case "interactive preempts bulk at dequeue" `Quick
@@ -531,5 +634,7 @@ let () =
             `Quick test_coordinator_byte_identity;
           Alcotest.test_case "worker loss re-dispatches, zero job loss"
             `Quick test_worker_loss_redispatch;
+          Alcotest.test_case "crashed jobs land on healthy worker"
+            `Quick test_crash_redispatch;
         ] );
     ]

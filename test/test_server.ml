@@ -119,6 +119,34 @@ let test_pool_drain () =
   | exception Invalid_argument _ -> ()
   | Ok _ | Error _ -> Alcotest.fail "submit after drain must raise"
 
+(* The worker floor on the minor heap is one constant, measured in
+   docs/SERVER.md: pin it, so changing it is deliberate. An explicit
+   OCAMLRUNPARAM s=... above the floor wins, so the exact check only
+   holds when the environment leaves the size alone. *)
+let test_pool_minor_heap_floor () =
+  let floor = 1024 * 1024 in
+  let sets_minor_heap var =
+    match Sys.getenv_opt var with
+    | None -> false
+    | Some v ->
+        List.exists
+          (fun kv -> String.starts_with ~prefix:"s=" kv)
+          (String.split_on_char ',' v)
+  in
+  let pool = Pool.create ~workers:1 ~queue_capacity:4 () in
+  Fun.protect ~finally:(fun () -> Pool.drain pool) @@ fun () ->
+  let words =
+    match Pool.submit pool (fun () -> (Gc.get ()).Gc.minor_heap_size) with
+    | Error _ -> Alcotest.fail "rejected"
+    | Ok h -> (
+        match Pool.await h with
+        | Ok w -> w
+        | Error e -> Alcotest.failf "job raised %s" (Printexc.to_string e))
+  in
+  if sets_minor_heap "OCAMLRUNPARAM" || sets_minor_heap "CAMLRUNPARAM" then
+    Alcotest.(check bool) "at least the floor" true (words >= floor)
+  else Alcotest.(check int) "worker minor heap, words" floor words
+
 (* ---------------- multi-domain hammers ---------------- *)
 
 let test_metrics_hammer () =
@@ -1678,6 +1706,8 @@ let () =
             test_pool_exception_isolation;
           Alcotest.test_case "drain runs the backlog and closes intake" `Quick
             test_pool_drain;
+          Alcotest.test_case "worker minor heap floor is 1M words" `Quick
+            test_pool_minor_heap_floor;
         ] );
       ( "hammer",
         [
