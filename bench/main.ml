@@ -15,7 +15,8 @@
      f2  memory residency: APT on disk, spine in RAM (paper §I/II);
          tokens, AST words and allocation of a streamed AG parse
      residency  incremental-state words and translation allocation of
-         the Pascal translator's sequence-building rules (exact counts)
+         the Pascal translator's sequence-building rules (exact counts,
+         written to BENCH_residency.json)
      abl ablations beyond the paper (dead-attribute files, backends)
 *)
 open Linguist
@@ -429,22 +430,25 @@ let residency () =
   let plan = Translator.plan t in
   rowf "  %-20s %12s %14s %10s\n" "Pascal statements" "APT nodes"
     "Incr words" "MB";
-  List.iter
-    (fun n ->
-      let diag = Lg_support.Diag.create () in
-      let tree =
-        Option.get
-          (Translator.tree_of_source t ~file:"<residency>" ~diag
-             (Workloads.synthetic_pascal n))
-      in
-      let _, state =
-        Lg_incremental.Incr.update Lg_incremental.Incr.default_config ~plan
-          ~engine_options:Engine.default_options ~tree
-      in
-      let words = Obj.reachable_words (Obj.repr (Option.get state)) in
-      rowf "  %-20d %12d %14d %10.2f\n" n (Lg_apt.Tree.size tree) words
-        (float_of_int (words * (Sys.word_size / 8)) /. 1048576.0))
-    [ 100; 300; 600 ];
+  let incr_words =
+    List.map
+      (fun n ->
+        let diag = Lg_support.Diag.create () in
+        let tree =
+          Option.get
+            (Translator.tree_of_source t ~file:"<residency>" ~diag
+               (Workloads.synthetic_pascal n))
+        in
+        let _, state =
+          Lg_incremental.Incr.update Lg_incremental.Incr.default_config ~plan
+            ~engine_options:Engine.default_options ~tree
+        in
+        let words = Obj.reachable_words (Obj.repr (Option.get state)) in
+        rowf "  %-20d %12d %14d %10.2f\n" n (Lg_apt.Tree.size tree) words
+          (float_of_int (words * (Sys.word_size / 8)) /. 1048576.0);
+        (n, words))
+      [ 100; 300; 600 ]
+  in
   let source = Workloads.synthetic_pascal 800 in
   (* warm-up, then start from an empty minor heap *)
   ignore (Translator.translate_exn t ~file:"<residency>" source);
@@ -455,7 +459,22 @@ let residency () =
   let minor = Gc.minor_words () -. minor0
   and promoted = (Gc.quick_stat ()).Gc.promoted_words -. promoted0 in
   rowf "\n  %-20s %14s %16s\n" "translate" "minor words" "promoted words";
-  rowf "  %-20s %14.0f %16.0f\n" "pascal, 800 stmts" minor promoted
+  rowf "  %-20s %14.0f %16.0f\n" "pascal, 800 stmts" minor promoted;
+  (* every leaf is an exact word count and gates as "more is worse" *)
+  let json =
+    let open Lg_support.Json_out in
+    Obj
+      ([ ("workload", Str "synthetic_pascal via the Pascal translator") ]
+      @ List.map
+          (fun (n, words) -> (Printf.sprintf "incr_words_%d" n, int words))
+          incr_words
+      @ [ ("minor_words_800", Num minor); ("promoted_words_800", Num promoted) ])
+  in
+  let oc = open_out "BENCH_residency.json" in
+  output_string oc (Lg_support.Json_out.to_string ~pretty:true json);
+  output_char oc '\n';
+  close_out oc;
+  rowf "  wrote BENCH_residency.json\n"
 
 (* ============ ablations beyond the paper ============ *)
 

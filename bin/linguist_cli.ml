@@ -645,22 +645,13 @@ let incremental_threshold =
            an incremental update falls back to full evaluation instead of \
            propagating.")
 
-let incremental_spill =
-  Arg.(
-    value & flag
-    & info [ "incremental-spill" ]
-        ~doc:
-          "Round-trip each document's versioned attribute store through \
-           an APT backend between updates (state in the store registry's \
-           custody — and under its fault injection).")
-
-let incremental_of ~on ~threshold ~spill =
+let incremental_of ~on ~threshold =
   if not on then None
   else if threshold < 0.0 || threshold > 1.0 then
     failwith
       (Printf.sprintf "--incremental-threshold must be in [0,1] (got %g)"
          threshold)
-  else Some { Lg_server.Batch.inc_threshold = threshold; inc_spill = spill }
+  else Some { Lg_server.Batch.inc_threshold = threshold }
 
 let deadline_arg =
   Arg.(
@@ -778,22 +769,18 @@ let batch_cmd =
           docs/SERVER.md).")
     Term.(
       ret
-        (const (fun workers out timings inc inc_threshold inc_spill chaos_spec
-                    poison deadline tout tattrs jobs_path ->
+        (const (fun workers out timings inc inc_threshold chaos_spec poison
+                    deadline tout tattrs jobs_path ->
              guard (fun () ->
-                 match
-                   incremental_of ~on:inc ~threshold:inc_threshold
-                     ~spill:inc_spill
-                 with
+                 match incremental_of ~on:inc ~threshold:inc_threshold with
                  | incremental ->
                      run ~jobs_path ~workers ~out ~timings ~incremental
                        ~chaos_spec ~poison ~deadline ~trace_out:tout
                        ~trace_attrs:tattrs
                  | exception Failure msg -> `Error (false, msg)))
         $ jobs_flag $ out_arg $ timings_flag $ incremental_flag
-        $ incremental_threshold $ incremental_spill $ chaos_arg
-        $ chaos_poison_arg $ deadline_arg $ trace_out $ trace_attrs
-        $ jobfile_arg))
+        $ incremental_threshold $ chaos_arg $ chaos_poison_arg
+        $ deadline_arg $ trace_out $ trace_attrs $ jobfile_arg))
 
 let socket_arg =
   Arg.(
@@ -950,13 +937,10 @@ let serve_cmd =
     Term.(
       ret
         (const (fun workers queue session_ttl quarantine inc inc_threshold
-                    inc_spill chaos_spec poison deadline tout postmortem_dir
+                    chaos_spec poison deadline tout postmortem_dir
                     postmortem_keep listen tenants_file socket ->
              guard (fun () ->
-                 match
-                   incremental_of ~on:inc ~threshold:inc_threshold
-                     ~spill:inc_spill
-                 with
+                 match incremental_of ~on:inc ~threshold:inc_threshold with
                  | incremental ->
                      run ~workers ~queue ~session_ttl ~quarantine ~incremental
                        ~chaos_spec ~poison ~deadline ~trace_out:tout
@@ -964,8 +948,8 @@ let serve_cmd =
                        ~socket
                  | exception Failure msg -> `Error (false, msg)))
         $ jobs_flag $ queue_arg $ session_ttl_arg $ quarantine_arg
-        $ incremental_flag $ incremental_threshold $ incremental_spill
-        $ chaos_arg $ chaos_poison_arg $ deadline_arg $ trace_out
+        $ incremental_flag $ incremental_threshold $ chaos_arg
+        $ chaos_poison_arg $ deadline_arg $ trace_out
         $ postmortem_arg $ postmortem_keep_arg $ listen_arg
         $ tenants_file_arg $ socket_arg))
 

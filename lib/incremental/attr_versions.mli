@@ -9,15 +9,7 @@
     exactly the live tree's instances.
 
     Intrinsic attributes are never stored: they live in the leaf nodes
-    themselves and travel with the tree through the merge.
-
-    The store persists through the {!Lg_apt.Aptfile} façade — and hence
-    through any store registered in [lib/apt/store/] ([paged], [zip],
-    fault-injecting wrappers, …): {!save} streams the entries as APT
-    records, {!load} reads them back through the full integrity stack
-    (paging, CRC framing, retry budgets). A quarantined page surfaces as
-    a typed {!Lg_apt.Apt_error}, which the {!Incr} façade converts into
-    a clean full-evaluation fallback. *)
+    themselves and travel with the tree through the merge. *)
 
 type t
 
@@ -35,16 +27,3 @@ val remove : t -> node:int -> attr:int -> unit
 
 val cardinal : t -> int
 (** Number of stored instances. *)
-
-(** {1 Persistence through the APT store registry} *)
-
-val save : t -> Lg_apt.Aptfile.backend -> Lg_apt.Aptfile.file
-(** Stream the store (a header record carrying the entry count, then one
-    record per entry) through [backend]. Raises {!Lg_apt.Apt_error.Error}
-    on store faults. *)
-
-val load : Lg_apt.Aptfile.file -> t
-(** Read a {!save}d store back. Raises {!Lg_apt.Apt_error.Error} on any
-    integrity failure (corrupt record, truncation, retry exhaustion),
-    including a record count that disagrees with the header — a store
-    cut at a record boundary. *)

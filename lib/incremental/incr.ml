@@ -2,28 +2,21 @@ open Lg_support
 open Lg_apt
 open Linguist
 
-type config = {
-  threshold : float;
-  spill : Aptfile.backend option;
-  metrics : Metrics.t;
-  tracer : Trace.t;
-}
+type config = { threshold : float; metrics : Metrics.t; tracer : Trace.t }
 
 let default_config =
-  { threshold = 0.5; spill = None; metrics = Metrics.null; tracer = Trace.null }
+  { threshold = 0.5; metrics = Metrics.null; tracer = Trace.null }
 
 type state = {
   st_ir : Ir.t;  (* identity guard: state is only valid for its plan *)
   mutable st_fp : Fingerprint.t;
   mutable st_tree : Tree.t;
-  mutable st_versions : Attr_versions.t;
+  st_versions : Attr_versions.t;
   st_parents : (int, Tree.t * int) Hashtbl.t;
   st_index : Propagate.dep_index;
   st_cells : int array array;
       (* per production: the attribute ids stored for one instance *)
 }
-
-let state_tree st = st.st_tree
 
 let memory_cells st =
   Attr_versions.cardinal st.st_versions + Hashtbl.length st.st_parents
@@ -174,32 +167,17 @@ let update ?state config ~(plan : Plan.t) ~engine_options ~tree =
   Trace.span tracer ~cat:"incremental" "incremental.update" (fun () ->
       match state with
       | Some st when st.st_ir == ir -> (
-          try
-            (* Optionally round-trip the versioned store through the APT
-               store registry: state survives in the store's custody and
-               is subject to its integrity machinery. *)
-            (match config.spill with
-            | None -> ()
-            | Some backend ->
-                let file = Attr_versions.save st.st_versions backend in
-                Fun.protect
-                  ~finally:(fun () -> Aptfile.dispose file)
-                  (fun () ->
-                    Metrics.incr metrics
-                      ~by:(Aptfile.size_bytes file)
-                      "incremental.spill_bytes";
-                    st.st_versions <- Attr_versions.load file));
-            let merged, seeds, discarded, dstats =
-              Trace.span tracer ~cat:"incremental" "incremental.diff" (fun () ->
-                  Tree_diff.merge st.st_fp ~prev:st.st_tree ~next:tree)
-            in
-            publish_stats dstats;
-            if dstats.Tree_diff.churn > config.threshold then begin
-              (* The edit rewrote most of the tree: propagation would be
-                 a slow full evaluation. *)
-              fallback ~churn:dstats.Tree_diff.churn "churn above threshold"
-            end
-            else begin
+          let merged, seeds, discarded, dstats =
+            Trace.span tracer ~cat:"incremental" "incremental.diff" (fun () ->
+                Tree_diff.merge st.st_fp ~prev:st.st_tree ~next:tree)
+          in
+          publish_stats dstats;
+          if dstats.Tree_diff.churn > config.threshold then
+            (* The edit rewrote most of the tree: propagation would be a
+               slow full evaluation. *)
+            fallback ~churn:dstats.Tree_diff.churn "churn above threshold"
+          else
+            try
               Metrics.incr metrics "incremental.hits";
               st.st_tree <- merged;
               drop st discarded;
@@ -216,9 +194,7 @@ let update ?state config ~(plan : Plan.t) ~engine_options ~tree =
                 "incremental.cache_hits";
               Metrics.observe metrics "incremental.waves"
                 (float_of_int outcome.Propagate.waves);
-              let outputs =
-                outputs_of ir st.st_versions st.st_parents merged
-              in
+              let outputs = outputs_of ir st.st_versions st.st_parents merged in
               compact metrics st ~tree_size;
               ( {
                   outputs;
@@ -234,15 +210,7 @@ let update ?state config ~(plan : Plan.t) ~engine_options ~tree =
                   tree_size;
                 },
                 Some st )
-            end
-          with
-          | Apt_error.Error e ->
-              (* A quarantined page (or any integrity failure) in the
-                 versioned store: abandon the state, answer from the
-                 full engine — correct or typed 40–44, never wrong. *)
-              fallback ~churn:0.0
-                (Printf.sprintf "store error: %s" (Apt_error.to_string e))
-          | Propagate.Stuck reason -> fallback ~churn:0.0 reason)
+            with Propagate.Stuck reason -> fallback ~churn:0.0 reason)
       | Some _ | None ->
           Metrics.incr metrics "incremental.fresh";
           let st, outcome = build_fresh config ~ir ~tree in

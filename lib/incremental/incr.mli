@@ -14,21 +14,16 @@
       fresh, propagation would approach full evaluation anyway; the
       update runs the classic {!Linguist.Engine} instead and drops the
       session state (the next update rebuilds it from scratch);
-    - {b integrity}: any typed {!Lg_apt.Apt_error} out of the versioned
-      store (e.g. a quarantined page under fault injection), or a
-      non-convergent propagation, abandons the incremental state and
-      re-runs the full engine — the caller sees either a correct answer
-      or the engine's own typed error (exit 40–44), never a wrong
-      answer. *)
+    - {b stuck}: a propagation that does not converge abandons the
+      incremental state and re-runs the full engine.
+    Either way the full engine runs once: the caller sees a correct
+    answer or the engine's own typed {!Lg_apt.Apt_error} (exit 40–44),
+    never a wrong answer. *)
 
 type config = {
   threshold : float;
       (** churn fraction above which the update falls back to the full
           engine; 0.5 by default *)
-  spill : Lg_apt.Aptfile.backend option;
-      (** when set, the versioned store round-trips through this APT
-          backend on every update — state lives in the store registry
-          and is subject to its integrity machinery *)
   metrics : Lg_support.Metrics.t;  (** resolved against the ambient *)
   tracer : Lg_support.Trace.t;  (** resolved against the ambient *)
 }
@@ -43,8 +38,6 @@ type state
     take theirs with them, at a cost proportional to the edit. Only the
     interner accumulates, until its rebuild (counted in
     [incremental.compactions]). *)
-
-val state_tree : state -> Lg_apt.Tree.t
 
 val memory_cells : state -> int
 (** Stored attribute instances + parent links. Equal to a fresh

@@ -114,12 +114,12 @@ let analyze_payload (a : Lg_languages.Linguist_ag.analysis) =
       ("report_entries", int (List.length a.Lg_languages.Linguist_ag.report));
     ]
 
-(* How [update] jobs evaluate: threshold and state spilling for the
-   incremental subsystem. [None] (the default) still serves updates —
+(* How [update] jobs evaluate: the incremental subsystem's churn
+   threshold. [None] (the default) still serves updates —
    each one evaluates from scratch — but keeps no per-document state. *)
-type incremental = { inc_threshold : float; inc_spill : bool }
+type incremental = { inc_threshold : float }
 
-let default_incremental = { inc_threshold = 0.5; inc_spill = false }
+let default_incremental = { inc_threshold = 0.5 }
 
 let translate_payload (tr : Linguist.Translator.translation) =
   Obj
@@ -281,10 +281,6 @@ let run_job ~sessions ?incremental (j : Jobfile.job) =
               {
                 Lg_incremental.Incr.default_config with
                 threshold = inc.inc_threshold;
-                spill =
-                  (if inc.inc_spill then
-                     Some engine_options.Linguist.Engine.backend
-                   else None);
               }
             in
             let result =

@@ -56,13 +56,11 @@ type summary = {
 
 (** How [update] jobs evaluate (see [docs/INCREMENTAL.md]).
     [inc_threshold] is the churn fraction above which an update falls
-    back to full evaluation; [inc_spill] round-trips each document's
-    versioned attribute store through the job's APT backend (state in
-    the store registry's custody — and under its fault injection). *)
-type incremental = { inc_threshold : float; inc_spill : bool }
+    back to full evaluation. *)
+type incremental = { inc_threshold : float }
 
 val default_incremental : incremental
-(** threshold 0.5, no spilling. *)
+(** threshold 0.5. *)
 
 val run_job :
   sessions:Session.cache -> ?incremental:incremental -> Jobfile.job -> outcome

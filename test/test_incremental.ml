@@ -1,7 +1,7 @@
 (* The incremental re-translation subsystem: fingerprint/merge units,
    QCheck edit-sequence differentials (incremental = Demand = Engine,
    byte-identically, across the registered stores), fallback semantics,
-   fault injection through the spilled versioned store, the cost-aware
+   a churn fallback whose engine runs on a faulty medium, the cost-aware
    session cache, and the update job plumbing. *)
 open Linguist
 open Lg_incremental
@@ -287,13 +287,12 @@ let store_backends =
     (Lg_apt.Store_registry.names ())
 
 let run_edit_sequence ?(config = Incr.default_config) ~grammar ~seed ~edits
-    ~spill () =
+    () =
   let plan = plan_of grammar in
   let ir = plan.Plan.ir in
   let st = Random.State.make [| seed |] in
   let rng bound = Random.State.int st bound in
   let engine_options = Engine.default_options in
-  let config = { config with spill } in
   let state = ref None in
   let tree = ref (Fixtures.random_tree ir ~rng ~size:(10 + rng 40)) in
   for step = 0 to edits do
@@ -341,7 +340,7 @@ let prop_edit_sequence_differential =
       let grammar =
         if which = 0 then Fixtures.sum_grammar else Fixtures.env_grammar
       in
-      run_edit_sequence ~grammar ~seed ~edits:6 ~spill:None ();
+      run_edit_sequence ~grammar ~seed ~edits:6 ();
       true)
 
 let test_long_sequence_rebuilds_fingerprints () =
@@ -350,69 +349,11 @@ let test_long_sequence_rebuilds_fingerprints () =
   let metrics = Lg_support.Metrics.create () in
   let config = { Incr.default_config with threshold = 1.0; metrics } in
   run_edit_sequence ~config ~grammar:Fixtures.env_grammar ~seed:5 ~edits:250
-    ~spill:None ();
+    ();
   match Lg_support.Metrics.find metrics "incremental.compactions" with
   | Some (Lg_support.Metrics.Counter n) ->
       Alcotest.(check bool) "the fingerprint rebuild ran" true (n > 0)
   | _ -> Alcotest.fail "incremental.compactions not published"
-
-let test_spilled_state_differential () =
-  (* the versioned store round-trips through a real APT backend between
-     updates: state custody belongs to the store registry *)
-  List.iter
-    (fun (store, backend) ->
-      let metrics = Lg_support.Metrics.create () in
-      ignore metrics;
-      run_edit_sequence ~grammar:Fixtures.sum_grammar ~seed:(Hashtbl.hash store)
-        ~edits:4 ~spill:(Some backend) ())
-    store_backends
-
-let test_spill_publishes_metrics () =
-  let plan = plan_of Fixtures.sum_grammar in
-  let st = Random.State.make [| 47 |] in
-  let rng bound = Random.State.int st bound in
-  let tree = Fixtures.random_tree plan.Plan.ir ~rng ~size:25 in
-  let metrics = Lg_support.Metrics.create () in
-  let config =
-    {
-      Incr.default_config with
-      spill = Some (Lg_apt.Aptfile.backend_of_store_name "mem");
-      metrics;
-    }
-  in
-  let engine_options = Engine.default_options in
-  let _, state = Incr.update config ~plan ~engine_options ~tree in
-  let edited = perturb_leaf tree ~rng in
-  let _, _ = Incr.update ?state config ~plan ~engine_options ~tree:edited in
-  (match Lg_support.Metrics.find metrics "incremental.spill_bytes" with
-  | Some (Lg_support.Metrics.Counter n) ->
-      Alcotest.(check bool) "spill moved bytes" true (n > 0)
-  | _ -> Alcotest.fail "incremental.spill_bytes not published");
-  match Lg_support.Metrics.find metrics "incremental.hits" with
-  | Some (Lg_support.Metrics.Counter n) ->
-      Alcotest.(check int) "one incremental hit" 1 n
-  | _ -> Alcotest.fail "incremental.hits not published"
-
-let test_spill_refuses_a_cut_store () =
-  let versions = Attr_versions.create () in
-  for node = 1 to 5 do
-    ignore
-      (Attr_versions.record versions ~node ~attr:0 (Lg_support.Value.Int node))
-  done;
-  let mem = Lg_apt.Aptfile.backend_of_store_name "mem" in
-  let file = Attr_versions.save versions mem in
-  Alcotest.(check int)
-    "a whole store loads" 5
-    (Attr_versions.cardinal (Attr_versions.load file));
-  (* drop the last record: every frame still checks out *)
-  let records = Lg_apt.Aptfile.to_list file in
-  let cut =
-    Lg_apt.Aptfile.of_list mem
-      (List.filteri (fun i _ -> i < List.length records - 1) records)
-  in
-  match Attr_versions.load cut with
-  | exception Lg_apt.Apt_error.Error (Lg_apt.Apt_error.Corrupt_record _) -> ()
-  | _ -> Alcotest.fail "a store cut at a record boundary must not load"
 
 (* ---------- fault injection ---------- *)
 
@@ -426,74 +367,38 @@ let faulty_backend ~kinds ~rate =
   in
   Lg_apt.Aptfile.backend_of_store_name ~config "paged"
 
-let test_fault_during_spill_falls_back_cleanly () =
-  (* the versioned store lands on a medium that damages every write: the
-     reload fails with a typed error, the update falls back to the full
-     engine (clean mem backend) and still answers correctly *)
-  let plan = plan_of Fixtures.sum_grammar in
-  let st = Random.State.make [| 53 |] in
-  let rng bound = Random.State.int st bound in
-  let tree = Fixtures.random_tree plan.Plan.ir ~rng ~size:25 in
-  let metrics = Lg_support.Metrics.create () in
-  let config =
-    {
-      Incr.default_config with
-      spill = Some (faulty_backend ~kinds:[ Lg_apt.Apt_store.Bit_flip ] ~rate:1.0);
-      metrics;
-    }
-  in
-  let engine_options = Engine.default_options in
-  let _, state = Incr.update config ~plan ~engine_options ~tree in
-  let edited = perturb_leaf tree ~rng in
-  let r, next = Incr.update ?state config ~plan ~engine_options ~tree:edited in
-  (match r.Incr.mode with
-  | Incr.Fallback { reason; _ } ->
-      Alcotest.(check bool) "reason names the store failure" true
-        (String.length reason > 0)
-  | _ -> Alcotest.fail "a corrupted spill must fall back");
-  Alcotest.(check bool) "state is dropped after the fault" true (next = None);
-  let oracle = Demand.evaluate plan.Plan.ir edited in
-  Alcotest.(check (list (pair Alcotest.string check_value)))
-    "the answer is still correct" oracle.Demand.outputs r.Incr.outputs;
-  match Lg_support.Metrics.find metrics "incremental.fallbacks" with
-  | Some (Lg_support.Metrics.Counter n) ->
-      Alcotest.(check int) "one fallback counted" 1 n
-  | _ -> Alcotest.fail "incremental.fallbacks not published"
-
-let test_double_fault_surfaces_typed_error () =
-  (* when even the fallback engine runs on the damaged medium, the caller
-     gets the typed 40-44 error — never a wrong answer *)
+let test_churn_fallback_on_faulty_medium () =
+  (* threshold 0 sends the edit down the churn fallback, whose engine
+     runs on a medium that damages every write: the caller gets the
+     engine's typed 40-44 error or a correct answer, and the engine
+     runs once *)
   let plan = plan_of Fixtures.sum_grammar in
   let st = Random.State.make [| 59 |] in
   let rng bound = Random.State.int st bound in
   let tree = Fixtures.random_tree plan.Plan.ir ~rng ~size:25 in
+  let metrics = Lg_support.Metrics.create () in
+  let config = { Incr.default_config with threshold = 0.0; metrics } in
   let faulty = faulty_backend ~kinds:[ Lg_apt.Apt_store.Bit_flip ] ~rate:1.0 in
-  let config = { Incr.default_config with spill = Some faulty } in
   let engine_options = { Engine.default_options with backend = faulty } in
-  match Incr.update config ~plan ~engine_options ~tree with
+  (* the fresh build propagates on the heap: the medium is not touched *)
+  let _, state = Incr.update config ~plan ~engine_options ~tree in
+  Alcotest.(check bool) "the fresh build keeps its state" true (state <> None);
+  let edited = perturb_leaf tree ~rng in
+  (match Incr.update ?state config ~plan ~engine_options ~tree:edited with
   | exception Lg_apt.Apt_error.Error e ->
       let code = Lg_apt.Apt_error.exit_code e in
       Alcotest.(check bool)
         (Printf.sprintf "exit code %d is in the typed 40-44 range" code)
         true
         (code >= 40 && code <= 44)
-  | r, state -> (
-      (* the fresh build does not spill; the fault can only surface on
-         the second update *)
-      let edited = perturb_leaf tree ~rng in
-      match Incr.update ?state config ~plan ~engine_options ~tree:edited with
-      | exception Lg_apt.Apt_error.Error e ->
-          let code = Lg_apt.Apt_error.exit_code e in
-          Alcotest.(check bool)
-            (Printf.sprintf "exit code %d is in the typed 40-44 range" code)
-            true
-            (code >= 40 && code <= 44)
-      | r2, _ ->
-          (* both engines survived the medium: the answers must agree *)
-          let oracle = Demand.evaluate plan.Plan.ir edited in
-          Alcotest.(check (list (pair Alcotest.string check_value)))
-            "never a wrong answer" oracle.Demand.outputs r2.Incr.outputs;
-          ignore r)
+  | r, _ ->
+      let oracle = Demand.evaluate plan.Plan.ir edited in
+      Alcotest.(check (list (pair Alcotest.string check_value)))
+        "never a wrong answer" oracle.Demand.outputs r.Incr.outputs);
+  match Lg_support.Metrics.find metrics "incremental.fallbacks" with
+  | Some (Lg_support.Metrics.Counter n) ->
+      Alcotest.(check int) "one fallback counted" 1 n
+  | _ -> Alcotest.fail "incremental.fallbacks not published"
 
 (* ---------- the cost-aware session cache ---------- *)
 
@@ -686,19 +591,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_edit_sequence_differential;
           Alcotest.test_case "long sequence rebuilds the fingerprints" `Quick
             test_long_sequence_rebuilds_fingerprints;
-          Alcotest.test_case "spilled state differential, all stores" `Quick
-            test_spilled_state_differential;
-          Alcotest.test_case "spill publishes incremental.* metrics" `Quick
-            test_spill_publishes_metrics;
-          Alcotest.test_case "spill refuses a store cut at a record" `Quick
-            test_spill_refuses_a_cut_store;
         ] );
       ( "faults",
         [
-          Alcotest.test_case "quarantined spill falls back cleanly" `Quick
-            test_fault_during_spill_falls_back_cleanly;
           Alcotest.test_case "double fault surfaces the typed error" `Quick
-            test_double_fault_surfaces_typed_error;
+            test_churn_fallback_on_faulty_medium;
         ] );
       ( "sessions",
         [
