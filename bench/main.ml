@@ -13,7 +13,8 @@
      e6  subsumption's (non-)effect on runtime      (paper §III)
      f1  alternating file order                     (paper §II diagram)
      f2  memory residency: APT on disk, spine in RAM (paper §I/II);
-         tokens, AST words and allocation of a streamed AG parse
+         tokens, AST words and allocation of a streamed AG parse (exact
+         counts, written to BENCH_f2.json)
      residency  incremental-state words and translation allocation of
          the Pascal translator's sequence-building rules (exact counts,
          written to BENCH_residency.json)
@@ -372,20 +373,26 @@ let f2 () =
   let plan = Translator.plan t in
   rowf "  %-14s %12s %14s %14s %10s\n" "input (prods)" "APT bytes"
     "resident slots" "open nodes" "ratio";
-  List.iter
-    (fun n ->
-      let diag = Lg_support.Diag.create () in
-      let source = Workloads.synthetic_ag n in
-      let tree =
-        Option.get (Translator.tree_of_source t ~file:"<f2>" ~diag source)
-      in
-      let r = Engine.run plan tree in
-      let apt = r.Engine.stats.Engine.apt_total_bytes in
-      let resident = r.Engine.stats.Engine.max_resident_slots in
-      rowf "  %-14d %12d %14d %14d %9.1fx\n" n apt resident
-        r.Engine.stats.Engine.max_open_nodes
-        (float_of_int apt /. float_of_int (max 1 resident)))
-    [ 25; 50; 100; 200; 400 ];
+  let residency_leaves =
+    List.concat_map
+      (fun n ->
+        let diag = Lg_support.Diag.create () in
+        let source = Workloads.synthetic_ag n in
+        let tree =
+          Option.get (Translator.tree_of_source t ~file:"<f2>" ~diag source)
+        in
+        let r = Engine.run plan tree in
+        let apt = r.Engine.stats.Engine.apt_total_bytes in
+        let resident = r.Engine.stats.Engine.max_resident_slots in
+        let open_nodes = r.Engine.stats.Engine.max_open_nodes in
+        rowf "  %-14d %12d %14d %14d %9.1fx\n" n apt resident open_nodes
+          (float_of_int apt /. float_of_int (max 1 resident));
+        List.map
+          (fun (key, v) -> (Printf.sprintf "%s_%d" key n, v))
+          [ ("apt_bytes", apt); ("resident_slots", resident);
+            ("open_nodes", open_nodes) ])
+      [ 25; 50; 100; 200; 400 ]
+  in
   rowf "  paper: a >42KB APT evaluated in 48KB of dynamic memory\n";
   rowf "  shape: APT bytes grow with input; resident spine grows with depth only\n";
   (* The front end streams tokens from the scanner into the LR driver, so
@@ -399,23 +406,42 @@ let f2 () =
   ignore (Lg_support.Once.force Ag_grammar.tables);
   rowf "\n  %-20s %10s %12s %18s\n" "AG source" "tokens" "AST words"
     "parse minor words";
-  List.iter
-    (fun (name, source) ->
-      let tokens =
-        Seq.length
-          (Ag_lexer.tokens ~file:name ~diag:(Lg_support.Diag.create ()) source)
-      in
-      let diag = Lg_support.Diag.create () in
-      let before = Gc.minor_words () in
-      let spec = Ag_parse.parse ~file:name ~diag source in
-      let words = Gc.minor_words () -. before in
-      rowf "  %-20s %10d %12d %18.0f\n" name tokens
-        (Obj.reachable_words (Obj.repr spec))
-        words)
-    [
-      ("linguist.ag", Linguist_ag.ag_source);
-      ("xl corpus (seed 1)", xl.Lg_corpus.Corpus_gen.g_source);
-    ]
+  let parse_leaves =
+    List.concat_map
+      (fun (key, name, source) ->
+        let tokens =
+          Seq.length
+            (Ag_lexer.tokens ~file:name ~diag:(Lg_support.Diag.create ()) source)
+        in
+        let diag = Lg_support.Diag.create () in
+        let before = Gc.minor_words () in
+        let spec = Ag_parse.parse ~file:name ~diag source in
+        let words = Gc.minor_words () -. before in
+        let ast_words = Obj.reachable_words (Obj.repr spec) in
+        rowf "  %-20s %10d %12d %18.0f\n" name tokens ast_words words;
+        [
+          (key ^ "_tokens", float_of_int tokens);
+          (key ^ "_ast_words", float_of_int ast_words);
+          (key ^ "_parse_minor_words", words);
+        ])
+      [
+        ("linguist_ag", "linguist.ag", Linguist_ag.ag_source);
+        ("xl_seed1", "xl corpus (seed 1)", xl.Lg_corpus.Corpus_gen.g_source);
+      ]
+  in
+  (* every leaf is an exact count and gates as "more is worse" *)
+  let json =
+    let open Lg_support.Json_out in
+    Obj
+      ([ ("workload", Str "synthetic_ag via linguist.ag; AG sources parsed") ]
+      @ List.map (fun (k, v) -> (k, int v)) residency_leaves
+      @ List.map (fun (k, v) -> (k, Num v)) parse_leaves)
+  in
+  let oc = open_out "BENCH_f2.json" in
+  output_string oc (Lg_support.Json_out.to_string ~pretty:true json);
+  output_char oc '\n';
+  close_out oc;
+  rowf "  wrote BENCH_f2.json\n"
 
 (* ============ residency of sequence-building translations ============ *)
 
@@ -460,6 +486,27 @@ let residency () =
   and promoted = (Gc.quick_stat ()).Gc.promoted_words -. promoted0 in
   rowf "\n  %-20s %14s %16s\n" "translate" "minor words" "promoted words";
   rowf "  %-20s %14.0f %16.0f\n" "pascal, 800 stmts" minor promoted;
+  (* the price of an installed metrics registry, in words per translation
+     (printed only: the gate above measures the registry-off path) *)
+  let words_with m source =
+    Lg_support.Metrics.install m;
+    let before = Gc.minor_words () in
+    ignore (Translator.translate_exn t ~file:"<residency>" source);
+    let words = Gc.minor_words () -. before in
+    Lg_support.Metrics.install Lg_support.Metrics.null;
+    words
+  in
+  rowf "\n  %-20s %14s %14s %12s\n" "metrics registry" "off words"
+    "on words" "extra";
+  List.iter
+    (fun n ->
+      let source = Workloads.synthetic_pascal n in
+      let off = words_with Lg_support.Metrics.null source in
+      let on = words_with (Lg_support.Metrics.create ()) source in
+      rowf "  %-20s %14.0f %14.0f %12.0f\n"
+        (Printf.sprintf "pascal, %d stmts" n)
+        off on (on -. off))
+    [ 100; 800 ];
   (* every leaf is an exact word count and gates as "more is worse" *)
   let json =
     let open Lg_support.Json_out in

@@ -6,6 +6,8 @@ type file = Apt_store.file
 
 type writer = {
   w_stats : Io_stats.t option;
+  w_sizes : (Lg_support.Metrics.t * Lg_support.Metrics.tally) option;
+      (** record sizes, for the registry ambient at creation *)
   buf : Buffer.t;  (** per-record scratch *)
   inner_w : Apt_store.writer;
 }
@@ -21,24 +23,29 @@ let writer ?stats backend =
   | Some s -> Io_stats.bump s.Io_stats.files_created 1
   | None -> ());
   let store = Store_registry.find ~config:backend.config backend.store in
-  { w_stats = stats; buf = Buffer.create 256; inner_w = store.Apt_store.start stats }
+  let m = Lg_support.Metrics.ambient () in
+  let w_sizes = if Lg_support.Metrics.enabled m then Some (m, Lg_support.Metrics.tally ()) else None in
+  { w_stats = stats; w_sizes; buf = Buffer.create 256; inner_w = store.Apt_store.start stats }
 
 let write w node =
   Buffer.clear w.buf;
   Node.encode w.buf node;
   let payload = Buffer.contents w.buf in
   w.inner_w.Apt_store.put payload;
-  (* record-size distribution for the metrics registry (§IV's "how big
-     are the APT records" accounting); one field check when disabled *)
-  let m = Lg_support.Metrics.ambient () in
-  if Lg_support.Metrics.enabled m then
-    Lg_support.Metrics.observe m "apt.record_bytes"
-      (float_of_int (String.length payload));
+  (* record-size distribution (§IV's "how big are the APT records"
+     accounting), tallied here and published once per file *)
+  (match w.w_sizes with
+  | Some (_, sizes) -> Lg_support.Metrics.tally_int sizes (String.length payload)
+  | None -> ());
   match w.w_stats with
   | Some s -> Io_stats.bump s.Io_stats.records_written 1
   | None -> ()
 
-let close_writer w = w.inner_w.Apt_store.close ()
+let close_writer w =
+  (match w.w_sizes with
+  | Some (m, sizes) -> Lg_support.Metrics.publish_tally m "apt.record_bytes" sizes
+  | None -> ());
+  w.inner_w.Apt_store.close ()
 
 let size_bytes (f : file) = f.Apt_store.f_size
 let record_count (f : file) = f.Apt_store.f_records

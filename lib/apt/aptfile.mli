@@ -34,6 +34,9 @@ val backend_of_store_name : ?config:Apt_store.config -> string -> backend
 val writer : ?stats:Io_stats.t -> backend -> writer
 val write : writer -> Node.t -> unit
 val close_writer : writer -> file
+(** Finish the file. When a {!Lg_support.Metrics} registry was ambient
+    at {!writer}, this publishes the file's record sizes into its
+    [apt.record_bytes] histogram, once per file rather than per record. *)
 
 val read_forward : ?stats:Io_stats.t -> file -> reader
 val read_backward : ?stats:Io_stats.t -> file -> reader

@@ -30,22 +30,13 @@ let analyze ?(mode = Optimized) (ir : Ir.t) (pr : Pass_assign.result) =
     (Ir.attrs_of_sym ir ir.root);
   { ir; mode; def_pass; last_use }
 
-let def_pass t a = t.def_pass.(a)
 let last_use t a = t.last_use.(a)
 let is_temporary t a = t.last_use.(a) <= t.def_pass.(a)
 
-let wanted t pass a =
+let written t ~pass a =
   match t.mode with
   | Optimized -> t.def_pass.(a) <= pass && pass < t.last_use.(a)
   | Keep_all -> t.def_pass.(a) <= pass
-
-let write_set_sym t ~sym ~pass =
-  List.filter (wanted t pass) t.ir.symbols.(sym).Ir.s_attrs
-
-let write_set_limb t ~prod ~pass =
-  match t.ir.prods.(prod).Ir.p_limb with
-  | None -> []
-  | Some limb -> List.filter (wanted t pass) t.ir.symbols.(limb).Ir.s_attrs
 
 let temporary_count t =
   Array.fold_left

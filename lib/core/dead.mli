@@ -1,6 +1,6 @@
 (** Attribute lifetime analysis: temporary vs significant attributes and
-    per-pass file write sets (paper §III, first optimization; cf. Saarinen
-    and Pozefsky–Jazayeri).
+    which attributes each pass's file carries (paper §III, first
+    optimization; cf. Saarinen and Pozefsky–Jazayeri).
 
     An attribute defined in pass [d] and last referenced in pass [u] must
     travel through the intermediate files written at the end of passes
@@ -16,24 +16,21 @@ type mode =
 type t
 
 val analyze : ?mode:mode -> Ir.t -> Pass_assign.result -> t
-(** Statically allocated attributes still appear in write sets when they
+(** Statically allocated attributes are still {!written} when they
     are significant: the evaluator synchronizes each global into its node
     record as the record is written, so later passes read the value from
     the file like any other attribute. *)
 
-val def_pass : t -> int -> int
 val last_use : t -> int -> int
 (** 0 when never used. Root outputs report [n_passes + 1]. *)
 
 val is_temporary : t -> int -> bool
 (** Never crosses a pass boundary. *)
 
-val write_set_sym : t -> sym:int -> pass:int -> int list
-(** Attribute ids of symbol [sym] present in a node record written at the
-    end of [pass] (pass 0 = the parser's initial linearization), ascending. *)
-
-val write_set_limb : t -> prod:int -> pass:int -> int list
-(** Limb attributes of the production stored in its node's record. *)
+val written : t -> pass:int -> int -> bool
+(** [written t ~pass a]: attribute [a] is present in every node record
+    written at the end of [pass] (pass 0 = the parser's initial
+    linearization). {!Plan.record_slots} tabulates it per record. *)
 
 val temporary_count : t -> int
 val significant_count : t -> int

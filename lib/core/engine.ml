@@ -82,38 +82,14 @@ let leaf_attr_values (ir : Ir.t) ~sym pairs =
 
 (* Compress a node's in-memory values to the record written after [pass]. *)
 let compress (plan : Plan.t) ns ~pass =
-  let ir = plan.Plan.ir in
-  let wanted = Plan.record_attrs plan ~sym:ns.ns_sym ~prod:ns.ns_prod ~pass in
-  let base = ir.symbols.(ns.ns_sym).Ir.s_attrs in
-  let slot_of a =
-    let rec find i = function
-      | [] -> None
-      | x :: rest -> if x = a then Some i else find (i + 1) rest
-    in
-    match find 0 base with
-    | Some i -> Some i
-    | None ->
-        if ns.ns_prod < 0 then None
-        else
-          let limb_attrs =
-            match ir.prods.(ns.ns_prod).Ir.p_limb with
-            | Some l -> ir.symbols.(l).Ir.s_attrs
-            | None -> []
-          in
-          Option.map (fun i -> List.length base + i) (find 0 limb_attrs)
-  in
-  let attrs =
-    Array.of_list
-      (List.map
-         (fun a ->
-           match slot_of a with
-           | Some i when i < Array.length ns.vals -> ns.vals.(i)
-           | Some _ ->
-               fail "Engine.compress: node of %s has too few slots (%d)"
-                 ir.symbols.(ns.ns_sym).Ir.s_name (Array.length ns.vals)
-           | None -> fail "Engine.compress: attribute not in node layout")
-         wanted)
-  in
+  let slots = Plan.record_slots plan ~sym:ns.ns_sym ~prod:ns.ns_prod ~pass in
+  (* slots ascend, so the last one is the highest a record needs; only a
+     hand-built leaf can fall short *)
+  let n = Array.length slots in
+  if n > 0 && slots.(n - 1) >= Array.length ns.vals then
+    fail "Engine.compress: node of %s has too few slots (%d)"
+      plan.Plan.ir.symbols.(ns.ns_sym).Ir.s_name (Array.length ns.vals);
+  let attrs = Array.map (fun i -> ns.vals.(i)) slots in
   if ns.ns_prod < 0 then Node.leaf ~sym:ns.ns_sym ~attrs
   else Node.interior ~prod:ns.ns_prod ~sym:ns.ns_sym ~attrs
 
@@ -122,47 +98,27 @@ let expand (plan : Plan.t) (node : Node.t) ~pass =
   let ir = plan.Plan.ir in
   let sym = node.Node.sym in
   let prod = node.Node.prod in
-  let stored = Plan.record_attrs plan ~sym ~prod ~pass:(pass - 1) in
-  if List.length stored <> Array.length node.Node.attrs then
+  if prod >= 0 && ir.prods.(prod).Ir.p_lhs <> sym then
+    fail "Engine.expand: record of production %s is labelled %s, expected %s"
+      ir.prods.(prod).Ir.p_tag ir.symbols.(sym).Ir.s_name
+      ir.symbols.(ir.prods.(prod).Ir.p_lhs).Ir.s_name;
+  let slots = Plan.record_slots plan ~sym ~prod ~pass:(pass - 1) in
+  if Array.length slots <> Array.length node.Node.attrs then
     fail "Engine.expand: record carries %d values, expected %d (sym %s)"
-      (Array.length node.Node.attrs) (List.length stored)
+      (Array.length node.Node.attrs) (Array.length slots)
       ir.symbols.(sym).Ir.s_name;
   let vals = Array.make (Plan.node_slots ir ~sym ~prod) Value.Bottom in
-  let base = ir.symbols.(sym).Ir.s_attrs in
-  List.iteri
-    (fun record_idx a ->
-      let rec find i = function
-        | [] -> (
-            (* a limb attribute *)
-            match (prod >= 0, if prod >= 0 then ir.prods.(prod).Ir.p_limb else None) with
-            | true, Some l ->
-                let rec find_limb j = function
-                  | [] -> fail "Engine.expand: stray record attribute"
-                  | x :: rest ->
-                      if x = a then
-                        vals.(List.length base + j) <- node.Node.attrs.(record_idx)
-                      else find_limb (j + 1) rest
-                in
-                find_limb 0 ir.symbols.(l).Ir.s_attrs
-            | _ -> fail "Engine.expand: stray record attribute")
-        | x :: rest ->
-            if x = a then vals.(i) <- node.Node.attrs.(record_idx)
-            else find (i + 1) rest
-      in
-      find 0 base)
-    stored;
+  Array.iteri (fun i slot -> vals.(slot) <- node.Node.attrs.(i)) slots;
   { ns_prod = prod; ns_sym = sym; vals }
 
 let initial_file ?stats (plan : Plan.t) backend tree =
   let ir = plan.Plan.ir in
   let emit (t : Tree.t) =
-    let ns = { ns_prod = t.Tree.prod; ns_sym = t.Tree.sym; vals = [||] } in
-    let ns =
-      if t.Tree.prod = Node.leaf_prod then { ns with vals = t.Tree.leaf_attrs }
-      else
-        { ns with vals = Array.make (Plan.node_slots ir ~sym:t.Tree.sym ~prod:t.Tree.prod) Value.Bottom }
+    let vals =
+      if t.Tree.prod = Node.leaf_prod then t.Tree.leaf_attrs
+      else Array.make (Plan.node_slots ir ~sym:t.Tree.sym ~prod:t.Tree.prod) Value.Bottom
     in
-    compress plan ns ~pass:0
+    compress plan { ns_prod = t.Tree.prod; ns_sym = t.Tree.sym; vals } ~pass:0
   in
   let w = Aptfile.writer ?stats backend in
   (match plan.Plan.passes.Pass_assign.strategy with

@@ -92,7 +92,8 @@ val initial_file :
   Lg_apt.Tree.t ->
   Lg_apt.Aptfile.file
 (** Just the parser-side linearization: postfix for [bottom_up], prefix
-    for [recursive_descent], with pass-0 write sets. *)
+    for [recursive_descent], with the pass-0 record layout
+    ({!Plan.record_slots}). *)
 
 val leaf_attr_values :
   Ir.t -> sym:int -> (string * Lg_support.Value.t) list -> Lg_support.Value.t array

@@ -66,17 +66,6 @@ type t = {
   source_lines : int;
 }
 
-let occ_sym _t p = function
-  | Lhs -> p.p_lhs
-  | Rhs i ->
-      if i < 0 || i >= Array.length p.p_rhs then
-        invalid_arg "Ir.occ_sym: position out of range";
-      p.p_rhs.(i)
-  | Limb_occ -> (
-      match p.p_limb with
-      | Some s -> s
-      | None -> invalid_arg "Ir.occ_sym: production has no limb")
-
 let attrs_of_sym t sym = List.map (fun a -> t.attrs.(a)) t.symbols.(sym).s_attrs
 
 let find_attr t ~sym ~name =

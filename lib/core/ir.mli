@@ -84,10 +84,6 @@ type t = {
   source_lines : int;  (** lines in the AG source text (statistics) *)
 }
 
-val occ_sym : t -> production -> occ -> int
-(** Symbol labelling an occurrence. @raise Invalid_argument for a limb
-    occurrence of a limbless production or an out-of-range position. *)
-
 val attrs_of_sym : t -> int -> attr list
 val find_attr : t -> sym:int -> name:string -> attr option
 

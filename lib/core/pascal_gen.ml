@@ -70,34 +70,22 @@ let generate_pass (plan : Plan.t) ~pass =
       let prod = ir.prods.(pp.Plan.pp_prod) in
       let lhs_name = ident ir.symbols.(prod.Ir.p_lhs).Ir.s_name in
       let child_var i = Printf.sprintf "%s_%d" (ident ir.symbols.(prod.Ir.p_rhs.(i)).Ir.s_name) (i + 1) in
-      let limb_var =
-        match prod.Ir.p_limb with
-        | Some l -> Some (ident ir.symbols.(l).Ir.s_name)
-        | None -> None
-      in
+      let limb_var = Option.map (fun l -> ident ir.symbols.(l).Ir.s_name) prod.Ir.p_limb in
       let proc_name = Printf.sprintf "%sPP%d" (ident prod.Ir.p_tag) pass in
       (* Locate the attribute behind an Lnode slot, for field names. *)
       let field_name occ slot =
-        let attrs_of sym = ir.symbols.(sym).Ir.s_attrs in
-        match occ with
-        | Ir.Lhs -> (
-            let base = attrs_of prod.Ir.p_lhs in
-            match List.nth_opt base slot with
-            | Some a -> Printf.sprintf "%s.%s" lhs_name (ident ir.attrs.(a).Ir.a_name)
-            | None -> "?")
-        | Ir.Limb_occ -> (
-            let base = attrs_of prod.Ir.p_lhs in
-            let limb = Option.get prod.Ir.p_limb in
-            match List.nth_opt (attrs_of limb) (slot - List.length base) with
-            | Some a ->
-                Printf.sprintf "%s.%s" (Option.get limb_var)
-                  (ident ir.attrs.(a).Ir.a_name)
-            | None -> "?")
-        | Ir.Rhs i -> (
-            match List.nth_opt (attrs_of prod.Ir.p_rhs.(i)) slot with
-            | Some a ->
-                Printf.sprintf "%s.%s" (child_var i) (ident ir.attrs.(a).Ir.a_name)
-            | None -> "?")
+        let owner, sym, slot =
+          match occ with
+          | Ir.Lhs -> (lhs_name, prod.Ir.p_lhs, slot)
+          | Ir.Rhs i -> (child_var i, prod.Ir.p_rhs.(i), slot)
+          | Ir.Limb_occ ->
+              ( Option.get limb_var,
+                Option.get prod.Ir.p_limb,
+                slot - List.length ir.symbols.(prod.Ir.p_lhs).Ir.s_attrs )
+        in
+        match List.nth_opt ir.symbols.(sym).Ir.s_attrs slot with
+        | Some a -> Printf.sprintf "%s.%s" owner (ident ir.attrs.(a).Ir.a_name)
+        | None -> "?"
       in
       let loc_text = function
         | Plan.Lnode (occ, slot) -> field_name occ slot

@@ -24,12 +24,16 @@ type pass_plan = {
   pl_prods : prod_plan array;
 }
 
+(* [interior.(pass).(prod)] and [leaf.(pass).(sym)], passes 0..n *)
+type records = { interior : int array array array; leaf : int array array array }
+
 type t = {
   ir : Ir.t;
   passes : Pass_assign.result;
   dead : Dead.t;
   alloc : Subsume.allocation;
   pass_plans : pass_plan array;
+  records : records;
 }
 
 let index_of x xs =
@@ -60,10 +64,39 @@ let node_slots (ir : Ir.t) ~sym ~prod =
     | Some limb -> base + List.length ir.symbols.(limb).Ir.s_attrs
     | None -> base
 
-let record_attrs t ~sym ~prod ~pass =
-  let symbol_part = Dead.write_set_sym t.dead ~sym ~pass in
-  if prod < 0 then symbol_part
-  else symbol_part @ Dead.write_set_limb t.dead ~prod ~pass
+let record_layout (ir : Ir.t) dead ~n_passes =
+  (* equal tables are stored once: most of them repeat *)
+  let shared = Hashtbl.create 64 in
+  let share slots =
+    let a = Array.of_list slots in
+    match Hashtbl.find_opt shared a with
+    | Some s -> s
+    | None -> Hashtbl.add shared a a; a
+  in
+  let kept ~pass ?(base = 0) sym =
+    List.concat
+      (List.mapi
+         (fun i a -> if Dead.written dead ~pass a then [ base + i ] else [])
+         ir.symbols.(sym).Ir.s_attrs)
+  in
+  let per_pass layout items =
+    Array.init (n_passes + 1) (fun pass ->
+        Array.map (fun x -> share (layout ~pass x)) items)
+  in
+  let base (p : Ir.production) = List.length ir.symbols.(p.p_lhs).Ir.s_attrs in
+  {
+    leaf = per_pass (fun ~pass (s : Ir.symbol) -> kept ~pass s.s_id) ir.symbols;
+    interior =
+      per_pass
+        (fun ~pass (p : Ir.production) ->
+          kept ~pass p.p_lhs
+          @ List.concat_map (kept ~pass ~base:(base p)) (Option.to_list p.p_limb))
+        ir.prods;
+  }
+
+let record_slots t ~sym ~prod ~pass =
+  if prod < 0 then t.records.leaf.(pass).(sym)
+  else t.records.interior.(pass).(prod)
 
 let pp_loc ir prod ppf = function
   | Lnode (occ, slot) -> Format.fprintf ppf "%s[%d]" (Ir.occ_name ir prod occ) slot

@@ -46,12 +46,17 @@ type pass_plan = {
   pl_prods : prod_plan array;  (** indexed by production id *)
 }
 
+type records
+(** The APT record layout, built once per plan by {!record_layout} and
+    read through {!record_slots}. *)
+
 type t = {
   ir : Ir.t;
   passes : Pass_assign.result;
   dead : Dead.t;
   alloc : Subsume.allocation;
   pass_plans : pass_plan array;  (** index [k-1] is pass [k] *)
+  records : records;
 }
 
 val slot_in_node : Ir.t -> Ir.production -> Ir.aref -> int
@@ -61,10 +66,15 @@ val node_slots : Ir.t -> sym:int -> prod:int -> int
 (** In-memory slot count of a node: symbol attributes plus, for interior
     nodes ([prod >= 0]), the limb attributes of its production. *)
 
-val record_attrs : t -> sym:int -> prod:int -> pass:int -> int list
-(** Attribute ids stored in this node's record in the file written at the
-    end of [pass], in slot order: the write set of the symbol followed by
-    the write set of the production's limb. *)
+val record_layout : Ir.t -> Dead.t -> n_passes:int -> records
+
+val record_slots : t -> sym:int -> prod:int -> pass:int -> int array
+(** The node slots (see {!loc}) a record written at the end of [pass]
+    carries, in record order (pass 0 = the parser's linearization): the
+    symbol's attributes that {!Dead.written} keeps, then its limb's. An
+    interior record's layout depends on [prod] alone, a leaf's
+    ([prod < 0]) on [sym]. Ascending; shared between nodes, so never
+    mutate it. *)
 
 val pp_action : Ir.t -> Ir.production -> Format.formatter -> action -> unit
 (** One line per action; an [Eval]'s code prints through {!Ir.pp_expr}, so

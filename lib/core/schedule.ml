@@ -353,4 +353,5 @@ let build (ir : Ir.t) (pr : Pass_assign.result) ~dead ~(alloc : Subsume.allocati
           pl_prods = Array.map (fun prod -> build_prod prod pass dir) ir.prods;
         })
   in
-  { ir; passes = pr; dead; alloc; pass_plans }
+  let records = record_layout ir dead ~n_passes:pr.Pass_assign.n_passes in
+  { ir; passes = pr; dead; alloc; pass_plans; records }

@@ -33,15 +33,10 @@ type hist_cell = {
    frames merged, so a snapshot always covers between one and two
    windows of recent observations and older ones are forgotten *)
 type win_cell = {
-  w_buckets : float array;
   w_window : float;  (* frame width, seconds *)
   mutable w_start : float;  (* current frame's start *)
-  w_cur : int array;
-  mutable w_cur_sum : float;
-  mutable w_cur_count : int;
-  w_prev : int array;
-  mutable w_prev_sum : float;
-  mutable w_prev_count : int;
+  w_cur : hist_cell;
+  w_prev : hist_cell;
 }
 
 type cell = C of int ref | G of float ref | H of hist_cell | W of win_cell
@@ -126,33 +121,72 @@ let bucket_index buckets v =
   done;
   !i
 
+let new_hist name buckets =
+  let sorted = List.sort_uniq compare buckets in
+  if sorted = [] then
+    invalid_arg (Printf.sprintf "Metrics: %S: empty bucket list" name);
+  let buckets = Array.of_list sorted in
+  { buckets; counts = Array.make (Array.length buckets + 1) 0; sum = 0.0; count = 0 }
+
+let add h v =
+  let i = bucket_index h.buckets v in
+  h.counts.(i) <- h.counts.(i) + 1;
+  h.sum <- h.sum +. v;
+  h.count <- h.count + 1
+
+let merge ~into h =
+  Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) h.counts;
+  into.sum <- into.sum +. h.sum;
+  into.count <- into.count + h.count
+
+let clear h =
+  Array.fill h.counts 0 (Array.length h.counts) 0;
+  h.sum <- 0.0;
+  h.count <- 0
+
+(* under the lock: the named plain histogram, created with [buckets] on
+   first use *)
+let hist_cell t name buckets =
+  match Hashtbl.find_opt t.cells name with
+  | Some (H h) -> h
+  | Some c -> kind_error name ~want:"histogram" ~got:(kind_name c)
+  | None ->
+      let h = new_hist name buckets in
+      Hashtbl.replace t.cells name (H h);
+      h
+
 let observe t ?(buckets = default_buckets) name v =
+  if t.on then locked t @@ fun () -> add (hist_cell t name buckets) v
+
+(* A tally counts integer observations against [default_buckets]
+   without allocating: its int sum never boxes, and the default bounds
+   are integers, so the bucket search runs on ints. *)
+type tally = { t_counts : int array; mutable t_sum : int }
+
+let default_bounds = Array.of_list (List.map int_of_float default_buckets)
+let tally () = { t_counts = Array.make (Array.length default_bounds + 1) 0; t_sum = 0 }
+
+let tally_int tl v =
+  let i = ref 0 in
+  while !i < Array.length default_bounds && v > default_bounds.(!i) do
+    i := !i + 1
+  done;
+  tl.t_counts.(!i) <- tl.t_counts.(!i) + 1;
+  tl.t_sum <- tl.t_sum + v
+
+let publish_tally t name tl =
   if t.on then
     locked t @@ fun () ->
-    let h =
-      match Hashtbl.find_opt t.cells name with
-      | Some (H h) -> h
-      | Some c -> kind_error name ~want:"histogram" ~got:(kind_name c)
-      | None ->
-          let sorted = List.sort_uniq compare buckets in
-          if sorted = [] then
-            invalid_arg (Printf.sprintf "Metrics: %S: empty bucket list" name);
-          let buckets = Array.of_list sorted in
-          let h =
-            {
-              buckets;
-              counts = Array.make (Array.length buckets + 1) 0;
-              sum = 0.0;
-              count = 0;
-            }
-          in
-          Hashtbl.replace t.cells name (H h);
-          h
-    in
-    let i = bucket_index h.buckets v in
-    h.counts.(i) <- h.counts.(i) + 1;
-    h.sum <- h.sum +. v;
-    h.count <- h.count + 1
+    let h = hist_cell t name default_buckets in
+    if Array.to_list h.buckets <> default_buckets then
+      invalid_arg (Printf.sprintf "Metrics: %S: not on the default buckets" name);
+    merge ~into:h
+      {
+        h with
+        counts = tl.t_counts;
+        sum = float_of_int tl.t_sum;
+        count = Array.fold_left ( + ) 0 tl.t_counts;
+      }
 
 (* under the lock: advance a windowed cell's frames to cover [now].
    One frame behind → current becomes previous; two or more behind →
@@ -160,26 +194,16 @@ let observe t ?(buckets = default_buckets) name v =
    the window grid so idle periods don't drift the boundaries. *)
 let rotate_window now w =
   let behind = now -. w.w_start in
-  if behind >= w.w_window then begin
-    let n = Array.length w.w_cur in
-    if behind >= 2.0 *. w.w_window then begin
-      Array.fill w.w_cur 0 n 0;
-      Array.fill w.w_prev 0 n 0;
-      w.w_cur_sum <- 0.0;
-      w.w_cur_count <- 0;
-      w.w_prev_sum <- 0.0;
-      w.w_prev_count <- 0;
-      w.w_start <- now
-    end
-    else begin
-      Array.blit w.w_cur 0 w.w_prev 0 n;
-      Array.fill w.w_cur 0 n 0;
-      w.w_prev_sum <- w.w_cur_sum;
-      w.w_prev_count <- w.w_cur_count;
-      w.w_cur_sum <- 0.0;
-      w.w_cur_count <- 0;
-      w.w_start <- w.w_start +. w.w_window
-    end
+  if behind >= 2.0 *. w.w_window then begin
+    clear w.w_cur;
+    clear w.w_prev;
+    w.w_start <- now
+  end
+  else if behind >= w.w_window then begin
+    clear w.w_prev;
+    merge ~into:w.w_prev w.w_cur;
+    clear w.w_cur;
+    w.w_start <- w.w_start +. w.w_window
   end
 
 let observe_window t ?(buckets = default_buckets) ~window name v =
@@ -190,58 +214,42 @@ let observe_window t ?(buckets = default_buckets) ~window name v =
       | Some (W w) -> w
       | Some c -> kind_error name ~want:"windowed histogram" ~got:(kind_name c)
       | None ->
-          let sorted = List.sort_uniq compare buckets in
-          if sorted = [] then
-            invalid_arg (Printf.sprintf "Metrics: %S: empty bucket list" name);
-          let buckets = Array.of_list sorted in
-          let n = Array.length buckets + 1 in
           let w =
             {
-              w_buckets = buckets;
               w_window = Float.max 0.001 window;
               w_start = t.clock ();
-              w_cur = Array.make n 0;
-              w_cur_sum = 0.0;
-              w_cur_count = 0;
-              w_prev = Array.make n 0;
-              w_prev_sum = 0.0;
-              w_prev_count = 0;
+              w_cur = new_hist name buckets;
+              w_prev = new_hist name buckets;
             }
           in
           Hashtbl.replace t.cells name (W w);
           w
     in
     rotate_window (t.clock ()) w;
-    let i = bucket_index w.w_buckets v in
-    w.w_cur.(i) <- w.w_cur.(i) + 1;
-    w.w_cur_sum <- w.w_cur_sum +. v;
-    w.w_cur_count <- w.w_cur_count + 1
+    add w.w_cur v
+
+let snapshot h =
+  Histogram
+    {
+      h_buckets = Array.copy h.buckets;
+      h_counts = Array.copy h.counts;
+      h_sum = h.sum;
+      h_count = h.count;
+    }
 
 let freeze now = function
   | C r -> Counter !r
   | G r -> Gauge !r
-  | H h ->
-      Histogram
-        {
-          h_buckets = Array.copy h.buckets;
-          h_counts = Array.copy h.counts;
-          h_sum = h.sum;
-          h_count = h.count;
-        }
+  | H h -> snapshot h
   | W w ->
       (* rotate first so a quiet histogram reads empty once its frames
          age out, then export the two frames merged as a plain
          histogram — every reader (percentiles, JSON, Prometheus)
          works on it unchanged *)
       rotate_window now w;
-      Histogram
-        {
-          h_buckets = Array.copy w.w_buckets;
-          h_counts = Array.init (Array.length w.w_cur) (fun i ->
-              w.w_cur.(i) + w.w_prev.(i));
-          h_sum = w.w_cur_sum +. w.w_prev_sum;
-          h_count = w.w_cur_count + w.w_prev_count;
-        }
+      let both = { w.w_prev with counts = Array.copy w.w_prev.counts } in
+      merge ~into:both w.w_cur;
+      snapshot both
 
 let dump t =
   locked t @@ fun () ->

@@ -74,6 +74,18 @@ val observe_window : t -> ?buckets:float list -> window:float -> string -> float
     {!Histogram} of the merged frames; a name is either windowed or
     plain, never both. *)
 
+type tally
+(** Integer observations on {!default_buckets}, counted outside any
+    registry: a hot loop (one per APT record) tallies each item without
+    a lock, a name lookup or an allocation, and publishes once. *)
+
+val tally : unit -> tally
+val tally_int : tally -> int -> unit
+
+val publish_tally : t -> string -> tally -> unit
+(** Merge into histogram [name] as if {!observe} had seen each value.
+    @raise Invalid_argument if [name] has other buckets. *)
+
 val default_buckets : float list
 (** Powers of 4 from 1 to 4{^10} — a decade-spanning default for byte
     and count distributions. *)

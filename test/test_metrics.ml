@@ -330,6 +330,86 @@ let test_prometheus_exposition () =
         (has (Printf.sprintf "engine_pass_rules{quantile=\"%s\"}" q)))
     [ "0.5"; "0.95"; "0.99" ]
 
+(* ----- tallies: per-item counts published once ----- *)
+
+let test_tally_matches_observe () =
+  let values = [ 0; 1; 3; 4; 5; 17; 300; 5000; 2_000_000 ] in
+  let by_hand = Metrics.create () and tallied = Metrics.create () in
+  List.iter (fun v -> Metrics.observe by_hand "n" (float_of_int v)) values;
+  let tl = Metrics.tally () in
+  List.iter (Metrics.tally_int tl) values;
+  Metrics.publish_tally tallied "n" tl;
+  Alcotest.(check bool) "same histogram" true
+    (Metrics.find by_hand "n" = Metrics.find tallied "n");
+  Metrics.observe tallied ~buckets:[ 2.0 ] "m" 1.0;
+  Alcotest.check_raises "other buckets refused"
+    (Invalid_argument "Metrics: \"m\": not on the default buckets") (fun () ->
+      Metrics.publish_tally tallied "m" tl)
+
+(* Every APT record's payload size, observed by hand, must give the
+   histogram the writers publish at close. *)
+let test_record_bytes_per_file () =
+  let node i =
+    Lg_apt.Node.interior ~prod:(i mod 3) ~sym:i
+      ~attrs:(Array.init (i mod 5) (fun k -> Value.Int (k * i)))
+  in
+  let files = [ List.init 40 node; List.init 7 (fun i -> node (i + 100)) ] in
+  let backend = Lg_apt.Aptfile.backend_of_store_name "mem" in
+  let published = Metrics.create () and by_hand = Metrics.create () in
+  Metrics.install published;
+  Fun.protect ~finally:(fun () -> Metrics.install Metrics.null) (fun () ->
+      List.iter
+        (fun nodes ->
+          ignore (Lg_apt.Aptfile.of_list backend nodes);
+          List.iter
+            (fun n ->
+              Metrics.observe by_hand "apt.record_bytes"
+                (float_of_int (Lg_apt.Node.encoded_size n)))
+            nodes)
+        files);
+  match Metrics.find published "apt.record_bytes" with
+  | Some (Metrics.Histogram h) ->
+      Alcotest.(check int) "one observation per record" 47 h.Metrics.h_count;
+      Alcotest.(check bool) "buckets, counts and sum as by hand" true
+        (Some (Metrics.Histogram h) = Metrics.find by_hand "apt.record_bytes")
+  | _ -> Alcotest.fail "apt.record_bytes not published"
+
+let pascal_program n =
+  let buf = Buffer.create (n * 24) in
+  Buffer.add_string buf
+    "program p;\nvar x : integer; y : integer;\nbegin\n  x := 1;\n  y := 0";
+  for i = 1 to n do
+    Buffer.add_string buf
+      (if i mod 2 = 0 then Printf.sprintf ";\n  y := y + x * %d" (i mod 9)
+       else ";\n  writeln(y)")
+  done;
+  Buffer.add_string buf "\nend.\n";
+  Buffer.contents buf
+
+(* Minor words of one translation, with the registry [m] installed. *)
+let translation_words t m source =
+  Metrics.install m;
+  Fun.protect ~finally:(fun () -> Metrics.install Metrics.null) (fun () ->
+      let before = Gc.minor_words () in
+      ignore (Linguist.Translator.translate_exn t ~file:"<words>" source);
+      Gc.minor_words () -. before)
+
+(* An installed registry costs a constant number of words per
+   translation, not words per APT record. *)
+let test_registry_words_independent_of_size () =
+  let t = Lg_languages.Pascal_ag.translator () in
+  let extra n =
+    let source = pascal_program n in
+    ignore (translation_words t (Metrics.create ()) source);
+    let off = translation_words t Metrics.null source in
+    let on = translation_words t (Metrics.create ()) source in
+    on -. off
+  in
+  let small = extra 100 and large = extra 800 in
+  if Float.abs (large -. small) > 64.0 then
+    Alcotest.failf "registry words grow with input: %.0f at 100, %.0f at 800"
+      small large
+
 let () =
   Alcotest.run "metrics"
     [
@@ -369,5 +449,14 @@ let () =
           QCheck_alcotest.to_alcotest prop_histogram_counts_sum;
           Alcotest.test_case "prometheus exposition" `Quick
             test_prometheus_exposition;
+        ] );
+      ( "tallies",
+        [
+          Alcotest.test_case "tally matches observe" `Quick
+            test_tally_matches_observe;
+          Alcotest.test_case "apt.record_bytes per file" `Quick
+            test_record_bytes_per_file;
+          Alcotest.test_case "registry words constant" `Quick
+            test_registry_words_independent_of_size;
         ] );
     ]

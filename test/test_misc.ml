@@ -407,8 +407,16 @@ let test_node_decode_corruption () =
 
 (* ----- engine error paths ----- *)
 
+let evaluation_error_mentions needle plan tree =
+  match Linguist.Engine.run plan tree with
+  | exception Linguist.Engine.Evaluation_error msg ->
+      if not (Fixtures.contains_substring ~needle msg) then
+        Alcotest.failf "error %S does not mention %S" msg needle
+  | _ -> Alcotest.failf "expected an Evaluation_error mentioning %S" needle
+
 let test_engine_rejects_mismatched_record_layout () =
-  (* A tree whose leaf carries the wrong number of intrinsic slots. *)
+  (* A tree whose leaf carries the wrong number of intrinsic slots:
+     LEAF's pass-0 record carries V, but the leaf holds no value. *)
   let ir = Fixtures.ir_of_source Fixtures.sum_grammar in
   let plan = Linguist.Driver.plan_of_ir ir in
   let bad_leaf = Lg_apt.Tree.leaf ~sym:0 ~attrs:[||] (* LEAF declares V *) in
@@ -417,9 +425,112 @@ let test_engine_rejects_mismatched_record_layout () =
       ~children:
         [ Lg_apt.Tree.interior ~prod:2 ~sym:2 ~children:[ bad_leaf ] ]
   in
-  match Linguist.Engine.run plan tree with
-  | exception Linguist.Engine.Evaluation_error _ -> ()
-  | _ -> Alcotest.fail "layout mismatch must be detected"
+  evaluation_error_mentions "too few slots" plan tree
+
+let test_engine_rejects_mislabelled_record () =
+  (* production 0 derives [start], but its record is labelled [tree] *)
+  let ir = Fixtures.ir_of_source Fixtures.sum_grammar in
+  let plan = Linguist.Driver.plan_of_ir ir in
+  let leaf = Lg_apt.Tree.leaf ~sym:0 ~attrs:[| v 1 |] in
+  let tree =
+    Lg_apt.Tree.interior ~prod:0 ~sym:2
+      ~children:[ Lg_apt.Tree.interior ~prod:2 ~sym:2 ~children:[ leaf ] ]
+  in
+  evaluation_error_mentions "is labelled tree, expected start" plan tree
+
+(* ----- the record layout table against its definition ----- *)
+
+(* Each record lists, in slot order, the node slots ([Plan.slot_in_node]
+   for an interior node, the symbol's attribute index for a leaf) of the
+   attributes [Dead.written] keeps for that pass. *)
+let check_record_layout name (plan : Linguist.Plan.t) =
+  let open Linguist in
+  let ir = plan.Plan.ir in
+  let kept ~pass slot attrs =
+    List.filter_map
+      (fun a -> if Dead.written plan.Plan.dead ~pass a then Some (slot a) else None)
+      attrs
+  in
+  let check what expected slots =
+    Alcotest.(check (list int)) (name ^ ": " ^ what) expected (Array.to_list slots)
+  in
+  for pass = 0 to plan.Plan.passes.Pass_assign.n_passes do
+    Array.iter
+      (fun (p : Ir.production) ->
+        let slot occ attr = Plan.slot_in_node ir p { Ir.occ; attr } in
+        let expected =
+          kept ~pass (slot Ir.Lhs) ir.Ir.symbols.(p.Ir.p_lhs).Ir.s_attrs
+          @
+          match p.Ir.p_limb with
+          | Some limb -> kept ~pass (slot Ir.Limb_occ) ir.Ir.symbols.(limb).Ir.s_attrs
+          | None -> []
+        in
+        check
+          (Printf.sprintf "pass %d production %s" pass p.Ir.p_tag)
+          expected
+          (Plan.record_slots plan ~sym:p.Ir.p_lhs ~prod:p.Ir.p_id ~pass))
+      ir.Ir.prods;
+    Array.iter
+      (fun (s : Ir.symbol) ->
+        check
+          (Printf.sprintf "pass %d leaf %s" pass s.Ir.s_name)
+          (kept ~pass (Ir.slot_of_attr ir) s.Ir.s_attrs)
+          (Plan.record_slots plan ~sym:s.Ir.s_id ~prod:Lg_apt.Node.leaf_prod ~pass))
+      ir.Ir.symbols
+  done
+
+let plan_of_source ?(options = Linguist.Driver.default_options) name source =
+  (Linguist.Driver.process_exn ~options ~file:name source).Linguist.Driver.plan
+
+let test_record_layout_builtin_languages () =
+  List.iter
+    (fun (name, source) ->
+      check_record_layout name (plan_of_source name source);
+      check_record_layout (name ^ " keep-all")
+        (plan_of_source
+           ~options:{ Linguist.Driver.default_options with dead_opt = false }
+           name source))
+    [
+      ("assembler", Lg_languages.Assembler.ag_source);
+      ("desk_calc", Lg_languages.Desk_calc.ag_source);
+      ("knuth_binary", Lg_languages.Knuth_binary.ag_source);
+      ("linguist", Lg_languages.Linguist_ag.ag_source);
+      ("pascal", Lg_languages.Pascal_ag.ag_source);
+    ]
+
+let test_record_layout_grammar_files () =
+  (* the test binary sits in _build/default/test; grammars/ is a sibling *)
+  let dir =
+    Filename.concat
+      (Filename.dirname (Filename.dirname Sys.executable_name))
+      "grammars"
+  in
+  let files =
+    List.filter
+      (fun f -> Filename.check_suffix f ".ag")
+      (Array.to_list (Sys.readdir dir))
+  in
+  Alcotest.(check int) "five grammar files" 5 (List.length files);
+  List.iter
+    (fun f ->
+      let ic = open_in_bin (Filename.concat dir f) in
+      let source = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      check_record_layout f (plan_of_source f source))
+    files
+
+let test_record_layout_corpus () =
+  let open Lg_corpus.Corpus_gen in
+  List.iter
+    (fun (profile, label) ->
+      List.iter
+        (fun seed ->
+          let g = generate ~name:label (config_of_profile profile) ~seed in
+          check_record_layout
+            (Printf.sprintf "%s seed %d" label seed)
+            (plan_of_source label g.g_source))
+        [ 1; 2; 3 ])
+    [ (Small, "small"); (Medium, "medium") ]
 
 let test_leaf_attr_values_rejects_unknown () =
   let ir = Fixtures.ir_of_source Fixtures.sum_grammar in
@@ -572,6 +683,17 @@ let () =
             test_engine_rejects_mismatched_record_layout;
           Alcotest.test_case "unknown intrinsic" `Quick
             test_leaf_attr_values_rejects_unknown;
+          Alcotest.test_case "mislabelled record" `Quick
+            test_engine_rejects_mislabelled_record;
+        ] );
+      ( "record layout",
+        [
+          Alcotest.test_case "built-in languages" `Quick
+            test_record_layout_builtin_languages;
+          Alcotest.test_case "grammar files" `Quick
+            test_record_layout_grammar_files;
+          Alcotest.test_case "corpus small/medium" `Quick
+            test_record_layout_corpus;
         ] );
       ( "policies",
         [
