@@ -14,8 +14,10 @@ let read_file path =
   close_in ic;
   s
 
-let options_of ~subsumption ~dead_opt ~max_passes ~apt_store ~apt_page_size
-    ~apt_faults ~apt_durable ~depth_budget ~node_budget =
+(* The evaluator settings of [analyze], the one file command that runs an
+   evaluator. *)
+let engine_options_of ~apt_store ~apt_page_size ~apt_faults ~apt_durable
+    ~depth_budget ~node_budget =
   if apt_page_size <= 0 then
     failwith
       (Printf.sprintf "--apt-page-size must be positive (got %d)" apt_page_size);
@@ -37,11 +39,8 @@ let options_of ~subsumption ~dead_opt ~max_passes ~apt_store ~apt_page_size
     }
   in
   {
-    Linguist.Driver.default_options with
-    subsumption;
-    dead_opt;
-    max_passes;
-    apt_backend = Lg_apt.Aptfile.backend_of_store_name ~config apt_store;
+    Linguist.Engine.default_options with
+    backend = Lg_apt.Aptfile.backend_of_store_name ~config apt_store;
     depth_budget;
     node_budget;
   }
@@ -82,6 +81,19 @@ let max_passes =
     value & opt int 16
     & info [ "max-passes" ] ~docv:"N"
         ~doc:"Reject grammars needing more than $(docv) alternating passes.")
+
+(* The front end's settings, shared by the commands that check a grammar
+   and print what the overlays built. *)
+let driver_options =
+  Term.(
+    const (fun no_sub no_dead max_passes ->
+        {
+          Linguist.Driver.default_options with
+          subsumption = not no_sub;
+          dead_opt = not no_dead;
+          max_passes;
+        })
+    $ no_subsumption $ no_dead_opt $ max_passes)
 
 let apt_store =
   Arg.(
@@ -151,8 +163,8 @@ let report_out =
     & info [ "report" ] ~docv:"FILE"
         ~doc:
           "Write a JSON run manifest to $(docv) ($(b,-) for stdout): \
-           grammar statistics, pass plan, overlay timings, store \
-           configuration and a metrics-registry snapshot. Render it \
+           grammar statistics, pass plan, overlay timings and a \
+           metrics-registry snapshot. Render it \
            with the $(b,report) subcommand; compare two manifests with \
            the bench harness's $(b,diff) mode.")
 
@@ -209,29 +221,27 @@ let with_telemetry ~trace_out ~trace_attrs ~report ~label f =
   end
 
 (* Emit the run manifest a successful command asked for with --report. *)
-let emit_manifest ~report ~command ~options ~path artifact =
+let emit_manifest ~report ~command ~path artifact =
   match report with
   | None -> ()
   | Some dest ->
-      let doc =
-        Linguist.Manifest.build ~command
-          ~backend:options.Linguist.Driver.apt_backend ~file:path artifact
-      in
-      Linguist.Manifest.write ~dest doc;
+      Linguist.Manifest.write ~dest
+        (Linguist.Manifest.build ~command ~file:path artifact);
       if dest <> "-" then Printf.eprintf "manifest: wrote %s\n%!" dest
 
-let with_options f no_sub no_dead max_passes apt_store apt_page_size apt_faults
-    apt_durable depth_budget node_budget =
-  match
-    options_of ~subsumption:(not no_sub) ~dead_opt:(not no_dead) ~max_passes
-      ~apt_store ~apt_page_size ~apt_faults ~apt_durable ~depth_budget
-      ~node_budget
-  with
-  | options -> f options
-  | exception Failure msg -> `Error (false, msg)
+(* The term of a front-end command: driver options, telemetry and the
+   grammar file, plus [extra] (compile's output directory). *)
+let front_term ~label run extra =
+  Term.(
+    ret
+      (const (fun options tout tattrs rep path x ->
+           with_telemetry ~trace_out:tout ~trace_attrs:tattrs ~report:rep
+             ~label (fun () -> run ~report:rep options path x))
+      $ driver_options $ trace_out $ trace_attrs $ report_out $ file_arg
+      $ extra))
 
 let check_cmd =
-  let run ~report options path =
+  let run ~report options path () =
     match process ~options path with
     | Ok (_, artifact) ->
         Format.printf "%a" Lg_support.Diag.pp_all artifact.Linguist.Driver.diag;
@@ -243,28 +253,15 @@ let check_cmd =
            with
           | Linguist.Pass_assign.L2r -> "left-to-right"
           | Linguist.Pass_assign.R2l -> "right-to-left");
-        emit_manifest ~report ~command:"check" ~options ~path artifact;
+        emit_manifest ~report ~command:"check" ~path artifact;
         `Ok ()
     | Error () -> `Error (false, "errors in " ^ path)
   in
   Cmd.v (Cmd.info "check" ~doc:"Check an attribute grammar.")
-    Term.(
-      ret
-        (const (fun no_sub no_dead mp store page faults durable db nb tout
-                    tattrs rep path ->
-             with_options
-               (fun options ->
-                 guard (fun () ->
-                     with_telemetry ~trace_out:tout ~trace_attrs:tattrs
-                       ~report:rep ~label:"check" (fun () ->
-                         run ~report:rep options path)))
-               no_sub no_dead mp store page faults durable db nb)
-        $ no_subsumption $ no_dead_opt $ max_passes $ apt_store $ apt_page_size
-        $ apt_faults $ apt_durable $ depth_budget $ node_budget
-        $ trace_out $ trace_attrs $ report_out $ file_arg))
+    (front_term ~label:"check" run (Term.const ()))
 
 let stats_cmd =
-  let run ~report options path =
+  let run ~report options path () =
     match process ~options path with
     | Ok (_, artifact) ->
         let ir = artifact.Linguist.Driver.ir in
@@ -284,25 +281,12 @@ let stats_cmd =
           (Linguist.Dead.temporary_count artifact.Linguist.Driver.dead);
         Printf.printf "significant attributes%6d (travel in the APT files)\n"
           (Linguist.Dead.significant_count artifact.Linguist.Driver.dead);
-        emit_manifest ~report ~command:"stats" ~options ~path artifact;
+        emit_manifest ~report ~command:"stats" ~path artifact;
         `Ok ()
     | Error () -> `Error (false, "errors in " ^ path)
   in
   Cmd.v (Cmd.info "stats" ~doc:"Print grammar statistics (the paper's E1 row).")
-    Term.(
-      ret
-        (const (fun no_sub no_dead mp store page faults durable db nb tout
-                    tattrs rep path ->
-             with_options
-               (fun options ->
-                 guard (fun () ->
-                     with_telemetry ~trace_out:tout ~trace_attrs:tattrs
-                       ~report:rep ~label:"stats" (fun () ->
-                         run ~report:rep options path)))
-               no_sub no_dead mp store page faults durable db nb)
-        $ no_subsumption $ no_dead_opt $ max_passes $ apt_store $ apt_page_size
-        $ apt_faults $ apt_durable $ depth_budget $ node_budget
-        $ trace_out $ trace_attrs $ report_out $ file_arg))
+    (front_term ~label:"stats" run (Term.const ()))
 
 let out_dir =
   Arg.(
@@ -336,33 +320,18 @@ let compile_cmd =
           artifact.Linguist.Driver.overlay_seconds;
         Printf.printf "throughput: %.0f lines/minute\n"
           (Linguist.Driver.throughput_lines_per_minute artifact);
-        Printf.printf "apt store: %s\n"
-          options.Linguist.Driver.apt_backend.Lg_apt.Aptfile.store;
-        emit_manifest ~report ~command:"compile" ~options ~path artifact;
+        emit_manifest ~report ~command:"compile" ~path artifact;
         `Ok ()
     | Error () -> `Error (false, "errors in " ^ path)
   in
   Cmd.v
     (Cmd.info "compile"
        ~doc:"Generate the listing and the per-pass evaluator modules.")
-    Term.(
-      ret
-        (const (fun no_sub no_dead mp store page faults durable db nb tout
-                    tattrs rep path dir ->
-             with_options
-               (fun options ->
-                 guard (fun () ->
-                     with_telemetry ~trace_out:tout ~trace_attrs:tattrs
-                       ~report:rep ~label:"compile" (fun () ->
-                         run ~report:rep options path dir)))
-               no_sub no_dead mp store page faults durable db nb)
-        $ no_subsumption $ no_dead_opt $ max_passes $ apt_store $ apt_page_size
-        $ apt_faults $ apt_durable $ depth_budget $ node_budget
-        $ trace_out $ trace_attrs $ report_out $ file_arg $ out_dir))
+    (front_term ~label:"compile" run out_dir)
 
 let tables_cmd =
   (* the companion parse-table builder, fed "exactly the same input file" *)
-  let run ~report options path =
+  let run ~report options path () =
     match process ~options path with
     | Ok (_, artifact) ->
         let cfg = Linguist.Ir.to_cfg artifact.Linguist.Driver.ir in
@@ -383,7 +352,7 @@ let tables_cmd =
                   (Lg_lalr.Tables.pp_conflict tables)
                   c)
               conflicts);
-        emit_manifest ~report ~command:"tables" ~options ~path artifact;
+        emit_manifest ~report ~command:"tables" ~path artifact;
         `Ok ()
     | Error () -> `Error (false, "errors in " ^ path)
   in
@@ -392,27 +361,13 @@ let tables_cmd =
        ~doc:
          "Build the LALR(1) parse tables from the same grammar file \
           (the companion parse-table builder).")
-    Term.(
-      ret
-        (const (fun no_sub no_dead mp store page faults durable db nb tout
-                    tattrs rep path ->
-             with_options
-               (fun options ->
-                 guard (fun () ->
-                     with_telemetry ~trace_out:tout ~trace_attrs:tattrs
-                       ~report:rep ~label:"tables" (fun () ->
-                         run ~report:rep options path)))
-               no_sub no_dead mp store page faults durable db nb)
-        $ no_subsumption $ no_dead_opt $ max_passes $ apt_store $ apt_page_size
-        $ apt_faults $ apt_durable $ depth_budget $ node_budget
-        $ trace_out $ trace_attrs $ report_out $ file_arg))
+    (front_term ~label:"tables" run (Term.const ()))
 
 let analyze_cmd =
   (* the self-hosted path: the evaluator GENERATED from linguist.ag does
      the analysis, not the native checker *)
-  let run options path =
+  let run engine_options path =
     let t = Lg_languages.Linguist_ag.translator () in
-    let engine_options = Linguist.Driver.engine_options options in
     let a =
       Lg_languages.Linguist_ag.analyze ~engine_options ~translator:t
         (read_file path)
@@ -439,12 +394,16 @@ let analyze_cmd =
     Term.(
       ret
         (const (fun store page faults durable db nb tout tattrs path ->
-             with_options
-               (fun options ->
+             match
+               engine_options_of ~apt_store:store ~apt_page_size:page
+                 ~apt_faults:faults ~apt_durable:durable ~depth_budget:db
+                 ~node_budget:nb
+             with
+             | exception Failure msg -> `Error (false, msg)
+             | engine_options ->
                  guard (fun () ->
                      with_trace ~trace_out:tout ~trace_attrs:tattrs
-                       ~label:"analyze" (fun () -> run options path)))
-               false false 16 store page faults durable db nb)
+                       ~label:"analyze" (fun () -> run engine_options path)))
         $ apt_store $ apt_page_size $ apt_faults $ apt_durable $ depth_budget
         $ node_budget $ trace_out $ trace_attrs $ file_arg))
 
@@ -638,7 +597,8 @@ let incremental_flag =
 let incremental_threshold =
   Arg.(
     value
-    & opt float Lg_server.Batch.default_incremental.Lg_server.Batch.inc_threshold
+    & opt float
+        Lg_server.Batch.default_incremental.Lg_incremental.Incr.threshold
     & info [ "incremental-threshold" ] ~docv:"FRACTION"
         ~doc:
           "Churn fraction (fresh nodes / tree size, in [0,1]) above which \
@@ -651,7 +611,7 @@ let incremental_of ~on ~threshold =
     failwith
       (Printf.sprintf "--incremental-threshold must be in [0,1] (got %g)"
          threshold)
-  else Some { Lg_server.Batch.inc_threshold = threshold }
+  else Some { Lg_incremental.Incr.threshold }
 
 let deadline_arg =
   Arg.(

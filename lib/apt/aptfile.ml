@@ -47,6 +47,8 @@ let close_writer w =
   | None -> ());
   w.inner_w.Apt_store.close ()
 
+let abort_writer w = w.inner_w.Apt_store.abort ()
+
 let size_bytes (f : file) = f.Apt_store.f_size
 let record_count (f : file) = f.Apt_store.f_records
 let store_name (f : file) = f.Apt_store.f_store

@@ -38,6 +38,10 @@ val close_writer : writer -> file
     at {!writer}, this publishes the file's record sizes into its
     [apt.record_bytes] histogram, once per file rather than per record. *)
 
+val abort_writer : writer -> unit
+(** Give up an unclosed writer: its medium is released and no file
+    remains; nothing is published. *)
+
 val read_forward : ?stats:Io_stats.t -> file -> reader
 val read_backward : ?stats:Io_stats.t -> file -> reader
 

@@ -84,7 +84,11 @@ type file = {
   f_dispose : unit -> unit;
 }
 
-type writer = { put : string -> unit; close : unit -> file }
+type writer = {
+  put : string -> unit;
+  close : unit -> file;
+  abort : unit -> unit;
+}
 type t = { s_name : string; start : Io_stats.t option -> writer }
 
 (* ---- CRC32 (IEEE 802.3), the record checksum ---- *)

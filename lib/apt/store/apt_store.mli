@@ -66,7 +66,12 @@ type file = {
   f_dispose : unit -> unit;
 }
 
-type writer = { put : string -> unit; close : unit -> file }
+type writer = {
+  put : string -> unit;
+  close : unit -> file;
+  abort : unit -> unit;
+      (** give an unclosed writer up: release its medium and leave no file *)
+}
 type t = { s_name : string; start : Io_stats.t option -> writer }
 
 (** CRC32 (IEEE 802.3 polynomial), the record checksum of the framed

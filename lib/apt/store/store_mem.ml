@@ -71,5 +71,6 @@ let make (_ : config) : t =
                 f_read = open_reader data;
                 f_dispose = ignore;
               });
+          abort = ignore;
         });
   }

@@ -148,5 +148,9 @@ let make config : t =
                 f_read = (fun stats dir -> open_reader path size stats dir);
                 f_dispose = (fun () -> remove_quietly path);
               });
+          abort =
+            (fun () ->
+              Store_pager.abort_writer w;
+              remove_quietly path);
         });
   }

@@ -467,3 +467,5 @@ let close_writer w =
   flush_pages w ~all:true;
   Apt_store.Atomic_out.commit w.out;
   w.written
+
+let abort_writer w = Apt_store.Atomic_out.abort w.out

@@ -139,5 +139,6 @@ let layer (config : config) (base : t) : t =
                 f_records = !records;
                 f_read = (fun stats dir -> open_reader bf stats dir);
               });
+          abort = base_writer.abort;
         });
   }

@@ -6,10 +6,6 @@ type options = {
   max_passes : int;
   emit_listing : bool;
   emit_code : bool;
-  apt_backend : Lg_apt.Aptfile.backend;
-  tracer : Trace.t;
-  depth_budget : int;
-  node_budget : int;
 }
 
 let default_options =
@@ -19,19 +15,6 @@ let default_options =
     max_passes = 16;
     emit_listing = true;
     emit_code = true;
-    apt_backend = Lg_apt.Aptfile.backend_of_store_name "mem";
-    tracer = Trace.null;
-    depth_budget = Engine.default_depth_budget;
-    node_budget = 0;
-  }
-
-let engine_options options =
-  {
-    Engine.default_options with
-    Engine.backend = options.apt_backend;
-    Engine.tracer = options.tracer;
-    Engine.depth_budget = options.depth_budget;
-    Engine.node_budget = options.node_budget;
   }
 
 type artifact = {
@@ -78,8 +61,8 @@ let plan_of_ir ?(options = default_options) ir =
 let process_run ~options ~file source =
   let diag = Diag.create () in
   let tr =
-    let resolved = Trace.resolve options.tracer in
-    if Trace.enabled resolved then resolved else Trace.create ()
+    let ambient = Trace.ambient () in
+    if Trace.enabled ambient then ambient else Trace.create ()
   in
   let mark = Trace.span_count tr in
   Trace.span tr ~cat:"driver" "driver.process" @@ fun () ->

@@ -14,29 +14,9 @@ type options = {
   max_passes : int;  (** default 16 *)
   emit_listing : bool;  (** default true *)
   emit_code : bool;  (** default true *)
-  apt_backend : Lg_apt.Aptfile.backend;
-      (** store backing the intermediate APT files of any evaluator run
-          built from this artifact (default ["mem"]); see
-          {!Lg_apt.Store_registry} for the available stores *)
-  tracer : Lg_support.Trace.t;
-      (** telemetry sink (default {!Lg_support.Trace.null}). Every overlay
-          runs in a span of category ["overlay"] under a ["driver.process"]
-          root; [overlay_seconds] is read back from those spans, so traces
-          and the E4 bench table come from one measurement. Resolved
-          against the ambient tracer ({!Lg_support.Trace.install}); when
-          neither is enabled a private tracer supplies the timings. *)
-  depth_budget : int;
-      (** evaluator depth budget (see {!Engine.options}); default
-          {!Engine.default_depth_budget} *)
-  node_budget : int;  (** evaluator node budget; default 0 = unlimited *)
 }
 
 val default_options : options
-
-val engine_options : options -> Engine.options
-(** {!Engine.default_options} with the backend and tracer applied —
-    threads [--apt-store] / [--trace-out] from the CLI down to evaluator
-    runs. *)
 
 type artifact = {
   ir : Ir.t;
@@ -60,7 +40,14 @@ val process :
   string ->
   (artifact, Lg_support.Diag.collector) result
 (** Run every overlay on an AG source text. [Error diag] carries all
-    messages when any overlay fails. *)
+    messages when any overlay fails.
+
+    Every overlay runs in a span of category ["overlay"] under a
+    ["driver.process"] root, recorded in the ambient tracer
+    ({!Lg_support.Trace.install}); when none is installed a private
+    tracer supplies the timings. [overlay_seconds] is read back from
+    those spans, so traces and the E4 bench table come from one
+    measurement. *)
 
 val process_exn : ?options:options -> file:string -> string -> artifact
 

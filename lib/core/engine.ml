@@ -4,10 +4,7 @@ open Lg_apt
 type options = {
   backend : Aptfile.backend;
   record_trace : bool;
-  keep_files : bool;
   interpretive : bool;
-  tracer : Trace.t;
-  trace_attrs : bool;
   depth_budget : int;
   node_budget : int;
 }
@@ -18,10 +15,7 @@ let default_options =
   {
     backend = Aptfile.backend_of_store_name "mem";
     record_trace = false;
-    keep_files = false;
     interpretive = false;
-    tracer = Trace.null;
-    trace_attrs = false;
     depth_budget = default_depth_budget;
     node_budget = 0;
   }
@@ -60,6 +54,16 @@ type result = {
 exception Evaluation_error of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Evaluation_error s)) fmt
+
+(* Run [f]; when it raises, run [undo] (dropping any error of its own)
+   and re-raise [f]'s exception. A failed run must not keep APT files or
+   descriptors open. *)
+let undo_on_error undo f =
+  try f ()
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    (try undo () with _ -> ());
+    Printexc.raise_with_backtrace e bt
 
 (* In-memory state of an open node. *)
 type node_state = { ns_prod : int; ns_sym : int; vals : Value.t array }
@@ -121,6 +125,7 @@ let initial_file ?stats (plan : Plan.t) backend tree =
     compress plan { ns_prod = t.Tree.prod; ns_sym = t.Tree.sym; vals } ~pass:0
   in
   let w = Aptfile.writer ?stats backend in
+  undo_on_error (fun () -> Aptfile.abort_writer w) @@ fun () ->
   (match plan.Plan.passes.Pass_assign.strategy with
   | Ag_ast.Bottom_up -> Build.write_postfix_ltr w emit tree
   | Ag_ast.Recursive_descent -> Build.write_prefix_ltr w emit tree);
@@ -141,10 +146,8 @@ let run ?(options = default_options) (plan : Plan.t) tree =
   if options.interpretive && plan.Plan.alloc.Subsume.n_globals > 0 then
     invalid_arg
       "Engine.run: interpretive mode needs a plan without static subsumption";
-  let tr = Trace.resolve options.tracer in
-  let trace_attrs =
-    Trace.enabled tr && (options.trace_attrs || Trace.ambient_attr_counts ())
-  in
+  let tr = Trace.ambient () in
+  let trace_attrs = Trace.enabled tr && Trace.ambient_attr_counts () in
   let n_passes = plan.Plan.passes.Pass_assign.n_passes in
   let acc =
     { rules = 0; moves = 0; open_nodes = 0; max_open = 0; resident = 0; max_resident = 0 }
@@ -168,7 +171,9 @@ let run ?(options = default_options) (plan : Plan.t) tree =
       then Aptfile.read_forward ~stats:io input_file
       else Aptfile.read_backward ~stats:io input_file
     in
+    undo_on_error (fun () -> Aptfile.close_reader reader) @@ fun () ->
     let writer = Aptfile.writer ~stats:io options.backend in
+    undo_on_error (fun () -> Aptfile.abort_writer writer) @@ fun () ->
     let read_node () =
       nodes_read := !nodes_read + 1;
       if options.node_budget > 0 && !nodes_read > options.node_budget then
@@ -361,11 +366,12 @@ let run ?(options = default_options) (plan : Plan.t) tree =
       if pass > n_passes then file
       else begin
         let out =
+          undo_on_error (fun () -> Aptfile.dispose file) @@ fun () ->
           Trace.span tr ~cat:"pass"
             (Printf.sprintf "pass %d" pass)
             (fun () -> run_pass file pass)
         in
-        if not options.keep_files then Aptfile.dispose file;
+        Aptfile.dispose file;
         go out (pass + 1)
       end
     in
@@ -373,8 +379,10 @@ let run ?(options = default_options) (plan : Plan.t) tree =
   in
   (* The root record is the last one written (postfix): read backwards. *)
   let outputs =
+    undo_on_error (fun () -> Aptfile.dispose final_file) @@ fun () ->
     let r = Aptfile.read_backward ~stats:total_io final_file in
     let node =
+      undo_on_error (fun () -> Aptfile.close_reader r) @@ fun () ->
       match Aptfile.read_next r with
       | Some n -> n
       | None -> fail "empty final file"
@@ -388,7 +396,7 @@ let run ?(options = default_options) (plan : Plan.t) tree =
         else None)
       (Ir.attrs_of_sym ir ir.root)
   in
-  if not options.keep_files then Aptfile.dispose final_file;
+  Aptfile.dispose final_file;
   Trace.counter tr "rules_evaluated" acc.rules;
   Trace.counter tr "global_moves" acc.moves;
   Trace.counter tr "apt_bytes_moved" (Io_stats.total_bytes total_io);

@@ -15,7 +15,6 @@ type options = {
   backend : Lg_apt.Aptfile.backend;
   record_trace : bool;
       (** collect every rule evaluation for differential testing *)
-  keep_files : bool;  (** retain intermediate files (benches measure them) *)
   interpretive : bool;
       (** evaluate semantic functions interpretively, Schulz-style: ignore
           the compiled expressions and re-resolve every attribute
@@ -23,16 +22,6 @@ type options = {
           its generated in-line code against this). Requires a plan built
           without static subsumption.
           @raise Invalid_argument from {!run} otherwise *)
-  tracer : Lg_support.Trace.t;
-      (** telemetry sink (default {!Lg_support.Trace.null}); resolved
-          against the ambient tracer, so a CLI-installed tracer sees
-          evaluator runs without explicit threading. Each run contributes
-          an ["engine.run"] span with one ["pass k"] child per pass
-          carrying the pass's {!Lg_apt.Io_stats} counters as arguments *)
-  trace_attrs : bool;
-      (** record per-production attribute-evaluation counts on each pass
-          span (the CLI's [--trace-attrs] debugging mode, à la
-          Sasaki–Sassa); effective only when a tracer is enabled *)
   depth_budget : int;
       (** maximum simultaneously open (nested) nodes before the run fails
           with a typed {!Lg_apt.Apt_error.Resource_limit} diagnostic
@@ -46,8 +35,8 @@ val default_depth_budget : int
     budget fires long before the native stack would. *)
 
 val default_options : options
-(** ["mem"] backend, no trace, files disposed as soon as consumed; the
-    default depth budget, no node budget. *)
+(** ["mem"] backend, no rule trace, compiled evaluation; the default
+    depth budget, no node budget. *)
 
 type pass_stats = {
   ps_pass : int;
@@ -82,7 +71,19 @@ exception Evaluation_error of string
 (** Input tree inconsistent with the grammar, or a corrupt stream. *)
 
 val run : ?options:options -> Plan.t -> Lg_apt.Tree.t -> result
-(** Linearize the tree (the parser's job), then run every pass.
+(** Linearize the tree (the parser's job), then run every pass. Each
+    intermediate file is disposed as soon as it is consumed; a run that
+    raises first closes its open reader and writer and disposes every
+    file it created, then re-raises the same exception.
+
+    Telemetry goes to the ambient tracer ({!Lg_support.Trace.install}):
+    each run contributes an ["engine.run"] span with a ["linearize"]
+    child and one ["pass k"] child per pass, carrying the pass's
+    {!Lg_apt.Io_stats} counters, [rules], [global_moves] and
+    [file_bytes] as arguments. When the tracer was installed with
+    [~attr_counts:true] (the CLI's [--trace-attrs], à la Sasaki–Sassa),
+    each pass span also carries one ["evals:<production tag>"] count per
+    production that evaluated rules in that pass.
     @raise Evaluation_error as above. *)
 
 val initial_file :

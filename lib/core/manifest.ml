@@ -10,44 +10,7 @@ let strategy_name = function
   | Ag_ast.Bottom_up -> "bottom_up"
   | Ag_ast.Recursive_descent -> "recursive_descent"
 
-let fault_kind_name = function
-  | Lg_apt.Apt_store.Transient_io -> "transient"
-  | Lg_apt.Apt_store.Short_read -> "short"
-  | Lg_apt.Apt_store.Bit_flip -> "flip"
-  | Lg_apt.Apt_store.Torn_write -> "torn"
-
-let store_json backend =
-  let open Json_out in
-  let config_members (c : Lg_apt.Apt_store.config) =
-    [
-      ( "dir",
-        match c.Lg_apt.Apt_store.dir with Some d -> Str d | None -> Null );
-      ("page_size", int c.Lg_apt.Apt_store.page_size);
-      ("pool_pages", int c.Lg_apt.Apt_store.pool_pages);
-      ("prefetch_pages", int c.Lg_apt.Apt_store.prefetch_pages);
-      ("zip_block", int c.Lg_apt.Apt_store.zip_block);
-      ("durable", Bool c.Lg_apt.Apt_store.durable);
-      ( "faults",
-        match c.Lg_apt.Apt_store.faults with
-        | None -> Null
-        | Some f ->
-            Obj
-              [
-                ("seed", int f.Lg_apt.Apt_store.f_seed);
-                ("rate", Num f.Lg_apt.Apt_store.f_rate);
-                ( "kinds",
-                  Arr
-                    (List.map
-                       (fun k -> Str (fault_kind_name k))
-                       f.Lg_apt.Apt_store.f_kinds) );
-              ] );
-    ]
-  in
-  Obj
-    (("name", Str backend.Lg_apt.Aptfile.store)
-    :: config_members backend.Lg_apt.Aptfile.config)
-
-let build ?command ?backend ?(metrics = Metrics.ambient ()) ~file
+let build ?command ?(metrics = Metrics.ambient ()) ~file
     (a : Driver.artifact) =
   let open Json_out in
   let s = Ir.stats a.Driver.ir in
@@ -111,9 +74,8 @@ let build ?command ?backend ?(metrics = Metrics.ambient ()) ~file
         ("overlays", overlays);
         ( "throughput_lines_per_minute",
           Num (Driver.throughput_lines_per_minute a) );
-      ]
-    @ (match backend with Some b -> [ ("store", store_json b) ] | None -> [])
-    @ [ ("metrics", Metrics.to_json metrics) ])
+        ("metrics", Metrics.to_json metrics);
+      ])
 
 let write ~dest doc =
   let s = Json_out.to_string ~pretty:true doc in

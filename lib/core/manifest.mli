@@ -3,8 +3,8 @@
     A manifest is the machine-readable record of a translation — the
     grammar statistics of the paper's §IV table, the pass plan, the
     overlay timings (from the same trace spans [--trace-out] exports),
-    the store configuration the intermediate files ran on, and a full
-    snapshot of the ambient metrics registry ({!Lg_support.Metrics}).
+    and a full snapshot of the ambient metrics registry
+    ({!Lg_support.Metrics}).
     The CLI writes one with [--report FILE] ([-] for stdout), the
     [report] subcommand renders one back for humans, and the bench
     harness's [diff] mode compares two of them with per-metric
@@ -19,14 +19,13 @@ val version : int
 
 val build :
   ?command:string ->
-  ?backend:Lg_apt.Aptfile.backend ->
   ?metrics:Lg_support.Metrics.t ->
   file:string ->
   Driver.artifact ->
   Lg_support.Json_out.t
 (** Assemble the manifest for one successful run. [metrics] defaults to
-    the ambient registry; [backend] (the store the run's evaluator would
-    use) and [command] (the CLI subcommand) are recorded when given. *)
+    the ambient registry; [command] (the CLI subcommand) is recorded
+    when given. *)
 
 val write : dest:string -> Lg_support.Json_out.t -> unit
 (** Pretty-print the document to [dest], or to stdout when [dest] is

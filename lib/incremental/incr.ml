@@ -2,10 +2,9 @@ open Lg_support
 open Lg_apt
 open Linguist
 
-type config = { threshold : float; metrics : Metrics.t; tracer : Trace.t }
+type config = { threshold : float }
 
-let default_config =
-  { threshold = 0.5; metrics = Metrics.null; tracer = Trace.null }
+let default_config = { threshold = 0.5 }
 
 type state = {
   st_ir : Ir.t;  (* identity guard: state is only valid for its plan *)
@@ -115,7 +114,7 @@ let validate_root (ir : Ir.t) (tree : Tree.t) =
 
 (* Full evaluation of [tree] into a fresh state: every interior node is
    a seed, so the versioned store comes out complete. *)
-let build_fresh config ~(ir : Ir.t) ~tree =
+let build_fresh ~tracer ~(ir : Ir.t) ~tree =
   let fp = Fingerprint.create () in
   let tree_size = Fingerprint.size fp tree in
   let parents = Hashtbl.create (max 64 tree_size) in
@@ -123,7 +122,7 @@ let build_fresh config ~(ir : Ir.t) ~tree =
   let versions = Attr_versions.create () in
   let index = Propagate.dep_index ir in
   let outcome =
-    Propagate.run ~ir ~index ~versions ~parents ~tracer:config.tracer
+    Propagate.run ~ir ~index ~versions ~parents ~tracer
       ~seeds:(interior_nodes tree)
       ~max_fired:(firing_budget ir tree_size)
   in
@@ -143,9 +142,8 @@ let build_fresh config ~(ir : Ir.t) ~tree =
 let update ?state config ~(plan : Plan.t) ~engine_options ~tree =
   let ir = plan.Plan.ir in
   validate_root ir tree;
-  let metrics = Metrics.resolve config.metrics in
-  let tracer = Trace.resolve config.tracer in
-  let config = { config with metrics; tracer } in
+  let metrics = Metrics.ambient () in
+  let tracer = Trace.ambient () in
   Metrics.incr metrics "incremental.updates";
   let publish_stats (st : Tree_diff.stats) =
     Metrics.incr metrics ~by:st.Tree_diff.reused_nodes "incremental.reused_nodes";
@@ -213,7 +211,7 @@ let update ?state config ~(plan : Plan.t) ~engine_options ~tree =
             with Propagate.Stuck reason -> fallback ~churn:0.0 reason)
       | Some _ | None ->
           Metrics.incr metrics "incremental.fresh";
-          let st, outcome = build_fresh config ~ir ~tree in
+          let st, outcome = build_fresh ~tracer ~ir ~tree in
           let outputs = outputs_of ir st.st_versions st.st_parents tree in
           ( {
               outputs;

@@ -24,8 +24,6 @@ type config = {
   threshold : float;
       (** churn fraction above which the update falls back to the full
           engine; 0.5 by default *)
-  metrics : Lg_support.Metrics.t;  (** resolved against the ambient *)
-  tracer : Lg_support.Trace.t;  (** resolved against the ambient *)
 }
 
 val default_config : config
@@ -69,6 +67,8 @@ val update :
   result * state option
 (** Evaluate [tree], reusing [state] when it belongs to the same plan.
     Returns the next state to cache — [None] after a fallback, so the
-    following update rebuilds from scratch. Raises
+    following update rebuilds from scratch. Counters ([incremental.*])
+    go to the ambient {!Lg_support.Metrics} registry and spans to the
+    ambient {!Lg_support.Trace} tracer. Raises
     {!Lg_apt.Apt_error.Error} only out of the full-engine fallback
     path. *)

@@ -117,9 +117,9 @@ let analyze_payload (a : Lg_languages.Linguist_ag.analysis) =
 (* How [update] jobs evaluate: the incremental subsystem's churn
    threshold. [None] (the default) still serves updates —
    each one evaluates from scratch — but keeps no per-document state. *)
-type incremental = { inc_threshold : float }
+type incremental = Lg_incremental.Incr.config
 
-let default_incremental = { inc_threshold = 0.5 }
+let default_incremental = Lg_incremental.Incr.default_config
 
 let translate_payload (tr : Linguist.Translator.translation) =
   Obj
@@ -234,9 +234,6 @@ let run_job ~sessions ?incremental (j : Jobfile.job) =
             Linguist.Driver.default_options with
             emit_listing = false;
             emit_code = false;
-            apt_backend = engine_options.Linguist.Engine.backend;
-            depth_budget = engine_options.Linguist.Engine.depth_budget;
-            node_budget = engine_options.Linguist.Engine.node_budget;
           }
         in
         match
@@ -277,19 +274,13 @@ let run_job ~sessions ?incremental (j : Jobfile.job) =
               (Linguist.Listing.errors_only ~source ~file:j.Jobfile.j_file diag)
         | Some tree ->
             let plan = Linguist.Translator.plan translator in
-            let config inc =
-              {
-                Lg_incremental.Incr.default_config with
-                threshold = inc.inc_threshold;
-              }
-            in
             let result =
               match incremental with
               | None ->
                   (* stateless: every update evaluates from scratch *)
                   fst
-                    (Lg_incremental.Incr.update (config default_incremental)
-                       ~plan ~engine_options ~tree)
+                    (Lg_incremental.Incr.update default_incremental ~plan
+                       ~engine_options ~tree)
               | Some inc ->
                   let doc =
                     Option.value j.Jobfile.j_doc ~default:j.Jobfile.j_file
@@ -304,7 +295,7 @@ let run_job ~sessions ?incremental (j : Jobfile.job) =
                     (fun () ->
                       let result, next =
                         Lg_incremental.Incr.update ?state:slot.Session.doc_state
-                          (config inc) ~plan ~engine_options ~tree
+                          inc ~plan ~engine_options ~tree
                       in
                       slot.Session.doc_state <- next;
                       result)

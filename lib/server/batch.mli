@@ -54,10 +54,9 @@ type summary = {
   wall_seconds : float;
 }
 
-(** How [update] jobs evaluate (see [docs/INCREMENTAL.md]).
-    [inc_threshold] is the churn fraction above which an update falls
-    back to full evaluation. *)
-type incremental = { inc_threshold : float }
+(** How [update] jobs evaluate (see [docs/INCREMENTAL.md]): the churn
+    fraction above which an update falls back to full evaluation. *)
+type incremental = Lg_incremental.Incr.config
 
 val default_incremental : incremental
 (** threshold 0.5. *)

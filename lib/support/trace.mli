@@ -121,8 +121,8 @@ val ambient : unit -> t
 val ambient_attr_counts : unit -> bool
 
 val resolve : t -> t
-(** [resolve t] is [t] when enabled, else the ambient tracer: how an
-    options record with a default [null] tracer composes with {!install}. *)
+(** [resolve t] is [t] when enabled, else the ambient tracer: how the
+    table builders' optional tracer argument composes with {!install}. *)
 
 (** {1 Exporters} *)
 

@@ -135,7 +135,7 @@ let test_trace_attrs_summary () =
 
 let test_bad_store () =
   expect_cli_error "--apt-store bogus" "unknown APT store \"bogus\""
-    (run [ "check"; "--apt-store"; "bogus"; grammar ])
+    (run [ "analyze"; "--apt-store"; "bogus"; grammar ])
 
 (* a store name pruned from the registry is refused like any unknown
    one, with the list of the stores that remain — [faulty] too, whose
@@ -146,12 +146,12 @@ let test_removed_store () =
       expect_cli_error ("--apt-store " ^ store)
         (Printf.sprintf "unknown APT store %S (registered: %s" store
            (String.concat ", " (Lg_apt.Store_registry.names ())))
-        (run [ "check"; "--apt-store"; store; grammar ]))
+        (run [ "analyze"; "--apt-store"; store; grammar ]))
     [ "disk"; "faulty" ]
 
 let test_bad_page_size () =
   expect_cli_error "--apt-page-size 0" "--apt-page-size must be positive"
-    (run [ "check"; "--apt-page-size"; "0"; grammar ])
+    (run [ "analyze"; "--apt-page-size"; "0"; grammar ])
 
 let test_unknown_flag () =
   expect_cli_error "unknown option" "unknown option '--no-such-flag'"
@@ -163,7 +163,13 @@ let test_missing_file () =
 
 let test_bad_fault_spec () =
   expect_cli_error "--apt-faults nonsense" "--apt-faults"
-    (run [ "check"; "--apt-faults"; "nonsense"; grammar ])
+    (run [ "analyze"; "--apt-faults"; "nonsense"; grammar ])
+
+(* the store is a setting of an evaluator run: commands that only run
+   the front end do not take it *)
+let test_front_end_refuses_store () =
+  expect_cli_error "check --apt-store" "unknown option '--apt-store'"
+    (run [ "check"; "--apt-store"; "paged"; grammar ])
 
 (* ----- typed APT failures: stable exit codes, pinned forever ----- *)
 
@@ -352,12 +358,9 @@ let test_report_manifest () =
     ];
   Alcotest.(check int) "plan.passes" 4 (num [ "plan"; "passes" ]);
   Alcotest.(check int) "subsumption.chosen" 37 (num [ "subsumption"; "chosen" ]);
-  Alcotest.(check int) "metrics driver.runs" 1 (num [ "metrics"; "driver.runs" ]);
-  Alcotest.(check string)
-    "store is recorded" "mem"
-    (Lg_support.Json_out.to_str
-       (Lg_support.Json_out.member_exn "name"
-          (Lg_support.Json_out.member_exn "store" j)))
+  Alcotest.(check int)
+    "metrics driver.runs" 1
+    (num [ "metrics"; "driver.runs" ])
 
 (* --report - and --trace-out - write their JSON to stdout; trace
    summaries and confirmations stay on stderr so the output pipes
@@ -643,6 +646,8 @@ let () =
           Alcotest.test_case "unknown flag" `Quick test_unknown_flag;
           Alcotest.test_case "missing input file" `Quick test_missing_file;
           Alcotest.test_case "invalid fault spec" `Quick test_bad_fault_spec;
+          Alcotest.test_case "check refuses --apt-store" `Quick
+            test_front_end_refuses_store;
         ] );
       ( "apt-fsck",
         [

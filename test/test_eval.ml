@@ -310,6 +310,63 @@ let test_demand_instance () =
   Alcotest.check check_value "root TOTAL" (Value.Int (6 + 8))
     (Demand.instance ir tree ~path:[] ~attr:"TOTAL")
 
+(* Failed runs (a depth budget hit mid-pass, a torn file read back) and
+   successful ones leave their store directory empty and the process's
+   descriptor count unchanged. *)
+let test_failed_runs_leave_nothing () =
+  let ir = Fixtures.ir_of_source Fixtures.sum_grammar in
+  let plan = Driver.plan_of_ir ir in
+  let st = Random.State.make [| 17 |] in
+  let tree = Fixtures.random_tree ir ~rng:(Random.State.int st) ~size:40 in
+  let dir = Filename.temp_file "engine_leak" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let open_fds () =
+    if Sys.file_exists "/proc/self/fd" then
+      Some (Array.length (Sys.readdir "/proc/self/fd"))
+    else None
+  in
+  let fds_before = open_fds () in
+  let run ~store ?faults ?(depth_budget = Engine.default_depth_budget) () =
+    let config =
+      { Lg_apt.Apt_store.default_config with dir = Some dir; faults }
+    in
+    let backend = Lg_apt.Aptfile.backend_of_store_name ~config store in
+    Engine.run ~options:{ Engine.default_options with backend; depth_budget }
+      plan tree
+  in
+  let torn =
+    {
+      Lg_apt.Apt_store.f_seed = 7;
+      f_rate = 1.0;
+      f_kinds = [ Lg_apt.Apt_store.Torn_write ];
+    }
+  in
+  Fun.protect ~finally:(fun () ->
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+  @@ fun () ->
+  List.iter
+    (fun store ->
+      ignore (run ~store ());
+      (match run ~store ~depth_budget:1 () with
+      | exception Lg_apt.Apt_error.Error (Lg_apt.Apt_error.Resource_limit _)
+        ->
+          ()
+      | _ -> Alcotest.failf "%s: depth budget 1 must fail the run" store);
+      if store <> "mem" then
+        match run ~store ~faults:torn () with
+        | exception Lg_apt.Apt_error.Error _ -> ()
+        | _ -> Alcotest.failf "%s: a torn write must fail the run" store)
+    [ "mem"; "paged"; "zip" ];
+  Gc.full_major ();
+  Alcotest.(check (list string)) "no APT file left" []
+    (Array.to_list (Sys.readdir dir));
+  Alcotest.(check (option int)) "no descriptor left open" fds_before
+    (open_fds ())
+
 let () =
   Alcotest.run "eval"
     [
@@ -339,5 +396,7 @@ let () =
           Alcotest.test_case "oracle circularity" `Quick
             test_oracle_detects_circularity;
           Alcotest.test_case "demand instance" `Quick test_demand_instance;
+          Alcotest.test_case "failed runs leave nothing" `Quick
+            test_failed_runs_leave_nothing;
         ] );
     ]

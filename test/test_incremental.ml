@@ -267,7 +267,7 @@ let test_threshold_fallback_is_correct () =
   let tree = Fixtures.random_tree plan.Plan.ir ~rng ~size:30 in
   let edited = perturb_leaf tree ~rng in
   let engine_options = Engine.default_options in
-  let config = { Incr.default_config with threshold = 0.0 } in
+  let config = { Incr.threshold = 0.0 } in
   let _, state = Incr.update config ~plan ~engine_options ~tree in
   let r, next = Incr.update ?state config ~plan ~engine_options ~tree:edited in
   (match r.Incr.mode with
@@ -343,13 +343,22 @@ let prop_edit_sequence_differential =
       run_edit_sequence ~grammar ~seed ~edits:6 ();
       true)
 
+(* Run [f] with [m] as the ambient registry, where [Incr.update]
+   publishes its counters. *)
+let with_metrics m f =
+  Lg_support.Metrics.install m;
+  Fun.protect
+    ~finally:(fun () -> Lg_support.Metrics.install Lg_support.Metrics.null)
+    f
+
 let test_long_sequence_rebuilds_fingerprints () =
   (* long enough for the fingerprint memo to outgrow 3 * tree + 1024;
      threshold 1.0 keeps every edit on the delta path *)
   let metrics = Lg_support.Metrics.create () in
-  let config = { Incr.default_config with threshold = 1.0; metrics } in
-  run_edit_sequence ~config ~grammar:Fixtures.env_grammar ~seed:5 ~edits:250
-    ();
+  let config = { Incr.threshold = 1.0 } in
+  with_metrics metrics (fun () ->
+      run_edit_sequence ~config ~grammar:Fixtures.env_grammar ~seed:5
+        ~edits:250 ());
   match Lg_support.Metrics.find metrics "incremental.compactions" with
   | Some (Lg_support.Metrics.Counter n) ->
       Alcotest.(check bool) "the fingerprint rebuild ran" true (n > 0)
@@ -377,14 +386,20 @@ let test_churn_fallback_on_faulty_medium () =
   let rng bound = Random.State.int st bound in
   let tree = Fixtures.random_tree plan.Plan.ir ~rng ~size:25 in
   let metrics = Lg_support.Metrics.create () in
-  let config = { Incr.default_config with threshold = 0.0; metrics } in
+  let config = { Incr.threshold = 0.0 } in
   let faulty = faulty_backend ~kinds:[ Lg_apt.Apt_store.Bit_flip ] ~rate:1.0 in
   let engine_options = { Engine.default_options with backend = faulty } in
   (* the fresh build propagates on the heap: the medium is not touched *)
-  let _, state = Incr.update config ~plan ~engine_options ~tree in
+  let _, state =
+    with_metrics metrics (fun () ->
+        Incr.update config ~plan ~engine_options ~tree)
+  in
   Alcotest.(check bool) "the fresh build keeps its state" true (state <> None);
   let edited = perturb_leaf tree ~rng in
-  (match Incr.update ?state config ~plan ~engine_options ~tree:edited with
+  (match
+     with_metrics metrics (fun () ->
+         Incr.update ?state config ~plan ~engine_options ~tree:edited)
+   with
   | exception Lg_apt.Apt_error.Error e ->
       let code = Lg_apt.Apt_error.exit_code e in
       Alcotest.(check bool)

@@ -22,20 +22,15 @@ let file = "desk_calc.ag"
 let () = ignore (Linguist.Driver.process_exn ~file source)
 
 let build_manifest () =
-  let m = Metrics.create () in
-  Metrics.install m;
+  Metrics.install (Metrics.create ());
+  Trace.install (Trace.create ~clock:(fake_clock ()) ());
   Fun.protect
-    ~finally:(fun () -> Metrics.install Metrics.null)
+    ~finally:(fun () ->
+      Metrics.install Metrics.null;
+      Trace.install Trace.null)
     (fun () ->
-      let options =
-        {
-          Linguist.Driver.default_options with
-          tracer = Trace.create ~clock:(fake_clock ()) ();
-        }
-      in
-      let artifact = Linguist.Driver.process_exn ~options ~file source in
-      Linguist.Manifest.build ~command:"check"
-        ~backend:options.Linguist.Driver.apt_backend ~file artifact)
+      let artifact = Linguist.Driver.process_exn ~file source in
+      Linguist.Manifest.build ~command:"check" ~file artifact)
 
 let manifest = lazy (build_manifest ())
 
@@ -108,11 +103,6 @@ let test_metrics_block () =
          ("driver.source_lines", Json_out.int 82);
        ])
 
-let test_store_block () =
-  Alcotest.(check string)
-    "store name" "mem"
-    (Json_out.to_str (Json_out.member_exn "name" (section "store")))
-
 let test_overlays () =
   let names = List.map fst (match section "overlays" with
     | Json_out.Obj members -> members
@@ -171,7 +161,6 @@ let () =
           Alcotest.test_case "attributes block" `Quick test_attributes_block;
           Alcotest.test_case "plan block" `Quick test_plan_block;
           Alcotest.test_case "metrics block" `Quick test_metrics_block;
-          Alcotest.test_case "store block" `Quick test_store_block;
           Alcotest.test_case "overlays" `Quick test_overlays;
         ] );
       ( "properties",

@@ -644,6 +644,7 @@ let reverse_mem : Apt_store.t =
                     });
                 f_dispose = ignore;
               });
+          abort = ignore;
         });
   }
 

@@ -220,13 +220,20 @@ let golden_summary =
   \    listing                         1x   1.000000 s\n\
   \    codegen pass 1                  1x   1.000000 s\n"
 
+(* Run [f] with [tr] as the ambient tracer, where the driver records its
+   overlay spans. *)
+let with_tracer tr f =
+  Trace.install tr;
+  Fun.protect ~finally:(fun () -> Trace.install Trace.null) f
+
 let test_golden_summary () =
+  (* warm up first: the ambient tracer would also record the lazily
+     built .ag parser and scanner tables *)
+  ignore (Linguist.Driver.process_exn ~file:"<warm-up>" Fixtures.sum_grammar);
   let tr = fresh () in
-  let options = { Linguist.Driver.default_options with tracer = tr } in
-  let artifact =
-    Linguist.Driver.process_exn ~options ~file:"<golden>" Fixtures.sum_grammar
-  in
-  ignore artifact;
+  with_tracer tr (fun () ->
+      ignore
+        (Linguist.Driver.process_exn ~file:"<golden>" Fixtures.sum_grammar));
   let actual = Format.asprintf "%a" Trace.pp_summary tr in
   Alcotest.(check string) "summary" golden_summary actual
 
@@ -235,9 +242,9 @@ let test_golden_summary () =
    span bookkeeping between overlays. *)
 let test_overlay_spans_cover_run () =
   let tr = Trace.create () in
-  let options = { Linguist.Driver.default_options with tracer = tr } in
   let artifact =
-    Linguist.Driver.process_exn ~options ~file:"<cover>" Fixtures.sum_grammar
+    with_tracer tr (fun () ->
+        Linguist.Driver.process_exn ~file:"<cover>" Fixtures.sum_grammar)
   in
   let root =
     List.find
@@ -253,6 +260,50 @@ let test_overlay_spans_cover_run () =
   Alcotest.(check int) "six overlays"
     6
     (List.length artifact.Linguist.Driver.overlay_seconds)
+
+(* Per-production evaluation counts reach the evaluator only through a
+   tracer installed with [~attr_counts:true]: then the [evals:<tag>]
+   arguments of each pass span add up to its [rules] argument; otherwise
+   no pass span carries one. *)
+let test_attr_counts_sum_to_rules () =
+  let t = Lg_languages.Desk_calc.translator () in
+  let pass_spans ~attr_counts =
+    let tr = Trace.create () in
+    Trace.install ~attr_counts tr;
+    Fun.protect ~finally:(fun () -> Trace.install Trace.null) (fun () ->
+        ignore
+          (Linguist.Translator.translate_exn t ~file:"<evals>"
+             "x := 10;\nprint x;\ny := x + 2;\nprint y;\n"));
+    List.filter
+      (fun (sp : Trace.span) ->
+        String.length sp.Trace.sp_name > 5
+        && String.sub sp.Trace.sp_name 0 5 = "pass ")
+      (Trace.spans tr)
+  in
+  let is_evals (name, _) =
+    String.length name > 6 && String.sub name 0 6 = "evals:"
+  in
+  let int_arg = function Trace.Int n -> n | _ -> Alcotest.fail "not an Int" in
+  let counted = pass_spans ~attr_counts:true in
+  Alcotest.(check bool) "several passes" true (List.length counted > 1);
+  List.iter
+    (fun (sp : Trace.span) ->
+      let evals = List.filter is_evals sp.Trace.sp_args in
+      Alcotest.(check bool)
+        (sp.Trace.sp_name ^ " has evals")
+        true (evals <> []);
+      Alcotest.(check int)
+        (sp.Trace.sp_name ^ ": evals sum to rules")
+        (int_arg (List.assoc "rules" sp.Trace.sp_args))
+        (List.fold_left (fun acc (_, v) -> acc + int_arg v) 0 evals))
+    counted;
+  List.iter
+    (fun (sp : Trace.span) ->
+      Alcotest.(check int)
+        (sp.Trace.sp_name ^ ": no evals without attr_counts")
+        0
+        (List.length (List.filter is_evals sp.Trace.sp_args)))
+    (pass_spans ~attr_counts:false)
 
 (* ---------------------------------------------------------------- *)
 (* Io_stats: the single field table behind add/reset/fields/to_json. *)
@@ -368,6 +419,8 @@ let () =
             test_golden_summary;
           Alcotest.test_case "overlay spans cover the driver run" `Quick
             test_overlay_spans_cover_run;
+          Alcotest.test_case "evals: counts sum to rules" `Quick
+            test_attr_counts_sum_to_rules;
         ] );
       ( "io_stats",
         [
