@@ -46,9 +46,7 @@ let parse_spec s =
   |> Result.map (fun (f_seed, f_rate, f_kinds) -> { f_seed; f_rate; f_kinds })
 
 let spec_to_string { f_seed; f_rate; f_kinds } =
-  Printf.sprintf "%d:%g:%s" f_seed f_rate
-    (String.concat ","
-       (List.map (Lg_support.Kind_spec.name fault_kinds) f_kinds))
+  Lg_support.Kind_spec.render ~kinds:fault_kinds (f_seed, f_rate, f_kinds)
 
 type config = {
   dir : string option;  (** backing directory; [None] = system temp dir *)

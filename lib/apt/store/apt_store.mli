@@ -40,6 +40,8 @@ val parse_spec : string -> (fault_spec, string) result
     [transient|short|flip|torn], or [all]) — the [--apt-faults] syntax. *)
 
 val spec_to_string : fault_spec -> string
+(** The spec string {!parse_spec} reads back
+    ({!Lg_support.Kind_spec.render}). *)
 
 type config = {
   dir : string option;  (** backing directory; [None] = system temp dir *)

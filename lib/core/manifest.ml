@@ -10,8 +10,7 @@ let strategy_name = function
   | Ag_ast.Bottom_up -> "bottom_up"
   | Ag_ast.Recursive_descent -> "recursive_descent"
 
-let build ?command ?(metrics = Metrics.ambient ()) ~file
-    (a : Driver.artifact) =
+let build ?command ~file (a : Driver.artifact) =
   let open Json_out in
   let s = Ir.stats a.Driver.ir in
   let report = Subsume.report a.Driver.ir a.Driver.alloc in
@@ -74,7 +73,7 @@ let build ?command ?(metrics = Metrics.ambient ()) ~file
         ("overlays", overlays);
         ( "throughput_lines_per_minute",
           Num (Driver.throughput_lines_per_minute a) );
-        ("metrics", Metrics.to_json metrics);
+        ("metrics", Metrics.to_json (Metrics.ambient ()));
       ])
 
 let write ~dest doc =

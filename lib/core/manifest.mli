@@ -19,13 +19,12 @@ val version : int
 
 val build :
   ?command:string ->
-  ?metrics:Lg_support.Metrics.t ->
   file:string ->
   Driver.artifact ->
   Lg_support.Json_out.t
-(** Assemble the manifest for one successful run. [metrics] defaults to
-    the ambient registry; [command] (the CLI subcommand) is recorded
-    when given. *)
+(** Assemble the manifest for one successful run, with the ambient
+    metrics registry's snapshot; [command] (the CLI subcommand) is
+    recorded when given. *)
 
 val write : dest:string -> Lg_support.Json_out.t -> unit
 (** Pretty-print the document to [dest], or to stdout when [dest] is

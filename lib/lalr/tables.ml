@@ -165,8 +165,8 @@ let packed_bytes p =
 
 let table_bytes t = packed_bytes t.actions + packed_bytes t.gotos
 
-let build ?(trace = Lg_support.Trace.null) ?(precedence = []) g =
-  let tr = Lg_support.Trace.resolve trace in
+let build ?(precedence = []) g =
+  let tr = Lg_support.Trace.ambient () in
   Lg_support.Trace.span tr ~cat:"tables" "lalr.build" @@ fun () ->
   let lr0 =
     Lg_support.Trace.span tr ~cat:"tables" "lalr.lr0" (fun () -> Lr0.build g)

@@ -6,8 +6,8 @@ type t = {
   keyword_rule_set : (string, unit) Hashtbl.t;
 }
 
-let compile ?(trace = Lg_support.Trace.null) (spec : Spec.t) =
-  let tr = Lg_support.Trace.resolve trace in
+let compile (spec : Spec.t) =
+  let tr = Lg_support.Trace.ambient () in
   Lg_support.Trace.span tr ~cat:"tables" "scanner.compile" @@ fun () ->
   let rules = Array.of_list spec.rules in
   let tagged =

@@ -7,9 +7,8 @@
 
 type t
 
-val compile : ?trace:Lg_support.Trace.t -> Spec.t -> t
-(** [trace] (default {!Lg_support.Trace.null}, resolved against the
-    ambient tracer) records ["scanner.nfa"] / ["scanner.determinize"] /
+val compile : Spec.t -> t
+(** The ambient tracer records ["scanner.nfa"] / ["scanner.determinize"] /
     ["scanner.minimize"] spans under ["scanner.compile"], with the packed
     table size as an argument. *)
 

@@ -224,7 +224,6 @@ let run_job ~sessions ?incremental (j : Jobfile.job) =
       | Some s -> s
       | None -> read_file j.Jobfile.j_file
     in
-    let engine_options = engine_options_of j ~dir in
     match j.Jobfile.j_op with
     | Jobfile.Check -> (
         (* [check_payload] reads only passes, diagnostics and source
@@ -244,6 +243,7 @@ let run_job ~sessions ?incremental (j : Jobfile.job) =
             failed ~code:1
               (Linguist.Listing.errors_only ~source ~file:j.Jobfile.j_file diag))
     | Jobfile.Analyze ->
+        let engine_options = engine_options_of j ~dir in
         let session = Session.language_session sessions "linguist" in
         let translator = session.Session.s_translator in
         let a =
@@ -251,6 +251,7 @@ let run_job ~sessions ?incremental (j : Jobfile.job) =
         in
         finish ~ok:true ~code:0 ~error:None (analyze_payload a)
     | Jobfile.Translate tenant -> (
+        let engine_options = engine_options_of j ~dir in
         let session = tenant_translator ~sessions tenant in
         let translator = session.Session.s_translator in
         match
@@ -262,6 +263,7 @@ let run_job ~sessions ?incremental (j : Jobfile.job) =
             failed ~code:1
               (Linguist.Listing.errors_only ~source ~file:j.Jobfile.j_file diag))
     | Jobfile.Update tenant -> (
+        let engine_options = engine_options_of j ~dir in
         let session = tenant_translator ~sessions tenant in
         let translator = session.Session.s_translator in
         let diag = Lg_support.Diag.create () in
@@ -351,12 +353,9 @@ let culprit (j : Jobfile.job) =
    chaos injection): a job naming a quarantined session is refused with
    the typed diagnostic before it can burn a worker *)
 let quarantine_gate ~sessions (j : Jobfile.job) =
-  match culprit j with
-  | Some (digest, label) when Session.is_quarantined sessions ~digest ->
-      Server_error.raise_
-        (Server_error.Session_quarantined
-           { digest; label; strikes = Session.strike_count sessions ~digest })
-  | _ -> ()
+  Option.iter
+    (fun (digest, _) -> Session.refuse_if_quarantined sessions ~digest)
+    (culprit j)
 
 (* runs in the worker, before the job proper: a [Crash_job] roll kills
    the worker through the supervision path, [Wedge_job] holds it until

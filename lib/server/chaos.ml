@@ -20,9 +20,7 @@ let parse_spec s =
   |> Result.map (fun (c_seed, c_rate, c_kinds) -> { c_seed; c_rate; c_kinds })
 
 let render_spec { c_seed; c_rate; c_kinds } =
-  Printf.sprintf "%d:%s:%s" c_seed
-    (Lg_support.Json_out.number c_rate)
-    (String.concat "," (List.map kind_to_string c_kinds))
+  Lg_support.Kind_spec.render ~kinds (c_seed, c_rate, c_kinds)
 
 type t = {
   spec : spec;

@@ -40,17 +40,6 @@ let op_name = function
   | Translate _ -> "translate"
   | Update _ -> "update"
 
-let fault_kind_name = function
-  | Lg_apt.Apt_store.Transient_io -> "transient"
-  | Lg_apt.Apt_store.Short_read -> "short"
-  | Lg_apt.Apt_store.Bit_flip -> "flip"
-  | Lg_apt.Apt_store.Torn_write -> "torn"
-
-let render_faults (f : Lg_apt.Apt_store.fault_spec) =
-  Printf.sprintf "%d:%s:%s" f.Lg_apt.Apt_store.f_seed
-    (Lg_support.Json_out.number f.Lg_apt.Apt_store.f_rate)
-    (String.concat "," (List.map fault_kind_name f.Lg_apt.Apt_store.f_kinds))
-
 open Lg_support.Json_out
 
 let job_to_json j =
@@ -68,7 +57,7 @@ let job_to_json j =
     @ opt "doc" (fun d -> Str d) j.j_doc
     @ [ ("store", Str j.j_store) ]
     @ opt "page_size" int j.j_page_size
-    @ opt "faults" (fun f -> Str (render_faults f)) j.j_faults
+    @ opt "faults" (fun f -> Str (Lg_apt.Apt_store.spec_to_string f)) j.j_faults
     @ opt "depth_budget" int j.j_depth_budget
     @ opt "node_budget" int j.j_node_budget
     @ opt "deadline" (fun d -> Num d) j.j_deadline)

@@ -102,10 +102,6 @@ val make :
 
 val op_name : op -> string
 
-val render_faults : Lg_apt.Apt_store.fault_spec -> string
-(** The [SEED:RATE:KINDS] spec string; inverse of
-    {!Lg_apt.Apt_store.parse_spec}. *)
-
 val job_to_json : job -> Lg_support.Json_out.t
 (** One job as its jobfile-entry document — what a [serve] client (and
     the fabric coordinator) embeds as a request's ["job"] member.

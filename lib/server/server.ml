@@ -49,7 +49,6 @@ type state = {
   postmortem_dir : string option;
   postmortem_keep : int option;  (* retention cap: keep the newest N *)
   pm_counter : int Atomic.t;  (* unique dump filenames *)
-  tenants : Ledger.t;
   tenants_file : string option;  (* ledger snapshot path, if persisted *)
   spool : spool;  (* directory created on the first grammar_put *)
   incremental : Batch.incremental option;
@@ -350,8 +349,8 @@ let run_job_op st ~rt ~trace ~lane (job : Jobfile.job) =
     if not (Atomic.exchange charged true) then
       match Batch.culprit job with
       | Some (digest, tenant_label) ->
-          Ledger.charge st.tenants ~digest ~label:tenant_label ~ok ~exit_code
-            ~queue_wait ~service
+          Session.charge st.sessions ~digest ~label:tenant_label ~ok
+            ~exit_code ~queue_wait ~service
       | None -> ()
   in
   match
@@ -460,36 +459,21 @@ let handle_request st ~rt ~trace doc =
           ( "tenants",
             Arr
               (List.map
-                 (fun (digest, label, jobs, ok, failures, queue_wait, service) ->
-                   let hits, misses, evictions =
-                     Session.tenant_stats st.sessions ~digest
-                   in
+                 (fun (digest, t, quarantined) ->
                    Obj
-                     [
-                       ("digest", Str digest);
-                       ("label", Str label);
-                       ("jobs", int jobs);
-                       ("ok", int ok);
-                       ( "failures",
-                         Obj
-                           (List.map
-                              (fun (code, n) -> (string_of_int code, int n))
-                              failures) );
-                       ("queue_wait_seconds", Num queue_wait);
-                       ("service_seconds", Num service);
-                       ( "cache",
-                         Obj
-                           [
-                             ("hits", int hits);
-                             ("misses", int misses);
-                             ("evictions", int evictions);
-                           ] );
-                       ( "strikes",
-                         int (Session.strike_count st.sessions ~digest) );
-                       ( "quarantined",
-                         Bool (Session.is_quarantined st.sessions ~digest) );
-                     ])
-                 (Ledger.snapshot st.tenants)) );
+                     (Ledger.row_members digest t
+                     @ [
+                         ( "cache",
+                           Obj
+                             [
+                               ("hits", int t.Session.t_hits);
+                               ("misses", int t.Session.t_misses);
+                               ("evictions", int t.Session.t_evictions);
+                             ] );
+                         ("strikes", int t.Session.t_strikes);
+                         ("quarantined", Bool quarantined);
+                       ]))
+                 (Session.tenants st.sessions)) );
         ]
   | Some (Str "drain") ->
       Atomic.set st.draining true;
@@ -499,7 +483,7 @@ let handle_request st ~rt ~trace doc =
         match st.tenants_file with
         | None -> Null
         | Some path -> (
-            match Ledger.save st.tenants ~path with
+            match Ledger.save st.sessions ~path with
             | Ok () -> Bool true
             | Error _ -> Bool false)
       in
@@ -712,29 +696,29 @@ let serve ?queue_capacity ?session_capacity ?session_ttl ?quarantine_after
   let queue_capacity =
     match queue_capacity with Some c -> c | None -> 4 * max 1 workers
   in
-  let tenants = Ledger.create () in
+  let sessions =
+    Session.create_cache ?capacity:session_capacity ?ttl:session_ttl
+      ?quarantine_after ~metrics ()
+  in
   (* reload persisted accounting before the listeners open, so a restart
      under traffic double-counts nothing; a missing snapshot is a first
      boot, a malformed one is a configuration error worth failing on *)
   (match tenants_file with
   | Some path when Sys.file_exists path -> (
-      match Ledger.load tenants ~path with
+      match Ledger.load sessions ~path with
       | Ok _ -> ()
       | Error msg -> failwith ("tenant ledger: " ^ msg))
   | Some _ | None -> ());
   let st =
     {
       pool = Pool.create ~metrics ?slo_window ~workers ~queue_capacity ();
-      sessions =
-        Session.create_cache ?capacity:session_capacity ?ttl:session_ttl
-          ?quarantine_after ~metrics ();
+      sessions;
       metrics;
       tracer;
       events;
       postmortem_dir;
       postmortem_keep;
       pm_counter = Atomic.make 0;
-      tenants;
       tenants_file;
       spool =
         {
@@ -779,7 +763,7 @@ let serve ?queue_capacity ?session_capacity ?session_ttl ?quarantine_after
     List.iter Thread.join !threads;
     Pool.drain st.pool;
     (match st.tenants_file with
-    | Some path -> ignore (Ledger.save st.tenants ~path)
+    | Some path -> ignore (Ledger.save st.sessions ~path)
     | None -> ());
     remove_spool_dir st.spool.sp_dir;
     try Unix.unlink socket with Unix.Unix_error _ -> ()

@@ -47,14 +47,39 @@ type doc_slot = {
   mutable doc_last_use : int;
 }
 
-(* per-digest cache traffic, the [tenants] serve op's cache column;
-   kept forever (a counter triple per digest ever served is cheap) so
-   accounting survives the entry's eviction *)
-type tstat = {
-  mutable ts_hits : int;
-  mutable ts_misses : int;
-  mutable ts_evictions : int;
+type tenant = {
+  t_label : string;
+  t_jobs : int;
+  t_ok : int;
+  t_failures : (int * int) list;
+  t_queue_wait : float;
+  t_service : float;
+  t_hits : int;
+  t_misses : int;
+  t_evictions : int;
+  t_strikes : int;
 }
+
+let no_tenant =
+  {
+    t_label = "";
+    t_jobs = 0;
+    t_ok = 0;
+    t_failures = [];
+    t_queue_wait = 0.0;
+    t_service = 0.0;
+    t_hits = 0;
+    t_misses = 0;
+    t_evictions = 0;
+    t_strikes = 0;
+  }
+
+(* insert one [exit code -> count] bucket, keeping codes ascending *)
+let rec bump_failure failures ((code, n) as bucket) =
+  match failures with
+  | (c, m) :: rest when c = code -> (c, m + n) :: rest
+  | ((c, _) as b) :: rest when c < code -> b :: bump_failure rest bucket
+  | _ -> bucket :: failures
 
 type cache = {
   lock : Mutex.t;
@@ -66,14 +91,10 @@ type cache = {
   ttl : float option;
   clock : unit -> float;
   quarantine_after : int;
-  strikes : (string, int * string) Hashtbl.t;  (* digest -> strikes, label *)
-  tstats : (string, tstat) Hashtbl.t;  (* digest -> cache traffic *)
+  tenants : (string, tenant) Hashtbl.t;  (* every digest ever requested *)
   metrics : Lg_support.Metrics.t;  (* server.session_builds *)
   mutable floor : float;  (* GreedyDual inflation *)
   mutable tick : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
   mutable expirations : int;
 }
 
@@ -90,14 +111,10 @@ let create_cache ?(capacity = 8) ?(doc_capacity = 128) ?ttl
     ttl;
     clock;
     quarantine_after = max 1 quarantine_after;
-    strikes = Hashtbl.create 8;
-    tstats = Hashtbl.create 16;
+    tenants = Hashtbl.create 16;
     metrics;
     floor = 0.0;
     tick = 0;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
     expirations = 0;
   }
 
@@ -107,23 +124,64 @@ let locked c f =
 
 let length c = locked c (fun () -> Hashtbl.length c.entries)
 let capacity c = c.cap
-let stats c = locked c (fun () -> (c.hits, c.misses))
-let eviction_stats c = locked c (fun () -> (c.evictions, c.expirations))
 
 (* under the lock *)
-let tstat c digest =
-  match Hashtbl.find_opt c.tstats digest with
-  | Some s -> s
-  | None ->
-      let s = { ts_hits = 0; ts_misses = 0; ts_evictions = 0 } in
-      Hashtbl.replace c.tstats digest s;
-      s
+let tenant c digest =
+  Option.value (Hashtbl.find_opt c.tenants digest) ~default:no_tenant
 
-let tenant_stats c ~digest =
+let account c digest f = Hashtbl.replace c.tenants digest (f (tenant c digest))
+
+(* under the lock: the cache-wide count is the sum over digests *)
+let sum c count = Hashtbl.fold (fun _ t n -> n + count t) c.tenants 0
+
+let stats c =
+  locked c (fun () -> (sum c (fun t -> t.t_hits), sum c (fun t -> t.t_misses)))
+
+let eviction_stats c =
+  locked c (fun () -> (sum c (fun t -> t.t_evictions), c.expirations))
+
+(* the rows' accounting columns add; a non-empty label replaces the old *)
+let merge_tenants c rows =
+  locked c @@ fun () ->
+  List.iter
+    (fun (digest, u) ->
+      account c digest (fun t ->
+          {
+            t with
+            t_label = (if u.t_label = "" then t.t_label else u.t_label);
+            t_jobs = t.t_jobs + u.t_jobs;
+            t_ok = t.t_ok + u.t_ok;
+            t_failures = List.fold_left bump_failure t.t_failures u.t_failures;
+            t_queue_wait = t.t_queue_wait +. u.t_queue_wait;
+            t_service = t.t_service +. u.t_service;
+          }))
+    rows
+
+let charge c ~digest ~label ~ok ~exit_code ~queue_wait ~service =
+  merge_tenants c
+    [
+      ( digest,
+        {
+          no_tenant with
+          t_label = label;
+          t_jobs = 1;
+          t_ok = (if ok then 1 else 0);
+          t_failures = (if ok then [] else [ (exit_code, 1) ]);
+          t_queue_wait = queue_wait;
+          t_service = service;
+        } );
+    ]
+
+let tenants c =
   locked c (fun () ->
-      match Hashtbl.find_opt c.tstats digest with
-      | Some s -> (s.ts_hits, s.ts_misses, s.ts_evictions)
-      | None -> (0, 0, 0))
+      Hashtbl.fold
+        (fun digest t acc ->
+          if t.t_jobs > 0 then
+            (digest, t, t.t_strikes >= c.quarantine_after) :: acc
+          else acc)
+        c.tenants [])
+  |> List.sort (fun (da, a, _) (db, b, _) ->
+         compare (a.t_label, da) (b.t_label, db))
 
 (* under the lock *)
 let drop_docs c digest =
@@ -138,6 +196,11 @@ let drop_docs c digest =
 let remove_entry c key =
   Hashtbl.remove c.entries key;
   drop_docs c key
+
+(* under the lock: an eviction proper, charged to the digest *)
+let evict_entry c key =
+  remove_entry c key;
+  account c key (fun t -> { t with t_evictions = t.t_evictions + 1 })
 
 (* under the lock: expire Ready entries that outlived the TTL *)
 let sweep_expired c =
@@ -183,9 +246,7 @@ let evict_if_full c =
       c.entries;
     match !cheapest with
     | Some (key, credit, _) ->
-        remove_entry c key;
-        c.evictions <- c.evictions + 1;
-        (tstat c key).ts_evictions <- (tstat c key).ts_evictions + 1;
+        evict_entry c key;
         c.floor <- Float.max c.floor credit
     | None -> ()
   end
@@ -197,19 +258,19 @@ let default_weight ~build_seconds translator =
   build_seconds +. (float_of_int bytes /. 1.0e7)
 
 (* under the lock *)
-let quarantined_strikes c digest =
-  match Hashtbl.find_opt c.strikes digest with
-  | Some (n, label) when n >= c.quarantine_after -> Some (n, label)
-  | _ -> None
+let refuse_quarantined c digest =
+  let t = tenant c digest in
+  if t.t_strikes >= c.quarantine_after then
+    Server_error.raise_
+      (Server_error.Session_quarantined
+         { digest; label = t.t_label; strikes = t.t_strikes })
 
 let strike c ~digest ~label =
   locked c (fun () ->
-      let n =
-        match Hashtbl.find_opt c.strikes digest with
-        | Some (n, _) -> n + 1
-        | None -> 1
-      in
-      Hashtbl.replace c.strikes digest (n, label);
+      let t = tenant c digest in
+      let n = t.t_strikes + 1 in
+      Hashtbl.replace c.tenants digest
+        { t with t_label = label; t_strikes = n };
       if n >= c.quarantine_after then
         (* the quarantined session's resident entry (if any) is dropped:
            a payload whose jobs keep killing workers is not worth its
@@ -219,31 +280,23 @@ let strike c ~digest ~label =
 
 let quarantine_threshold c = c.quarantine_after
 
-let is_quarantined c ~digest =
-  locked c (fun () -> quarantined_strikes c digest <> None)
-
-let strike_count c ~digest =
-  locked c (fun () ->
-      match Hashtbl.find_opt c.strikes digest with
-      | Some (n, _) -> n
-      | None -> 0)
+let refuse_if_quarantined c ~digest =
+  locked c (fun () -> refuse_quarantined c digest)
 
 let quarantined c =
   locked c (fun () ->
       Hashtbl.fold
-        (fun digest (n, label) acc ->
-          if n >= c.quarantine_after then (digest, label, n) :: acc else acc)
-        c.strikes []
+        (fun digest t acc ->
+          if t.t_strikes >= c.quarantine_after then
+            (digest, t.t_label, t.t_strikes) :: acc
+          else acc)
+        c.tenants []
       |> List.sort (fun (_, a, _) (_, b, _) -> compare a b))
 
 let find_or_build c ?weight ~digest ~label ~build () =
   let role =
     locked c @@ fun () ->
-    (match quarantined_strikes c digest with
-    | Some (strikes, qlabel) ->
-        Server_error.raise_
-          (Server_error.Session_quarantined { digest; label = qlabel; strikes })
-    | None -> ());
+    refuse_quarantined c digest;
     sweep_expired c;
     let rec decide () =
       match Hashtbl.find_opt c.entries digest with
@@ -252,15 +305,13 @@ let find_or_build c ?weight ~digest ~label ~build () =
           r.last_use <- c.tick;
           r.last_touch <- c.clock ();
           r.credit <- c.floor +. r.weight;
-          c.hits <- c.hits + 1;
-          (tstat c digest).ts_hits <- (tstat c digest).ts_hits + 1;
+          account c digest (fun t -> { t with t_hits = t.t_hits + 1 });
           `Hit r.session
       | Some Building ->
           Condition.wait c.turned c.lock;
           decide ()
       | None ->
-          c.misses <- c.misses + 1;
-          (tstat c digest).ts_misses <- (tstat c digest).ts_misses + 1;
+          account c digest (fun t -> { t with t_misses = t.t_misses + 1 });
           Hashtbl.replace c.entries digest Building;
           `Build
     in
@@ -321,31 +372,26 @@ let find_or_build c ?weight ~digest ~label ~build () =
 
 let evict c ~digest =
   locked c (fun () ->
-      let struck = Hashtbl.mem c.strikes digest in
-      Hashtbl.remove c.strikes digest;
+      let struck = (tenant c digest).t_strikes > 0 in
+      if struck then account c digest (fun t -> { t with t_strikes = 0 });
       match Hashtbl.find_opt c.entries digest with
       | Some (Ready _) ->
-          remove_entry c digest;
-          c.evictions <- c.evictions + 1;
-          (tstat c digest).ts_evictions <- (tstat c digest).ts_evictions + 1;
+          evict_entry c digest;
           true
       | Some Building | None -> struck)
 
 let clear c =
   locked c (fun () ->
-      Hashtbl.reset c.strikes;
+      Hashtbl.filter_map_inplace
+        (fun _ t -> Some { t with t_strikes = 0 })
+        c.tenants;
       let ready =
         Hashtbl.fold
           (fun key entry acc ->
             match entry with Ready _ -> key :: acc | Building -> acc)
           c.entries []
       in
-      List.iter
-        (fun key ->
-          remove_entry c key;
-          (tstat c key).ts_evictions <- (tstat c key).ts_evictions + 1)
-        ready;
-      c.evictions <- c.evictions + List.length ready;
+      List.iter (evict_entry c) ready;
       List.length ready)
 
 type info = {

@@ -41,7 +41,12 @@
     [update] ops fetch a {!doc_slot} keyed by (session digest, document
     id). Slots die with their session — evicting a session drops its
     documents — and are themselves bounded ([doc_capacity], stalest
-    first). *)
+    first).
+
+    {b Tenants.} The cache is the one per-tenant table: a {!tenant}
+    record per digest ever requested holds its cache traffic, strikes
+    and the job accounting the serving layer {!charge}s, and outlives
+    the cached entry; {!Ledger} persists the accounting columns. *)
 
 type t = {
   s_digest : string;
@@ -89,11 +94,6 @@ val stats : cache -> int * int
 val eviction_stats : cache -> int * int
 (** [(evictions, ttl_expirations)] so far. *)
 
-val tenant_stats : cache -> digest:string -> int * int * int
-(** [(hits, misses, evictions)] charged to one digest over the cache's
-    whole lifetime — accounting survives the entry itself (the [tenants]
-    serve op's cache column). All zeros for a digest never requested. *)
-
 val find_or_build :
   cache ->
   ?weight:float ->
@@ -131,11 +131,10 @@ val strike : cache -> digest:string -> label:string -> int
 
 val quarantine_threshold : cache -> int
 
-val is_quarantined : cache -> digest:string -> bool
-
-val strike_count : cache -> digest:string -> int
-(** Strikes recorded so far (0 when clean); counts below the threshold
-    do not block requests. *)
+val refuse_if_quarantined : cache -> digest:string -> unit
+(** @raise Server_error.Error
+      ([Session_quarantined], its strikes and label read under one lock)
+      when [digest] is quarantined; counts below the threshold pass. *)
 
 val quarantined : cache -> (string * string * int) list
 (** Every quarantined digest as [(digest, label, strikes)], sorted by
@@ -154,6 +153,48 @@ type info = {
 val entries_info : cache -> info list
 (** A snapshot of every Ready entry, sorted by label — the [sessions]
     serve op. *)
+
+(** {1 Tenants} *)
+
+type tenant = {
+  t_label : string;  (** the last non-empty label charged or struck *)
+  t_jobs : int;
+  t_ok : int;
+  t_failures : (int * int) list;
+      (** exit code -> count, one bucket per code, ascending *)
+  t_queue_wait : float;  (** seconds, summed over charged jobs *)
+  t_service : float;
+  t_hits : int;
+  t_misses : int;
+  t_evictions : int;
+  t_strikes : int;  (** since the last {!evict} or {!clear} *)
+}
+
+val no_tenant : tenant
+(** Every count zero, the label empty. *)
+
+val charge :
+  cache ->
+  digest:string ->
+  label:string ->
+  ok:bool ->
+  exit_code:int ->
+  queue_wait:float ->
+  service:float ->
+  unit
+(** Attribute one finished job to [digest]. A failed job bumps its
+    [exit_code] bucket; supervision failures (a crashed worker cannot
+    report its split) pass zero time totals. *)
+
+val merge_tenants : cache -> (string * tenant) list -> unit
+(** Add each row's accounting columns (jobs, ok, failures, seconds) to
+    its digest's record, all under one lock; a non-empty label replaces
+    the record's. The rows' cache and strike columns are ignored. *)
+
+val tenants : cache -> (string * tenant * bool) list
+(** [(digest, row, quarantined)] for every digest charged at least one
+    job, sorted by label then digest, all read under one lock — the
+    [tenants] serve op and the persisted ledger. *)
 
 (** {1 Per-document incremental state} *)
 

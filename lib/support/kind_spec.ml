@@ -27,3 +27,7 @@ let parse ~noun ~example ~kinds s =
   | _ -> Error ("expected SEED:RATE:KINDS, e.g. " ^ example)
 
 let name kinds k = fst (List.find (fun (_, k') -> k' = k) kinds)
+
+let render ~kinds (seed, rate, ks) =
+  Printf.sprintf "%d:%s:%s" seed (Json_out.number rate)
+    (String.concat "," (List.map (name kinds) ks))

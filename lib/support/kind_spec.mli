@@ -18,3 +18,8 @@ val parse :
 
 val name : (string * 'k) list -> 'k -> string
 (** The table's name for a kind. *)
+
+val render : kinds:(string * 'k) list -> int * float * 'k list -> string
+(** The spec string {!parse} reads back: the rate printed as
+    {!Json_out.number} (shortest round-tripping decimal), the kinds by
+    their table names. *)

@@ -301,7 +301,6 @@ let slo_points = [ ("p50", 0.5); ("p95", 0.95); ("p99", 0.99) ]
 let ambient_registry = Domain.DLS.new_key (fun () -> null)
 let install t = Domain.DLS.set ambient_registry t
 let ambient () = Domain.DLS.get ambient_registry
-let resolve t = if t.on then t else ambient ()
 
 (* ---------- exporters ---------- *)
 

@@ -132,9 +132,6 @@ val reset : t -> unit
 val install : t -> unit
 val ambient : unit -> t
 
-val resolve : t -> t
-(** [resolve t] is [t] when enabled, else the ambient registry. *)
-
 (** {1 Exporters} *)
 
 val to_json : t -> Json_out.t

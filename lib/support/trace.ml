@@ -179,7 +179,6 @@ let install ?(attr_counts = false) t =
 
 let ambient () = fst (Domain.DLS.get ambient_state)
 let ambient_attr_counts () = snd (Domain.DLS.get ambient_state)
-let resolve t = if t.on then t else ambient ()
 
 (* ---------- summary exporter ---------- *)
 

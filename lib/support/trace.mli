@@ -120,10 +120,6 @@ val ambient : unit -> t
 
 val ambient_attr_counts : unit -> bool
 
-val resolve : t -> t
-(** [resolve t] is [t] when enabled, else the ambient tracer: how the
-    table builders' optional tracer argument composes with {!install}. *)
-
 (** {1 Exporters} *)
 
 val arg_json : arg -> Json_out.t

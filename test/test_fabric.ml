@@ -181,41 +181,95 @@ let test_ledger_roundtrip () =
   let path = Filename.temp_file "fabric_ledger" ".json" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
-  let l = Ledger.create () in
-  Ledger.charge l ~digest:"d1" ~label:"translator:a.ag" ~ok:true ~exit_code:0
+  let l = Session.create_cache () in
+  Session.charge l ~digest:"d1" ~label:"translator:a.ag" ~ok:true ~exit_code:0
     ~queue_wait:0.5 ~service:1.0;
-  Ledger.charge l ~digest:"d1" ~label:"translator:a.ag" ~ok:false
+  Session.charge l ~digest:"d1" ~label:"translator:a.ag" ~ok:false
     ~exit_code:51 ~queue_wait:0.25 ~service:0.0;
-  Ledger.charge l ~digest:"d2" ~label:"language:desk_calc" ~ok:true
+  Session.charge l ~digest:"d2" ~label:"language:desk_calc" ~ok:true
     ~exit_code:0 ~queue_wait:0.0 ~service:0.5;
   (match Ledger.save l ~path with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "save failed: %s" msg);
-  let fresh = Ledger.create () in
+  let fresh = Session.create_cache () in
   (match Ledger.load fresh ~path with
   | Ok n -> Alcotest.(check int) "rows merged" 2 n
   | Error msg -> Alcotest.failf "load failed: %s" msg);
   Alcotest.(check bool)
     "round-trips" true
-    (Ledger.snapshot l = Ledger.snapshot fresh);
+    (Session.tenants l = Session.tenants fresh);
   (* merging is additive: counts double, labels stay *)
   (match Ledger.load fresh ~path with
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "re-load failed: %s" msg);
-  (match Ledger.snapshot fresh with
-  | [ (_, _, jobs_d2, _, _, _, _); (_, _, jobs_d1, _, failures, _, _) ] ->
-      Alcotest.(check int) "d2 doubled" 2 jobs_d2;
-      Alcotest.(check int) "d1 doubled" 4 jobs_d1;
+  (match Session.tenants fresh with
+  | [ (_, d2, _); (_, d1, _) ] ->
+      Alcotest.(check int) "d2 doubled" 2 d2.Session.t_jobs;
+      Alcotest.(check int) "d1 doubled" 4 d1.Session.t_jobs;
       Alcotest.(check (list (pair int int))) "failure codes add"
-        [ (51, 2) ] failures
+        [ (51, 2) ] d1.Session.t_failures
   | rows -> Alcotest.failf "expected 2 rows, got %d" (List.length rows));
   (* a non-snapshot file is an error, not a guess *)
   let oc = open_out path in
   output_string oc "{\"not\": \"a ledger\"}";
   close_out oc;
-  match Ledger.load (Ledger.create ()) ~path with
+  match Ledger.load (Session.create_cache ()) ~path with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected a load error on foreign JSON"
+
+(* the tenants file comes in from disk: a bad value anywhere refuses the
+   whole document, and a refused load merges nothing *)
+let test_ledger_refuses_bad_rows () =
+  let path = Filename.temp_file "fabric_ledger" ".json" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let good =
+    {|{ "digest": "d1", "label": "a", "jobs": 2, "ok": 1,
+        "failures": { "51": 1 }, "queue_wait_seconds": 0.5,
+        "service_seconds": 1 }|}
+  in
+  let sessions = Session.create_cache () in
+  let load rows =
+    let oc = open_out path in
+    Printf.fprintf oc {|{ "linguist_tenants": 1, "tenants": [ %s ] }|}
+      (String.concat ", " rows);
+    close_out oc;
+    Ledger.load sessions ~path
+  in
+  (match load [ good ] with
+  | Ok 1 -> ()
+  | Ok n -> Alcotest.failf "expected one row, merged %d" n
+  | Error msg -> Alcotest.failf "good row refused: %s" msg);
+  let before = Session.tenants sessions in
+  List.iter
+    (fun bad ->
+      (* the bad row comes third, after two good ones *)
+      match load [ good; good; bad ] with
+      | Ok _ -> Alcotest.failf "accepted %s" bad
+      | Error _ ->
+          Alcotest.(check bool)
+            ("unchanged after " ^ bad)
+            true
+            (Session.tenants sessions = before))
+    [
+      {|{ "digest": "d2", "jobs": -3 }|};
+      {|{ "digest": "d2", "jobs": 2.5 }|};
+      {|{ "digest": "d2", "jobs": "x" }|};
+      {|{ "digest": "d2", "jobs": 1e300 }|};
+      {|{ "digest": "d2", "ok": -1 }|};
+      {|{ "digest": "d2", "failures": { "51": -1 } }|};
+      {|{ "digest": "d2", "failures": { "51": 0.5 } }|};
+      {|{ "digest": "d2", "failures": { "x": 1 } }|};
+      {|{ "digest": "d2", "failures": { "-2": 1 } }|};
+      {|{ "digest": "d2", "failures": [ 1 ] }|};
+      {|{ "digest": "d2", "queue_wait_seconds": -0.5 }|};
+      {|{ "digest": "d2", "service_seconds": 1e400 }|};
+      {|{ "digest": "d2", "service_seconds": "1" }|};
+      {|{ "digest": "d2", "label": 7 }|};
+      {|{ "digest": 7 }|};
+      {|{ "jobs": 1 }|};
+      {|[ "d2" ]|};
+    ]
 
 (* ---------------- postmortem retention ---------------- *)
 
@@ -615,6 +669,8 @@ let () =
         [
           Alcotest.test_case "snapshot round-trips, merge adds" `Quick
             test_ledger_roundtrip;
+          Alcotest.test_case "a bad row refuses the whole file" `Quick
+            test_ledger_refuses_bad_rows;
           Alcotest.test_case "tenant accounting survives a restart" `Quick
             test_tenants_survive_restart;
         ] );

@@ -495,35 +495,42 @@ let test_batch_missing_file () =
 
 (* A store name the registry no longer has (one that was pruned, or
    [faulty], whose fault injection [paged] applies itself) fails its own
-   job with the plain exit 1, naming every store it could have used. *)
+   job with the plain exit 1, naming every store it could have used. A
+   [check] job runs no evaluator, so the same name does not fail it. *)
 let test_batch_removed_store () =
   let grammar = write_temp_grammar () in
   Fun.protect ~finally:(fun () -> Sys.remove grammar) @@ fun () ->
+  let run op store =
+    let doc =
+      Printf.sprintf
+        {|{ "linguist_jobs": 1,
+            "jobs": [ { "op": %S, "file": %S, "store": %S } ] }|}
+        op grammar store
+    in
+    match Jobfile.parse doc with
+    | Error e -> Alcotest.failf "parse failed: %s" e
+    | Ok jobs -> (Batch.run_sequential jobs).Batch.outcomes
+  in
   List.iter
     (fun store ->
-      let doc =
-        Printf.sprintf
-          {|{ "linguist_jobs": 1,
-              "jobs": [ { "op": "analyze", "file": %S, "store": %S } ] }|}
-          grammar store
-      in
-      match Jobfile.parse doc with
-      | Error e -> Alcotest.failf "parse failed: %s" e
-      | Ok jobs -> (
-          match (Batch.run_sequential jobs).Batch.outcomes with
-          | [ o ] ->
-              Alcotest.(check int) (store ^ ": plain failure") 1 o.Batch.o_exit;
-              let error = Option.value o.Batch.o_error ~default:"" in
-              List.iter
-                (fun needle ->
-                  if not (Fixtures.contains_substring ~needle error) then
-                    Alcotest.failf "error %S does not mention %S" error needle)
-                [
-                  Printf.sprintf "unknown APT store %S" store;
-                  "registered: "
-                  ^ String.concat ", " (Lg_apt.Store_registry.names ());
-                ]
-          | _ -> Alcotest.fail "one job, one outcome"))
+      (match run "check" store with
+      | [ o ] ->
+          Alcotest.(check int) (store ^ ": check ignores it") 0 o.Batch.o_exit
+      | _ -> Alcotest.fail "one job, one outcome");
+      match run "analyze" store with
+      | [ o ] ->
+          Alcotest.(check int) (store ^ ": plain failure") 1 o.Batch.o_exit;
+          let error = Option.value o.Batch.o_error ~default:"" in
+          List.iter
+            (fun needle ->
+              if not (Fixtures.contains_substring ~needle error) then
+                Alcotest.failf "error %S does not mention %S" error needle)
+            [
+              Printf.sprintf "unknown APT store %S" store;
+              "registered: "
+              ^ String.concat ", " (Lg_apt.Store_registry.names ());
+            ]
+      | _ -> Alcotest.fail "one job, one outcome")
     [ "prefetch"; "faulty" ]
 
 (* ---------------- supervision: crashes and deadlines ---------------- *)
@@ -646,21 +653,26 @@ let test_pool_deadline_in_queue () =
 
 (* ---------------- session quarantine ---------------- *)
 
+let quarantined c ~digest =
+  match Session.refuse_if_quarantined c ~digest with
+  | () -> false
+  | exception Server_error.Error (Server_error.Session_quarantined _) -> true
+
 let test_session_quarantine () =
   let c = Session.create_cache ~quarantine_after:2 () in
   let digest = Session.digest ~kind:"language" ~source:"desk_calc" in
-  Alcotest.(check bool) "clean" false (Session.is_quarantined c ~digest);
+  Alcotest.(check bool) "clean" false (quarantined c ~digest);
   Alcotest.(check int) "threshold" 2 (Session.quarantine_threshold c);
   Alcotest.(check int) "first strike" 1
     (Session.strike c ~digest ~label:"language:desk_calc");
   Alcotest.(check bool) "below threshold" false
-    (Session.is_quarantined c ~digest);
+    (quarantined c ~digest);
   (* the session may be resident when it crosses the threshold *)
   ignore (Session.language_session c "desk_calc");
   Alcotest.(check int) "resident" 1 (Session.length c);
   Alcotest.(check int) "second strike" 2
     (Session.strike c ~digest ~label:"language:desk_calc");
-  Alcotest.(check bool) "quarantined" true (Session.is_quarantined c ~digest);
+  Alcotest.(check bool) "quarantined" true (quarantined c ~digest);
   Alcotest.(check int) "entry dropped on crossing" 0 (Session.length c);
   (match Session.language_session c "desk_calc" with
   | exception
@@ -677,7 +689,7 @@ let test_session_quarantine () =
   | l -> Alcotest.failf "expected one quarantined entry, got %d" (List.length l));
   Alcotest.(check bool) "evict lifts quarantine" true
     (Session.evict c ~digest);
-  Alcotest.(check bool) "clean again" false (Session.is_quarantined c ~digest);
+  Alcotest.(check bool) "clean again" false (quarantined c ~digest);
   ignore (Session.language_session c "desk_calc")
 
 let test_session_quarantine_clear () =
@@ -685,11 +697,12 @@ let test_session_quarantine_clear () =
   let digest = Session.digest ~kind:"x" ~source:"y" in
   ignore (Session.strike c ~digest ~label:"x:y");
   Alcotest.(check bool) "quarantined at threshold 1" true
-    (Session.is_quarantined c ~digest);
+    (quarantined c ~digest);
   ignore (Session.clear c);
   Alcotest.(check bool) "clear lifts quarantine" false
-    (Session.is_quarantined c ~digest);
-  Alcotest.(check int) "strikes reset" 0 (Session.strike_count c ~digest)
+    (quarantined c ~digest);
+  Alcotest.(check int) "strikes reset" 1
+    (Session.strike c ~digest ~label:"x:y")
 
 (* ---------------- chaos injection ---------------- *)
 
@@ -737,6 +750,9 @@ let test_spec_parsers_agree () =
       ("42:0.01:transient,flip", chaos_kind "transient", "42:0.01:transient,flip");
       ("1:0.1:CRASH,,Drop", "1:0.1:crash,drop", fault_kind "crash");
       ("3:0.5:all", "3:0.5:delay,crash,wedge,drop", "3:0.5:transient,short,flip,torn");
+      ( "5:0.1234567:all",
+        "5:0.1234567:delay,crash,wedge,drop",
+        "5:0.1234567:transient,short,flip,torn" );
       ("1:0.1:", "error: no chaos kinds given", "error: no fault kinds given");
       ("1:0.1:,", "error: no chaos kinds given", "error: no fault kinds given");
       ("1:1.5:all", bad_rate, bad_rate);
@@ -844,7 +860,7 @@ let test_batch_poison_quarantine () =
     (counter metrics "server.quarantined");
   let digest = Session.digest ~kind:"language" ~source:"linguist" in
   Alcotest.(check bool) "tenant session quarantined" true
-    (Session.is_quarantined sessions ~digest)
+    (quarantined sessions ~digest)
 
 (* ---------------- jobfile deadline field ---------------- *)
 
