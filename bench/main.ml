@@ -429,13 +429,50 @@ let f2 () =
         ("xl_seed1", "xl corpus (seed 1)", xl.Lg_corpus.Corpus_gen.g_source);
       ]
   in
+  (* The session build of the same xl grammar: the productions pass
+     assignment schedules (the evaluability.schedules counter of a
+     warm-up build) and the minor words of the next build, with the
+     tracer off. Both are exact run to run on one domain. *)
+  let build () =
+    match
+      Translator.of_source ~ag_source:xl.Lg_corpus.Corpus_gen.g_source
+        ~file:"xl" ()
+    with
+    | Ok t -> ignore (Sys.opaque_identity t)
+    | Error _ -> failwith "f2: the xl grammar does not build"
+  in
+  let tracer = Lg_support.Trace.ambient ()
+  and attr_counts = Lg_support.Trace.ambient_attr_counts () in
+  Lg_support.Trace.install Lg_support.Trace.null;
+  let m = Lg_support.Metrics.create () in
+  Lg_support.Metrics.install m;
+  build ();
+  Lg_support.Metrics.install Lg_support.Metrics.null;
+  let schedules =
+    match Lg_support.Metrics.find m "evaluability.schedules" with
+    | Some (Lg_support.Metrics.Counter n) -> n
+    | _ -> failwith "f2: no evaluability.schedules counter"
+  in
+  let before = Gc.minor_words () in
+  build ();
+  let build_words = Gc.minor_words () -. before in
+  Lg_support.Trace.install ~attr_counts tracer;
+  rowf "\n  %-20s %18s %18s\n" "session build" "schedule calls"
+    "build minor words";
+  rowf "  %-20s %18d %18.0f\n" "xl corpus (seed 1)" schedules build_words;
+  let build_leaves =
+    [
+      ("xl_seed1_schedule_calls", float_of_int schedules);
+      ("xl_seed1_build_minor_words", build_words);
+    ]
+  in
   (* every leaf is an exact count and gates as "more is worse" *)
   let json =
     let open Lg_support.Json_out in
     Obj
       ([ ("workload", Str "synthetic_ag via linguist.ag; AG sources parsed") ]
       @ List.map (fun (k, v) -> (k, int v)) residency_leaves
-      @ List.map (fun (k, v) -> (k, Num v)) parse_leaves)
+      @ List.map (fun (k, v) -> (k, Num v)) (parse_leaves @ build_leaves))
   in
   let oc = open_out "BENCH_f2.json" in
   output_string oc (Lg_support.Json_out.to_string ~pretty:true json);

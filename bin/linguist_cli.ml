@@ -819,10 +819,21 @@ let serve_cmd =
       ~tenants_file ~socket =
     let workers = max 1 workers in
     let metrics = Lg_support.Metrics.create () in
-    match (chaos_of ~spec:chaos_spec ~poison ~metrics, deadline_of deadline)
+    (* a tenants file the server would refuse is refused before it listens *)
+    let check_tenants_file = function
+      | Some path when Sys.file_exists path -> (
+          match Lg_server.Ledger.read ~path with
+          | Ok _ -> ()
+          | Error msg -> failwith ("tenant ledger: " ^ msg))
+      | Some _ | None -> ()
+    in
+    match
+      ( chaos_of ~spec:chaos_spec ~poison ~metrics,
+        deadline_of deadline,
+        check_tenants_file tenants_file )
     with
     | exception Failure msg -> `Error (false, msg)
-    | chaos, deadline ->
+    | chaos, deadline, () ->
         let tracer =
           if trace_out = None then Lg_support.Trace.null
           else Lg_support.Trace.create ()

@@ -54,9 +54,9 @@ let analyses ~options ir pr =
   (dead, alloc)
 
 let plan_of_ir ?(options = default_options) ir =
-  let pr = Pass_assign.compute_exn ~max_passes:options.max_passes ir in
+  let pr, schedules = Pass_assign.compute_exn ~max_passes:options.max_passes ir in
   let dead, alloc = analyses ~options ir pr in
-  Schedule.build ir pr ~dead ~alloc
+  Schedule.build ir pr ~schedules ~dead ~alloc
 
 let process_run ~options ~file source =
   let diag = Diag.create () in
@@ -87,11 +87,11 @@ let process_run ~options ~file source =
                  outside the alternating-pass class. *)
               Diag.info diag Loc.dummy "%s" (Circularity.explain_rejection ir);
               Error diag
-          | Some pr ->
+          | Some (pr, schedules) ->
               let plan =
                 timed tr "planning" (fun () ->
                     let dead, alloc = analyses ~options ir pr in
-                    Schedule.build ir pr ~dead ~alloc)
+                    Schedule.build ir pr ~schedules ~dead ~alloc)
               in
               let listing =
                 if options.emit_listing then

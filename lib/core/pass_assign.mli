@@ -16,9 +16,17 @@
     order), and that its pass-[k] synthesized attributes exist only after
     its visit returns.
 
-    The algorithm raises pass numbers to a fixpoint and diagnoses grammars
-    that are not evaluable within [max_passes] alternating passes, naming
-    the blocking attributes. *)
+    Pass numbers start at 1 and only rise. A worklist of productions
+    drives them: a production is scheduled in each pass up to its
+    highest local pass, a rule that cannot run in its pass raises its
+    targets to the pass it needs, and raising an attribute queues again
+    exactly the productions whose rules read or define it. When the
+    worklist runs dry, the last schedule of every (production, pass) was
+    computed from the final pass numbers; {!compute} hands these
+    schedules to the planner ({!Schedule.build}), which therefore never
+    schedules a production itself. Grammars not evaluable within
+    [max_passes] alternating passes are diagnosed, naming the blocking
+    semantic functions. *)
 
 type direction = L2r | R2l
 
@@ -31,14 +39,30 @@ type result = {
   strategy : Ag_ast.strategy;
 }
 
+type schedules
+(** For every (production, pass), the production's semantic functions
+    assigned to that pass with their time points (see below), in
+    execution order: ascending time point, same-time rules ordered so
+    that a rule follows the same-time rules it reads from, then by rule
+    id. *)
+
 val compute :
   ?max_passes:int ->
   diag:Lg_support.Diag.collector ->
   Ir.t ->
-  result option
-(** [max_passes] defaults to 16. [None] iff errors were reported. *)
+  (result * schedules) option
+(** [max_passes] defaults to 16. [None] iff errors were reported; the
+    diagnosis reads the pass numbers the worklist reaches when raises
+    past [max_passes] are dropped. Adds the number of (production,
+    pass) schedules computed to the ambient metrics counter
+    [evaluability.schedules]. The schedules are for the planner only:
+    keep the [result], drop them once the plan is built. *)
 
-val compute_exn : ?max_passes:int -> Ir.t -> result
+val compute_exn : ?max_passes:int -> Ir.t -> result * schedules
+
+val schedule : schedules -> prod:int -> pass:int -> (int * int) list
+(** [(rule_id, time)] for every rule of production [prod] assigned to
+    [pass] (1-based). *)
 
 val direction : result -> int -> direction
 
@@ -53,21 +77,3 @@ val direction : result -> int -> direction
 val child_order : direction -> nchildren:int -> int array
 (** Visit order: [child_order dir ~nchildren].(position_in_visit_order) =
     child index. *)
-
-type schedule_failure = {
-  sf_rule : int;
-  sf_needs_pass : int;  (** smallest pass that could admit the rule *)
-  sf_reason : string;
-}
-
-val schedule_production :
-  Ir.t ->
-  passes:int array ->
-  prod:Ir.production ->
-  pass:int ->
-  dir:direction ->
-  (int * int) list * schedule_failure list
-(** [(rule_id, time)] for every rule of the production assigned to [pass],
-    in execution order: ascending time point, same-time rules ordered so
-    that a rule follows the same-time rules it reads from, then by rule
-    id. An empty failure list means the pass is feasible here. *)

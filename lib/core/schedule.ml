@@ -82,11 +82,13 @@ let below_relation (ir : Ir.t) =
 
 (* Where an attribute instance's value can be found, possibly via a chain
    of subsumed copies. *)
-type wloc = Wloc of loc | Walias of Ir.aref
+type wloc = Unplaced | Wloc of loc | Walias of Ir.aref
 
-let build (ir : Ir.t) (pr : Pass_assign.result) ~dead ~(alloc : Subsume.allocation) =
+let build (ir : Ir.t) (pr : Pass_assign.result) ~schedules ~dead
+    ~(alloc : Subsume.allocation) =
   let below = below_relation ir in
-  (* Does pass-k evaluation anywhere under [sym] leave global [g] set? *)
+  let slot = Array.init (Array.length ir.attrs) (Ir.slot_of_attr ir) in
+  let width = Array.map (fun (s : Ir.symbol) -> List.length s.s_attrs) ir.symbols in
   let syn_members_of_global =
     Array.make (max 1 alloc.n_globals) []
   in
@@ -96,27 +98,51 @@ let build (ir : Ir.t) (pr : Pass_assign.result) ~dead ~(alloc : Subsume.allocati
       if g >= 0 && a.a_kind = Ir.Synthesized then
         syn_members_of_global.(g) <- a.a_id :: syn_members_of_global.(g))
     ir.attrs;
-  let subtree_sets_global ~sym ~pass g =
-    List.exists
-      (fun aid ->
-        pr.Pass_assign.passes.(aid) = pass
-        && below sym ir.attrs.(aid).Ir.a_sym)
-      syn_members_of_global.(g)
+  (* The synthesized globals that pass-k evaluation anywhere under [sym]
+     may leave set, found once per (pass, symbol). *)
+  let clobbered =
+    Array.init pr.Pass_assign.n_passes (fun _ ->
+        Array.make (Array.length ir.symbols) None)
+  in
+  let clobbers ~sym ~pass =
+    match clobbered.(pass - 1).(sym) with
+    | Some gs -> gs
+    | None ->
+        let sets g =
+          alloc.group_is_syn.(g)
+          && List.exists
+               (fun aid ->
+                 pr.Pass_assign.passes.(aid) = pass
+                 && below sym ir.attrs.(aid).Ir.a_sym)
+               syn_members_of_global.(g)
+        in
+        let gs = List.filter sets (List.init alloc.n_globals Fun.id) in
+        clobbered.(pass - 1).(sym) <- Some gs;
+        gs
   in
   let build_prod (prod : Ir.production) pass dir =
-    let times, failures =
-      Pass_assign.schedule_production ir ~passes:pr.Pass_assign.passes ~prod
-        ~pass ~dir
+    let n = Array.length prod.p_rhs in
+    (* A production's attribute instances, numbered the LHS's first, then
+       each child's, then the limb's. *)
+    let base = Array.make (n + 2) width.(prod.p_lhs) in
+    base.(0) <- 0;
+    Array.iteri (fun i s -> base.(i + 2) <- base.(i + 1) + width.(s)) prod.p_rhs;
+    let instance (aref : Ir.aref) =
+      slot.(aref.attr)
+      + match aref.occ with
+        | Ir.Lhs -> 0
+        | Ir.Rhs i -> base.(i + 1)
+        | Ir.Limb_occ -> base.(n + 1)
     in
-    (match failures with
-    | [] -> ()
-    | f :: _ ->
-        raise
-          (Infeasible
-             (Printf.sprintf "production %s, pass %d: rule %d: %s" prod.p_tag
-                pass f.Pass_assign.sf_rule f.Pass_assign.sf_reason)));
-    (* [times] is already in execution order (time, dependency rank). *)
-    let pending = ref times in
+    let node_slot (aref : Ir.aref) =
+      match aref.occ with
+      | Ir.Lhs | Ir.Rhs _ -> slot.(aref.attr)
+      | Ir.Limb_occ -> width.(prod.p_lhs) + slot.(aref.attr)
+    in
+    (* the schedule is already in execution order (time, dependency rank) *)
+    let pending =
+      ref (Pass_assign.schedule schedules ~prod:prod.p_id ~pass)
+    in
     let actions = ref [] in
     let emit a = actions := a :: !actions in
     let frame_count = ref 0 in
@@ -128,7 +154,11 @@ let build (ir : Ir.t) (pr : Pass_assign.result) ~dead ~(alloc : Subsume.allocati
     let subsumed = ref [] in
     (* alias sets per global *)
     let aliases = Array.make (max 1 alloc.n_globals) [] in
-    let where : (Ir.aref, wloc) Hashtbl.t = Hashtbl.create 16 in
+    let where =
+      Array.make
+        (base.(n + 1) + Option.fold ~none:0 ~some:(Array.get width) prod.p_limb)
+        Unplaced
+    in
     (* (global, new-value frame, target aref) to push around each child *)
     let child_setups = Array.make (max 1 (Array.length prod.p_rhs)) [] in
     (* (global, frame, lhs aref) assigned at the very end *)
@@ -145,17 +175,17 @@ let build (ir : Ir.t) (pr : Pass_assign.result) ~dead ~(alloc : Subsume.allocati
       let g = if is_static aref.Ir.attr then alloc.global_of.(aref.Ir.attr) else -1 in
       if g >= 0 && List.mem aref aliases.(g) then Lglobal g
       else
-        match Hashtbl.find_opt where aref with
-        | Some (Wloc l) -> l
-        | Some (Walias src) -> loc_of src
-        | None ->
+        match where.(instance aref) with
+        | Wloc l -> l
+        | Walias src -> loc_of src
+        | Unplaced ->
             if g >= 0 then
               raise
                 (Infeasible
                    (Format.asprintf
                       "production %s, pass %d: no location for static %a"
                       prod.p_tag pass (Ir.pp_aref ir prod) aref))
-            else Lnode (aref.Ir.occ, slot_in_node ir prod aref)
+            else Lnode (aref.Ir.occ, node_slot aref)
     in
     let emit_rule rid =
       let r = ir.rules.(rid) in
@@ -181,7 +211,7 @@ let build (ir : Ir.t) (pr : Pass_assign.result) ~dead ~(alloc : Subsume.allocati
             (* Explicit: evaluate into a temp and bracket the visit. *)
             let ft = fresh_frame () in
             emit (Eval { rule = rid; code = Ir.Cref (loc_of src); targets = [ Lframe ft ] });
-            Hashtbl.replace where tgt (Wloc (Lframe ft));
+            where.(instance tgt) <- Wloc (Lframe ft);
             match tgt.Ir.occ with
             | Ir.Rhs i -> child_setups.(i) <- (g, ft, tgt) :: child_setups.(i)
             | Ir.Lhs | Ir.Limb_occ -> assert false
@@ -189,7 +219,7 @@ let build (ir : Ir.t) (pr : Pass_assign.result) ~dead ~(alloc : Subsume.allocati
       | Some (tgt, src, g) ->
           (* LHS-synthesized copy: decide at the end of the procedure. *)
           deferred := (rid, tgt, src, g) :: !deferred;
-          Hashtbl.replace where tgt (Walias src)
+          where.(instance tgt) <- Walias src
       | None ->
           let code = Ir.map loc_of r.Ir.r_rhs in
           let targets =
@@ -198,7 +228,7 @@ let build (ir : Ir.t) (pr : Pass_assign.result) ~dead ~(alloc : Subsume.allocati
                 if is_static tgt.Ir.attr then begin
                   let g = alloc.global_of.(tgt.Ir.attr) in
                   let ft = fresh_frame () in
-                  Hashtbl.replace where tgt (Wloc (Lframe ft));
+                  where.(instance tgt) <- Wloc (Lframe ft);
                   (match tgt.Ir.occ with
                   | Ir.Rhs i ->
                       child_setups.(i) <- (g, ft, tgt) :: child_setups.(i)
@@ -206,7 +236,7 @@ let build (ir : Ir.t) (pr : Pass_assign.result) ~dead ~(alloc : Subsume.allocati
                   | Ir.Limb_occ -> assert false (* limbs are never static *));
                   Lframe ft
                 end
-                else Lnode (tgt.Ir.occ, slot_in_node ir prod tgt))
+                else Lnode (tgt.Ir.occ, node_slot tgt))
               r.Ir.r_targets
           in
           emit (Eval { rule = rid; code; targets })
@@ -227,9 +257,9 @@ let build (ir : Ir.t) (pr : Pass_assign.result) ~dead ~(alloc : Subsume.allocati
     let rec resolves_to aref dep =
       dep = aref
       ||
-      match Hashtbl.find_opt where dep with
-      | Some (Walias s) -> resolves_to aref s
-      | Some (Wloc _) | None -> false
+      match where.(instance dep) with
+      | Walias s -> resolves_to aref s
+      | Wloc _ | Unplaced -> false
     in
     let needed_later aref =
       List.exists
@@ -250,7 +280,6 @@ let build (ir : Ir.t) (pr : Pass_assign.result) ~dead ~(alloc : Subsume.allocati
           aliases.(alloc.global_of.(a.a_id)) <-
             [ { Ir.occ = Ir.Lhs; attr = a.a_id } ])
       (Ir.attrs_of_sym ir prod.p_lhs);
-    let n = Array.length prod.p_rhs in
     let order = Pass_assign.child_order dir ~nchildren:n in
     emit_rules_up_to 0;
     Array.iteri
@@ -268,7 +297,7 @@ let build (ir : Ir.t) (pr : Pass_assign.result) ~dead ~(alloc : Subsume.allocati
               let t_old = fresh_frame () in
               emit (Save { global = g; frame = t_old });
               List.iter
-                (fun a -> Hashtbl.replace where a (Wloc (Lframe t_old)))
+                (fun a -> where.(instance a) <- Wloc (Lframe t_old))
                 aliases.(g);
               let old = aliases.(g) in
               emit (Set_global { global = g; from = Lframe ft_new });
@@ -280,10 +309,7 @@ let build (ir : Ir.t) (pr : Pass_assign.result) ~dead ~(alloc : Subsume.allocati
         if ir.symbols.(child_sym).Ir.s_kind = Ir.Nonterminal then
           emit (Visit_child i);
         (* synthesized-global effects of the visit *)
-        for g = 0 to alloc.n_globals - 1 do
-          if alloc.group_is_syn.(g) && subtree_sets_global ~sym:child_sym ~pass g
-          then aliases.(g) <- []
-        done;
+        List.iter (fun g -> aliases.(g) <- []) (clobbers ~sym:child_sym ~pass);
         List.iter
           (fun (a : Ir.attr) ->
             let g = alloc.global_of.(a.a_id) in
@@ -297,7 +323,7 @@ let build (ir : Ir.t) (pr : Pass_assign.result) ~dead ~(alloc : Subsume.allocati
               if needed_later aref then begin
                 let ft = fresh_frame () in
                 emit (Capture { global = g; frame = ft });
-                Hashtbl.replace where aref (Wloc (Lframe ft))
+                where.(instance aref) <- Wloc (Lframe ft)
               end
             end)
           (Ir.attrs_of_sym ir child_sym);

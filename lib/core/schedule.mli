@@ -23,12 +23,15 @@
       a later sibling's subtree may overwrite the global. *)
 
 exception Infeasible of string
-(** Raised if a production cannot be scheduled in its assigned pass — this
-    indicates a bug, since {!Pass_assign.compute} guarantees feasibility. *)
+(** Raised if a statically allocated attribute instance has no location
+    when a rule reads it — this indicates a bug. *)
 
 val build :
   Ir.t ->
   Pass_assign.result ->
+  schedules:Pass_assign.schedules ->
   dead:Dead.t ->
   alloc:Subsume.allocation ->
   Plan.t
+(** Lays out the rules of every (production, pass) in the order and at
+    the time points {!Pass_assign.compute} scheduled them. *)

@@ -4,7 +4,6 @@ type t = {
   grammar : Cfg.t;
   nullable : bool array;
   first : Iset.t array;  (** per nonterminal *)
-  follow : Iset.t array;
   heights : int array;  (** min derivation height per nonterminal *)
 }
 
@@ -45,42 +44,6 @@ let compute (g : Cfg.t) =
         end)
       g.productions
   done;
-  let nullable_symbol = function
-    | Cfg.T _ -> false
-    | Cfg.NT m -> nullable.(m)
-  in
-  let first_symbol = function
-    | Cfg.T t -> Iset.singleton t
-    | Cfg.NT m -> first.(m)
-  in
-  (* FOLLOW *)
-  let follow = Array.make nnt Iset.empty in
-  follow.(g.start) <- Iset.singleton Cfg.eof;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Array.iter
-      (fun (p : Cfg.production) ->
-        let n = Array.length p.rhs in
-        for i = 0 to n - 1 do
-          match p.rhs.(i) with
-          | Cfg.T _ -> ()
-          | Cfg.NT m ->
-              let before = follow.(m) in
-              let rec from j acc =
-                if j >= n then Iset.union follow.(p.lhs) acc
-                else
-                  let acc = Iset.union (first_symbol p.rhs.(j)) acc in
-                  if nullable_symbol p.rhs.(j) then from (j + 1) acc else acc
-              in
-              let after = from (i + 1) before in
-              if not (Iset.equal before after) then begin
-                follow.(m) <- after;
-                changed := true
-              end
-        done)
-      g.productions
-  done;
   (* min heights *)
   let heights = Array.make nnt max_int in
   let changed = ref true in
@@ -104,7 +67,7 @@ let compute (g : Cfg.t) =
         end)
       g.productions
   done;
-  { grammar = g; nullable; first; follow; heights }
+  { grammar = g; nullable; first; heights }
 
 let nullable_nt t nt = t.nullable.(nt)
 
@@ -132,7 +95,42 @@ let first_seq t rhs ~from ~extra =
   in
   Iset.elements (go from Iset.empty)
 
-let follow_nt t nt = Iset.elements t.follow.(nt)
+(* FOLLOW, computed afresh on every call: no table construction reads
+   it, so the analysis does not pay for it. *)
+let follow_nt t nt =
+  let g = t.grammar in
+  let first_symbol = function
+    | Cfg.T term -> Iset.singleton term
+    | Cfg.NT m -> t.first.(m)
+  in
+  let follow = Array.make (Cfg.nonterminal_count g) Iset.empty in
+  follow.(g.start) <- Iset.singleton Cfg.eof;
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Array.iter
+      (fun (p : Cfg.production) ->
+        let n = Array.length p.rhs in
+        for i = 0 to n - 1 do
+          match p.rhs.(i) with
+          | Cfg.T _ -> ()
+          | Cfg.NT m ->
+              let before = follow.(m) in
+              let rec from j acc =
+                if j >= n then Iset.union follow.(p.lhs) acc
+                else
+                  let acc = Iset.union (first_symbol p.rhs.(j)) acc in
+                  if nullable_symbol t p.rhs.(j) then from (j + 1) acc else acc
+              in
+              let after = from (i + 1) before in
+              if not (Iset.equal before after) then begin
+                follow.(m) <- after;
+                changed := true
+              end
+        done)
+      g.productions
+  done;
+  Iset.elements follow.(nt)
 let min_height t nt = t.heights.(nt)
 
 let min_height_production t (p : Cfg.production) =

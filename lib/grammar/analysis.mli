@@ -1,7 +1,7 @@
 (** Classic grammar analyses: NULLABLE, FIRST and FOLLOW.
 
-    These feed both the LALR table builder (FIRST of sentential suffixes)
-    and the random sentence generator's termination argument. *)
+    NULLABLE feeds the LALR lookahead pass, minimum derivation heights
+    the random sentence generator's termination argument. *)
 
 type t
 
@@ -21,7 +21,9 @@ val first_seq : t -> Cfg.symbol array -> from:int -> extra:int list -> int list
     (i.e. FIRST(alpha extra)); this is the LALR lookahead workhorse. *)
 
 val follow_nt : t -> int -> int list
-(** FOLLOW set; the start symbol's FOLLOW contains the end marker. *)
+(** FOLLOW set; the start symbol's FOLLOW contains the end marker.
+    {!compute} does not build FOLLOW: every call computes all FOLLOW
+    sets afresh, so ask once per grammar. *)
 
 val min_height : t -> int -> int
 (** Height of the shallowest terminal derivation from a nonterminal;

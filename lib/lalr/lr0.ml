@@ -13,7 +13,6 @@ type t = {
   grammar : Cfg.t;
   states : state array;
   augmented : int;
-  goto_tbl : (int * Cfg.symbol, int) Hashtbl.t;
 }
 
 let grammar t = t.grammar
@@ -57,7 +56,7 @@ let close_items t kernel =
 let build g =
   let augmented = Cfg.production_count g in
   let t =
-    { grammar = g; states = [||]; augmented; goto_tbl = Hashtbl.create 256 }
+    { grammar = g; states = [||]; augmented }
   in
   let by_kernel : (item list, int) Hashtbl.t = Hashtbl.create 64 in
   (* States by id, filled in as [explore] finishes them. *)
@@ -102,7 +101,6 @@ let build g =
             !moves
         in
         set_state id { id; kernel; closure; transitions };
-        List.iter (fun (sym, dst) -> Hashtbl.replace t.goto_tbl (id, sym) dst) transitions;
         id
   in
   let start = explore [ { prod = augmented; dot = 0 } ] in
@@ -112,7 +110,7 @@ let build g =
 let state_count t = Array.length t.states
 let state t id = t.states.(id)
 let start_state _ = 0
-let goto t id sym = Hashtbl.find_opt t.goto_tbl (id, sym)
+let goto t id sym = List.assoc_opt sym t.states.(id).transitions
 
 let reductions t id =
   List.filter_map

@@ -32,6 +32,8 @@ val prod_lhs : t -> int -> int
 val prod_rhs : t -> int -> Lg_grammar.Cfg.symbol array
 
 val goto : t -> int -> Lg_grammar.Cfg.symbol -> int option
+(** The state a state's transition on a symbol leads to: a search of its
+    [transitions]. *)
 
 val reductions : t -> int -> int list
 (** Production indices of final items ([dot] at the end) in a state. *)

@@ -132,7 +132,7 @@ let rows_of_json doc =
       | None -> Ok (List.filter_map Result.to_option rows))
   | _ -> Error "\"tenants\" must be an array"
 
-let load sessions ~path =
+let read ~path =
   match
     let ic = open_in_bin path in
     Fun.protect
@@ -140,13 +140,13 @@ let load sessions ~path =
       (fun () -> really_input_string ic (in_channel_length ic))
   with
   | exception Sys_error msg -> Error msg
-  | text -> (
-      match
-        match parse text with
-        | exception Failure msg -> Error ("not JSON: " ^ msg)
-        | doc -> rows_of_json doc
-      with
-      | Ok rows ->
-          Session.merge_tenants sessions rows;
-          Ok (List.length rows)
-      | Error msg -> Error (path ^ ": " ^ msg))
+  | text ->
+      (match parse text with
+      | exception Failure msg -> Error ("not JSON: " ^ msg)
+      | doc -> rows_of_json doc)
+      |> Result.map_error (fun msg -> path ^ ": " ^ msg)
+
+let load sessions ~path =
+  let* rows = read ~path in
+  Session.merge_tenants sessions rows;
+  Ok (List.length rows)

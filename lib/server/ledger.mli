@@ -31,6 +31,11 @@ val write_json : path:string -> Lg_support.Json_out.t -> (unit, string) result
 val save : Session.cache -> path:string -> (unit, string) result
 (** {!write_json} of {!to_json}. *)
 
+val read : path:string -> ((string * Session.tenant) list, string) result
+(** A snapshot's rows, by digest, checked as {!load} checks them but
+    merged nowhere — how a caller refuses a bad file before it starts
+    serving. *)
+
 val load : Session.cache -> path:string -> (int, string) result
 (** Merge a snapshot's rows into the cache's tenant table; [Ok n] is the
     number of rows merged. [Error] on unreadable files, non-snapshot

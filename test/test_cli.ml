@@ -607,6 +607,25 @@ let test_batch_malformed_jobfile () =
   if not (contains ~needle:"version" stderr) then
     Alcotest.failf "rejection should name the version:\n%s" stderr
 
+(* A tenants file serve would refuse is a configuration error, reported
+   before any socket opens: no listening line, not an uncaught exception
+   (exit 125). *)
+let test_serve_refuses_tenants_file () =
+  let ledger = Filename.temp_file "cli_tenants" ".json" in
+  let oc = open_out_bin ledger in
+  output_string oc {|{"x":1}|};
+  close_out oc;
+  let socket = Filename.temp_file "cli_serve" ".sock" in
+  Sys.remove socket;
+  Fun.protect ~finally:(fun () -> Sys.remove ledger) @@ fun () ->
+  let ((_, _, stderr) as r) =
+    run [ "serve"; "--socket"; socket; "--tenants-file"; ledger ]
+  in
+  expect_cli_error "serve --tenants-file" "not a linguist_tenants snapshot" r;
+  Alcotest.(check bool) "no listening line" false
+    (contains ~needle:"listening" stderr);
+  Alcotest.(check bool) "no socket" false (Sys.file_exists socket)
+
 let () =
   Alcotest.run "cli"
     [
@@ -648,6 +667,8 @@ let () =
           Alcotest.test_case "invalid fault spec" `Quick test_bad_fault_spec;
           Alcotest.test_case "check refuses --apt-store" `Quick
             test_front_end_refuses_store;
+          Alcotest.test_case "serve refuses a bad tenants file" `Quick
+            test_serve_refuses_tenants_file;
         ] );
       ( "apt-fsck",
         [

@@ -335,6 +335,167 @@ let prop_junk_rejected =
       let junk = sentence @ [ terminal g ")" ] in
       not (Driver.accepts t junk))
 
+(* ---------- lookaheads = the Set-based reference ---------- *)
+
+(* The lookahead pass as it was before it indexed transitions densely and
+   held its sets as bitsets: hashed (state, nonterminal) pairs, integer
+   sets, and nullable suffixes re-tested at every position. The dense
+   reference tables below read it, so they do not depend on the code
+   they check. *)
+module Reference_lookahead = struct
+  module Iset = Set.Make (Int)
+
+  type t = {
+    la : (int, Iset.t) Hashtbl.t;  (** key: state * nprods + prod *)
+    nprods : int;
+    nt_transitions : int;
+  }
+
+  (* The digraph algorithm of DeRemer and Pennello: given a relation [rel]
+     (as successor lists) and initial sets [f0], compute the smallest F with
+     F(x) = f0(x) U union of F(y) for x rel y, collapsing cycles. *)
+  let digraph n rel f0 =
+    let f = Array.copy f0 in
+    let depth = Array.make n 0 in
+    let stack = ref [] in
+    let rec traverse x =
+      stack := x :: !stack;
+      let d = List.length !stack in
+      depth.(x) <- d;
+      List.iter
+        (fun y ->
+          if depth.(y) = 0 then traverse y;
+          depth.(x) <- min depth.(x) depth.(y);
+          f.(x) <- Iset.union f.(x) f.(y))
+        rel.(x);
+      if depth.(x) = d then begin
+        let rec pop () =
+          match !stack with
+          | top :: rest ->
+              depth.(top) <- max_int;
+              f.(top) <- f.(x);
+              stack := rest;
+              if top <> x then pop ()
+          | [] -> assert false
+        in
+        pop ()
+      end
+    in
+    for x = 0 to n - 1 do
+      if depth.(x) = 0 then traverse x
+    done;
+    f
+
+  let compute lr0 =
+    let g = Lr0.grammar lr0 in
+    let analysis = Analysis.compute g in
+    let nstates = Lr0.state_count lr0 in
+    let nprods = Cfg.production_count g + 1 (* augmented *) in
+    (* Enumerate nonterminal transitions. *)
+    let trans = ref [] and ntrans = ref 0 in
+    let trans_index : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
+    for s = 0 to nstates - 1 do
+      List.iter
+        (fun (sym, _) ->
+          match sym with
+          | Cfg.NT a ->
+              Hashtbl.replace trans_index (s, a) !ntrans;
+              trans := (s, a) :: !trans;
+              incr ntrans
+          | Cfg.T _ -> ())
+        (Lr0.state lr0 s).Lr0.transitions
+    done;
+    let nt_trans = Array.of_list (List.rev !trans) in
+    let n = !ntrans in
+    (* DR: terminals shiftable straight after the transition. *)
+    let dr = Array.make n Iset.empty in
+    Array.iteri
+      (fun idx (p, a) ->
+        match Lr0.goto lr0 p (Cfg.NT a) with
+        | None -> assert false
+        | Some r ->
+            List.iter
+              (fun (sym, _) ->
+                match sym with
+                | Cfg.T t -> dr.(idx) <- Iset.add t dr.(idx)
+                | Cfg.NT _ -> ())
+              (Lr0.state lr0 r).Lr0.transitions;
+            (* The start transition also "reads" end-of-input. *)
+            if p = Lr0.start_state lr0 && a = g.start then
+              dr.(idx) <- Iset.add Cfg.eof dr.(idx))
+      nt_trans;
+    (* reads: (p,A) reads (r,C) iff r = goto(p,A) and C nullable in r. *)
+    let reads = Array.make n [] in
+    Array.iteri
+      (fun idx (p, a) ->
+        match Lr0.goto lr0 p (Cfg.NT a) with
+        | None -> assert false
+        | Some r ->
+            List.iter
+              (fun (sym, _) ->
+                match sym with
+                | Cfg.NT c when Analysis.nullable_nt analysis c -> (
+                    match Hashtbl.find_opt trans_index (r, c) with
+                    | Some j -> reads.(idx) <- j :: reads.(idx)
+                    | None -> ())
+                | Cfg.NT _ | Cfg.T _ -> ())
+              (Lr0.state lr0 r).Lr0.transitions)
+      nt_trans;
+    let read_sets = digraph n reads dr in
+    (* includes and lookback, computed by walking each production's RHS from
+       each state carrying its LHS transition. *)
+    let includes = Array.make n [] in
+    let lookback : (int * int, int list) Hashtbl.t = Hashtbl.create 64 in
+    Array.iteri
+      (fun idx (p', b) ->
+        List.iter
+          (fun pi ->
+            let rhs = g.productions.(pi).rhs in
+            let len = Array.length rhs in
+            let q = ref p' in
+            for i = 0 to len - 1 do
+              (match rhs.(i) with
+              | Cfg.NT a when Analysis.nullable_seq analysis rhs ~from:(i + 1) -> (
+                  match Hashtbl.find_opt trans_index (!q, a) with
+                  | Some j -> includes.(j) <- idx :: includes.(j)
+                  | None -> ())
+              | Cfg.NT _ | Cfg.T _ -> ());
+              match Lr0.goto lr0 !q rhs.(i) with
+              | Some next -> q := next
+              | None -> assert false
+            done;
+            (* !q is the state reached after the whole RHS: a reduction site. *)
+            let key = (!q, pi) in
+            let prev = Option.value ~default:[] (Hashtbl.find_opt lookback key) in
+            Hashtbl.replace lookback key (idx :: prev))
+          g.prods_of.(b))
+      nt_trans;
+    let follow_sets = digraph n includes read_sets in
+    (* LA(q, prod) = union of Follow over lookback. *)
+    let la = Hashtbl.create 128 in
+    Hashtbl.iter
+      (fun (q, pi) idxs ->
+        let set =
+          List.fold_left (fun acc j -> Iset.union acc follow_sets.(j)) Iset.empty idxs
+        in
+        Hashtbl.replace la ((q * nprods) + pi) set)
+      lookback;
+    (* The augmented production reduces (accepts) on end-of-input in the
+       state reached by goto(start, S). *)
+    (match Lr0.goto lr0 (Lr0.start_state lr0) (Cfg.NT g.start) with
+    | Some accept_state ->
+        Hashtbl.replace la
+          ((accept_state * nprods) + Lr0.augmented_prod lr0)
+          (Iset.singleton Cfg.eof)
+    | None -> ());
+    { la; nprods; nt_transitions = n }
+
+  let lookaheads t ~state ~prod =
+    match Hashtbl.find_opt t.la ((state * t.nprods) + prod) with
+    | Some set -> Iset.elements set
+    | None -> []
+end
+
 (* ---------- packed tables = dense reference ---------- *)
 
 (* The dense matrices the packed tables replace, built straight from the
@@ -343,7 +504,7 @@ let prop_junk_rejected =
    the lower production on reduce/reduce, and accept kept. *)
 let dense_reference ?(precedence = []) g =
   let lr0 = Lr0.build g in
-  let la = Lookahead.compute lr0 in
+  let la = Reference_lookahead.compute lr0 in
   let nstates = Lr0.state_count lr0 in
   let accept = Lr0.augmented_prod lr0 in
   let actions =
@@ -404,7 +565,7 @@ let dense_reference ?(precedence = []) g =
                 actions.(s).(t) <- Tables.Reduce winner;
                 record None [ winner; max prod other ] (Tables.Reduce winner) false
             | Tables.Accept -> record None [ prod ] Tables.Accept false)
-          (Lookahead.lookaheads la ~state:s ~prod))
+          (Reference_lookahead.lookaheads la ~state:s ~prod))
       (Lr0.reductions lr0 s)
   done;
   (actions, gotos, List.rev !conflicts)
@@ -519,6 +680,81 @@ let test_packed_xl () =
     true
     (Tables.table_bytes t <= 3_000_000)
 
+(* Nullable suffixes of every length: reads and includes edges through
+   empty nonterminals. *)
+let epsilon_grammar () =
+  Cfg.make
+    ~terminals:[ "a"; "b"; "c" ]
+    ~nonterminals:[ "S"; "A"; "B"; "C" ]
+    ~start:"S"
+    [
+      ("S", [ "A"; "B"; "c" ], "");
+      ("S", [ "C"; "S"; "C" ], "");
+      ("S", [ "a" ], "");
+      ("A", [ "a" ], "");
+      ("A", [], "");
+      ("B", [ "b" ], "");
+      ("B", [], "");
+      ("C", [ "A"; "B" ], "");
+    ]
+
+(* Every reduction's lookahead set equals the reference's, and so does
+   the nonterminal transition count. *)
+let check_lookaheads name g =
+  let lr0 = Lr0.build g in
+  let la = Lookahead.compute lr0 and want = Reference_lookahead.compute lr0 in
+  Alcotest.(check int) (name ^ ": nonterminal transitions")
+    want.Reference_lookahead.nt_transitions (Lookahead.nt_transition_count la);
+  let bad = ref [] in
+  for state = 0 to Lr0.state_count lr0 - 1 do
+    List.iter
+      (fun prod ->
+        if
+          Lookahead.lookaheads la ~state ~prod
+          <> Reference_lookahead.lookaheads want ~state ~prod
+        then bad := Printf.sprintf "LA(%d, %d)" state prod :: !bad)
+      (Lr0.reductions lr0 state)
+  done;
+  Alcotest.(check (list string)) (name ^ ": every lookahead set") [] !bad
+
+let test_lookaheads_reference () =
+  List.iter
+    (fun (name, g) -> check_lookaheads name g)
+    [
+      ("expr", expr_grammar ());
+      ("lalr-not-slr", lalr_not_slr ());
+      ("not-lalr", not_lalr ());
+      ("dangling-else", dangling_else ());
+      ("epsilon", epsilon_grammar ());
+    ];
+  let dir = "../grammars" in
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.filter (fun f -> Filename.check_suffix f ".ag")
+  |> List.iter (fun f ->
+         let source =
+           In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all
+         in
+         check_lookaheads f (cfg_of_ag ~file:f source));
+  List.iter
+    (fun (name, source) -> check_lookaheads name (cfg_of_ag ~file:name source))
+    [
+      ("desk_calc", Lg_languages.Desk_calc.ag_source);
+      ("assembler", Lg_languages.Assembler.ag_source);
+      ("knuth_binary", Lg_languages.Knuth_binary.ag_source);
+      ("pascal", Lg_languages.Pascal_ag.ag_source);
+      ("linguist", Lg_languages.Linguist_ag.ag_source);
+    ];
+  List.iter
+    (fun (name, profile) ->
+      List.iter
+        (fun seed ->
+          check_lookaheads
+            (Printf.sprintf "%s/%d" name seed)
+            (corpus_cfg profile ~seed))
+        [ 1; 2; 3 ])
+    Lg_corpus.Corpus_gen.
+      [ ("small", Small); ("medium", Medium); ("large", Large); ("xl", Xl) ]
+
 let () =
   Alcotest.run "lalr"
     [
@@ -553,5 +789,7 @@ let () =
           Alcotest.test_case "AG grammars = dense" `Quick test_packed_ag_grammars;
           Alcotest.test_case "corpus grammars = dense" `Quick test_packed_corpus_grammars;
           Alcotest.test_case "xl = dense, at most 3 MB" `Quick test_packed_xl;
+          Alcotest.test_case "lookaheads = Set-based reference" `Quick
+            test_lookaheads_reference;
         ] );
     ]

@@ -101,6 +101,7 @@ let test_metrics_block () =
          ("driver.passes", Json_out.int 2);
          ("driver.runs", Json_out.int 1);
          ("driver.source_lines", Json_out.int 82);
+         ("evaluability.schedules", Json_out.int 54);
        ])
 
 let test_overlays () =

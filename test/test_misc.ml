@@ -542,12 +542,12 @@ let test_leaf_attr_values_rejects_unknown () =
 
 let test_per_attribute_policy_differential () =
   let ir = Fixtures.ir_of_source Lg_languages.Desk_calc.ag_source in
-  let pr = Linguist.Pass_assign.compute_exn ir in
+  let pr, schedules = Linguist.Pass_assign.compute_exn ir in
   let dead = Linguist.Dead.analyze ir pr in
   let alloc =
     Linguist.Subsume.analyze ~policy:Linguist.Subsume.Per_attribute ir
   in
-  let plan = Linguist.Schedule.build ir pr ~dead ~alloc in
+  let plan = Linguist.Schedule.build ir pr ~schedules ~dead ~alloc in
   let st = Random.State.make [| 77 |] in
   let rng bound = Random.State.int st bound in
   let tree = Fixtures.random_tree ir ~rng ~size:40 in

@@ -1,9 +1,318 @@
 (* Tests for the alternating-pass evaluability analysis (overlay 4). *)
 open Linguist
 
+(* The round-robin fixpoint the worklist replaced, kept as the oracle the
+   worklist is compared against: every round re-schedules every
+   (production, pass) with hash tables until a round changes nothing. *)
+module Reference = struct
+  type schedule_failure = { sf_rule : int; sf_needs_pass : int; sf_reason : string }
+
+  (* Availability of a dependency within (prod, pass, dir); [local_time] maps a
+     locally-defined same-pass attribute reference to its defining rule. *)
+  type avail =
+    | At of int  (** fixed time point *)
+    | After_rule of int  (** once local rule (id) has run *)
+    | Not_before_pass of int  (** dependency computed only in a later pass *)
+
+  let infinity_time = max_int / 2
+
+  let schedule_production (ir : Ir.t) ~passes ~(prod : Ir.production) ~pass ~dir =
+    let n = Array.length prod.p_rhs in
+    let order = Pass_assign.child_order dir ~nchildren:n in
+    (* order-index (1-based) of child i *)
+    let oi = Array.make n 0 in
+    Array.iteri (fun pos i -> oi.(i) <- pos + 1) order;
+    let t_read i = (3 * oi.(i)) - 2 in
+    let t_deadline_inh i = (3 * oi.(i)) - 1 in
+    let t_post i = 3 * oi.(i) in
+    let t_end = (3 * n) + 1 in
+    (* Which local rule defines each aref (same-pass definitions only). *)
+    let local_rules =
+      List.filter
+        (fun rid ->
+          let r = ir.rules.(rid) in
+          List.exists (fun t -> passes.(t.Ir.attr) = pass) r.Ir.r_targets)
+        prod.p_rules
+    in
+    let definer : (Ir.aref, int) Hashtbl.t = Hashtbl.create 16 in
+    List.iter
+      (fun rid ->
+        List.iter
+          (fun t -> Hashtbl.replace definer t rid)
+          ir.rules.(rid).Ir.r_targets)
+      prod.p_rules;
+    let avail_of (d : Ir.aref) =
+      let a = ir.attrs.(d.attr) in
+      let pb = passes.(d.attr) in
+      match (d.occ, a.a_kind) with
+      | Ir.Lhs, Ir.Inherited ->
+          if pb <= pass then At 0 else Not_before_pass pb
+      | Ir.Lhs, Ir.Synthesized | Ir.Limb_occ, Ir.Limb_attr ->
+          if pb < pass then At 0
+          else if pb = pass then
+            match Hashtbl.find_opt definer d with
+            | Some rid -> After_rule rid
+            | None -> At 0 (* undefined: checker already complained *)
+          else Not_before_pass pb
+      | Ir.Lhs, (Ir.Intrinsic | Ir.Limb_attr)
+      | Ir.Limb_occ, (Ir.Inherited | Ir.Synthesized | Ir.Intrinsic) ->
+          At 0 (* impossible shapes; be permissive *)
+      | Ir.Rhs i, Ir.Intrinsic -> At (t_read i)
+      | Ir.Rhs i, Ir.Inherited ->
+          if pb < pass then At (t_read i)
+          else if pb = pass then
+            match Hashtbl.find_opt definer d with
+            | Some rid -> After_rule rid
+            | None -> At (t_read i)
+          else Not_before_pass pb
+      | Ir.Rhs i, Ir.Synthesized ->
+          if pb < pass then At (t_read i)
+          else if pb = pass then At (t_post i)
+          else Not_before_pass pb
+      | Ir.Rhs _, Ir.Limb_attr -> At 0 (* impossible *)
+    in
+    (* Detect cycles among local same-pass rules (truly circular
+       definitions) with a DFS over the rule-to-rule edges. *)
+    let local_set = Hashtbl.create 16 in
+    List.iter (fun rid -> Hashtbl.replace local_set rid ()) local_rules;
+    let rule_edges rid =
+      List.filter_map
+        (fun d ->
+          match avail_of d with
+          | After_rule dep when Hashtbl.mem local_set dep -> Some dep
+          | After_rule _ | At _ | Not_before_pass _ -> None)
+        ir.rules.(rid).Ir.r_deps
+    in
+    let cyclic = Hashtbl.create 4 in
+    let color = Hashtbl.create 16 in
+    let rec dfs path rid =
+      match Hashtbl.find_opt color rid with
+      | Some `Done -> ()
+      | Some `Active ->
+          (* Everything on the path from rid back to itself is cyclic. *)
+          let rec mark = function
+            | [] -> ()
+            | x :: rest ->
+                Hashtbl.replace cyclic x ();
+                if x <> rid then mark rest
+          in
+          mark path
+      | None ->
+          Hashtbl.replace color rid `Active;
+          List.iter (dfs (rid :: path)) (rule_edges rid);
+          Hashtbl.replace color rid `Done
+    in
+    List.iter (fun rid -> dfs [ rid ] rid) local_rules;
+    (* Longest-path relaxation over local rules; cyclic rules pinned at
+       infinity so their consumers fail too. *)
+    let time : (int, int) Hashtbl.t = Hashtbl.create 16 in
+    List.iter
+      (fun rid ->
+        Hashtbl.replace time rid
+          (if Hashtbl.mem cyclic rid then infinity_time else 0))
+      local_rules;
+    let needs : (int, int * string) Hashtbl.t = Hashtbl.create 4 in
+    let rule_floor rid =
+      let r = ir.rules.(rid) in
+      (* A target in a child's record can only be stored once that child's
+         record has been read into memory. *)
+      let target_floor =
+        List.fold_left
+          (fun acc (t : Ir.aref) ->
+            match t.occ with
+            | Ir.Rhs i -> max acc (t_read i)
+            | Ir.Lhs | Ir.Limb_occ -> acc)
+          0 r.Ir.r_targets
+      in
+      List.fold_left
+        (fun acc d ->
+          match avail_of d with
+          | At t -> max acc t
+          | After_rule dep_rid ->
+              max acc (Option.value ~default:0 (Hashtbl.find_opt time dep_rid))
+          | Not_before_pass pb ->
+              let prev = Hashtbl.find_opt needs rid in
+              let why =
+                Format.asprintf "argument %a is computed only in pass %d"
+                  (Ir.pp_aref ir prod) d pb
+              in
+              (match prev with
+              | Some (p0, _) when p0 >= pb -> ()
+              | _ -> Hashtbl.replace needs rid (pb, why));
+              max acc infinity_time)
+        target_floor r.Ir.r_deps
+    in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      List.iter
+        (fun rid ->
+          let f = rule_floor rid in
+          if f > Hashtbl.find time rid then begin
+            Hashtbl.replace time rid (min f infinity_time);
+            changed := true
+          end)
+        local_rules
+    done;
+    (* Deadlines. *)
+    let failures = ref [] in
+    List.iter
+      (fun rid ->
+        let r = ir.rules.(rid) in
+        let t = Hashtbl.find time rid in
+        let deadline =
+          List.fold_left
+            (fun acc tgt ->
+              match (tgt.Ir.occ, ir.attrs.(tgt.Ir.attr).Ir.a_kind) with
+              | Ir.Rhs i, Ir.Inherited -> min acc (t_deadline_inh i)
+              | _ -> min acc t_end)
+            t_end r.Ir.r_targets
+        in
+        let fail reason needs_pass =
+          failures :=
+            { sf_rule = rid; sf_needs_pass = needs_pass; sf_reason = reason }
+            :: !failures
+        in
+        match Hashtbl.find_opt needs rid with
+        | Some (pb, why) -> fail why pb
+        | None ->
+            if Hashtbl.mem cyclic rid then
+              fail "participates in a circular chain of same-pass definitions"
+                (pass + 1)
+            else if t >= infinity_time then
+              fail "depends on a rule blocked in this pass" (pass + 1)
+            else if t > deadline then
+              fail
+                (Format.asprintf
+                   "its arguments become available only at point %d but the \
+                    target must exist at point %d of the %s pass"
+                   t deadline
+                   (match dir with L2r -> "left-to-right" | R2l -> "right-to-left"))
+                (pass + 1))
+      local_rules;
+    (* Execution order: by time point, then by local dependency rank (a rule
+       runs after same-time rules it reads from), then by rule id. *)
+    let rank : (int, int) Hashtbl.t = Hashtbl.create 16 in
+    let rec rank_of rid =
+      match Hashtbl.find_opt rank rid with
+      | Some r -> r
+      | None ->
+          Hashtbl.replace rank rid 0 (* cycle guard; cyclic rules fail anyway *);
+          let r =
+            List.fold_left
+              (fun acc dep -> max acc (1 + rank_of dep))
+              0 (rule_edges rid)
+          in
+          Hashtbl.replace rank rid r;
+          r
+    in
+    let times =
+      List.map (fun rid -> (rid, Hashtbl.find time rid, rank_of rid)) local_rules
+      |> List.sort (fun (r1, t1, k1) (r2, t2, k2) ->
+             compare (t1, k1, r1) (t2, k2, r2))
+      |> List.map (fun (rid, t, _) -> (rid, t))
+    in
+    (times, List.rev !failures)
+
+  let compute ?(max_passes = 16) ~diag (ir : Ir.t) =
+    let nattrs = Array.length ir.attrs in
+    let passes =
+      Array.init nattrs (fun i ->
+          match ir.attrs.(i).Ir.a_kind with Ir.Intrinsic -> 0 | _ -> 1)
+    in
+    let blocked = ref [] in
+    let bump attr_id k reason =
+      if passes.(attr_id) < k then
+        if k > max_passes then begin
+          blocked := (attr_id, reason) :: !blocked;
+          false
+        end
+        else begin
+          passes.(attr_id) <- k;
+          true
+        end
+      else false
+    in
+    let changed = ref true in
+    let failed = ref false in
+    while !changed && not !failed do
+      changed := false;
+      Array.iter
+        (fun (prod : Ir.production) ->
+          (* Unify passes across a rule's targets. *)
+          List.iter
+            (fun rid ->
+              let r = ir.rules.(rid) in
+              let m =
+                List.fold_left (fun acc t -> max acc passes.(t.Ir.attr)) 1 r.Ir.r_targets
+              in
+              List.iter
+                (fun t ->
+                  if bump t.Ir.attr m "multi-target rule unification" then
+                    changed := true)
+                r.Ir.r_targets)
+            prod.p_rules;
+          (* Feasibility per pass. *)
+          let max_local_pass =
+            List.fold_left
+              (fun acc rid ->
+                List.fold_left
+                  (fun acc t -> max acc passes.(t.Ir.attr))
+                  acc ir.rules.(rid).Ir.r_targets)
+              1 prod.p_rules
+          in
+          for k = 1 to min max_local_pass max_passes do
+            let dir = Pass_assign.direction_of ir.strategy k in
+            let _, failures = schedule_production ir ~passes ~prod ~pass:k ~dir in
+            List.iter
+              (fun f ->
+                let r = ir.rules.(f.sf_rule) in
+                List.iter
+                  (fun t ->
+                    if bump t.Ir.attr f.sf_needs_pass f.sf_reason then
+                      changed := true
+                    else if f.sf_needs_pass > max_passes then failed := true)
+                  r.Ir.r_targets)
+              failures
+          done)
+        ir.prods;
+      if !blocked <> [] then failed := true
+    done;
+    if !failed || !blocked <> [] then begin
+      (* Re-derive a helpful diagnosis: report rules that still fail. *)
+      let reported = Hashtbl.create 8 in
+      Array.iter
+        (fun (prod : Ir.production) ->
+          for k = 1 to max_passes do
+            let dir = Pass_assign.direction_of ir.strategy k in
+            let _, failures = schedule_production ir ~passes ~prod ~pass:k ~dir in
+            List.iter
+              (fun f ->
+                if f.sf_needs_pass > max_passes && not (Hashtbl.mem reported f.sf_rule)
+                then begin
+                  Hashtbl.add reported f.sf_rule ();
+                  let r = ir.rules.(f.sf_rule) in
+                  Lg_support.Diag.error diag r.Ir.r_span
+                    "not evaluable in %d alternating passes: semantic function %a: %s"
+                    max_passes (Ir.pp_rule ir) r f.sf_reason
+                end)
+              failures
+          done)
+        ir.prods;
+      if Hashtbl.length reported = 0 then
+        Lg_support.Diag.error diag Lg_support.Loc.dummy
+          "grammar is not evaluable in %d alternating passes" max_passes;
+      None
+    end
+    else begin
+      let n_passes = Array.fold_left max 1 passes in
+      Some { Pass_assign.passes; n_passes; strategy = ir.strategy }
+    end
+end
+
 let passes_of ?(max_passes = 16) src =
   let ir = Fixtures.ir_of_source src in
-  (ir, Pass_assign.compute_exn ~max_passes ir)
+  (ir, fst (Pass_assign.compute_exn ~max_passes ir))
 
 let pass_of ir pr sym attr =
   let sym_id =
@@ -283,10 +592,9 @@ let test_not_evaluable_reported () =
   Alcotest.(check bool) "reports blocking rule" true
     (Lg_support.Diag.error_count diag > 0)
 
-let test_circular_rejected () =
-  (* x.A = y.B, y.B = x.A within one production: a genuine cycle. *)
-  let src =
-    {|
+(* x.A = y.B, y.B = x.A within one production: a genuine cycle. *)
+let circular_src =
+  {|
 grammar Circ;
 root top;
 terminals K; end
@@ -303,18 +611,18 @@ productions
     x.B = x.A;
 end
 |}
-  in
+
+let test_circular_rejected () =
   let diag = Lg_support.Diag.create () in
-  let ir = Fixtures.ir_of_source src in
+  let ir = Fixtures.ir_of_source circular_src in
   (match Pass_assign.compute ~max_passes:8 ~diag ir with
   | Some _ -> Alcotest.fail "circular grammar must be rejected"
   | None -> ());
   ignore diag
 
-let test_local_cycle_rejected () =
-  (* Two limb attributes defined in terms of each other. *)
-  let src =
-    {|
+(* Two limb attributes defined in terms of each other. *)
+let local_cycle_src =
+  {|
 grammar LCyc;
 root top;
 terminals K; end
@@ -327,9 +635,10 @@ productions
     top.TOTAL = P;
 end
 |}
-  in
+
+let test_local_cycle_rejected () =
   let diag = Lg_support.Diag.create () in
-  let ir = Fixtures.ir_of_source src in
+  let ir = Fixtures.ir_of_source local_cycle_src in
   match Pass_assign.compute ~max_passes:8 ~diag ir with
   | Some _ -> Alcotest.fail "local cycle must be rejected"
   | None -> ()
@@ -405,6 +714,188 @@ let test_schedule_orders_child_inh_before_visit () =
     plan.Plan.pass_plans;
   ignore pr
 
+(* ---------- the worklist against the round-robin fixpoint ---------- *)
+
+let rendered diag = Format.asprintf "%a" Lg_support.Diag.pp_all diag
+
+(* The same verdict and diagnostics; on success the same pass for every
+   attribute, and for every (production, pass) the schedule the fixpoint's
+   final pass numbers give. *)
+let check_against_reference ?(max_passes = 16) ?(rendered = rendered) name
+    (ir : Ir.t) =
+  let diag = Lg_support.Diag.create () and ref_diag = Lg_support.Diag.create () in
+  match
+    ( Pass_assign.compute ~max_passes ~diag ir,
+      Reference.compute ~max_passes ~diag:ref_diag ir )
+  with
+  | None, None ->
+      Alcotest.(check string) (name ^ ": diagnostics") (rendered ref_diag)
+        (rendered diag)
+  | Some (pr, schedules), Some want ->
+      Alcotest.(check (array int))
+        (name ^ ": pass of every attribute") want.Pass_assign.passes
+        pr.Pass_assign.passes;
+      let bad = ref [] in
+      Array.iter
+        (fun (prod : Ir.production) ->
+          for k = 1 to pr.Pass_assign.n_passes do
+            let times, failures =
+              Reference.schedule_production ir ~passes:want.Pass_assign.passes
+                ~prod ~pass:k ~dir:(Pass_assign.direction pr k)
+            in
+            if
+              failures <> []
+              || Pass_assign.schedule schedules ~prod:prod.p_id ~pass:k <> times
+            then bad := Printf.sprintf "%s/%d" prod.p_tag k :: !bad
+          done)
+        ir.prods;
+      Alcotest.(check (list string)) (name ^ ": every schedule") [] !bad
+  | Some _, None | None, Some _ ->
+      Alcotest.failf "%s: the worklist and the fixpoint disagree on evaluability"
+        name
+
+let language_sources =
+  [
+    ("desk_calc", Lg_languages.Desk_calc.ag_source);
+    ("assembler", Lg_languages.Assembler.ag_source);
+    ("knuth_binary", Lg_languages.Knuth_binary.ag_source);
+    ("pascal", Lg_languages.Pascal_ag.ag_source);
+    ("linguist", Lg_languages.Linguist_ag.ag_source);
+  ]
+
+let corpus_source profile ~seed =
+  let open Lg_corpus.Corpus_gen in
+  (generate ~name:"corpus" (config_of_profile profile) ~seed).g_source
+
+let test_worklist_grammars () =
+  let dir = "../grammars" in
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.filter (fun f -> Filename.check_suffix f ".ag")
+  |> List.iter (fun f ->
+         let source =
+           In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all
+         in
+         check_against_reference f (Fixtures.ir_of_source source));
+  List.iter
+    (fun (name, source) -> check_against_reference name (Fixtures.ir_of_source source))
+    language_sources
+
+let test_worklist_corpus () =
+  List.iter
+    (fun (name, profile) ->
+      List.iter
+        (fun seed ->
+          check_against_reference
+            (Printf.sprintf "%s/%d" name seed)
+            (Fixtures.ir_of_source (corpus_source profile ~seed)))
+        [ 1; 2; 3 ])
+    Lg_corpus.Corpus_gen.
+      [ ("small", Small); ("medium", Medium); ("large", Large); ("xl", Xl) ]
+
+let test_worklist_rejections () =
+  check_against_reference ~max_passes:4 "zigzag 6 in 4 passes"
+    (Fixtures.ir_of_source (zigzag 6));
+  check_against_reference ~max_passes:8 "circular" (Fixtures.ir_of_source circular_src);
+  check_against_reference ~max_passes:8 "local cycle"
+    (Fixtures.ir_of_source local_cycle_src)
+
+(* Random grammars from the fuzzing generator, many of them rejected:
+   circular, or needing more passes than allowed. A rejection's
+   diagnosis may name other semantic functions than the fixpoint's: the
+   fixpoint diagnoses the pass numbers of the round that first exceeded
+   the limit, the worklist the largest assignment within it. Both name
+   at least one. *)
+let rejected diag =
+  if Lg_support.Diag.error_count diag > 0 then "rejected" else "no diagnosis"
+
+let test_worklist_random () =
+  for seed = 1 to 300 do
+    let st = Random.State.make [| seed |] in
+    let source = Lg_corpus.Ag_gen.generate (Random.State.int st) in
+    let diag = Lg_support.Diag.create () in
+    match Ag_parse.parse ~file:"<random>" ~diag source with
+    | None -> ()
+    | Some ast -> (
+        match Check.check ~diag ast with
+        | None -> ()
+        | Some ir ->
+            check_against_reference ~max_passes:(2 + (seed mod 4))
+              ~rendered:rejected
+              (Printf.sprintf "random seed %d" seed)
+              ir)
+  done
+
+(* Session builds on two domains at once give what sequential builds give:
+   a build's scratch state belongs to that build alone. *)
+let test_builds_domain_safe () =
+  let sources =
+    language_sources
+    @ List.map
+        (fun seed ->
+          ( Printf.sprintf "medium/%d" seed,
+            corpus_source Lg_corpus.Corpus_gen.Medium ~seed ))
+        [ 1; 2; 3 ]
+  in
+  let build source =
+    let plan = (Driver.process_exn ~file:"<domains>" source).Driver.plan in
+    ( plan.Plan.passes.Pass_assign.passes,
+      Array.map
+        (fun (pl : Plan.pass_plan) ->
+          Array.map (fun (pp : Plan.prod_plan) -> pp.Plan.pp_actions) pl.Plan.pl_prods)
+        plan.Plan.pass_plans )
+  in
+  let sequential = List.map (fun (_, source) -> build source) sources in
+  for round = 1 to 12 do
+    (* the two domains start together and walk the list in opposite
+       directions *)
+    let ready = Atomic.make 0 in
+    let start () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done
+    in
+    let other =
+      Domain.spawn (fun () ->
+          start ();
+          List.rev_map (fun (_, s) -> build s) sources)
+    in
+    start ();
+    let mine = List.map (fun (_, s) -> build s) sources in
+    let theirs = List.rev (Domain.join other) in
+    List.iteri
+      (fun i (name, _) ->
+        let want = List.nth sequential i in
+        Alcotest.(check bool)
+          (Printf.sprintf "round %d, %s, this domain" round name)
+          true
+          (List.nth mine i = want);
+        Alcotest.(check bool)
+          (Printf.sprintf "round %d, %s, other domain" round name)
+          true
+          (List.nth theirs i = want))
+      sources
+  done
+
+(* The schedules are for planning only: a plan, which a session cache
+   keeps for as long as the session lives, does not hold them. *)
+let test_plan_drops_schedules () =
+  let build () =
+    let ir = Fixtures.ir_of_source Lg_languages.Pascal_ag.ag_source in
+    let pr, schedules = Pass_assign.compute_exn ir in
+    let weak = Weak.create 1 in
+    Weak.set weak 0 (Some schedules);
+    let plan =
+      Schedule.build ir pr ~schedules ~dead:(Dead.analyze ir pr)
+        ~alloc:(Subsume.analyze ir)
+    in
+    (plan, weak)
+  in
+  let plan, weak = build () in
+  Gc.full_major ();
+  Alcotest.(check bool) "schedules collected" false (Weak.check weak 0);
+  ignore (Sys.opaque_identity plan)
+
 let () =
   Alcotest.run "passes"
     [
@@ -426,9 +917,22 @@ let () =
           Alcotest.test_case "multi-target unification" `Quick
             test_multi_target_pass_unification;
         ] );
+      ( "worklist",
+        [
+          Alcotest.test_case "= fixpoint: AG grammars" `Quick
+            test_worklist_grammars;
+          Alcotest.test_case "= fixpoint: corpus" `Quick test_worklist_corpus;
+          Alcotest.test_case "= fixpoint: rejections" `Quick
+            test_worklist_rejections;
+          Alcotest.test_case "= fixpoint: random" `Quick test_worklist_random;
+          Alcotest.test_case "two domains = sequential" `Quick
+            test_builds_domain_safe;
+        ] );
       ( "schedule",
         [
           Alcotest.test_case "action ordering invariants" `Quick
             test_schedule_orders_child_inh_before_visit;
+          Alcotest.test_case "plan keeps no schedules" `Quick
+            test_plan_drops_schedules;
         ] );
     ]

@@ -7,7 +7,7 @@ open Lg_support
 
 let alloc_of src =
   let ir = Fixtures.ir_of_source src in
-  (ir, Pass_assign.compute_exn ir, Subsume.analyze ir)
+  (ir, fst (Pass_assign.compute_exn ir), Subsume.analyze ir)
 
 let attr_id ir sym attr =
   let sym_id =
