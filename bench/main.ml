@@ -512,6 +512,27 @@ let residency () =
         (n, words))
       [ 100; 300; 600 ]
   in
+  (* the minor words one fresh update of a 300-statement document
+     allocates, the plan's dependency index already built *)
+  let incr_fresh_minor =
+    let diag = Lg_support.Diag.create () in
+    let tree =
+      Option.get
+        (Translator.tree_of_source t ~file:"<residency>" ~diag
+           (Workloads.synthetic_pascal 300))
+    in
+    let update () =
+      ignore
+        (Lg_incremental.Incr.update Lg_incremental.Incr.default_config ~plan
+           ~engine_options:Engine.default_options ~tree)
+    in
+    update ();
+    Gc.minor ();
+    let before = Gc.minor_words () in
+    update ();
+    Gc.minor_words () -. before
+  in
+  rowf "  %-20s %12s %14.0f\n" "fresh update, 300" "minor words" incr_fresh_minor;
   let source = Workloads.synthetic_pascal 800 in
   (* warm-up, then start from an empty minor heap *)
   ignore (Translator.translate_exn t ~file:"<residency>" source);
@@ -552,7 +573,11 @@ let residency () =
       @ List.map
           (fun (n, words) -> (Printf.sprintf "incr_words_%d" n, int words))
           incr_words
-      @ [ ("minor_words_800", Num minor); ("promoted_words_800", Num promoted) ])
+      @ [
+          ("incr_fresh_minor_words_300", Num incr_fresh_minor);
+          ("minor_words_800", Num minor);
+          ("promoted_words_800", Num promoted);
+        ])
   in
   let oc = open_out "BENCH_residency.json" in
   output_string oc (Lg_support.Json_out.to_string ~pretty:true json);

@@ -7,18 +7,15 @@ type config = { threshold : float }
 let default_config = { threshold = 0.5 }
 
 type state = {
-  st_ir : Ir.t;  (* identity guard: state is only valid for its plan *)
+  st_index : Propagate.dep_index;
+      (* identity guard: state is only valid for its plan's IR *)
   mutable st_fp : Fingerprint.t;
   mutable st_tree : Tree.t;
   st_versions : Attr_versions.t;
-  st_parents : (int, Tree.t * int) Hashtbl.t;
-  st_index : Propagate.dep_index;
-  st_cells : int array array;
-      (* per production: the attribute ids stored for one instance *)
 }
 
 let memory_cells st =
-  Attr_versions.cardinal st.st_versions + Hashtbl.length st.st_parents
+  Attr_versions.cardinal st.st_versions + Attr_versions.rows st.st_versions
 
 type mode =
   | Fresh of { fired : int }
@@ -37,12 +34,6 @@ type result = {
   tree_size : int;
 }
 
-(* Link each child of [n] to its (parent, position). *)
-let link_children parents (n : Tree.t) =
-  List.iteri
-    (fun i (c : Tree.t) -> Hashtbl.replace parents c.Tree.id (n, i))
-    n.Tree.children
-
 let interior_nodes tree =
   let acc = ref [] in
   Tree.iter_postfix_ltr
@@ -50,50 +41,30 @@ let interior_nodes tree =
     tree;
   !acc
 
-let max_rules_per_prod (ir : Ir.t) =
-  Array.fold_left
-    (fun acc (p : Ir.production) -> max acc (List.length p.Ir.p_rules))
-    1 ir.Ir.prods
+(* The last plan's index on this domain. A server's documents share
+   their session's plan, so one index serves every document of it; the
+   ephemeron lets the index die with the plan. *)
+let last_index = Domain.DLS.new_key (fun () -> None)
 
-let firing_budget ir tree_size = 8 * ((tree_size * max_rules_per_prod ir) + 64)
+let index_of (ir : Ir.t) =
+  let cached = Domain.DLS.get last_index in
+  match Option.bind cached (fun e -> Ephemeron.K1.query e ir) with
+  | Some index -> index
+  | None ->
+      let index = Propagate.dep_index ir in
+      Domain.DLS.set last_index (Some (Ephemeron.K1.make ir index));
+      index
 
-let outputs_of (ir : Ir.t) versions parents tree =
+let outputs_of index versions tree =
+  let ir = Propagate.ir index in
   List.filter_map
     (fun (a : Ir.attr) ->
       if a.Ir.a_kind = Ir.Synthesized then
         Some
           ( a.Ir.a_name,
-            Value.normalize
-              (Propagate.demand ~ir ~versions ~parents tree a.Ir.a_id) )
+            Value.normalize (Propagate.demand ~index ~versions tree a.Ir.a_id) )
       else None)
     (Ir.attrs_of_sym ir ir.Ir.root)
-
-(* The stored instances of one node: the non-intrinsic attributes of
-   its production's left-hand side and limb. Terminals carry intrinsic
-   attributes only, so a leaf stores nothing. *)
-let cells_per_prod (ir : Ir.t) =
-  Array.map
-    (fun (p : Ir.production) ->
-      p.Ir.p_lhs :: Option.to_list p.Ir.p_limb
-      |> List.concat_map (fun sym ->
-             List.filter_map
-               (fun (a : Ir.attr) ->
-                 if a.Ir.a_kind = Ir.Intrinsic then None else Some a.Ir.a_id)
-               (Ir.attrs_of_sym ir sym))
-      |> Array.of_list)
-    ir.Ir.prods
-
-(* Forget the nodes the merge threw away: their stored instances and
-   their parent links. What remains is exactly the merged tree's. *)
-let drop st (discarded : Tree.t list) =
-  List.iter
-    (fun (n : Tree.t) ->
-      Hashtbl.remove st.st_parents n.Tree.id;
-      if n.Tree.prod <> Node.leaf_prod then
-        Array.iter
-          (fun attr -> Attr_versions.remove st.st_versions ~node:n.Tree.id ~attr)
-          st.st_cells.(n.Tree.prod))
-    discarded
 
 (* The fingerprint memo keeps every node it has interned, incoming
    parses included. When it has outgrown the live tree, re-intern the
@@ -114,30 +85,17 @@ let validate_root (ir : Ir.t) (tree : Tree.t) =
 
 (* Full evaluation of [tree] into a fresh state: every interior node is
    a seed, so the versioned store comes out complete. *)
-let build_fresh ~tracer ~(ir : Ir.t) ~tree =
+let build_fresh ~tracer ~index ~tree =
   let fp = Fingerprint.create () in
   let tree_size = Fingerprint.size fp tree in
-  let parents = Hashtbl.create (max 64 tree_size) in
-  Tree.iter_postfix_ltr (link_children parents) tree;
-  let versions = Attr_versions.create () in
-  let index = Propagate.dep_index ir in
+  let versions = Attr_versions.create ~widths:(Propagate.widths index) in
+  Attr_versions.add_tree versions tree;
   let outcome =
-    Propagate.run ~ir ~index ~versions ~parents ~tracer
-      ~seeds:(interior_nodes tree)
-      ~max_fired:(firing_budget ir tree_size)
+    Propagate.run ~index ~versions ~tracer ~seeds:(interior_nodes tree)
+      ~max_fired:(Propagate.budget index ~tree_size)
   in
-  let st =
-    {
-      st_ir = ir;
-      st_fp = fp;
-      st_tree = tree;
-      st_versions = versions;
-      st_parents = parents;
-      st_index = index;
-      st_cells = cells_per_prod ir;
-    }
-  in
-  (st, outcome)
+  ( { st_index = index; st_fp = fp; st_tree = tree; st_versions = versions },
+    outcome )
 
 let update ?state config ~(plan : Plan.t) ~engine_options ~tree =
   let ir = plan.Plan.ir in
@@ -164,7 +122,7 @@ let update ?state config ~(plan : Plan.t) ~engine_options ~tree =
   in
   Trace.span tracer ~cat:"incremental" "incremental.update" (fun () ->
       match state with
-      | Some st when st.st_ir == ir -> (
+      | Some st when Propagate.ir st.st_index == ir -> (
           let merged, seeds, discarded, dstats =
             Trace.span tracer ~cat:"incremental" "incremental.diff" (fun () ->
                 Tree_diff.merge st.st_fp ~prev:st.st_tree ~next:tree)
@@ -178,13 +136,15 @@ let update ?state config ~(plan : Plan.t) ~engine_options ~tree =
             try
               Metrics.incr metrics "incremental.hits";
               st.st_tree <- merged;
-              drop st discarded;
-              List.iter (link_children st.st_parents) seeds;
+              (* Forget the nodes the merge threw away: what remains is
+                 exactly the merged tree's. *)
+              List.iter (Attr_versions.remove st.st_versions) discarded;
+              Attr_versions.add_seeds st.st_versions seeds;
               let tree_size = dstats.Tree_diff.next_nodes in
               let outcome =
-                Propagate.run ~ir ~index:st.st_index ~versions:st.st_versions
-                  ~parents:st.st_parents ~tracer ~seeds
-                  ~max_fired:(firing_budget ir tree_size)
+                Propagate.run ~index:st.st_index ~versions:st.st_versions
+                  ~tracer ~seeds
+                  ~max_fired:(Propagate.budget st.st_index ~tree_size)
               in
               Metrics.incr metrics ~by:outcome.Propagate.fired
                 "incremental.propagated_rules";
@@ -192,7 +152,7 @@ let update ?state config ~(plan : Plan.t) ~engine_options ~tree =
                 "incremental.cache_hits";
               Metrics.observe metrics "incremental.waves"
                 (float_of_int outcome.Propagate.waves);
-              let outputs = outputs_of ir st.st_versions st.st_parents merged in
+              let outputs = outputs_of st.st_index st.st_versions merged in
               compact metrics st ~tree_size;
               ( {
                   outputs;
@@ -209,13 +169,15 @@ let update ?state config ~(plan : Plan.t) ~engine_options ~tree =
                 },
                 Some st )
             with Propagate.Stuck reason -> fallback ~churn:0.0 reason)
-      | Some _ | None ->
+      | Some _ | None -> (
           Metrics.incr metrics "incremental.fresh";
-          let st, outcome = build_fresh ~tracer ~ir ~tree in
-          let outputs = outputs_of ir st.st_versions st.st_parents tree in
-          ( {
-              outputs;
-              mode = Fresh { fired = outcome.Propagate.fired };
-              tree_size = Tree.size tree;
-            },
-            Some st ))
+          try
+            let st, outcome = build_fresh ~tracer ~index:(index_of ir) ~tree in
+            let outputs = outputs_of st.st_index st.st_versions tree in
+            ( {
+                outputs;
+                mode = Fresh { fired = outcome.Propagate.fired };
+                tree_size = Tree.size tree;
+              },
+              Some st )
+          with Propagate.Stuck reason -> fallback ~churn:1.0 reason))

@@ -14,8 +14,9 @@
       fresh, propagation would approach full evaluation anyway; the
       update runs the classic {!Linguist.Engine} instead and drops the
       session state (the next update rebuilds it from scratch);
-    - {b stuck}: a propagation that does not converge abandons the
-      incremental state and re-runs the full engine.
+    - {b stuck}: a propagation that does not converge, or a fresh
+      build that meets a circular demand, abandons the incremental
+      state and runs the full engine.
     Either way the full engine runs once: the caller sees a correct
     answer or the engine's own typed {!Lg_apt.Apt_error} (exit 40–44),
     never a wrong answer. *)
@@ -30,16 +31,17 @@ val default_config : config
 
 type state
 (** Cached per-document session state: the last merged tree, the
-    versioned attribute store, parent links and the fingerprint
-    interner. After every update the store and the parent links hold
-    exactly the merged tree's entries: the nodes the merge discards
-    take theirs with them, at a cost proportional to the edit. Only the
-    interner accumulates, until its rebuild (counted in
-    [incremental.compactions]). *)
+    versioned attribute store (one row per interior node: its parent
+    link and its attribute instances), the fingerprint interner, and
+    the plan's dependency index, which every document of the plan
+    shares. After every update the store holds exactly the merged
+    tree's rows: the nodes the merge discards take theirs with them, at
+    a cost proportional to the edit. Only the interner accumulates,
+    until its rebuild (counted in [incremental.compactions]). *)
 
 val memory_cells : state -> int
-(** Stored attribute instances + parent links. Equal to a fresh
-    {!update}'s on the same tree. *)
+(** Stored attribute instances + rows (one parent link each). Equal to
+    a fresh {!update}'s on the same tree. *)
 
 type mode =
   | Fresh of { fired : int }  (** no usable previous state *)

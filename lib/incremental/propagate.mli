@@ -11,13 +11,16 @@
        versioned store is computed recursively, as {!Linguist.Demand}
        does, while an input cached by a previous
        update is trusted and returned in O(1) — the cutoff that makes the
-       pass O(edit).}
+       pass O(edit). A cell being computed carries an in-progress marker
+       ({!Attr_versions.mark}), so a demand that reaches it again is a
+       cycle.}
     {- {b Change propagation} — when a firing overwrites a cached value
        with a {e different} one ({!Attr_versions.Changed}), the rules
        consuming that instance — read off the [Ir] dependency edges, the
        same [r_deps] sets {!Linguist.Pass_assign} schedules from — are
-       queued for the next {e wave}. Waves re-fire queued rules against
-       current values until no write changes anything.}}
+       queued for the next {e wave}. Waves re-fire queued rules, in the
+       order they were queued, against current values until no write
+       changes anything.}}
 
     On the acyclic dependency graphs the evaluability check admits, the
     fixpoint is reached in finitely many waves and equals the
@@ -26,11 +29,25 @@
     whose consequences die out early (the common case) touches a small
     neighbourhood no matter how large the tree is. *)
 
-(** Consumer edges per production, precomputed once per [Ir.t]: which
-    rules of a production read a given (occurrence, attribute). *)
+(** Everything propagation needs to know about a plan, computed once
+    per [Ir.t] and held in arrays indexed by production, child position
+    and cell: each node's cells, the rule defining each (production,
+    occurrence, attribute), the rules consuming it, every rule's
+    right-hand side with its references resolved to cells, and the
+    firing budget's rule bound. *)
 type dep_index
 
 val dep_index : Linguist.Ir.t -> dep_index
+val ir : dep_index -> Linguist.Ir.t
+
+val widths : dep_index -> int array
+(** Per production: the cells one node's row has — the non-intrinsic
+    attributes of the left-hand side, then of the limb, in declaration
+    order. *)
+
+val budget : dep_index -> tree_size:int -> int
+(** The firing budget for a tree of [tree_size] nodes: eight times the
+    tree's size times the most rules any production has, plus slack. *)
 
 type outcome = {
   fired : int;  (** semantic-rule firings — the O(edit) headline number *)
@@ -42,29 +59,28 @@ type outcome = {
 exception Stuck of string
 (** Non-convergence or a circular demand — cannot happen on plans that
     passed the evaluability check; the façade maps it to a full-eval
-    fallback rather than an answer. *)
+    fallback rather than an answer. Raising it takes every in-progress
+    marker out of the store. *)
 
 val run :
-  ir:Linguist.Ir.t ->
   index:dep_index ->
   versions:Attr_versions.t ->
-  parents:(int, Lg_apt.Tree.t * int) Hashtbl.t ->
   tracer:Lg_support.Trace.t ->
   seeds:Lg_apt.Tree.t list ->
   max_fired:int ->
   outcome
-(** Fire the seeds, drain the waves. [parents] maps a node id to its
-    parent node and child position in the merged tree (the root has no
-    entry). [max_fired] is the runaway guard; exceeding it raises
-    {!Stuck}. One trace span per wave, category ["incremental"]. *)
+(** Fire the seeds, drain the waves, then {!Attr_versions.settle} the
+    store. Every node of the merged tree must have its row in
+    [versions], the seeds' rows added since the last settle.
+    [max_fired] is the runaway guard; exceeding it raises {!Stuck}. One
+    trace span per wave, category ["incremental"]. *)
 
 val demand :
-  ir:Linguist.Ir.t ->
+  index:dep_index ->
   versions:Attr_versions.t ->
-  parents:(int, Lg_apt.Tree.t * int) Hashtbl.t ->
   Lg_apt.Tree.t ->
   int ->
   Lg_support.Value.t
-(** [demand ~ir ~versions ~parents node attr] — read an attribute
-    instance, computing (and caching) it on demand if missing. Used to
-    pull the root outputs after {!run}. *)
+(** [demand ~index ~versions node attr] — read an attribute instance,
+    computing (and caching) it on demand if missing. Used to pull the
+    root outputs after {!run}. *)

@@ -286,6 +286,35 @@ let store_backends =
     (fun name -> (name, Lg_apt.Aptfile.backend_of_store_name name))
     (Lg_apt.Store_registry.names ())
 
+(* One update's contract, [what] naming it in a failure: outputs equal
+   to the demand oracle's and to the engine's on every registered store,
+   and a state holding exactly what a fresh build of the tree holds —
+   nothing the merges discarded. *)
+let check_update ~plan ~what tree (result : Incr.result) next =
+  let engine_options = Engine.default_options in
+  Option.iter
+    (fun st ->
+      let _, fresh =
+        Incr.update Incr.default_config ~plan ~engine_options ~tree
+      in
+      let expected = Incr.memory_cells (Option.get fresh) in
+      if Incr.memory_cells st <> expected then
+        Alcotest.failf "%s: the state holds %d cells, a fresh build %d" what
+          (Incr.memory_cells st) expected)
+    next;
+  let oracle = Demand.evaluate plan.Plan.ir tree in
+  if not (outputs_equal result.Incr.outputs oracle.Demand.outputs) then
+    Alcotest.failf "%s: incremental disagrees with the oracle" what;
+  List.iter
+    (fun (store, backend) ->
+      let engine =
+        Engine.run ~options:{ engine_options with backend } plan tree
+      in
+      if not (outputs_equal result.Incr.outputs engine.Engine.outputs) then
+        Alcotest.failf "%s: incremental disagrees with the engine on %s" what
+          store)
+    store_backends
+
 let run_edit_sequence ?(config = Incr.default_config) ~grammar ~seed ~edits
     () =
   let plan = plan_of grammar in
@@ -304,32 +333,9 @@ let run_edit_sequence ?(config = Incr.default_config) ~grammar ~seed ~edits
       Incr.update ?state:!state config ~plan ~engine_options ~tree:!tree
     in
     state := next;
-    (* exact state: nothing the merges discarded is still held *)
-    Option.iter
-      (fun st ->
-        let _, fresh =
-          Incr.update Incr.default_config ~plan ~engine_options ~tree:!tree
-        in
-        let expected = Incr.memory_cells (Option.get fresh) in
-        if Incr.memory_cells st <> expected then
-          Alcotest.failf
-            "seed %d step %d: the state holds %d cells, a fresh build %d" seed
-            step (Incr.memory_cells st) expected)
-      next;
-    let oracle = Demand.evaluate ir !tree in
-    if not (outputs_equal result.Incr.outputs oracle.Demand.outputs) then
-      Alcotest.failf "seed %d step %d: incremental disagrees with the oracle"
-        seed step;
-    List.iter
-      (fun (store, backend) ->
-        let engine =
-          Engine.run ~options:{ engine_options with backend } plan !tree
-        in
-        if not (outputs_equal result.Incr.outputs engine.Engine.outputs) then
-          Alcotest.failf
-            "seed %d step %d: incremental disagrees with the engine on %s"
-            seed step store)
-      store_backends
+    check_update ~plan
+      ~what:(Printf.sprintf "seed %d step %d" seed step)
+      !tree result next
   done
 
 let prop_edit_sequence_differential =
@@ -342,6 +348,204 @@ let prop_edit_sequence_differential =
       in
       run_edit_sequence ~grammar ~seed ~edits:6 ();
       true)
+
+(* ---------- a real language under one-statement edits ---------- *)
+
+(* Pascal-subset statements over the three integer variables the program
+   header declares; every kind type-checks. *)
+let pascal_stmt rng =
+  let c = 1 + Random.State.int rng 9 in
+  match Random.State.int rng 6 with
+  | 0 -> Printf.sprintf "x := x + %d" c
+  | 1 -> Printf.sprintf "y := y + x - %d" c
+  | 2 -> Printf.sprintf "z := z + x * %d - y" c
+  | 3 -> "writeln(z)"
+  | 4 -> Printf.sprintf "if x > %d then z := z + 1 else z := z - %d" c c
+  | _ -> Printf.sprintf "while x < %d do begin x := x + 1; y := y - 1 end" c
+
+let pascal_program stmts =
+  "program edits;\nvar x : integer; y : integer; z : integer;\nbegin\n  "
+  ^ String.concat ";\n  " (Array.to_list stmts)
+  ^ "\nend.\n"
+
+(* Desk-calculator statements over three variables: a changed
+   assignment changes the environment every later statement inherits,
+   so its edits propagate in waves. *)
+let calc_stmt rng =
+  let var () = [| "a"; "b"; "c" |].(Random.State.int rng 3) in
+  if Random.State.int rng 4 = 0 then
+    Printf.sprintf "print %s + %s;\n" (var ()) (var ())
+  else
+    Printf.sprintf "%s := %s + %d;\n" (var ()) (var ()) (Random.State.int rng 9)
+
+let calc_program stmts = String.concat "" (Array.to_list stmts)
+
+(* A seeded document of [n] statements and the [edits] versions that
+   follow it, each replacing one statement by a fresh one. *)
+let versions ~stmt ~program ~seed ~n ~edits =
+  let rng = Random.State.make [| seed |] in
+  let stmts = Array.init n (fun _ -> stmt rng) in
+  let first = program stmts in
+  first
+  :: List.init edits (fun _ ->
+         stmts.(Random.State.int rng n) <- stmt rng;
+         program stmts)
+
+(* Thread [versions] through [Incr.update], checking each update's
+   contract; return the first build's firings and each edit's (fired,
+   waves, changed). *)
+let run_versions translator versions =
+  let plan = Translator.plan translator in
+  let state = ref None and first = ref 0 and counts = ref [] in
+  List.iteri
+    (fun step source ->
+      let diag = Lg_support.Diag.create () in
+      let tree =
+        match Translator.tree_of_source translator ~file:"doc" ~diag source with
+        | Some tree -> tree
+        | None -> Alcotest.failf "version %d does not parse" step
+      in
+      let result, next =
+        Incr.update ?state:!state Incr.default_config ~plan
+          ~engine_options:Engine.default_options ~tree
+      in
+      state := next;
+      (match (step, result.Incr.mode, next) with
+      | 0, Incr.Fresh { fired }, Some _ -> first := fired
+      | _, Incr.Incremental { fired; waves; changed; _ }, Some _ ->
+          counts := (fired, waves, changed) :: !counts
+      | _ -> Alcotest.failf "version %d took an unexpected path" step);
+      check_update ~plan ~what:(Printf.sprintf "version %d" step) tree result
+        next)
+    versions;
+  (!first, List.rev !counts)
+
+(* The pinned counters are exact: a change to any of them changes what
+   propagation does, not just how fast. A wave fires its rules in the
+   order they were queued, so they do not depend on how many nodes the
+   process built before (the QCheck tests above build a random number). *)
+let check_counts ~fresh ~edits (first, counts) =
+  Alcotest.(check int) "first build fired" fresh first;
+  Alcotest.(check (list (triple int int int)))
+    "each edit's fired, waves and changed" edits counts
+
+let test_pascal_edit_sequence () =
+  run_versions
+    (Lg_languages.Pascal_ag.translator ())
+    (versions ~stmt:pascal_stmt ~program:pascal_program ~seed:41 ~n:100
+       ~edits:12)
+  |> check_counts ~fresh:7674 ~edits:
+       [
+         (300, 0, 0); (333, 0, 0); (84, 0, 0); (311, 0, 0); (188, 0, 0);
+         (377, 0, 0); (526, 0, 0); (152, 0, 0); (413, 0, 0); (232, 0, 0);
+         (87, 0, 0); (239, 0, 0);
+       ]
+
+let test_calc_edit_waves () =
+  run_versions
+    (Lg_languages.Desk_calc.translator ())
+    (versions ~stmt:calc_stmt ~program:calc_program ~seed:2 ~n:30 ~edits:12)
+  |> check_counts ~fresh:637 ~edits:
+       [
+         (352, 64, 235); (724, 105, 527); (460, 63, 294); (146, 4, 5);
+         (58, 13, 21); (201, 49, 60); (0, 0, 0); (149, 0, 0); (72, 16, 28);
+         (246, 40, 169); (177, 39, 49); (621, 93, 444);
+       ]
+
+(* ---------- Stuck: circular demand and the firing budget ---------- *)
+
+(* The sum grammar with one rule turned circular: a fork's left child
+   now takes its depth from its own sum, which a tip computes from its
+   depth. Check accepts it (it is well formed); only the evaluability
+   check would refuse it. The productions, attributes and rule ids are
+   the sum grammar's. *)
+let circular_sum_grammar =
+  let plain = "tree1.DEPTH = tree0.DEPTH + 1" in
+  let n = String.length plain and src = Fixtures.sum_grammar in
+  let rec at i = if String.sub src i n = plain then i else at (i + 1) in
+  let i = at 0 in
+  String.sub src 0 i ^ "tree1.DEPTH = tree1.SUM + 1"
+  ^ String.sub src (i + n) (String.length src - i - n)
+
+let interior (tree : Lg_apt.Tree.t) =
+  let acc = ref [] in
+  Lg_apt.Tree.iter_postfix_ltr
+    (fun n -> if not (is_leaf n) then acc := n :: !acc)
+    tree;
+  !acc
+
+(* A store holding a row for every node of [tree], nothing computed. *)
+let fresh_store index tree =
+  let versions = Attr_versions.create ~widths:(Propagate.widths index) in
+  Attr_versions.add_tree versions tree;
+  versions
+
+let expect_stuck ~needle f =
+  match f () with
+  | _ -> Alcotest.fail "expected Propagate.Stuck"
+  | exception Propagate.Stuck reason ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S mentions %S" reason needle)
+        true
+        (Fixtures.contains_substring ~needle reason)
+
+let test_stuck_on_circular_demand () =
+  let ir = Fixtures.ir_of_source circular_sum_grammar in
+  let tree, _ = sizable_tree ir ~seed:11 in
+  let index = Propagate.dep_index ir in
+  let versions = fresh_store index tree in
+  expect_stuck ~needle:"demanded circularly" (fun () ->
+      Propagate.run ~index ~versions ~tracer:Lg_support.Trace.null
+        ~seeds:(interior tree) ~max_fired:max_int);
+  Alcotest.(check int) "no in-progress marker is left" 0
+    (Attr_versions.markers versions)
+
+let test_stuck_on_firing_budget () =
+  let ir = Fixtures.ir_of_source Fixtures.sum_grammar in
+  let tree, _ = sizable_tree ir ~seed:11 in
+  let index = Propagate.dep_index ir in
+  let versions = fresh_store index tree in
+  let run max_fired =
+    Propagate.run ~index ~versions ~tracer:Lg_support.Trace.null
+      ~seeds:(interior tree) ~max_fired
+  in
+  expect_stuck ~needle:"firing budget" (fun () -> run 1);
+  (* a budget that runs out deep in a demand, with instances in progress *)
+  expect_stuck ~needle:"firing budget" (fun () -> run 4);
+  Alcotest.(check int) "no in-progress marker is left" 0
+    (Attr_versions.markers versions);
+  (* the instances the stuck run was computing are absent again, so the
+     same store completes and answers like the oracle *)
+  ignore (run max_int);
+  let total = Option.get (Ir.find_attr ir ~sym:ir.Ir.root ~name:"TOTAL") in
+  Alcotest.(check (list (pair Alcotest.string check_value)))
+    "a full run after the stuck one answers like the oracle"
+    (Demand.evaluate ir tree).Demand.outputs
+    [ ("TOTAL", Propagate.demand ~index ~versions tree total.Ir.a_id) ]
+
+let test_stuck_falls_back_to_the_engine () =
+  (* the sum grammar's plan, carrying the circular IR: the engine runs
+     the plan's passes, propagation demands through the circular rule *)
+  let plan = plan_of Fixtures.sum_grammar in
+  let circular =
+    { plan with Plan.ir = Fixtures.ir_of_source circular_sum_grammar }
+  in
+  let tree, _ = sizable_tree plan.Plan.ir ~seed:11 in
+  let engine_options = Engine.default_options in
+  let r, next =
+    Incr.update Incr.default_config ~plan:circular ~engine_options ~tree
+  in
+  (match r.Incr.mode with
+  | Incr.Fallback { reason; _ } ->
+      Alcotest.(check bool)
+        "the fallback names the cycle" true
+        (Fixtures.contains_substring ~needle:"demanded circularly" reason)
+  | _ -> Alcotest.fail "a stuck fresh build must fall back");
+  Alcotest.(check bool) "the fallback keeps no state" true (next = None);
+  Alcotest.(check (list (pair Alcotest.string check_value)))
+    "the fallback answers like the engine"
+    (Engine.run ~options:engine_options circular tree).Engine.outputs
+    r.Incr.outputs
 
 (* Run [f] with [m] as the ambient registry, where [Incr.update]
    publishes its counters. *)
@@ -606,6 +810,19 @@ let () =
           QCheck_alcotest.to_alcotest prop_edit_sequence_differential;
           Alcotest.test_case "long sequence rebuilds the fingerprints" `Quick
             test_long_sequence_rebuilds_fingerprints;
+          Alcotest.test_case "pascal edits match the oracle and engine" `Quick
+            test_pascal_edit_sequence;
+          Alcotest.test_case "desk_calc edits propagate in pinned waves" `Quick
+            test_calc_edit_waves;
+        ] );
+      ( "stuck",
+        [
+          Alcotest.test_case "a circular demand raises Stuck" `Quick
+            test_stuck_on_circular_demand;
+          Alcotest.test_case "the firing budget raises Stuck" `Quick
+            test_stuck_on_firing_budget;
+          Alcotest.test_case "update falls back on Stuck" `Quick
+            test_stuck_falls_back_to_the_engine;
         ] );
       ( "faults",
         [
