@@ -438,7 +438,7 @@ let f2 () =
       Translator.of_source ~ag_source:xl.Lg_corpus.Corpus_gen.g_source
         ~file:"xl" ()
     with
-    | Ok t -> ignore (Sys.opaque_identity t)
+    | Ok t -> Sys.opaque_identity t
     | Error _ -> failwith "f2: the xl grammar does not build"
   in
   let tracer = Lg_support.Trace.ambient ()
@@ -446,7 +446,7 @@ let f2 () =
   Lg_support.Trace.install Lg_support.Trace.null;
   let m = Lg_support.Metrics.create () in
   Lg_support.Metrics.install m;
-  build ();
+  let xl_translator = build () in
   Lg_support.Metrics.install Lg_support.Metrics.null;
   let schedules =
     match Lg_support.Metrics.find m "evaluability.schedules" with
@@ -454,16 +454,27 @@ let f2 () =
     | _ -> failwith "f2: no evaluability.schedules counter"
   in
   let before = Gc.minor_words () in
-  build ();
+  ignore (build ());
   let build_words = Gc.minor_words () -. before in
   Lg_support.Trace.install ~attr_counts tracer;
   rowf "\n  %-20s %18s %18s\n" "session build" "schedule calls"
     "build minor words";
   rowf "  %-20s %18d %18.0f\n" "xl corpus (seed 1)" schedules build_words;
+  (* What a built translator keeps before it translates anything: the
+     words reachable from it (IR, plan, parse and scanner tables), exact
+     for a given build. *)
+  let words t = float_of_int (Obj.reachable_words (Obj.repr t)) in
+  let xl_words = words xl_translator
+  and linguist_words = words (Linguist_ag.translator ()) in
+  rowf "\n  %-20s %18s\n" "translator" "reachable words";
+  rowf "  %-20s %18.0f\n" "xl corpus (seed 1)" xl_words;
+  rowf "  %-20s %18.0f\n" "linguist.ag" linguist_words;
   let build_leaves =
     [
       ("xl_seed1_schedule_calls", float_of_int schedules);
       ("xl_seed1_build_minor_words", build_words);
+      ("xl_seed1_translator_words", xl_words);
+      ("linguist_ag_translator_words", linguist_words);
     ]
   in
   (* every leaf is an exact count and gates as "more is worse" *)

@@ -302,16 +302,39 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
     (* ---- semantic functions ---- *)
     let rules = ref [] and n_rules = ref 0 in
     let defined : (int * Ir.aref, Loc.span) Hashtbl.t = Hashtbl.create 128 in
+    (* Equal references are one value across the IR, and so are their
+       [Rhs i] occurrences, the names of called functions and the integer
+       and boolean constants. *)
+    let share tbl key v =
+      match Hashtbl.find_opt tbl key with
+      | Some v -> v
+      | None ->
+          Hashtbl.add tbl key v;
+          v
+    in
+    let occs = Hashtbl.create 16 and arefs = Hashtbl.create 256 in
+    let callees = Hashtbl.create 64 and consts = Hashtbl.create 64 in
+    let const v = share consts v (Ir.Cconst v) in
+    let share_aref (r : Ir.aref) =
+      match Hashtbl.find_opt arefs r with
+      | Some r -> r
+      | None ->
+          let occ =
+            match r.Ir.occ with Ir.Rhs i -> share occs i r.Ir.occ | occ -> occ
+          in
+          share arefs r { r with Ir.occ }
+    in
     let add_rule ~prod ~targets ~rhs ~implicit ~span =
       let r_id = !n_rules in
       incr n_rules;
+      let r_rhs, deps = Ir.operands rhs in
       rules :=
         {
           Ir.r_id;
           r_prod = prod;
-          r_targets = targets;
-          r_rhs = rhs;
-          r_deps = Ir.free_refs rhs;
+          r_targets = Array.of_list (List.map share_aref targets);
+          r_rhs;
+          r_deps = Array.map share_aref deps;
           r_implicit = implicit;
           r_span = span;
         }
@@ -363,8 +386,8 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
              conditional is legal. *)
           let rec compile ~top e =
             match e with
-            | Enum (n, _) -> Some (Ir.Cconst (Value.Int n))
-            | Ebool (v, _) -> Some (Ir.Cconst (Value.Bool v))
+            | Enum (n, _) -> Some (const (Value.Int n))
+            | Ebool (v, _) -> Some (const (Value.Bool v))
             | Estr (s, _) -> Some (Ir.Cconst (Value.Str s))
             | Eident (name, span) -> (
                 match resolve_bare_limb name span with
@@ -397,7 +420,7 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
             | Ecall (f, args, _) ->
                 let args = List.map (compile ~top:false) args in
                 if List.for_all Option.is_some args then
-                  Some (Ir.Ccall (f, List.map Option.get args))
+                  Some (Ir.Ccall (share callees f f, List.map Option.get args))
                 else None
             | Ebinop (op, x, y, _) -> (
                 match (compile ~top:false x, compile ~top:false y) with

@@ -72,9 +72,9 @@ let production_graph (ir : Ir.t) (p : Ir.production) child_rels =
   List.iter
     (fun rid ->
       let r = ir.rules.(rid) in
-      List.iter
+      Array.iter
         (fun dep ->
-          List.iter (fun tgt -> Graph.add_edge g dep tgt) r.Ir.r_targets)
+          Array.iter (fun tgt -> Graph.add_edge g dep tgt) r.Ir.r_targets)
         r.Ir.r_deps)
     p.Ir.p_rules;
   Array.iteri

@@ -14,11 +14,11 @@ let analyze ?(mode = Optimized) (ir : Ir.t) (pr : Pass_assign.result) =
   Array.iter
     (fun (r : Ir.rule) ->
       let rule_pass =
-        List.fold_left
+        Array.fold_left
           (fun acc t -> max acc pr.Pass_assign.passes.(t.Ir.attr))
           1 r.Ir.r_targets
       in
-      List.iter
+      Array.iter
         (fun d -> last_use.(d.Ir.attr) <- max last_use.(d.Ir.attr) rule_pass)
         r.Ir.r_deps)
     ir.rules;

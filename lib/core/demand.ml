@@ -105,10 +105,10 @@ let eval_all (ir : Ir.t) tree =
     let values =
       Sem_ops.eval_rule
         (fun (aref : Ir.aref) -> instance_value (owner_of aref) aref.Ir.attr)
-        r.Ir.r_rhs
-        ~n_targets:(List.length r.Ir.r_targets)
+        r.Ir.r_deps r.Ir.r_rhs
+        ~n_targets:(Array.length r.Ir.r_targets)
     in
-    List.iter2
+    Sem_ops.assign
       (fun (tgt : Ir.aref) v ->
         let owner = owner_of tgt in
         Hashtbl.replace memo (owner.node.Tree.id, tgt.Ir.attr) (Done v))
@@ -125,14 +125,15 @@ let eval_all (ir : Ir.t) tree =
       List.iter
         (fun rid ->
           match ir.rules.(rid).Ir.r_targets with
-          | tgt :: _ ->
+          | [||] -> ()
+          | targets ->
+              let tgt = targets.(0) in
               let owner =
                 match tgt.Ir.occ with
                 | Ir.Lhs | Ir.Limb_occ -> ctx
                 | Ir.Rhs i -> (Lazy.force ctx.kids).(i)
               in
-              ignore (instance_value owner tgt.Ir.attr)
-          | [] -> ())
+              ignore (instance_value owner tgt.Ir.attr))
         ir.prods.(prod).Ir.p_rules;
       Array.iter force (Lazy.force ctx.kids)
     end

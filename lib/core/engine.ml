@@ -254,13 +254,13 @@ let run ?(options = default_options) (plan : Plan.t) tree =
         | Plan.Lglobal g -> globals.(g) <- v
         | Plan.Lframe f -> frame.(f) <- v
       in
-      (* Schulz-style interpretation: resolve every occurrence from the IR
+      (* Schulz-style interpretation: resolve every operand from the IR
          at evaluation time (per-access slot search), ignoring the
-         compiled expression. *)
+         plan's operand locations. *)
       let read_aref (aref : Ir.aref) =
         read_loc (Plan.Lnode (aref.Ir.occ, Plan.slot_in_node ir prod aref))
       in
-      List.iter
+      Array.iter
         (fun (action : Plan.action) ->
           match action with
           | Plan.Read_child i ->
@@ -275,19 +275,19 @@ let run ?(options = default_options) (plan : Plan.t) tree =
               let c = child i in
               sync_statics c;
               Aptfile.write writer (compress plan c ~pass)
-          | Plan.Eval { rule; code; targets } ->
+          | Plan.Eval { rule; operands; targets } ->
               acc.rules <- acc.rules + 1;
               incr pass_rules;
               if trace_attrs then
                 attr_counts.(ns.ns_prod) <- attr_counts.(ns.ns_prod) + 1;
-              let n_targets = List.length targets in
+              let n_targets = Array.length targets in
+              let r = ir.rules.(rule) in
               let values =
                 if options.interpretive then
-                  Sem_ops.eval_rule read_aref ir.rules.(rule).Ir.r_rhs
-                    ~n_targets
-                else Sem_ops.eval_rule read_loc code ~n_targets
+                  Sem_ops.eval_rule read_aref r.Ir.r_deps r.Ir.r_rhs ~n_targets
+                else Sem_ops.eval_rule read_loc operands r.Ir.r_rhs ~n_targets
               in
-              List.iter2 write_loc targets values;
+              Sem_ops.assign write_loc targets values;
               if options.record_trace then trace := (rule, values) :: !trace
           | Plan.Save { global; frame = f } ->
               acc.moves <- acc.moves + 1;

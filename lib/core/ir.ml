@@ -33,14 +33,12 @@ type 'leaf expr =
   | Cneg of 'leaf expr
   | Cif of ('leaf expr * 'leaf expr list) list * 'leaf expr list
 
-type cexpr = aref expr
-
 type rule = {
   r_id : int;
   r_prod : int;
-  r_targets : aref list;
-  r_rhs : cexpr;
-  r_deps : aref list;
+  r_targets : aref array;
+  r_rhs : int expr;
+  r_deps : aref array;
   r_implicit : bool;
   r_span : Loc.span;
 }
@@ -80,9 +78,12 @@ let slot_of_attr t attr_id =
   index 0 t.symbols.(a.a_sym).s_attrs
 
 let copy_ends r =
-  match (r.r_targets, r.r_rhs) with [ t ], Cref s -> Some (t, s) | _ -> None
+  match (r.r_targets, r.r_rhs) with
+  | [| t |], Cref i -> Some (t, r.r_deps.(i))
+  | _ -> None
 
-let rule_defines r aref = List.mem aref r.r_targets
+let rule_defines r aref =
+  Array.fold_left (fun found t -> found || t = aref) false r.r_targets
 
 let rec arity = function
   | Cconst _ | Cref _ | Ccall _ | Cbinop _ | Cnot _ | Cneg _ -> Some 1
@@ -105,34 +106,45 @@ let rec arity = function
         (List.hd candidates)
         (List.tl candidates)
 
-let rec map f = function
-  | Cconst v -> Cconst v
-  | Cref l -> Cref (f l)
-  | Ccall (g, args) -> Ccall (g, List.map (map f) args)
-  | Cbinop (op, a, b) -> Cbinop (op, map f a, map f b)
-  | Cnot a -> Cnot (map f a)
-  | Cneg a -> Cneg (map f a)
-  | Cif (branches, else_) ->
-      Cif
-        ( List.map (fun (c, vs) -> (map f c, List.map (map f) vs)) branches,
-          List.map (map f) else_ )
+(* The [Cref i] leaves of small operand indices, shared by every rule:
+   most right-hand sides are a bare reference to their first operand. *)
+let shared_crefs = Array.init 8 (fun i -> Cref i)
+let cref i = if i < Array.length shared_crefs then shared_crefs.(i) else Cref i
 
-let rec fold f acc = function
-  | Cconst _ -> acc
-  | Cref l -> f acc l
-  | Ccall (_, args) -> List.fold_left (fold f) acc args
-  | Cbinop (_, a, b) -> fold f (fold f acc a) b
-  | Cnot a | Cneg a -> fold f acc a
-  | Cif (branches, else_) ->
-      let acc =
-        List.fold_left
-          (fun acc (c, vs) -> List.fold_left (fold f) (fold f acc c) vs)
-          acc branches
-      in
-      List.fold_left (fold f) acc else_
-
-let free_refs e =
-  List.rev (fold (fun acc r -> if List.mem r acc then acc else r :: acc) [] e)
+let operands e =
+  (* the references seen so far, the latest (operand [n - 1]) first *)
+  let deps = ref [] and n = ref 0 in
+  let index r =
+    let rec find i = function
+      | d :: rest -> if d = r then i else find (i - 1) rest
+      | [] ->
+          deps := r :: !deps;
+          incr n;
+          !n - 1
+    in
+    cref (find (!n - 1) !deps)
+  in
+  let rec go = function
+    | Cconst _ as c -> c
+    | Cref r -> index r
+    | Ccall (f, args) -> Ccall (f, List.map go args)
+    | Cbinop (op, a, b) ->
+        let a = go a in
+        Cbinop (op, a, go b)
+    | Cnot a -> Cnot (go a)
+    | Cneg a -> Cneg (go a)
+    | Cif (branches, else_) ->
+        let branches =
+          List.map
+            (fun (c, vs) ->
+              let c = go c in
+              (c, List.map go vs))
+            branches
+        in
+        Cif (branches, List.map go else_)
+  in
+  let e = go e in
+  (e, Array.of_list (List.rev !deps))
 
 type stats = {
   lines : int;
@@ -266,7 +278,7 @@ let pp_rule t ppf r =
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
        (pp_aref t p))
-    r.r_targets
-    (pp_expr (pp_aref t p))
+    (Array.to_list r.r_targets)
+    (pp_expr (fun ppf i -> pp_aref t p ppf r.r_deps.(i)))
     r.r_rhs
     (if r.r_implicit then "   # implicit" else "")

@@ -36,9 +36,10 @@ type aref = { occ : occ; attr : int }
 
 (** Semantic expression over a leaf type: constants folded to values,
     interpreted/uninterpreted function split deferred to evaluation. The
-    one expression type of the system: rules carry [aref expr]
-    ({!cexpr}), evaluation plans carry [Plan.loc expr], and
-    {!Sem_ops.eval_rule} evaluates either given a leaf reader. *)
+    one expression type of the system. {!Check} builds it over [aref]
+    leaves and stores it in each rule over operand indices ({!operands});
+    {!Sem_ops.eval_rule} evaluates it given an operand array and a
+    reader for it. *)
 type 'leaf expr =
   | Cconst of Lg_support.Value.t
   | Cref of 'leaf
@@ -50,15 +51,20 @@ type 'leaf expr =
       (** branches of (condition, values), then the else values; only at
           the top of a right-hand side or of a branch value list *)
 
-type cexpr = aref expr
-(** A rule's right-hand side: leaves are production-relative references. *)
-
+(** A semantic rule. Its right-hand side is the rule's one expression: a
+    leaf [Cref i] reads operand [i], the reference [r_deps.(i)]. Every
+    consumer resolves the operands its own way — a plan's [Eval] holds
+    one location per operand, the incremental index one cell per
+    operand, the interpretive engine and the demand-driven oracle read
+    [r_deps] directly — and evaluates this same expression. Within one
+    IR, equal [aref]s (and their [Rhs i] occurrences) are one value. *)
 type rule = {
   r_id : int;
   r_prod : int;
-  r_targets : aref list;
-  r_rhs : cexpr;
-  r_deps : aref list;  (** free references, deduplicated *)
+  r_targets : aref array;
+  r_rhs : int expr;  (** leaves index [r_deps] *)
+  r_deps : aref array;
+      (** the free references, deduplicated, in first-use order *)
   r_implicit : bool;  (** inserted implicit copy-rule *)
   r_span : Lg_support.Loc.span;
 }
@@ -101,11 +107,11 @@ val arity : 'leaf expr -> int option
 (** Number of values an expression produces; [None] if the branch lists of
     some conditional disagree (ill-formed, rejected by {!Check}). *)
 
-val map : ('a -> 'b) -> 'a expr -> 'b expr
-(** Replace every leaf, keeping the expression's shape. *)
-
-val free_refs : cexpr -> aref list
-(** Deduplicated free attribute references, in first-use order. *)
+val operands : aref expr -> int expr * aref array
+(** The operand form of a right-hand side: the deduplicated free
+    references in first-use order, and the expression whose leaves index
+    them. Constants are kept as they are, and the leaves of small indices
+    are shared. *)
 
 (** {1 Statistics — experiment E1} *)
 

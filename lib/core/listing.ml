@@ -55,7 +55,7 @@ let generate ~source ?passes ?dead ?alloc (ir : Ir.t) diag =
           | None -> ""
           | Some pr ->
               let pass =
-                List.fold_left
+                Array.fold_left
                   (fun acc t -> max acc pr.Pass_assign.passes.(t.Ir.attr))
                   1 r.Ir.r_targets
               in

@@ -92,10 +92,12 @@ let generate_pass (plan : Plan.t) ~pass =
         | Plan.Lglobal g -> ident plan.Plan.alloc.Subsume.group_name.(g) ^ "_G"
         | Plan.Lframe f -> Printf.sprintf "T%d_QZP" f
       in
-      let rec expr_text (e : Plan.rexpr) =
+      (* A rule's expression, its operand [i] read at [operands.(i)]. *)
+      let rec expr_text operands (e : int Ir.expr) =
+        let expr_text = expr_text operands in
         match e with
         | Ir.Cconst v -> pascal_const v
-        | Ir.Cref loc -> loc_text loc
+        | Ir.Cref i -> loc_text operands.(i)
         | Ir.Ccall (f, args) ->
             if args = [] then ident f
             else
@@ -108,8 +110,10 @@ let generate_pass (plan : Plan.t) ~pass =
         | Ir.Cif _ -> "{nested if}"
       in
       (* Emit an assignment of [code] to [targets] as statements. *)
-      let rec emit_assign indent targets code =
-        match (code : Plan.rexpr) with
+      let rec emit_assign operands indent targets code =
+        let expr_text = expr_text operands
+        and emit_branch = emit_branch operands in
+        match (code : int Ir.expr) with
         | Ir.Cif (branches, else_) ->
             List.iteri
               (fun i (cond, values) ->
@@ -133,7 +137,7 @@ let generate_pass (plan : Plan.t) ~pass =
                     emit sink Sem "%s%s := %s;\n" indent (loc_text tgt)
                       (expr_text code))
                   targets)
-      and emit_branch indent targets values =
+      and emit_branch operands indent targets values =
         (* Distribute the branch's value list over the targets by arity. *)
         let rec go targets values =
           match values with
@@ -148,11 +152,11 @@ let generate_pass (plan : Plan.t) ~pass =
                 in
                 split n [] targets
               in
-              emit_assign indent taken v;
+              emit_assign operands indent taken v;
               go remaining rest
         in
         if List.length values = 1 && List.length targets > 1 then
-          emit_assign indent targets (List.hd values)
+          emit_assign operands indent targets (List.hd values)
         else go targets values
       in
       (* Declarations. *)
@@ -182,7 +186,7 @@ let generate_pass (plan : Plan.t) ~pass =
           emit sink Comment "  { %s }\n"
             (Format.asprintf "%a" (Ir.pp_rule ir) ir.rules.(rid)))
         pp.Plan.pp_subsumed_rules;
-      List.iter
+      Array.iter
         (fun (action : Plan.action) ->
           match action with
           | Plan.Read_child i ->
@@ -197,7 +201,9 @@ let generate_pass (plan : Plan.t) ~pass =
               emit sink Husk "  PutNode%s(%s);\n"
                 (ident ir.symbols.(prod.Ir.p_rhs.(i)).Ir.s_name)
                 (child_var i)
-          | Plan.Eval { code; targets; _ } -> emit_assign "  " targets code
+          | Plan.Eval { rule; operands; targets } ->
+              emit_assign operands "  " (Array.to_list targets)
+                ir.rules.(rule).Ir.r_rhs
           | Plan.Save { global; frame } ->
               emit sink Sem "  T%d_QZP := %s_G;\n" frame
                 (ident plan.Plan.alloc.Subsume.group_name.(global))

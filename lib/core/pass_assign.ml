@@ -76,7 +76,7 @@ type scratch = {
 
 let scratch (ir : Ir.t) passes =
   let n = Array.length ir.rules and nattrs = Array.length ir.attrs in
-  let deps = Array.map (fun (r : Ir.rule) -> Array.of_list r.r_deps) ir.rules in
+  let deps = Array.map (fun (r : Ir.rule) -> r.r_deps) ir.rules in
   let definer = Array.map (fun d -> Array.make (Array.length d) (-1)) deps in
   Array.iter
     (fun (prod : Ir.production) ->
@@ -92,7 +92,7 @@ let scratch (ir : Ir.t) passes =
       let defs = Hashtbl.create 16 in
       List.iter
         (fun rid ->
-          List.iter
+          Array.iter
             (fun t -> Hashtbl.replace defs (instance t) rid)
             ir.rules.(rid).Ir.r_targets)
         prod.p_rules;
@@ -138,7 +138,9 @@ let schedule_production sc ~(prod : Ir.production) ~pass ~dir =
   List.iter
     (fun rid ->
       sc.local.(rid) <-
-        List.exists (fun t -> passes.(t.Ir.attr) = pass) ir.rules.(rid).Ir.r_targets;
+        Array.fold_left
+          (fun local t -> local || passes.(t.Ir.attr) = pass)
+          false ir.rules.(rid).Ir.r_targets;
       sc.color.(rid) <- 0;
       sc.cyclic.(rid) <- false;
       sc.rank.(rid) <- -1)
@@ -181,7 +183,7 @@ let schedule_production sc ~(prod : Ir.production) ~pass ~dir =
          record has been read into memory. *)
       let floor =
         ref
-          (List.fold_left
+          (Array.fold_left
              (fun acc (t : Ir.aref) ->
                match t.occ with
                | Ir.Rhs i -> max acc (t_read i)
@@ -252,7 +254,7 @@ let schedule_production sc ~(prod : Ir.production) ~pass ~dir =
         let r = ir.rules.(rid) in
         let t = sc.time.(rid) in
         let deadline =
-          List.fold_left
+          Array.fold_left
             (fun acc tgt ->
               match (tgt.Ir.occ, ir.attrs.(tgt.Ir.attr).Ir.a_kind) with
               | Ir.Rhs i, Ir.Inherited -> min acc (t_deadline_inh i)
@@ -320,8 +322,8 @@ let compute ?(max_passes = 16) ~diag (ir : Ir.t) =
       in
       List.iter
         (fun rid ->
-          List.iter touch ir.rules.(rid).Ir.r_targets;
-          List.iter touch ir.rules.(rid).Ir.r_deps)
+          Array.iter touch ir.rules.(rid).Ir.r_targets;
+          Array.iter touch ir.rules.(rid).Ir.r_deps)
         prod.p_rules)
     ir.prods;
   let queue = Queue.create () and queued = Array.make nprods false in
@@ -354,15 +356,17 @@ let compute ?(max_passes = 16) ~diag (ir : Ir.t) =
     List.iter
       (fun rid ->
         let targets = ir.rules.(rid).Ir.r_targets in
-        let m = List.fold_left (fun acc t -> max acc passes.(t.Ir.attr)) 1 targets in
-        List.iter (fun t -> bump t.Ir.attr m) targets)
+        let m =
+          Array.fold_left (fun acc t -> max acc passes.(t.Ir.attr)) 1 targets
+        in
+        Array.iter (fun t -> bump t.Ir.attr m) targets)
       prod.p_rules;
     queued.(p) <- false;
     (* Feasibility per pass. *)
     let max_local_pass =
       List.fold_left
         (fun acc rid ->
-          List.fold_left
+          Array.fold_left
             (fun acc t -> max acc passes.(t.Ir.attr))
             acc ir.rules.(rid).Ir.r_targets)
         1 prod.p_rules
@@ -374,7 +378,7 @@ let compute ?(max_passes = 16) ~diag (ir : Ir.t) =
       per_pass.(k - 1) <- times;
       List.iter
         (fun f ->
-          List.iter
+          Array.iter
             (fun t -> bump t.Ir.attr f.f_needs_pass)
             ir.rules.(f.f_rule).Ir.r_targets)
         failures

@@ -1,11 +1,10 @@
 type loc = Lnode of Ir.occ * int | Lglobal of int | Lframe of int
-type rexpr = loc Ir.expr
 
 type action =
   | Read_child of int
   | Visit_child of int
   | Write_child of int
-  | Eval of { rule : int; code : rexpr; targets : loc list }
+  | Eval of { rule : int; operands : loc array; targets : loc array }
   | Save of { global : int; frame : int }
   | Set_global of { global : int; from : loc }
   | Restore of { global : int; frame : int }
@@ -13,7 +12,7 @@ type action =
 
 type prod_plan = {
   pp_prod : int;
-  pp_actions : action list;
+  pp_actions : action array;
   pp_frame_size : int;
   pp_subsumed_rules : int list;
 }
@@ -107,14 +106,14 @@ let pp_action ir prod ppf = function
   | Read_child i -> Format.fprintf ppf "read %s" (Ir.occ_name ir prod (Ir.Rhs i))
   | Visit_child i -> Format.fprintf ppf "visit %s" (Ir.occ_name ir prod (Ir.Rhs i))
   | Write_child i -> Format.fprintf ppf "write %s" (Ir.occ_name ir prod (Ir.Rhs i))
-  | Eval { rule; targets; code } ->
+  | Eval { rule; operands; targets } ->
       Format.fprintf ppf "eval r%d: %a := %a" rule
-        (Format.pp_print_list
+        (Format.pp_print_array
            ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
            (pp_loc ir prod))
         targets
-        (Ir.pp_expr (pp_loc ir prod))
-        code
+        (Ir.pp_expr (fun ppf i -> pp_loc ir prod ppf operands.(i)))
+        ir.Ir.rules.(rule).Ir.r_rhs
   | Save { global; frame } -> Format.fprintf ppf "save t%d := G%d" frame global
   | Set_global { global; from } ->
       Format.fprintf ppf "set G%d := %a" global (pp_loc ir prod) from

@@ -18,24 +18,26 @@ type loc =
   | Lglobal of int  (** statically allocated global variable *)
   | Lframe of int  (** per-invocation temporary (the [_QZP] temps) *)
 
-type rexpr = loc Ir.expr
-(** A rule's right-hand side with attribute references resolved to
-    locations. *)
-
 type action =
   | Read_child of int  (** child index (production position, 0-based) *)
   | Visit_child of int  (** recursive production-procedure call *)
   | Write_child of int
-  | Eval of { rule : int; code : rexpr; targets : loc list }
+  | Eval of { rule : int; operands : loc array; targets : loc array }
+      (** evaluate the rule's one expression, [Ir.rules.(rule).r_rhs],
+          reading its operand [i] at [operands.(i)], and write its values
+          to [targets] in order *)
   | Save of { global : int; frame : int }  (** frame := global *)
   | Set_global of { global : int; from : loc }
   | Restore of { global : int; frame : int }  (** global := frame *)
   | Capture of { global : int; frame : int }
       (** frame := global, snapshotting a child's synthesized result *)
 
+(** Within one plan, equal locations are one value, and so are the child
+    actions of one position: a plan holds no copy of any rule's
+    expression, only its operand and target locations. *)
 type prod_plan = {
   pp_prod : int;
-  pp_actions : action list;
+  pp_actions : action array;  (** in execution order *)
   pp_frame_size : int;
   pp_subsumed_rules : int list;  (** rules elided entirely (subsumed) *)
 }
@@ -77,5 +79,6 @@ val record_slots : t -> sym:int -> prod:int -> pass:int -> int array
     mutate it. *)
 
 val pp_action : Ir.t -> Ir.production -> Format.formatter -> action -> unit
-(** One line per action; an [Eval]'s code prints through {!Ir.pp_expr}, so
-    it reads like the rule it came from. *)
+(** One line per action; an [Eval] prints its rule's expression through
+    {!Ir.pp_expr} with each operand shown at its location, so it reads
+    like the rule it came from. *)

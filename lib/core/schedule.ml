@@ -87,6 +87,33 @@ type wloc = Unplaced | Wloc of loc | Walias of Ir.aref
 let build (ir : Ir.t) (pr : Pass_assign.result) ~schedules ~dead
     ~(alloc : Subsume.allocation) =
   let below = below_relation ir in
+  (* Equal locations are one value within a plan, and so are the child
+     actions of one position: a large grammar's plan holds tens of
+     thousands of each. *)
+  let locs = Hashtbl.create 256 in
+  let shared l =
+    match Hashtbl.find_opt locs l with
+    | Some l -> l
+    | None ->
+        Hashtbl.add locs l l;
+        l
+  in
+  let arity =
+    Array.fold_left
+      (fun m (p : Ir.production) -> max m (Array.length p.p_rhs))
+      0 ir.prods
+  in
+  let reads = Array.init arity (fun i -> Read_child i)
+  and visits = Array.init arity (fun i -> Visit_child i)
+  and writes = Array.init arity (fun i -> Write_child i) in
+  let eval rule operands targets =
+    Eval
+      {
+        rule;
+        operands = Array.map shared operands;
+        targets = Array.map shared targets;
+      }
+  in
   let slot = Array.init (Array.length ir.attrs) (Ir.slot_of_attr ir) in
   let width = Array.map (fun (s : Ir.symbol) -> List.length s.s_attrs) ir.symbols in
   let syn_members_of_global =
@@ -210,7 +237,7 @@ let build (ir : Ir.t) (pr : Pass_assign.result) ~schedules ~dead
           else begin
             (* Explicit: evaluate into a temp and bracket the visit. *)
             let ft = fresh_frame () in
-            emit (Eval { rule = rid; code = Ir.Cref (loc_of src); targets = [ Lframe ft ] });
+            emit (eval rid [| loc_of src |] [| Lframe ft |]);
             where.(instance tgt) <- Wloc (Lframe ft);
             match tgt.Ir.occ with
             | Ir.Rhs i -> child_setups.(i) <- (g, ft, tgt) :: child_setups.(i)
@@ -221,9 +248,9 @@ let build (ir : Ir.t) (pr : Pass_assign.result) ~schedules ~dead
           deferred := (rid, tgt, src, g) :: !deferred;
           where.(instance tgt) <- Walias src
       | None ->
-          let code = Ir.map loc_of r.Ir.r_rhs in
+          let operands = Array.map loc_of r.Ir.r_deps in
           let targets =
-            List.map
+            Array.map
               (fun (tgt : Ir.aref) ->
                 if is_static tgt.Ir.attr then begin
                   let g = alloc.global_of.(tgt.Ir.attr) in
@@ -239,7 +266,7 @@ let build (ir : Ir.t) (pr : Pass_assign.result) ~schedules ~dead
                 else Lnode (tgt.Ir.occ, node_slot tgt))
               r.Ir.r_targets
           in
-          emit (Eval { rule = rid; code; targets })
+          emit (eval rid operands targets)
     in
     let emit_rules_up_to t =
       let rec go () =
@@ -264,7 +291,9 @@ let build (ir : Ir.t) (pr : Pass_assign.result) ~schedules ~dead
     let needed_later aref =
       List.exists
         (fun (rid, _) ->
-          List.exists (resolves_to aref) ir.rules.(rid).Ir.r_deps)
+          Array.fold_left
+            (fun needed dep -> needed || resolves_to aref dep)
+            false ir.rules.(rid).Ir.r_deps)
         !pending
       || List.exists (fun (_, _, src, _) -> resolves_to aref src) !deferred
     in
@@ -285,7 +314,7 @@ let build (ir : Ir.t) (pr : Pass_assign.result) ~schedules ~dead
     Array.iteri
       (fun pos i ->
         let oi = pos + 1 in
-        emit (Read_child i);
+        emit reads.(i);
         emit_rules_up_to ((3 * oi) - 1);
         (* push inherited globals for this child *)
         let setups =
@@ -300,14 +329,14 @@ let build (ir : Ir.t) (pr : Pass_assign.result) ~schedules ~dead
                 (fun a -> where.(instance a) <- Wloc (Lframe t_old))
                 aliases.(g);
               let old = aliases.(g) in
-              emit (Set_global { global = g; from = Lframe ft_new });
+              emit (Set_global { global = g; from = shared (Lframe ft_new) });
               aliases.(g) <- [ tgt ];
               (g, t_old, old))
             setups
         in
         let child_sym = prod.p_rhs.(i) in
         if ir.symbols.(child_sym).Ir.s_kind = Ir.Nonterminal then
-          emit (Visit_child i);
+          emit visits.(i);
         (* synthesized-global effects of the visit *)
         List.iter (fun g -> aliases.(g) <- []) (clobbers ~sym:child_sym ~pass);
         List.iter
@@ -327,7 +356,7 @@ let build (ir : Ir.t) (pr : Pass_assign.result) ~schedules ~dead
               end
             end)
           (Ir.attrs_of_sym ir child_sym);
-        emit (Write_child i);
+        emit writes.(i);
         (* pop inherited globals, reverse order *)
         List.iter
           (fun (g, t_old, old_aliases) ->
@@ -340,7 +369,7 @@ let build (ir : Ir.t) (pr : Pass_assign.result) ~schedules ~dead
     (* final global assignments for LHS-synthesized statics *)
     List.iter
       (fun (g, ft, tgt) ->
-        emit (Set_global { global = g; from = Lframe ft });
+        emit (Set_global { global = g; from = shared (Lframe ft) });
         aliases.(g) <- [ tgt ])
       (List.rev !final_sets);
     List.iter
@@ -352,19 +381,13 @@ let build (ir : Ir.t) (pr : Pass_assign.result) ~schedules ~dead
         else begin
           (* The global was clobbered after the source was produced: the
              copy must execute after all (an Eval, so it is traced). *)
-          emit
-            (Eval
-               {
-                 rule = rid;
-                 code = Ir.Cref (loc_of src);
-                 targets = [ Lglobal g ];
-               });
+          emit (eval rid [| loc_of src |] [| Lglobal g |]);
           aliases.(g) <- [ tgt ]
         end)
       (List.rev !deferred);
     {
       pp_prod = prod.p_id;
-      pp_actions = List.rev !actions;
+      pp_actions = Array.of_list (List.rev !actions);
       pp_frame_size = !frame_count;
       pp_subsumed_rules = List.rev !subsumed;
     }

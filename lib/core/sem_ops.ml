@@ -2,9 +2,11 @@
    evaluator shared by the alternating-pass engine (compiled and
    interpretive), the demand-driven oracle and incremental propagation, so
    differential tests compare evaluation order and instance storage, never
-   expression meaning. Each caller supplies only a leaf reader. Arithmetic
-   and ordering apply to integers; anything else becomes an uninterpreted
-   term, matching the paper's treatment of unknown operations. *)
+   expression meaning. A rule's expression reads operand [i] as
+   [operands.(i)]; each caller supplies its own operand array (locations,
+   references or cells) and the reader for it. Arithmetic and ordering
+   apply to integers; anything else becomes an uninterpreted term,
+   matching the paper's treatment of unknown operations. *)
 
 open Lg_support
 
@@ -35,31 +37,39 @@ let neg = function
   | Value.Int n -> Value.Int (-n)
   | v -> Value.Term ("-", [ v ])
 
-let rec eval_scalar read = function
+let rec eval_scalar read operands = function
   | Ir.Cconst v -> v
-  | Ir.Cref l -> read l
-  | Ir.Ccall (f, args) -> Value.apply f (List.map (eval_scalar read) args)
-  | Ir.Cbinop (op, a, b) -> binop op (eval_scalar read a) (eval_scalar read b)
-  | Ir.Cnot a -> not_ (eval_scalar read a)
-  | Ir.Cneg a -> neg (eval_scalar read a)
+  | Ir.Cref i -> read operands.(i)
+  | Ir.Ccall (f, args) -> Value.apply f (eval_args read operands args)
+  | Ir.Cbinop (op, a, b) ->
+      binop op (eval_scalar read operands a) (eval_scalar read operands b)
+  | Ir.Cnot a -> not_ (eval_scalar read operands a)
+  | Ir.Cneg a -> neg (eval_scalar read operands a)
   | Ir.Cif _ -> invalid_arg "Sem_ops: conditional in scalar position"
 
-let rec eval_multi read = function
+(* A call's arguments, left to right. *)
+and eval_args read operands = function
+  | [] -> []
+  | a :: rest ->
+      let v = eval_scalar read operands a in
+      v :: eval_args read operands rest
+
+let rec eval_multi read operands = function
   | Ir.Cif (branches, else_) ->
       let rec pick = function
-        | [] -> List.concat_map (eval_multi read) else_
+        | [] -> List.concat_map (eval_multi read operands) else_
         | (cond, values) :: rest ->
-            if truthy (eval_scalar read cond) then
-              List.concat_map (eval_multi read) values
+            if truthy (eval_scalar read operands cond) then
+              List.concat_map (eval_multi read operands) values
             else pick rest
       in
       pick branches
-  | e -> [ eval_scalar read e ]
+  | e -> [ eval_scalar read operands e ]
 
 (* The values a rule assigns to its [n_targets] targets, in target order:
    a single value is broadcast to every target. *)
-let eval_rule read e ~n_targets =
-  match eval_multi read e with
+let eval_rule read operands e ~n_targets =
+  match eval_multi read operands e with
   | [ v ] when n_targets > 1 -> List.init n_targets (fun _ -> v)
   | vs ->
       if List.length vs <> n_targets then
@@ -67,3 +77,12 @@ let eval_rule read e ~n_targets =
           (Printf.sprintf "Sem_ops: %d values for %d targets (checker bug)"
              (List.length vs) n_targets);
       vs
+
+let rec assign_from write targets i = function
+  | [] -> ()
+  | v :: rest ->
+      write targets.(i) v;
+      assign_from write targets (i + 1) rest
+
+(* Write a rule's values to its targets, in order. *)
+let assign write targets values = assign_from write targets 0 values

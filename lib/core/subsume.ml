@@ -50,7 +50,7 @@ let analyze ?(costs = default_costs) ?(policy = Per_group) (ir : Ir.t) =
   let defs_of = Array.make nattrs [] in
   Array.iter
     (fun (r : Ir.rule) ->
-      List.iter
+      Array.iter
         (fun t -> defs_of.(t.Ir.attr) <- r.Ir.r_id :: defs_of.(t.Ir.attr))
         r.Ir.r_targets)
     ir.rules;

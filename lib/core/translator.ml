@@ -8,6 +8,8 @@ type t = {
   scanner : Lg_scanner.Tables.t;
   terminal_of_kind : (string, int) Hashtbl.t;  (** token kind -> CFG terminal *)
   sym_of_terminal : int array;  (** CFG terminal -> IR symbol id *)
+  terminal_attrs : Ir.attr array array;
+      (** CFG terminal -> its symbol's attributes, in slot order *)
   names : Interner.t;
   intrinsics : Lg_scanner.Engine.token -> string -> Value.t option;
 }
@@ -32,6 +34,12 @@ let assemble ~intrinsics ~scanner (artifact : Driver.artifact) =
           (fun i -> sym_of_terminal.(i) <- s.Ir.s_id)
           (Hashtbl.find_opt terminal_of_kind s.Ir.s_name))
     ir.Ir.symbols;
+  let terminal_attrs =
+    Array.map
+      (fun sym ->
+        if sym < 0 then [||] else Array.of_list (Ir.attrs_of_sym ir sym))
+      sym_of_terminal
+  in
   {
     ir;
     plan = artifact.Driver.plan;
@@ -39,6 +47,7 @@ let assemble ~intrinsics ~scanner (artifact : Driver.artifact) =
     scanner = Lg_scanner.Tables.compile scanner;
     terminal_of_kind;
     sym_of_terminal;
+    terminal_attrs;
     names = Interner.create ();
     intrinsics;
   }
@@ -112,11 +121,11 @@ let of_source ?options ?(intrinsics = symbolic_intrinsics) ~ag_source ~file () =
            ~scanner:(symbolic_scanner artifact.Driver.ir)
            artifact)
 
-(* Build the intrinsic slot array of a terminal occurrence. *)
-let leaf_of_token t sym (token : Lg_scanner.Engine.token) =
-  let attrs = Ir.attrs_of_sym t.ir sym in
+(* Build the leaf of a token of CFG terminal [term], with its intrinsic
+   slot array. *)
+let leaf_of_token t term (token : Lg_scanner.Engine.token) =
   let vals =
-    List.map
+    Array.map
       (fun (a : Ir.attr) ->
         match t.intrinsics token a.a_name with
         | Some v -> v
@@ -140,9 +149,9 @@ let leaf_of_token t sym (token : Lg_scanner.Engine.token) =
                 | Some n -> Value.Int n
                 | None -> Value.Str token.Lg_scanner.Engine.lexeme)
             | _ -> Value.Bottom))
-      attrs
+      t.terminal_attrs.(term)
   in
-  Tree.leaf ~sym ~attrs:(Array.of_list vals)
+  Tree.leaf ~sym:t.sym_of_terminal.(term) ~attrs:vals
 
 (* The scanner's tokens as CFG terminals, lazily; a token whose kind is
    not a terminal of the grammar is reported and dropped. *)
@@ -160,7 +169,7 @@ let terminals t ~file ~diag source =
 let tree_of_source t ~file ~diag source =
   let ir = t.ir in
   let cfg = Lg_lalr.Tables.grammar t.tables in
-  let shift term token = leaf_of_token t t.sym_of_terminal.(term) token in
+  let shift term token = leaf_of_token t term token in
   let reduce prod children =
     Tree.interior ~prod ~sym:ir.Ir.prods.(prod).Ir.p_lhs ~children
   in

@@ -14,7 +14,9 @@ type loc =
   | Kid of int * int  (* child position, cell *)
   | Leaf of int * int  (* child position, intrinsic slot *)
 
-type rule = { targets : loc list; n_targets : int; rhs : loc Ir.expr }
+(* A rule's targets and operands, resolved; its expression stays in the
+   IR, its leaf [i] reading [operands.(i)]. *)
+type rule = { targets : loc array; operands : loc array }
 
 type dep_index = {
   ir : Ir.t;
@@ -90,7 +92,7 @@ let dep_index (ir : Ir.t) =
     (fun (p : Ir.production) ->
       List.iter
         (fun rid ->
-          List.iter
+          Array.iter
             (fun aref ->
               match loc p.Ir.p_id aref with
               | Own c ->
@@ -109,7 +111,7 @@ let dep_index (ir : Ir.t) =
         if not (List.mem r.Ir.r_id uses.(c)) then
           uses.(c) <- r.Ir.r_id :: uses.(c)
       in
-      List.iter
+      Array.iter
         (fun aref ->
           match loc r.Ir.r_prod aref with
           | Own c -> add used_here.(r.Ir.r_prod) c
@@ -121,9 +123,8 @@ let dep_index (ir : Ir.t) =
     Array.map
       (fun (r : Ir.rule) ->
         {
-          targets = List.map (loc r.Ir.r_prod) r.Ir.r_targets;
-          n_targets = List.length r.Ir.r_targets;
-          rhs = Ir.map (loc r.Ir.r_prod) r.Ir.r_rhs;
+          targets = Array.map (loc r.Ir.r_prod) r.Ir.r_targets;
+          operands = Array.map (loc r.Ir.r_prod) r.Ir.r_deps;
         })
       ir.Ir.rules
   in
@@ -225,9 +226,11 @@ and fire cx (n : Tree.t) row rid =
     raise (Stuck "propagation exceeded its firing budget (cyclic plan?)");
   let r = cx.ix.rules.(rid) in
   let values =
-    Sem_ops.eval_rule (read cx n row) r.rhs ~n_targets:r.n_targets
+    Sem_ops.eval_rule (read cx n row) r.operands
+      cx.ix.ir.Ir.rules.(rid).Ir.r_rhs
+      ~n_targets:(Array.length r.targets)
   in
-  List.iter2 (write cx n row) r.targets values
+  Sem_ops.assign (write cx n row) r.targets values
 
 and write cx (n : Tree.t) row tgt v =
   match tgt with
@@ -278,12 +281,13 @@ let fired_already cx (seed : Tree.t) row rid =
     Attr_versions.fresh cx.versions row
     && Attr_versions.status row c = Attr_versions.Set
   in
-  List.exists
-    (function
-      | Own c -> set row c
-      | Kid (i, c) -> set (Attr_versions.find cx.versions (child seed i)) c
-      | Leaf _ -> false)
-    cx.ix.rules.(rid).targets
+  Array.fold_left
+    (fun fired -> function
+      | Own c -> fired || set row c
+      | Kid (i, c) ->
+          fired || set (Attr_versions.find cx.versions (child seed i)) c
+      | Leaf _ -> fired)
+    false cx.ix.rules.(rid).targets
 
 let run ~index ~versions ~tracer ~seeds ~max_fired =
   (* Consumers of a changed instance: rules of the owner's own

@@ -33,8 +33,9 @@
     per [Ir.t] and held in arrays indexed by production, child position
     and cell: each node's cells, the rule defining each (production,
     occurrence, attribute), the rules consuming it, every rule's
-    right-hand side with its references resolved to cells, and the
-    firing budget's rule bound. *)
+    operands and targets resolved to cells (its expression stays in the
+    IR, leaf [i] reading operand [i]), and the firing budget's rule
+    bound. *)
 type dep_index
 
 val dep_index : Linguist.Ir.t -> dep_index

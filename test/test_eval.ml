@@ -367,6 +367,143 @@ let test_failed_runs_leave_nothing () =
   Alcotest.(check (option int)) "no descriptor left open" fds_before
     (open_fds ())
 
+(* ----- one expression, every consumer ----- *)
+
+(* Each semantic rule has one expression, and four evaluators read it:
+   the compiled engine (through its plan's operand locations), the
+   Schulz-style interpretive engine (through the rule's references,
+   subsumption off), the demand-driven oracle and a fresh incremental
+   build. On each case all four give the same outputs, and the engine's
+   rule and global-move counters keep their pinned values. *)
+let consumer_cases () =
+  let open Lg_languages in
+  let corpus profile =
+    let g =
+      Lg_corpus.Corpus_gen.generate ~name:"corpus"
+        (Lg_corpus.Corpus_gen.config_of_profile profile)
+        ~seed:1
+    in
+    let make ~options () =
+      match
+        Translator.of_source ~options ~ag_source:g.Lg_corpus.Corpus_gen.g_source
+          ~file:"corpus" ()
+      with
+      | Ok t -> t
+      | Error _ -> Alcotest.fail "corpus grammar does not build"
+    in
+    let sentence =
+      Lg_corpus.Corpus_gen.sentence (Lg_corpus.Corpus_gen.build_exn g) ~seed:1
+        ~size:200
+    in
+    (make, sentence)
+  in
+  [
+    ( "desk_calc",
+      Desk_calc.translator_with,
+      "x := 4; print x - 1;\ny := x + z; print (y + 2) - (3 - x);" );
+    ("knuth_binary", Knuth_binary.translator_with, "1101.0101");
+    ( "assembler",
+      Assembler.translator_with,
+      "push 0\nstore i\nloop: load i\npush 1\nadd\nstore i\nload i\npush 4\n\
+       lt\njt loop\nload i\nout\njf skip\npush 7\nout\nskip: push 9\nout\n" );
+    ( "pascal",
+      Pascal_ag.translator_with,
+      {|
+program fib;
+var a : integer; b : integer; t : integer; i : integer; f : boolean;
+begin
+  a := 0; b := 1; i := 0; f := a < b;
+  while i < 10 do begin t := a + b; a := b; b := t; i := i + 1 end;
+  if not f then writeln(a) else writeln(b * 2)
+end.
+|} );
+    ("linguist", Linguist_ag.translator_with, Linguist_ag.ag_source);
+  ]
+  @ List.map
+      (fun (name, profile) ->
+        let make, sentence = corpus profile in
+        (name, make, sentence))
+      Lg_corpus.Corpus_gen.
+        [
+          ("small/1", Small);
+          ("medium/1", Medium);
+          ("large/1", Large);
+          ("xl/1", Xl);
+        ]
+
+(* (case, compiled rules, compiled global moves, interpretive rules) *)
+let expected_consumer_counters =
+  [
+    ("desk_calc", 80, 15, 105);
+    ("knuth_binary", 41, 0, 41);
+    ("assembler", 230, 178, 397);
+    ("pascal", 319, 66, 450);
+    ("linguist", 22707, 891, 29149);
+    ("small/1", 43, 0, 43);
+    ("medium/1", 123, 0, 123);
+    ("large/1", 455, 0, 455);
+    ("xl/1", 1868, 0, 1868);
+  ]
+
+let test_consumers_agree () =
+  let counters =
+    List.map
+      (fun (name, make, input) ->
+        let subsumed = make ~options:Driver.default_options ()
+        and plain =
+          make
+            ~options:{ Driver.default_options with Driver.subsumption = false }
+            ()
+        in
+        let tree_of t =
+          match
+            Translator.tree_of_source t ~file:name ~diag:(Diag.create ()) input
+          with
+          | Some tree -> tree
+          | None -> Alcotest.failf "%s: the sample input does not parse" name
+        in
+        let plan = Translator.plan subsumed in
+        let tree = tree_of subsumed in
+        let compiled = Engine.run plan tree in
+        let interpretive =
+          Engine.run
+            ~options:{ Engine.default_options with Engine.interpretive = true }
+            (Translator.plan plain) (tree_of plain)
+        in
+        let oracle = Demand.evaluate (Translator.ir subsumed) tree in
+        let incr, _ =
+          Lg_incremental.Incr.update Lg_incremental.Incr.default_config ~plan
+            ~engine_options:Engine.default_options ~tree:(tree_of subsumed)
+        in
+        (match incr.Lg_incremental.Incr.mode with
+        | Lg_incremental.Incr.Fresh _ -> ()
+        | _ -> Alcotest.failf "%s: the incremental build fell back" name);
+        let same what outputs =
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s: %s output names" name what)
+            (List.map fst compiled.Engine.outputs)
+            (List.map fst outputs);
+          List.iter2
+            (fun (n, want) (_, got) ->
+              Alcotest.check check_value
+                (Printf.sprintf "%s: %s output %s" name what n)
+                want got)
+            compiled.Engine.outputs outputs
+        in
+        same "interpretive" interpretive.Engine.outputs;
+        same "demand" oracle.Demand.outputs;
+        same "incremental" incr.Lg_incremental.Incr.outputs;
+        ( name,
+          compiled.Engine.stats.Engine.rules_evaluated,
+          compiled.Engine.stats.Engine.global_moves,
+          interpretive.Engine.stats.Engine.rules_evaluated ))
+      (consumer_cases ())
+  in
+  Alcotest.(check (list (pair string (triple int int int))))
+    "engine counters"
+    (List.map (fun (n, a, b, c) -> (n, (a, b, c))) expected_consumer_counters)
+    (List.map (fun (n, a, b, c) -> (n, (a, b, c))) counters)
+
 let () =
   Alcotest.run "eval"
     [
@@ -382,6 +519,11 @@ let () =
           Alcotest.test_case "interpretive mode" `Quick test_interpretive_mode;
           Alcotest.test_case "interpretive guard" `Quick
             test_interpretive_requires_no_subsumption;
+        ] );
+      ( "one expression",
+        [
+          Alcotest.test_case "every consumer agrees" `Quick
+            test_consumers_agree;
         ] );
       ( "bookkeeping",
         [

@@ -346,9 +346,8 @@ end
   in
   List.iter
     (fun (r : Ir.rule) ->
-      match (r.r_targets, r.r_rhs) with
-      | [ { Ir.occ = Ir.Rhs _; attr } ], Ir.Cref { Ir.occ = Ir.Lhs; attr = src }
-        ->
+      match Ir.copy_ends r with
+      | Some ({ Ir.occ = Ir.Rhs _; attr }, { Ir.occ = Ir.Lhs; attr = src }) ->
           Alcotest.(check string) "target is E" "E" ir.Ir.attrs.(attr).Ir.a_name;
           Alcotest.(check string) "source is E" "E" ir.Ir.attrs.(src).Ir.a_name
       | _ -> Alcotest.fail "unexpected implicit rule shape")

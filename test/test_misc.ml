@@ -585,7 +585,7 @@ let test_pretty_printers () =
   let ir = Fixtures.ir_of_source Fixtures.sum_grammar in
   let plan = Linguist.Driver.plan_of_ir ir in
   let pp0 = plan.Linguist.Plan.pass_plans.(0).Linguist.Plan.pl_prods.(0) in
-  List.iter
+  Array.iter
     (fun action ->
       Alcotest.(check bool) "Plan.pp_action" true
         (String.length
@@ -604,11 +604,13 @@ let test_pretty_printers () =
   let sum_evals =
     Array.to_list plan.Linguist.Plan.pass_plans
     |> List.concat_map (fun (pl : Linguist.Plan.pass_plan) ->
-           pl.Linguist.Plan.pl_prods.(1).Linguist.Plan.pp_actions)
+           Array.to_list pl.Linguist.Plan.pl_prods.(1).Linguist.Plan.pp_actions)
     |> List.filter_map (function
          | Linguist.Plan.Eval { rule; _ } as action
            when ir.Linguist.Ir.rules.(rule).Linguist.Ir.r_targets
-                = [ { Linguist.Ir.occ = Linguist.Ir.Lhs; attr = sum.Linguist.Ir.a_id } ]
+                = [|
+                    { Linguist.Ir.occ = Linguist.Ir.Lhs; attr = sum.Linguist.Ir.a_id };
+                  |]
            ->
              Some (Format.asprintf "%a" (Linguist.Plan.pp_action ir fork) action)
          | _ -> None)

@@ -31,7 +31,7 @@ module Reference = struct
       List.filter
         (fun rid ->
           let r = ir.rules.(rid) in
-          List.exists (fun t -> passes.(t.Ir.attr) = pass) r.Ir.r_targets)
+          List.exists (fun t -> passes.(t.Ir.attr) = pass) (Array.to_list r.Ir.r_targets))
         prod.p_rules
     in
     let definer : (Ir.aref, int) Hashtbl.t = Hashtbl.create 16 in
@@ -39,7 +39,7 @@ module Reference = struct
       (fun rid ->
         List.iter
           (fun t -> Hashtbl.replace definer t rid)
-          ir.rules.(rid).Ir.r_targets)
+          (Array.to_list ir.rules.(rid).Ir.r_targets))
       prod.p_rules;
     let avail_of (d : Ir.aref) =
       let a = ir.attrs.(d.attr) in
@@ -81,7 +81,7 @@ module Reference = struct
           match avail_of d with
           | After_rule dep when Hashtbl.mem local_set dep -> Some dep
           | After_rule _ | At _ | Not_before_pass _ -> None)
-        ir.rules.(rid).Ir.r_deps
+        (Array.to_list ir.rules.(rid).Ir.r_deps)
     in
     let cyclic = Hashtbl.create 4 in
     let color = Hashtbl.create 16 in
@@ -122,7 +122,7 @@ module Reference = struct
             match t.occ with
             | Ir.Rhs i -> max acc (t_read i)
             | Ir.Lhs | Ir.Limb_occ -> acc)
-          0 r.Ir.r_targets
+          0 (Array.to_list r.Ir.r_targets)
       in
       List.fold_left
         (fun acc d ->
@@ -140,7 +140,7 @@ module Reference = struct
               | Some (p0, _) when p0 >= pb -> ()
               | _ -> Hashtbl.replace needs rid (pb, why));
               max acc infinity_time)
-        target_floor r.Ir.r_deps
+        target_floor (Array.to_list r.Ir.r_deps)
     in
     let changed = ref true in
     while !changed do
@@ -166,7 +166,7 @@ module Reference = struct
               match (tgt.Ir.occ, ir.attrs.(tgt.Ir.attr).Ir.a_kind) with
               | Ir.Rhs i, Ir.Inherited -> min acc (t_deadline_inh i)
               | _ -> min acc t_end)
-            t_end r.Ir.r_targets
+            t_end (Array.to_list r.Ir.r_targets)
         in
         let fail reason needs_pass =
           failures :=
@@ -244,13 +244,13 @@ module Reference = struct
             (fun rid ->
               let r = ir.rules.(rid) in
               let m =
-                List.fold_left (fun acc t -> max acc passes.(t.Ir.attr)) 1 r.Ir.r_targets
+                List.fold_left (fun acc t -> max acc passes.(t.Ir.attr)) 1 (Array.to_list r.Ir.r_targets)
               in
               List.iter
                 (fun t ->
                   if bump t.Ir.attr m "multi-target rule unification" then
                     changed := true)
-                r.Ir.r_targets)
+                (Array.to_list r.Ir.r_targets))
             prod.p_rules;
           (* Feasibility per pass. *)
           let max_local_pass =
@@ -258,7 +258,7 @@ module Reference = struct
               (fun acc rid ->
                 List.fold_left
                   (fun acc t -> max acc passes.(t.Ir.attr))
-                  acc ir.rules.(rid).Ir.r_targets)
+                  acc (Array.to_list ir.rules.(rid).Ir.r_targets))
               1 prod.p_rules
           in
           for k = 1 to min max_local_pass max_passes do
@@ -272,7 +272,7 @@ module Reference = struct
                     if bump t.Ir.attr f.sf_needs_pass f.sf_reason then
                       changed := true
                     else if f.sf_needs_pass > max_passes then failed := true)
-                  r.Ir.r_targets)
+                  (Array.to_list r.Ir.r_targets))
               failures
           done)
         ir.prods;
@@ -503,7 +503,7 @@ end
     | [] -> Alcotest.fail "no visit of b found"
     | Plan.Eval { targets; _ } :: rest ->
         let defines_s =
-          List.exists
+          Array.exists
             (function
               | Plan.Lnode (Ir.Lhs, 0) -> true
               | _ -> false)
@@ -514,7 +514,7 @@ end
         Alcotest.(check bool) "top.S evaluated before visiting b" true seen_s
     | _ :: rest -> check_order seen_s rest
   in
-  check_order false top_plan.Plan.pp_actions;
+  check_order false (Array.to_list top_plan.Plan.pp_actions);
   (* semantics confirmed against the oracle *)
   let k_sym =
     (Array.to_list ir.Ir.symbols
@@ -686,7 +686,7 @@ let test_schedule_orders_child_inh_before_visit () =
              Write. *)
           let seen_read = Array.make 8 false in
           let seen_visit = Array.make 8 false in
-          List.iter
+          Array.iter
             (fun (action : Plan.action) ->
               match action with
               | Plan.Read_child i -> seen_read.(i) <- true
@@ -696,7 +696,7 @@ let test_schedule_orders_child_inh_before_visit () =
               | Plan.Write_child i ->
                   Alcotest.(check bool) "read before write" true seen_read.(i)
               | Plan.Eval { targets; _ } ->
-                  List.iter
+                  Array.iter
                     (fun loc ->
                       match loc with
                       | Plan.Lnode (Ir.Rhs i, _) ->
@@ -896,6 +896,103 @@ let test_plan_drops_schedules () =
   Alcotest.(check bool) "schedules collected" false (Weak.check weak 0);
   ignore (Sys.opaque_identity plan)
 
+(* Every plan's printed form, pinned by digest: each action line of every
+   production and pass (with the production's frame size and subsumed
+   rules), for the grammar files with and without static subsumption, the
+   five language translators and two corpus grammars. A change to how
+   plans are stored must leave what they say unchanged. *)
+let plan_lines name (plan : Plan.t) =
+  let ir = plan.Plan.ir in
+  let buf = Buffer.create 4096 in
+  Array.iter
+    (fun (pl : Plan.pass_plan) ->
+      Array.iter
+        (fun (pp : Plan.prod_plan) ->
+          let prod = ir.Ir.prods.(pp.Plan.pp_prod) in
+          Printf.bprintf buf "%s pass %d %s frame %d subsumed [%s]\n" name
+            pl.Plan.pl_pass prod.Ir.p_tag pp.Plan.pp_frame_size
+            (String.concat " "
+               (List.map string_of_int pp.Plan.pp_subsumed_rules));
+          Array.iter
+            (fun action ->
+              Buffer.add_string buf
+                (Format.asprintf "  %a\n" (Plan.pp_action ir prod) action))
+            pp.Plan.pp_actions)
+        pl.Plan.pl_prods)
+    plan.Plan.pass_plans;
+  Buffer.contents buf
+
+let expected_plan_digests =
+  [
+    ("assembler.ag", "c73085fc18742f9f797ef813e26eb5d0");
+    ("assembler.ag unsubsumed", "b925db19a560be8192798d83a25051ce");
+    ("desk_calc.ag", "6c51a8c2ff587338d9c4a8f82ebcf8db");
+    ("desk_calc.ag unsubsumed", "12675bba20586707790528badf77770b");
+    ("knuth_binary.ag", "588bd0cfa77e4de0cb339a8c38a6e22c");
+    ("knuth_binary.ag unsubsumed", "588bd0cfa77e4de0cb339a8c38a6e22c");
+    ("linguist.ag", "e25204b155a654bb5bcf682fd1e90a99");
+    ("linguist.ag unsubsumed", "6bb704410e3b3a23000479a00c2f968c");
+    ("pascal_subset.ag", "82d70ad7be9ecb97ac3e7c72b6646f2e");
+    ("pascal_subset.ag unsubsumed", "1f46710d17c03125cc1403bf233adcb3");
+    ("desk_calc", "ddb3002f8ecc8ab682e45474b8d3694b");
+    ("assembler", "58bb89f4c630509c446425fdf4b2a175");
+    ("knuth_binary", "33063d576ca2676e586830faac73bcb7");
+    ("pascal", "09c0774e638b047dd0bbe7b1dd979c8f");
+    ("linguist", "552cde1dabcd6dd1047b9e092e63fadf");
+    ("small/1", "5083ab380a815d67b06065fb82c1ab4f");
+    ("medium/1", "020b1dec7b644165e5cee60dda8bcb87");
+  ]
+
+let test_plans_pinned () =
+  let dir = "../grammars" in
+  let files =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.filter (fun f -> Filename.check_suffix f ".ag")
+  in
+  let no_subsumption =
+    { Driver.default_options with Driver.subsumption = false }
+  in
+  let pinned =
+    List.concat_map
+      (fun f ->
+        let source =
+          In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all
+        in
+        let plan options =
+          (Driver.process_exn ~options ~file:f source).Driver.plan
+        in
+        [
+          (f, plan_lines f (plan Driver.default_options));
+          (f ^ " unsubsumed", plan_lines f (plan no_subsumption));
+        ])
+      files
+    @ List.map
+        (fun (name, translator) ->
+          (name, plan_lines name (Translator.plan (translator ()))))
+        Lg_languages.
+          [
+            ("desk_calc", Desk_calc.translator);
+            ("assembler", Assembler.translator);
+            ("knuth_binary", Knuth_binary.translator);
+            ("pascal", Pascal_ag.translator);
+            ("linguist", Linguist_ag.translator);
+          ]
+    @ List.map
+        (fun (name, profile) ->
+          ( name,
+            plan_lines name
+              (Driver.process_exn ~file:name (corpus_source profile ~seed:1))
+                .Driver.plan ))
+        Lg_corpus.Corpus_gen.[ ("small/1", Small); ("medium/1", Medium) ]
+  in
+  let digests =
+    List.map
+      (fun (name, text) -> (name, Digest.to_hex (Digest.string text)))
+      pinned
+  in
+  Alcotest.(check (list (pair string string)))
+    "plan digests" expected_plan_digests digests
+
 let () =
   Alcotest.run "passes"
     [
@@ -934,5 +1031,6 @@ let () =
             test_schedule_orders_child_inh_before_visit;
           Alcotest.test_case "plan keeps no schedules" `Quick
             test_plan_drops_schedules;
+          Alcotest.test_case "plans pinned" `Quick test_plans_pinned;
         ] );
     ]

@@ -104,7 +104,7 @@ let test_listprod_save_restore_emitted () =
   (* The top production redefines the static A with a real expression, so
      the child visit must be bracketed with save / set / restore. *)
   let top_actions = (plan_of "TopLimb").Plan.pp_actions in
-  let has pred = List.exists pred top_actions in
+  let has pred = Array.exists pred top_actions in
   Alcotest.(check bool) "Save emitted in TopLimb" true
     (has (function Plan.Save _ -> true | _ -> false));
   Alcotest.(check bool) "Set_global emitted in TopLimb" true
