@@ -462,18 +462,21 @@ let f2 () =
   rowf "  %-20s %18d %18.0f\n" "xl corpus (seed 1)" schedules build_words;
   (* What a built translator keeps before it translates anything: the
      words reachable from it (IR, plan, parse and scanner tables), exact
-     for a given build. *)
+     for a given build; and of those, the words of its IR alone, so that
+     growth of the IR and growth of the plan show apart. *)
   let words t = float_of_int (Obj.reachable_words (Obj.repr t)) in
   let xl_words = words xl_translator
+  and xl_ir_words = words (Translator.ir xl_translator)
   and linguist_words = words (Linguist_ag.translator ()) in
-  rowf "\n  %-20s %18s\n" "translator" "reachable words";
-  rowf "  %-20s %18.0f\n" "xl corpus (seed 1)" xl_words;
+  rowf "\n  %-20s %18s %18s\n" "translator" "reachable words" "IR words";
+  rowf "  %-20s %18.0f %18.0f\n" "xl corpus (seed 1)" xl_words xl_ir_words;
   rowf "  %-20s %18.0f\n" "linguist.ag" linguist_words;
   let build_leaves =
     [
       ("xl_seed1_schedule_calls", float_of_int schedules);
       ("xl_seed1_build_minor_words", build_words);
       ("xl_seed1_translator_words", xl_words);
+      ("xl_seed1_ir_words", xl_ir_words);
       ("linguist_ag_translator_words", linguist_words);
     ]
   in

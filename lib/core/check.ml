@@ -5,11 +5,20 @@ open Ag_ast
 type builder = {
   diag : Diag.collector;
   mutable symbols : Ir.symbol list;  (** reversed *)
-  mutable attrs : Ir.attr list;  (** reversed *)
+  mutable attrs : (Ir.attr * Loc.span) list;  (** reversed *)
+  types : (string, string) Hashtbl.t;  (** shared type names *)
   sym_index : (string, int) Hashtbl.t;
   mutable n_syms : int;
   mutable n_attrs : int;
 }
+
+(* [v], or the value already shared under [key] *)
+let share tbl key v =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+      Hashtbl.add tbl key v;
+      v
 
 let sym_kind_text = function
   | Ir.Terminal -> "terminal"
@@ -65,14 +74,14 @@ let declare_symbol b kind (d : sym_decl) =
                 let a_id = b.n_attrs in
                 b.n_attrs <- a_id + 1;
                 b.attrs <-
-                  {
-                    Ir.a_id;
-                    a_sym = s_id;
-                    a_name = a.attr_name;
-                    a_type = a.attr_type;
-                    a_kind;
-                    a_span = a.a_span;
-                  }
+                  ( {
+                      Ir.a_id;
+                      a_sym = s_id;
+                      a_name = a.attr_name;
+                      a_type = share b.types a.attr_type a.attr_type;
+                      a_kind;
+                    },
+                    a.a_span )
                   :: b.attrs;
                 attr_ids := a_id :: !attr_ids
             | None -> ()
@@ -84,7 +93,6 @@ let declare_symbol b kind (d : sym_decl) =
           s_name = d.sym_name;
           s_kind = kind;
           s_attrs = List.rev !attr_ids;
-          s_span = d.s_span;
         }
         :: b.symbols
 
@@ -146,6 +154,7 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
       diag;
       symbols = [];
       attrs = [];
+      types = Hashtbl.create 16;
       sym_index = Hashtbl.create 64;
       n_syms = 0;
       n_attrs = 0;
@@ -180,7 +189,8 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
       | Sec_root _ | Sec_strategy _ | Sec_productions _ -> ())
     spec.sections;
   let symbols = Array.of_list (List.rev b.symbols) in
-  let attrs = Array.of_list (List.rev b.attrs) in
+  let attrs = Array.of_list (List.rev_map fst b.attrs) in
+  let attr_spans = Array.of_list (List.rev_map snd b.attrs) in
   let attrs_of sym = List.map (fun a -> attrs.(a)) symbols.(sym).Ir.s_attrs in
   (* ---- productions (shapes) ---- *)
   let prod_decls =
@@ -256,7 +266,6 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
                     (match pd.limb with
                     | Some name -> name
                     | None -> Printf.sprintf "P%d" p_id);
-                  p_span = pd.p_span;
                 },
                 pd )
         | _ -> None)
@@ -280,8 +289,8 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
               None)
       | None -> (
           match prods with
-          | ({ Ir.p_lhs; p_span; _ }, _) :: _ ->
-              Diag.warning diag p_span
+          | ({ Ir.p_lhs; _ }, pd) :: _ ->
+              Diag.warning diag pd.p_span
                 "no root declaration; taking %S (left-hand side of the first production)"
                 symbols.(p_lhs).Ir.s_name;
               Some p_lhs
@@ -294,24 +303,17 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
         List.iter
           (fun a ->
             if a.Ir.a_kind = Ir.Inherited then
-              Diag.error diag a.Ir.a_span
+              Diag.error diag attr_spans.(a.Ir.a_id)
                 "root symbol %S must not have inherited attributes (%S)"
                 symbols.(r).Ir.s_name a.Ir.a_name)
           (attrs_of r)
     | None -> ());
     (* ---- semantic functions ---- *)
     let rules = ref [] and n_rules = ref 0 in
-    let defined : (int * Ir.aref, Loc.span) Hashtbl.t = Hashtbl.create 128 in
+    let defined : (int * Ir.aref, unit) Hashtbl.t = Hashtbl.create 128 in
     (* Equal references are one value across the IR, and so are their
        [Rhs i] occurrences, the names of called functions and the integer
        and boolean constants. *)
-    let share tbl key v =
-      match Hashtbl.find_opt tbl key with
-      | Some v -> v
-      | None ->
-          Hashtbl.add tbl key v;
-          v
-    in
     let occs = Hashtbl.create 16 and arefs = Hashtbl.create 256 in
     let callees = Hashtbl.create 64 and consts = Hashtbl.create 64 in
     let const v = share consts v (Ir.Cconst v) in
@@ -324,7 +326,7 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
           in
           share arefs r { r with Ir.occ }
     in
-    let add_rule ~prod ~targets ~rhs ~implicit ~span =
+    let add_rule ~prod ~targets ~rhs ~implicit ~(span : Loc.span) =
       let r_id = !n_rules in
       incr n_rules;
       let r_rhs, deps = Ir.operands rhs in
@@ -336,7 +338,10 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
           r_rhs;
           r_deps = Array.map share_aref deps;
           r_implicit = implicit;
-          r_span = span;
+          r_line = span.start_p.line;
+          r_col = span.start_p.col;
+          r_start = span.start_p.offset;
+          r_stop = span.end_p.offset;
         }
         :: !rules;
       r_id
@@ -486,14 +491,12 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
                 false
           in
           let record_definition aref span =
-            match Hashtbl.find_opt defined (prod.Ir.p_id, aref) with
-            | Some _first ->
-                Diag.error diag span
-                  "attribute occurrence already defined in this production";
-                false
-            | None ->
-                Hashtbl.add defined (prod.Ir.p_id, aref) span;
-                true
+            let fresh = not (Hashtbl.mem defined (prod.Ir.p_id, aref)) in
+            if fresh then Hashtbl.add defined (prod.Ir.p_id, aref) ()
+            else
+              Diag.error diag span
+                "attribute occurrence already defined in this production";
+            fresh
           in
           List.iter
             (fun (f : semfn) ->
@@ -546,13 +549,13 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
                 | _ -> ()
               end)
             pd.sems;
-          (prod, List.rev !rule_ids))
+          (prod, pd.p_span, List.rev !rule_ids))
         prods
     in
     (* ---- implicit copy-rules and completeness ---- *)
     let final_prods =
       List.map
-        (fun ((prod : Ir.production), rule_ids) ->
+        (fun ((prod : Ir.production), p_span, rule_ids) ->
           let is_defined aref = Hashtbl.mem defined (prod.Ir.p_id, aref) in
           let implicit_rules =
             Implicit.insert ~symbols ~attrs ~prod ~defined:is_defined
@@ -560,15 +563,15 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
           let implicit_ids =
             List.map
               (fun (target, source) ->
-                Hashtbl.add defined (prod.Ir.p_id, target) prod.Ir.p_span;
+                Hashtbl.add defined (prod.Ir.p_id, target) ();
                 add_rule ~prod:prod.Ir.p_id ~targets:[ target ]
-                  ~rhs:(Ir.Cref source) ~implicit:true ~span:prod.Ir.p_span)
+                  ~rhs:(Ir.Cref source) ~implicit:true ~span:p_span)
               implicit_rules
           in
           (* completeness *)
           let require aref what =
             if not (Hashtbl.mem defined (prod.Ir.p_id, aref)) then
-              Diag.error diag prod.Ir.p_span
+              Diag.error diag p_span
                 "production %s: %s %S is never defined (and no implicit copy-rule applies)"
                 prod.Ir.p_tag what
                 attrs.(aref.Ir.attr).Ir.a_name
@@ -607,6 +610,7 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
         let ir =
           {
             Ir.grammar_name = spec.name;
+            source_file = spec.sp_span.file;
             symbols;
             attrs;
             prods = Array.of_list final_prods;

@@ -8,7 +8,6 @@ type attr = {
   a_name : string;
   a_type : string;
   a_kind : attr_kind;
-  a_span : Loc.span;
 }
 
 type sym_kind = Terminal | Nonterminal | Limb
@@ -18,7 +17,6 @@ type symbol = {
   s_name : string;
   s_kind : sym_kind;
   s_attrs : int list;
-  s_span : Loc.span;
 }
 
 type occ = Lhs | Rhs of int | Limb_occ
@@ -40,7 +38,10 @@ type rule = {
   r_rhs : int expr;
   r_deps : aref array;
   r_implicit : bool;
-  r_span : Loc.span;
+  r_line : int;
+  r_col : int;
+  r_start : int;
+  r_stop : int;
 }
 
 type production = {
@@ -50,11 +51,11 @@ type production = {
   p_limb : int option;
   p_rules : int list;
   p_tag : string;
-  p_span : Loc.span;
 }
 
 type t = {
   grammar_name : string;
+  source_file : string;
   symbols : symbol array;
   attrs : attr array;
   prods : production array;
@@ -76,6 +77,10 @@ let slot_of_attr t attr_id =
     | x :: rest -> if x = attr_id then i else index (i + 1) rest
   in
   index 0 t.symbols.(a.a_sym).s_attrs
+
+let rule_span t r =
+  let start_p = { Loc.line = r.r_line; col = r.r_col; offset = r.r_start } in
+  Loc.span t.source_file start_p { start_p with offset = r.r_stop }
 
 let copy_ends r =
   match (r.r_targets, r.r_rhs) with

@@ -4,7 +4,13 @@
     assignment, scheduling, evaluation, static subsumption, code generation,
     statistics — works on this form. Symbols, attributes, productions and
     rules are dense arrays; attribute occurrences are (production,
-    occurrence, attribute) triples. *)
+    occurrence, attribute) triples.
+
+    Of the source positions, the IR keeps only what a diagnostic after
+    {!Check} needs: each rule's start position and end offset, and the
+    file name once. Symbols, attributes and productions keep none —
+    {!Check} reports against the AST's spans, and nothing downstream
+    reports against theirs. *)
 
 type attr_kind = Inherited | Synthesized | Intrinsic | Limb_attr
 
@@ -14,7 +20,6 @@ type attr = {
   a_name : string;
   a_type : string;  (** uninterpreted type identifier *)
   a_kind : attr_kind;
-  a_span : Lg_support.Loc.span;
 }
 
 type sym_kind = Terminal | Nonterminal | Limb
@@ -24,7 +29,6 @@ type symbol = {
   s_name : string;
   s_kind : sym_kind;
   s_attrs : int list;  (** attribute ids, declaration order *)
-  s_span : Lg_support.Loc.span;
 }
 
 (** An occurrence within a production: the left-hand side, a right-hand
@@ -66,7 +70,10 @@ type rule = {
   r_deps : aref array;
       (** the free references, deduplicated, in first-use order *)
   r_implicit : bool;  (** inserted implicit copy-rule *)
-  r_span : Lg_support.Loc.span;
+  r_line : int;  (** where the rule starts: line, column, byte offset *)
+  r_col : int;
+  r_start : int;
+  r_stop : int;  (** byte offset where the rule ends *)
 }
 
 type production = {
@@ -76,11 +83,11 @@ type production = {
   p_limb : int option;  (** limb symbol id *)
   p_rules : int list;  (** rule ids, source order, implicit rules last *)
   p_tag : string;
-  p_span : Lg_support.Loc.span;
 }
 
 type t = {
   grammar_name : string;
+  source_file : string;  (** the file the rules' positions refer to *)
   symbols : symbol array;
   attrs : attr array;
   prods : production array;
@@ -96,6 +103,11 @@ val find_attr : t -> sym:int -> name:string -> attr option
 val slot_of_attr : t -> int -> int
 (** Position of an attribute within its symbol's attribute list — the
     in-memory node layout used by the evaluator. *)
+
+val rule_span : t -> rule -> Lg_support.Loc.span
+(** The rule's source span, for diagnostics: its start position and end
+    offset, which are all that {!Lg_support.Diag} prints and sorts by. The
+    end position's line and column are the start's. *)
 
 val copy_ends : rule -> (aref * aref) option
 (** [Some (target, source)] for a copy-rule: a single target whose

@@ -403,7 +403,7 @@ let compute ?(max_passes = 16) ~diag (ir : Ir.t) =
               then begin
                 Hashtbl.add reported f.f_rule ();
                 let r = ir.rules.(f.f_rule) in
-                Diag.error diag r.Ir.r_span
+                Diag.error diag (Ir.rule_span ir r)
                   "not evaluable in %d alternating passes: semantic function %a: %s"
                   max_passes (Ir.pp_rule ir) r (reason_text ir prod dir f.f_reason)
               end)

@@ -319,6 +319,24 @@ let test_missing_root_defaults_to_first_lhs () =
   Alcotest.(check string) "root is a" "a"
     ir.Ir.symbols.(ir.Ir.root).Ir.s_name
 
+(* Attributes declared with one type name share one string. *)
+let test_attr_types_shared () =
+  let ir =
+    Fixtures.ir_of_source
+      "grammar X; nonterminals a has syn P : int, syn Q : int; \
+       b has syn R : int, syn S : bool; end \
+       productions a ::= b -> L : a.P = 1, a.Q = 2; b ::= -> M : b.R = 3, \
+       b.S = true; end limbs L; M; end"
+  in
+  let ty name =
+    (Array.to_list ir.Ir.attrs
+    |> List.find (fun (a : Ir.attr) -> String.equal a.Ir.a_name name))
+      .Ir.a_type
+  in
+  Alcotest.(check bool) "P and Q" true (ty "P" == ty "Q");
+  Alcotest.(check bool) "P and R, across symbols" true (ty "P" == ty "R");
+  Alcotest.(check string) "S keeps its own" "bool" (ty "S")
+
 (* ----- implicit copy-rules ----- *)
 
 let test_implicit_inherited_multi_occurrence () =
@@ -491,6 +509,79 @@ let test_parity_desk_calc_syntax_error () =
     [ "<input>:1.6-1.7 syntax error; expected one of: ID, NUM, LPAR" ]
     (desk_calc_diagnostics "x := ; y := 1 1; z := ;")
 
+(* The diagnostics that locate a checked production, attribute or rule
+   rather than a token: the missing root declaration, an inherited
+   attribute on the root, an occurrence never defined, and rules (one
+   explicit, one implicit copy-rule) outside the alternating-pass class.
+   The text and its order are pinned byte for byte. *)
+let pinned_check_src =
+  {|grammar Pin;
+terminals K; end
+nonterminals
+  top has inh I : int, syn S : int;
+  x has syn B : int;
+end
+limbs TopL; XL; end
+productions
+  top ::= x -> TopL :
+    top.S = x.B;
+  x ::= K -> XL;
+end
+|}
+
+let pinned_pass_src =
+  {|grammar Zag;
+root top;
+strategy recursive_descent;
+terminals K has intrinsic V : int; end
+nonterminals
+  top has syn OUT : int, syn Q : int;
+  a has inh IN : int, inh Q : int, syn S : int;
+  b has syn S : int;
+end
+limbs TopL; AL; BL; end
+productions
+  top ::= a b -> TopL :
+    a.IN = b.S,
+    top.Q = b.S,
+    top.OUT = a.S;
+  a ::= K -> AL :
+    a.S = a.IN + a.Q + K.V;
+  b ::= K -> BL :
+    b.S = K.V;
+end
+|}
+
+let pinned_diagnostics ?(max_passes = 16) src =
+  let options = { Driver.default_options with Driver.max_passes } in
+  match Driver.process ~options ~file:"pin.ag" src with
+  | Ok _ -> Alcotest.fail "must fail"
+  | Error diag -> Format.asprintf "%a" Lg_support.Diag.pp_all diag
+
+let test_parity_ir_spans () =
+  Alcotest.(check string)
+    "check: root and completeness"
+    "pin.ag:4.15: error: root symbol \"top\" must not have inherited \
+     attributes (\"I\")\n\
+     pin.ag:9.3: warning: no root declaration; taking \"top\" (left-hand \
+     side of the first production)\n\
+     pin.ag:11.3: error: production XL: synthesized left-hand-side \
+     attribute \"B\" is never defined (and no implicit copy-rule applies)\n"
+    (pinned_diagnostics pinned_check_src);
+  Alcotest.(check string)
+    "pass assignment: explicit and implicit rules"
+    "<builtin>:1.1: info: the grammar is well-defined (noncircular); its \
+     information flow simply does not fit the requested number of \
+     alternating passes\n\
+     pin.ag:12.3: error: not evaluable in 1 alternating passes: semantic \
+     function a$1.Q = top$lhs.Q   # implicit: its arguments become \
+     available only at point 6 but the target must exist at point 2 of the \
+     left-to-right pass\n\
+     pin.ag:13.5: error: not evaluable in 1 alternating passes: semantic \
+     function a$1.IN = b$2.S: its arguments become available only at point \
+     6 but the target must exist at point 2 of the left-to-right pass\n"
+    (pinned_diagnostics ~max_passes:1 pinned_pass_src)
+
 let () =
   Alcotest.run "front"
     [
@@ -516,12 +607,15 @@ let () =
             test_parity_desk_calc_scan_error;
           Alcotest.test_case "desk_calc, first syntax error" `Quick
             test_parity_desk_calc_syntax_error;
+          Alcotest.test_case "checked IR positions" `Quick test_parity_ir_spans;
         ] );
       ( "check",
         [
           Alcotest.test_case "diagnostic catalog" `Quick test_check_diagnostics;
           Alcotest.test_case "default root" `Quick
             test_missing_root_defaults_to_first_lhs;
+          Alcotest.test_case "attribute types shared" `Quick
+            test_attr_types_shared;
         ] );
       ( "implicit",
         [

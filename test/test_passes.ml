@@ -292,7 +292,7 @@ module Reference = struct
                 then begin
                   Hashtbl.add reported f.sf_rule ();
                   let r = ir.rules.(f.sf_rule) in
-                  Lg_support.Diag.error diag r.Ir.r_span
+                  Lg_support.Diag.error diag (Ir.rule_span ir r)
                     "not evaluable in %d alternating passes: semantic function %a: %s"
                     max_passes (Ir.pp_rule ir) r f.sf_reason
                 end)
