@@ -558,6 +558,20 @@ let residency () =
   and promoted = (Gc.quick_stat ()).Gc.promoted_words -. promoted0 in
   rowf "\n  %-20s %14s %16s\n" "translate" "minor words" "promoted words";
   rowf "  %-20s %14.0f %16.0f\n" "pascal, 800 stmts" minor promoted;
+  (* the minor words of one oracle run on the same document, parsing
+     excluded, after a warm-up *)
+  let demand_minor =
+    let diag = Lg_support.Diag.create () in
+    let tree =
+      Option.get (Translator.tree_of_source t ~file:"<residency>" ~diag source)
+    in
+    ignore (Demand.evaluate (Translator.ir t) tree);
+    Gc.minor ();
+    let before = Gc.minor_words () in
+    ignore (Demand.evaluate (Translator.ir t) tree);
+    Gc.minor_words () -. before
+  in
+  rowf "  %-20s %14.0f %16s\n" "Demand.evaluate, 800" demand_minor "";
   (* the price of an installed metrics registry, in words per translation
      (printed only: the gate above measures the registry-off path) *)
   let words_with m source =
@@ -591,6 +605,7 @@ let residency () =
           ("incr_fresh_minor_words_300", Num incr_fresh_minor);
           ("minor_words_800", Num minor);
           ("promoted_words_800", Num promoted);
+          ("demand_minor_words_800", Num demand_minor);
         ])
   in
   let oc = open_out "BENCH_residency.json" in

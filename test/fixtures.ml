@@ -189,5 +189,7 @@ let run_both ?(engine_options = Linguist.Engine.default_options)
       ~options:{ engine_options with record_trace = true }
       plan tree
   in
-  let oracle = Linguist.Demand.evaluate plan.Linguist.Plan.ir tree in
-  (engine, oracle)
+  let oracle, applications =
+    Linguist.Demand.evaluate_traced plan.Linguist.Plan.ir tree
+  in
+  (engine, oracle, applications)

@@ -20,7 +20,7 @@ let differential_case src ~seeds ~size =
           let st = Random.State.make [| seed |] in
           let rng bound = Random.State.int st bound in
           let tree = Fixtures.random_tree plan.Plan.ir ~rng ~size in
-          let engine, oracle = Fixtures.run_both plan tree in
+          let engine, oracle, applications = Fixtures.run_both plan tree in
           let label what = Printf.sprintf "%s/seed %d: %s" combo seed what in
           List.iter2
             (fun (n1, v1) (n2, v2) ->
@@ -28,8 +28,7 @@ let differential_case src ~seeds ~size =
               Alcotest.check check_value (label ("output " ^ n1)) v2 v1)
             engine.Engine.outputs oracle.Demand.outputs;
           Alcotest.(check bool) (label "traces agree") true
-            (Fixtures.traces_agree plan engine.Engine.trace
-               oracle.Demand.applications))
+            (Fixtures.traces_agree plan engine.Engine.trace applications))
         seeds)
     (plans_for src)
 
@@ -59,11 +58,11 @@ let prop_differential =
       let st = Random.State.make [| seed |] in
       let rng bound = Random.State.int st bound in
       let tree = Fixtures.random_tree ir ~rng ~size in
-      let engine, oracle = Fixtures.run_both plan tree in
+      let engine, oracle, applications = Fixtures.run_both plan tree in
       List.for_all2
         (fun (_, v1) (_, v2) -> Value.equal v1 v2)
         engine.Engine.outputs oracle.Demand.outputs
-      && Fixtures.traces_agree plan engine.Engine.trace oracle.Demand.applications)
+      && Fixtures.traces_agree plan engine.Engine.trace applications)
 
 (* All four optimization combos produce identical outputs on one tree. *)
 let test_ablations_agree () =
@@ -107,7 +106,7 @@ let test_interpretive_mode () =
       let st = Random.State.make [| 321 |] in
       let rng bound = Random.State.int st bound in
       let tree = Fixtures.random_tree ir ~rng ~size:30 in
-      let engine, oracle =
+      let engine, oracle, applications =
         Fixtures.run_both
           ~engine_options:{ Engine.default_options with interpretive = true }
           plan tree
@@ -116,7 +115,7 @@ let test_interpretive_mode () =
         (fun (n, v1) (_, v2) -> Alcotest.check check_value n v2 v1)
         engine.Engine.outputs oracle.Demand.outputs;
       Alcotest.(check bool) "traces agree" true
-        (Fixtures.traces_agree plan engine.Engine.trace oracle.Demand.applications))
+        (Fixtures.traces_agree plan engine.Engine.trace applications))
     [ Fixtures.sum_grammar; Fixtures.env_grammar; Lg_languages.Pascal_ag.ag_source ]
 
 let test_interpretive_requires_no_subsumption () =
@@ -309,6 +308,93 @@ let test_demand_instance () =
     (Demand.instance ir tree ~path:[ 0; 0 ] ~attr:"SUM");
   Alcotest.check check_value "root TOTAL" (Value.Int (6 + 8))
     (Demand.instance ir tree ~path:[] ~attr:"TOTAL")
+
+(* The oracle forces every instance, not only what the root reads: a
+   cycle among, or a missing value of, attributes that no root output
+   depends on still fails the run. *)
+let test_oracle_forces_unread_instances () =
+  let ir_with b_rule =
+    Fixtures.ir_of_source
+      ({|
+grammar Unread;
+root top;
+terminals K has intrinsic V : int; end
+nonterminals
+  top has syn TOTAL : int;
+  x has inh A : int, syn B : int, syn C : int;
+end
+limbs TopL; XL; end
+productions
+  top ::= x -> TopL :
+    x.A = x.B,
+    top.TOTAL = 1;
+  x ::= K -> XL :
+    x.B = |} ^ b_rule ^ {|,
+    x.C = K.V;
+end
+|})
+  in
+  let ir = ir_with "x.A" in
+  let k_sym =
+    (Array.to_list ir.Ir.symbols
+    |> List.find (fun (s : Ir.symbol) -> s.Ir.s_name = "K"))
+      .Ir.s_id
+  in
+  let tree attrs =
+    let leaf = Lg_apt.Tree.leaf ~sym:k_sym ~attrs in
+    let x =
+      Lg_apt.Tree.interior ~prod:1 ~sym:ir.Ir.prods.(1).Ir.p_lhs
+        ~children:[ leaf ]
+    in
+    Lg_apt.Tree.interior ~prod:0 ~sym:ir.Ir.root ~children:[ x ]
+  in
+  (match Demand.evaluate ir (tree [| Value.Int 3 |]) with
+  | exception Demand.Circular _ -> ()
+  | _ -> Alcotest.fail "a cycle no output reads must still be found");
+  (* break the cycle: the leaf's intrinsic, read only by x.C, is missing *)
+  let ir = ir_with "2" in
+  match Demand.evaluate ir (tree [||]) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a value no output reads must still be demanded"
+
+(* [Demand.instance] deep in a tree, through productions of arity one and
+   two: each tip's SUM is its leaf plus its depth, each DEPTH counts the
+   forks above, and the tips' SUMs add up to the TOTAL that the engine
+   and [Demand.evaluate] report. *)
+let test_demand_instance_deep () =
+  let ir = Fixtures.ir_of_source Fixtures.sum_grammar in
+  let leaf v = Lg_apt.Tree.leaf ~sym:0 ~attrs:[| Value.Int v |] in
+  let tip v = Lg_apt.Tree.interior ~prod:2 ~sym:2 ~children:[ leaf v ] in
+  let fork l r = Lg_apt.Tree.interior ~prod:1 ~sym:2 ~children:[ l; r ] in
+  let body =
+    fork (tip 1) (fork (fork (tip 2) (fork (tip 3) (tip 4))) (tip 5))
+  in
+  let tree = Lg_apt.Tree.interior ~prod:0 ~sym:1 ~children:[ body ] in
+  let tips =
+    [ ([ 0; 0 ], 1, 1); ([ 0; 1; 0; 0 ], 2, 3); ([ 0; 1; 0; 1; 0 ], 3, 4);
+      ([ 0; 1; 0; 1; 1 ], 4, 4); ([ 0; 1; 1 ], 5, 2) ]
+  in
+  let total =
+    List.fold_left
+      (fun acc (path, v, depth) ->
+        let at attr = Demand.instance ir tree ~path ~attr in
+        let label = String.concat ";" (List.map string_of_int path) in
+        Alcotest.check check_value (label ^ " DEPTH") (Value.Int depth)
+          (at "DEPTH");
+        Alcotest.check check_value (label ^ " SUM") (Value.Int (v + depth))
+          (at "SUM");
+        acc + v + depth)
+      0 tips
+  in
+  Alcotest.check check_value "fork SUM" (Value.Int (2 + 3 + 3 + 4 + 4 + 4))
+    (Demand.instance ir tree ~path:[ 0; 1; 0 ] ~attr:"SUM");
+  let expected = [ ("TOTAL", Value.Int total) ] in
+  let same what got =
+    Alcotest.(check (list (pair string check_value))) what expected got
+  in
+  same "engine" (Engine.run (Driver.plan_of_ir ir) tree).Engine.outputs;
+  same "evaluate" (Demand.evaluate ir tree).Demand.outputs;
+  same "instance" [ ("TOTAL", Demand.instance ir tree ~path:[] ~attr:"TOTAL") ]
 
 (* Failed runs (a depth budget hit mid-pass, a torn file read back) and
    successful ones leave their store directory empty and the process's
@@ -538,6 +624,10 @@ let () =
           Alcotest.test_case "oracle circularity" `Quick
             test_oracle_detects_circularity;
           Alcotest.test_case "demand instance" `Quick test_demand_instance;
+          Alcotest.test_case "oracle forces unread instances" `Quick
+            test_oracle_forces_unread_instances;
+          Alcotest.test_case "demand instance, deep" `Quick
+            test_demand_instance_deep;
           Alcotest.test_case "failed runs leave nothing" `Quick
             test_failed_runs_leave_nothing;
         ] );

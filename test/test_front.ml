@@ -196,7 +196,7 @@ end
       Lg_apt.Tree.interior ~prod:0 ~sym:ir.Ir.root
         ~children:[ Lg_apt.Tree.leaf ~sym:k_sym ~attrs:[| Lg_support.Value.Int v |] ]
     in
-    let engine, oracle = Fixtures.run_both plan tree in
+    let engine, oracle, _ = Fixtures.run_both plan tree in
     List.iter2
       (fun (n, v1) (_, v2) ->
         Alcotest.check Fixtures.check_value (Printf.sprintf "V=%d %s" v n) v2 v1)

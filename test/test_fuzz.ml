@@ -35,7 +35,9 @@ let verdict_of_ir ~seed ~rng ~source ir =
           List.concat_map
             (fun (combo, options) ->
               let plan = Driver.plan_of_ir ~options ir in
-              let oracle = Demand.evaluate plan.Plan.ir tree in
+              let oracle, applications =
+                Demand.evaluate_traced plan.Plan.ir tree
+              in
               (* every store, plus the Schulz-style interpretive mode on
                  the plans it accepts (no static subsumption) *)
               let modes =
@@ -66,7 +68,7 @@ let verdict_of_ir ~seed ~rng ~source ir =
                   if
                     outputs_equal
                     && Fixtures.traces_agree plan engine.Engine.trace
-                         oracle.Demand.applications
+                         applications
                   then None
                   else Some (combo ^ "/" ^ mode))
                 modes)

@@ -180,12 +180,12 @@ let test_differential_on_linguist_ag () =
     | None -> Alcotest.fail "desk_calc.ag failed to parse"
   in
   let plan = Translator.plan t in
-  let engine, oracle = Fixtures.run_both plan tree in
+  let engine, oracle, applications = Fixtures.run_both plan tree in
   List.iter2
     (fun (n, v1) (_, v2) -> Alcotest.check Fixtures.check_value n v2 v1)
     engine.Engine.outputs oracle.Demand.outputs;
   Alcotest.(check bool) "traces agree" true
-    (Fixtures.traces_agree plan engine.Engine.trace oracle.Demand.applications)
+    (Fixtures.traces_agree plan engine.Engine.trace applications)
 
 let test_grammar_files_in_sync () =
   (* grammars/*.ag are generated from the library sources by a promote

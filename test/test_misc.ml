@@ -551,13 +551,13 @@ let test_per_attribute_policy_differential () =
   let st = Random.State.make [| 77 |] in
   let rng bound = Random.State.int st bound in
   let tree = Fixtures.random_tree ir ~rng ~size:40 in
-  let engine, oracle = Fixtures.run_both plan tree in
+  let engine, oracle, applications = Fixtures.run_both plan tree in
   List.iter2
     (fun (n, v1) (_, v2) -> Alcotest.check check_value n v2 v1)
     engine.Linguist.Engine.outputs oracle.Linguist.Demand.outputs;
   Alcotest.(check bool) "traces agree" true
     (Fixtures.traces_agree plan engine.Linguist.Engine.trace
-       oracle.Linguist.Demand.applications)
+       applications)
 
 let test_policies_pick_nested_sets () =
   let ir = Fixtures.ir_of_source Lg_languages.Linguist_ag.ag_source in

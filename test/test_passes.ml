@@ -526,7 +526,7 @@ end
     Lg_apt.Tree.interior ~prod ~sym:ir.Ir.prods.(prod).Ir.p_lhs ~children
   in
   let tree = node 0 [ node 1 [ leaf 10 ]; node 2 [ leaf 5 ] ] in
-  let engine, oracle = Fixtures.run_both plan tree in
+  let engine, oracle, _ = Fixtures.run_both plan tree in
   List.iter2
     (fun (n, v1) (_, v2) -> Alcotest.check Fixtures.check_value n v2 v1)
     engine.Engine.outputs oracle.Demand.outputs;

@@ -137,8 +137,8 @@ let run_list ir plan objs =
     Lg_apt.Tree.interior ~prod:top_p.Ir.p_id ~sym:top_p.Ir.p_lhs
       ~children:[ build objs ]
   in
-  let engine, oracle = Fixtures.run_both plan tree in
-  (engine, oracle, tree)
+  let engine, oracle, applications = Fixtures.run_both plan tree in
+  (engine, oracle, applications, tree)
 
 let test_listprod_semantics () =
   let ir = Fixtures.ir_of_source listprod_grammar in
@@ -148,7 +148,7 @@ let test_listprod_semantics () =
      elements preceded by an x with OBJ = 7. *)
   List.iter
     (fun objs ->
-      let engine, oracle, _ = run_list ir plan objs in
+      let engine, oracle, applications, _ = run_list ir plan objs in
       List.iter2
         (fun (n, v1) (_, v2) ->
           Alcotest.check Fixtures.check_value
@@ -158,7 +158,7 @@ let test_listprod_semantics () =
             v2 v1)
         engine.Engine.outputs oracle.Demand.outputs;
       Alcotest.(check bool) "traces agree" true
-        (Fixtures.traces_agree plan engine.Engine.trace oracle.Demand.applications))
+        (Fixtures.traces_agree plan engine.Engine.trace applications))
     [ []; [ 7 ]; [ 1; 7; 2 ]; [ 7; 7; 7 ]; [ 1; 2; 3; 4 ]; [ 7; 1; 7; 1; 7 ] ]
 
 (* Same-name synthesized attributes on both children: the LHS copy must NOT
@@ -237,7 +237,7 @@ let run_pair src =
             ~children:[ leaf 2 ];
         ]
   in
-  let engine, oracle = Fixtures.run_both plan tree in
+  let engine, oracle, _ = Fixtures.run_both plan tree in
   (plan, engine, oracle)
 
 let test_clobber_uses () =
