@@ -16,8 +16,8 @@ let read_file path =
 
 (* The evaluator settings of [analyze], the one file command that runs an
    evaluator. *)
-let engine_options_of ~apt_store ~apt_page_size ~apt_faults ~apt_durable
-    ~depth_budget ~node_budget =
+let engine_options_of ~apt_store ~apt_page_size ~apt_faults ~depth_budget
+    ~node_budget =
   if apt_page_size <= 0 then
     failwith
       (Printf.sprintf "--apt-page-size must be positive (got %d)" apt_page_size);
@@ -31,12 +31,7 @@ let engine_options_of ~apt_store ~apt_page_size ~apt_faults ~apt_durable
             failwith (Printf.sprintf "--apt-faults %s: %s" spec msg))
   in
   let config =
-    {
-      Lg_apt.Apt_store.default_config with
-      page_size = apt_page_size;
-      durable = apt_durable;
-      faults;
-    }
+    { Lg_apt.Apt_store.default_config with page_size = apt_page_size; faults }
   in
   {
     Linguist.Engine.default_options with
@@ -122,12 +117,6 @@ let apt_faults =
            $(b,zip): write-side kinds (flip, torn) damage the medium when \
            a file is closed, and its readers fail with a typed error; \
            read-side kinds are absorbed by bounded retries.")
-
-let apt_durable =
-  Arg.(
-    value & flag
-    & info [ "apt-durable" ]
-        ~doc:"fsync APT backing files before their atomic rename.")
 
 let depth_budget =
   Arg.(
@@ -393,19 +382,18 @@ let analyze_cmd =
           evaluator generated from linguist.ag).")
     Term.(
       ret
-        (const (fun store page faults durable db nb tout tattrs path ->
+        (const (fun store page faults db nb tout tattrs path ->
              match
                engine_options_of ~apt_store:store ~apt_page_size:page
-                 ~apt_faults:faults ~apt_durable:durable ~depth_budget:db
-                 ~node_budget:nb
+                 ~apt_faults:faults ~depth_budget:db ~node_budget:nb
              with
              | exception Failure msg -> `Error (false, msg)
              | engine_options ->
                  guard (fun () ->
                      with_trace ~trace_out:tout ~trace_attrs:tattrs
                        ~label:"analyze" (fun () -> run engine_options path)))
-        $ apt_store $ apt_page_size $ apt_faults $ apt_durable $ depth_budget
-        $ node_budget $ trace_out $ trace_attrs $ file_arg))
+        $ apt_store $ apt_page_size $ apt_faults $ depth_budget $ node_budget
+        $ trace_out $ trace_attrs $ file_arg))
 
 let json_flag =
   Arg.(
@@ -414,99 +402,6 @@ let json_flag =
         ~doc:
           "Emit machine-readable JSON (with a metrics-registry snapshot) \
            instead of the human listing.")
-
-let fsck_cmd =
-  let apt_file_arg =
-    Arg.(required & pos 0 (some non_dir_file) None & info [] ~docv:"FILE.apt")
-  in
-  let recover_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "recover" ] ~docv:"OUT"
-          ~doc:
-            "Write the longest valid prefix of $(i,FILE.apt) to $(docv) — \
-             atomically, reframed with fresh checksums. A file without the \
-             $(b,APT1) signature has no valid prefix: nothing is written.")
-  in
-  let run json path out =
-    (* the registry captures the salvage.* counters the scan publishes;
-       restore the null registry even when the scan raises *)
-    if json then Lg_support.Metrics.install (Lg_support.Metrics.create ());
-    Fun.protect
-      ~finally:(fun () ->
-        if json then Lg_support.Metrics.install Lg_support.Metrics.null)
-    @@ fun () ->
-    let report = Lg_apt.Salvage.scan path in
-    let recovered =
-      Option.bind out (fun out ->
-          Option.map (fun n -> (out, n)) (Lg_apt.Salvage.recover report ~out))
-    in
-    if json then begin
-      let open Lg_support.Json_out in
-      let doc =
-        Obj
-          [
-            ("path", Str report.Lg_apt.Salvage.sv_path);
-            ("size_bytes", int report.Lg_apt.Salvage.sv_size);
-            ("clean", Bool (Lg_apt.Salvage.is_clean report));
-            ("valid_bytes", int report.Lg_apt.Salvage.sv_valid_bytes);
-            ( "records",
-              Arr
-                (List.map
-                   (fun (r : Lg_apt.Salvage.record_info) ->
-                     Obj
-                       [
-                         ("offset", int r.Lg_apt.Salvage.r_offset);
-                         ("payload_bytes", int r.Lg_apt.Salvage.r_len);
-                       ])
-                   report.Lg_apt.Salvage.sv_records) );
-            ( "issue",
-              match report.Lg_apt.Salvage.sv_issue with
-              | Some e -> Str (Lg_apt.Apt_error.to_string e)
-              | None -> Null );
-            ( "exit_code",
-              match report.Lg_apt.Salvage.sv_issue with
-              | Some e -> int (Lg_apt.Apt_error.exit_code e)
-              | None -> int 0 );
-            ( "recovered",
-              match recovered with
-              | Some (out, n) -> Obj [ ("out", Str out); ("records", int n) ]
-              | None -> Null );
-            ( "metrics",
-              Lg_support.Metrics.to_json (Lg_support.Metrics.ambient ()) );
-          ]
-      in
-      print_endline (to_string ~pretty:true doc)
-    end
-    else begin
-      Format.printf "%a" Lg_apt.Salvage.pp_report report;
-      match (recovered, out) with
-      | Some (out, n), _ -> Printf.printf "recovered %d records to %s\n" n out
-      | None, Some out ->
-          Printf.printf "nothing recovered: no valid prefix, %s not written\n"
-            out
-      | None, None -> ()
-    end;
-    match report.Lg_apt.Salvage.sv_issue with
-    | None -> `Ok ()
-    | Some e ->
-        (* dirty files exit with the stable code of the first failure,
-           even when recovery succeeded — scripts can tell "was damaged"
-           from "was clean" *)
-        flush stdout;
-        exit (Lg_apt.Apt_error.exit_code e)
-  in
-  Cmd.v
-    (Cmd.info "apt-fsck"
-       ~doc:
-         "Scan an APT file record by record, report per-record integrity \
-          with byte offsets, and optionally recover the longest valid \
-          prefix to a fresh file.")
-    Term.(
-      ret
-        (const (fun json path out -> guard (fun () -> run json path out))
-        $ json_flag $ apt_file_arg $ recover_out))
 
 let stores_cmd =
   let run json =
@@ -1509,6 +1404,6 @@ let () =
        (Cmd.group info
           [
             check_cmd; stats_cmd; compile_cmd; tables_cmd; analyze_cmd;
-            self_cmd; stores_cmd; fsck_cmd; report_cmd; batch_cmd;
+            self_cmd; stores_cmd; report_cmd; batch_cmd;
             serve_cmd; request_cmd; top_cmd; coordinate_cmd; corpus_cmd;
           ]))

@@ -5,7 +5,7 @@
    that survived the retry policy, an exhausted evaluator budget — is
    reported as a value of [t] carried by the [Error] exception, never as
    a bare [Failure] string. Callers either match on the payload (the
-   salvage scanner, the fuzz harness) or render it through
+   fuzz harness) or render it through
    [Lg_support.Diag] and exit with the error's stable code (the CLI). *)
 
 open Lg_support

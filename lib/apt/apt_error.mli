@@ -1,7 +1,7 @@
 (** Typed errors for the APT storage and evaluation stack.
 
-    Integrity failures detected by the store layer (checksummed framing,
-    {!Salvage}) and resource exhaustion in the evaluator surface as
+    Integrity failures detected by the store layer's checksummed framing
+    and resource exhaustion in the evaluator surface as
     values of {!t} carried by the {!Error} exception — never as bare
     [Failure] strings — so callers can dispatch on the failure class,
     render it through {!Lg_support.Diag}, and exit with a stable code. *)

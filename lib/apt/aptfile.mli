@@ -61,8 +61,5 @@ val record_count : file -> int
 val store_name : file -> string
 (** Name of the store that wrote the file. *)
 
-val backing_path : file -> string option
-(** The backing temp file, when the store has one; for tests/tools. *)
-
 val dispose : file -> unit
 (** Delete the backing temp file (no-op for ["mem"]). *)

@@ -54,7 +54,6 @@ type config = {
   pool_pages : int;  (** buffer-pool capacity, in pages *)
   prefetch_pages : int;  (** read-ahead window on sequential access *)
   zip_block : int;  (** records per compressed block in zip layers *)
-  durable : bool;  (** fsync backing files before the atomic rename *)
   faults : fault_spec option;  (** deterministic fault injection *)
 }
 
@@ -65,7 +64,6 @@ let default_config =
     pool_pages = 8;
     prefetch_pages = 2;
     zip_block = 32;
-    durable = false;
     faults = None;
   }
 
@@ -294,30 +292,3 @@ let temp_path config =
   Filename.temp_file ~temp_dir:dir "apt" ".tmp"
 
 let remove_quietly path = try Sys.remove path with Sys_error _ -> ()
-
-(* ---- crash-safe output channels ----
-
-   Writers stream into [path ^ ".part"] and atomically rename over the
-   final path on [commit] (optionally fsyncing first, [--apt-durable]).
-   A crash mid-write can only ever leave a stale ".part" file behind —
-   the final path never holds a partial stream. *)
-
-module Atomic_out = struct
-  type ch = { final : string; part : string; oc : out_channel; durable : bool }
-
-  let create ?(durable = false) path =
-    let part = path ^ ".part" in
-    { final = path; part; oc = open_out_bin part; durable }
-
-  let channel a = a.oc
-
-  let commit a =
-    flush a.oc;
-    if a.durable then (try Unix.fsync (Unix.descr_of_out_channel a.oc) with Unix.Unix_error _ -> ());
-    close_out a.oc;
-    Sys.rename a.part a.final
-
-  let abort a =
-    (try close_out a.oc with Sys_error _ -> ());
-    remove_quietly a.part
-end

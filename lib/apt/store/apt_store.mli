@@ -49,13 +49,12 @@ type config = {
   pool_pages : int;  (** buffer-pool capacity, in pages *)
   prefetch_pages : int;  (** read-ahead window on sequential access *)
   zip_block : int;  (** records per compressed block in zip layers *)
-  durable : bool;  (** fsync backing files before the atomic rename *)
   faults : fault_spec option;  (** deterministic fault injection *)
 }
 
 val default_config : config
 (** 4 KiB pages, 8-page pool, 2-page read-ahead, 32-record blocks;
-    no fsync, no faults. *)
+    no faults. *)
 
 type reader = { next : unit -> string option; close_reader : unit -> unit }
 
@@ -98,8 +97,7 @@ end
 (** The shared record walk: given a positioned byte [source], decode
     framed records in either direction, raising typed {!Apt_error}
     values (with file offsets) on any integrity failure. All
-    byte-compatible stores and the {!Salvage} scanner are built on this
-    one codec. *)
+    byte-compatible stores are built on this one codec. *)
 module Record_codec : sig
   type source = {
     src_path : string option;
@@ -115,14 +113,6 @@ module Record_codec : sig
 
   val frame : string -> string * string
   (** [(header, trailer)] strings for a payload. *)
-
-  val next_forward : source -> pos:int -> (string * int) option
-  (** Record starting at [pos] and the position after it; [None] at the
-      end of the stream. *)
-
-  val next_backward : source -> pos:int -> (string * int) option
-  (** Record ending at [pos] and the position before it; [None] at the
-      start of the stream. *)
 
   val walk : source -> direction -> unit -> string option
   (** The payloads one call at a time, from the first record
@@ -145,15 +135,3 @@ val temp_path : config -> string
 (** Fresh temp file under [config.dir] (or the system temp dir). *)
 
 val remove_quietly : string -> unit
-
-(** Crash-safe output channels: stream into [path ^ ".part"], atomically
-    rename over [path] on {!Atomic_out.commit} (fsyncing first when
-    [durable]). The final path never holds a partial stream. *)
-module Atomic_out : sig
-  type ch
-
-  val create : ?durable:bool -> string -> ch
-  val channel : ch -> out_channel
-  val commit : ch -> unit
-  val abort : ch -> unit
-end

@@ -122,8 +122,7 @@ let make config : t =
       (fun stats ->
         let path = temp_path config in
         let w =
-          Store_pager.create_writer ?stats ~durable:config.durable
-            ~page_size:config.page_size ~path ()
+          Store_pager.create_writer ?stats ~page_size:config.page_size ~path ()
         in
         Store_pager.append w Framed.magic;
         let records = ref 0 in

@@ -417,22 +417,22 @@ let read t ~pos ~len ~want =
 
 (* ---- page-buffered append writer ----
 
-   Crash-safe: the stream goes into [path ^ ".part"] and is atomically
-   renamed over [path] on close, so a failure mid-write never leaves a
-   partial file at the final path. *)
+   The stream goes straight into [path]: an APT file is scratch that
+   lives only as long as its run, so no reader ever opens one a crash
+   left half-written. *)
 
 type w = {
-  out : Apt_store.Atomic_out.ch;
+  out : out_channel;
   w_page_size : int;
   w_stats : Io_stats.t option;
   buf : Buffer.t;
   mutable written : int;
 }
 
-let create_writer ?stats ?(durable = false) ~page_size ~path () =
+let create_writer ?stats ~page_size ~path () =
   if page_size <= 0 then invalid_arg "Store_pager.create_writer: page_size";
   {
-    out = Apt_store.Atomic_out.create ~durable path;
+    out = open_out_bin path;
     w_page_size = page_size;
     w_stats = stats;
     buf = Buffer.create (2 * page_size);
@@ -447,7 +447,7 @@ let flush_pages w ~all =
   let flushed = if all then len else whole in
   if flushed > 0 then begin
     let s = Buffer.contents w.buf in
-    output_substring (Apt_store.Atomic_out.channel w.out) s 0 flushed;
+    output_substring w.out s 0 flushed;
     Buffer.clear w.buf;
     Buffer.add_substring w.buf s flushed (len - flushed);
     w.written <- w.written + flushed;
@@ -465,7 +465,7 @@ let append w s =
 
 let close_writer w =
   flush_pages w ~all:true;
-  Apt_store.Atomic_out.commit w.out;
+  close_out w.out;
   w.written
 
-let abort_writer w = Apt_store.Atomic_out.abort w.out
+let abort_writer w = close_out_noerr w.out

@@ -34,21 +34,24 @@ let to_json sessions =
              (Session.tenants sessions)) );
     ]
 
-module Atomic_out = Lg_apt.Apt_store.Atomic_out
-
+(* These files outlive the run, so they are written beside their path
+   and renamed over it: a reader sees the old file or the new one, never
+   a truncated one. *)
 let write_json ~path doc =
-  match Atomic_out.create path with
+  let part = path ^ ".part" in
+  match open_out_bin part with
   | exception Sys_error msg -> Error msg
-  | out -> (
+  | oc -> (
       match
-        let oc = Atomic_out.channel out in
         output_string oc (to_string ~pretty:true doc);
         output_char oc '\n';
-        Atomic_out.commit out
+        close_out oc;
+        Sys.rename part path
       with
       | () -> Ok ()
       | exception Sys_error msg ->
-          Atomic_out.abort out;
+          close_out_noerr oc;
+          (try Sys.remove part with Sys_error _ -> ());
           Error msg)
 
 let save sessions ~path = write_json ~path (to_json sessions)

@@ -191,47 +191,198 @@ let overwrite path data =
   output_string oc data;
   close_out oc
 
-let expect_version_mismatch label read =
+(* [read]'s scans, in both directions, each raise an error [expected]
+   accepts. *)
+let expect_refused ~expected label read =
   List.iter
     (fun dirn ->
       match drain (read dirn) with
-      | exception Apt_error.Error (Apt_error.Version_mismatch _) -> ()
+      | exception Apt_error.Error e when expected e -> ()
       | exception e -> Alcotest.failf "%s: raised %s" label (Printexc.to_string e)
       | _ -> Alcotest.failf "%s: read as data" label)
     [ `Forward; `Backward ]
 
-(* Two zeroed signature bytes, and a file in the seed layout, under
-   every reader: [mem]'s over the bytes themselves, [paged]'s and
-   [zip]'s over their backing file rewritten in place (at its written
+let version_mismatch = function
+  | Apt_error.Version_mismatch _ -> true
+  | _ -> false
+
+let truncated = function Apt_error.Truncated_file _ -> true | _ -> false
+
+let corrupt = function Apt_error.Corrupt_record _ -> true | _ -> false
+
+(* A head that is not a whole APT1 signature is refused before any
+   record is read: the first [next] of either scan raises an error
+   [expected] accepts. Each head, made by [damage] from a file's bytes,
+   goes under every reader: [mem]'s over the bytes themselves, [paged]'s
+   and [zip]'s over their backing file rewritten in place (at its written
    size, which the reader keeps). *)
-let test_foreign_signature_refused () =
-  with_temp_dir @@ fun dir ->
-  let zero_signature data =
-    String.mapi (fun i c -> if i < 2 then '\x00' else c) data
+let refuse_heads dir heads =
+  let refused label expected read =
+    List.iter
+      (fun dirn ->
+        match (read dirn).next () with
+        | exception Apt_error.Error e when expected e -> ()
+        | exception e ->
+            Alcotest.failf "%s: raised %s" label (Printexc.to_string e)
+        | Some _ -> Alcotest.failf "%s: delivered a record" label
+        | None -> Alcotest.failf "%s: read as an empty file" label)
+      [ `Forward; `Backward ]
   in
   let framed = framed_bytes [ ("AB", 0x30694c07); ("xyz", 0xeb8eba67) ] in
   List.iter
-    (fun (label, data) ->
-      expect_version_mismatch ("mem, " ^ label) (Store_mem.open_reader data None))
-    [
-      ("zeroed signature", zero_signature framed);
-      ("seed layout", "\x05\x00\x00\x00alpha\x05\x00\x00\x00");
-    ];
+    (fun (label, expected, damage) ->
+      refused ("mem, " ^ label) expected
+        (Store_mem.open_reader (damage framed) None))
+    heads;
   List.iter
     (fun name ->
       List.iter
-        (fun (label, damage) ->
+        (fun (label, expected, damage) ->
           let f = write_store dir name [ "alpha"; "beta" ] in
           let path = Option.get f.f_path in
           overwrite path (damage (file_bytes path));
-          expect_version_mismatch (name ^ ", " ^ label) (f.f_read None);
+          refused (name ^ ", " ^ label) expected (f.f_read None);
           f.f_dispose ())
-        [
-          ("zeroed signature", zero_signature);
-          ( "seed layout",
-            fun data -> seed_bytes [ String.make (String.length data - 8) 'k' ] );
-        ])
+        heads)
     [ "paged"; "zip" ]
+
+let map_byte off f data =
+  String.mapi (fun i c -> if i = off then Char.chr (f (Char.code c)) else c) data
+
+(* Two zeroed signature bytes, and a signature of a later format
+   version. *)
+let test_foreign_signature_refused () =
+  with_temp_dir @@ fun dir ->
+  refuse_heads dir
+    [
+      ( "zeroed signature",
+        version_mismatch,
+        fun d -> map_byte 1 (fun _ -> 0) (map_byte 0 (fun _ -> 0) d) );
+      ("APT2", version_mismatch, map_byte 3 (fun _ -> Char.code '2'));
+    ]
+
+(* ----- scanning a framed file, and what a damaged one yields ----- *)
+
+(* The bytes a writer leaves for [scan_payloads]: records at offsets 4,
+   25, 41 and 63; 98 bytes in all. *)
+let scan_payloads = [ "alpha"; ""; "burrow"; "gamma-delta-epsilon" ]
+
+let scan_bytes () =
+  Framed.magic
+  ^ String.concat ""
+      (List.map
+         (fun p ->
+           let header, trailer = Record_codec.frame p in
+           header ^ p ^ trailer)
+         scan_payloads)
+
+let firstn n l = List.filteri (fun i _ -> i < n) l
+
+(* [read]'s forward scan yields [delivered], then raises an error
+   [expected] accepts. *)
+let expect_prefix_then label ~expected delivered (r : reader) =
+  let got = ref [] in
+  (match
+     while true do
+       match r.next () with
+       | Some p -> got := p :: !got
+       | None -> raise Exit
+     done
+   with
+  | exception Apt_error.Error e when expected e -> ()
+  | exception Exit -> Alcotest.failf "%s: scanned clean" label
+  | exception e -> Alcotest.failf "%s: raised %s" label (Printexc.to_string e)
+  | () -> ());
+  Alcotest.(check (list string)) (label ^ ": records ahead of the damage")
+    delivered (List.rev !got)
+
+(* Every cut at a record boundary is itself a clean file holding the
+   records before the cut, which pins the boundaries; the paged writer
+   leaves the same bytes. *)
+let test_scan_clean () =
+  with_temp_dir @@ fun dir ->
+  let data = scan_bytes () in
+  Alcotest.(check int) "size" 98 (String.length data);
+  List.iteri
+    (fun k cut ->
+      let prefix = String.sub data 0 cut in
+      Alcotest.(check (list string))
+        (Printf.sprintf "forward to %d" cut)
+        (firstn k scan_payloads)
+        (drain (Store_mem.open_reader prefix None `Forward));
+      Alcotest.(check (list string))
+        (Printf.sprintf "backward from %d" cut)
+        (List.rev (firstn k scan_payloads))
+        (drain (Store_mem.open_reader prefix None `Backward)))
+    [ 4; 25; 41; 63; 98 ];
+  let f = write_store dir "paged" scan_payloads in
+  Alcotest.(check string) "paged bytes" data
+    (file_bytes (Option.get f.f_path));
+  f.f_dispose ()
+
+(* Every writer emits the signature first, so an empty file, or one of
+   three bytes, was torn before it: truncated, not foreign. *)
+let test_scan_empty_truncated () =
+  with_temp_dir @@ fun dir ->
+  refuse_heads dir
+    [
+      ("empty file", truncated, fun _ -> "");
+      ("3-byte head", truncated, fun d -> String.sub d 0 3);
+    ]
+
+(* One flipped bit in the signature is a foreign file, not a damaged
+   record. *)
+let test_scan_damaged_signature () =
+  with_temp_dir @@ fun dir ->
+  refuse_heads dir
+    [
+      ("bit 5 of byte 1", version_mismatch, map_byte 1 (fun c -> c lxor 0x20));
+      ("bit 0 of byte 2", version_mismatch, map_byte 2 (fun c -> c lxor 0x01));
+    ]
+
+(* Torn mid-way through the last record: the three before it scan, then
+   the tear is a truncated file, not a corrupt record. *)
+let test_scan_truncated () =
+  let data = scan_bytes () in
+  expect_prefix_then "torn" ~expected:truncated (firstn 3 scan_payloads)
+    (Store_mem.open_reader (String.sub data 0 (String.length data - 5)) None
+       `Forward)
+
+(* A payload bit flipped in the third record: a forward scan yields the
+   two records before it, then names the damaged record's start; a
+   backward scan yields the last record, then fails on the same one.
+   Under [mem] over the bytes and [paged] over its backing file. *)
+let test_recover_corrupt_record () =
+  with_temp_dir @@ fun dir ->
+  let flip = 41 + 8 + 2 in
+  let at_third = function
+    | Apt_error.Corrupt_record { offset; _ } -> offset = 41
+    | _ -> false
+  in
+  let damaged = map_byte flip (fun c -> c lxor 0x10) (scan_bytes ()) in
+  expect_prefix_then "mem forward" ~expected:at_third (firstn 2 scan_payloads)
+    (Store_mem.open_reader damaged None `Forward);
+  expect_prefix_then "mem backward" ~expected:corrupt [ "gamma-delta-epsilon" ]
+    (Store_mem.open_reader damaged None `Backward);
+  let f = write_store dir "paged" scan_payloads in
+  overwrite (Option.get f.f_path) damaged;
+  expect_prefix_then "paged forward" ~expected:at_third
+    (firstn 2 scan_payloads) (f.f_read None `Forward);
+  expect_prefix_then "paged backward" ~expected:corrupt
+    [ "gamma-delta-epsilon" ] (f.f_read None `Backward);
+  f.f_dispose ()
+
+(* The unchecked seed layout, [u32 len | payload | u32 len] with no
+   signature, is not a format this build reads: no record of it is
+   trusted. *)
+let test_seed_layout_refused () =
+  with_temp_dir @@ fun dir ->
+  refuse_heads dir
+    [
+      ( "seed layout",
+        version_mismatch,
+        fun d -> seed_bytes [ String.make (String.length d - 8) 'k' ] );
+    ]
 
 let test_corrupt_frames () =
   with_temp_dir @@ fun dir ->
@@ -252,10 +403,17 @@ let test_corrupt_frames () =
   f.f_dispose ();
   let f = write_store dir "paged" [ "hello"; "world" ] in
   let path = Option.get f.f_path in
-  (* one payload byte: only the checksum can see this *)
+  (* one payload byte: only the checksum can see this, and it names the
+     damaged record's start (the first record opens at the signature's
+     end) *)
   patch_byte path 13 (Char.code 'H');
-  Alcotest.(check bool) "corrupt payload: checksum catches it" true
-    (fails_to_read f `Forward);
+  (match drain (f.f_read None `Forward) with
+  | exception Apt_error.Error (Apt_error.Corrupt_record { offset; _ }) ->
+      Alcotest.(check int) "corrupt payload: offset of the record"
+        Framed.data_start offset
+  | exception e ->
+      Alcotest.failf "corrupt payload: raised %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "corrupt payload: read as data");
   f.f_dispose ()
 
 (* The acceptance matrix: flip a bit at EVERY offset of a framed file and
@@ -305,9 +463,7 @@ let test_truncated_file () =
   let oc = open_out_bin path in
   output_string oc keep;
   close_out oc;
-  Alcotest.(check bool) "truncated: forward fails" true (fails_to_read f `Forward);
-  Alcotest.(check bool) "truncated: backward fails" true
-    (fails_to_read f `Backward);
+  expect_refused ~expected:truncated "truncated" (f.f_read None);
   f.f_dispose ()
 
 let test_corrupt_zip_block () =
@@ -402,38 +558,6 @@ let test_hostile_medium_sweep () =
                 original );
           ]
       done;
-      f.f_dispose ())
-    [ "paged"; "zip" ]
-
-(* ----- crash-safe writes: temp file + atomic rename on close ----- *)
-
-let test_atomic_writes () =
-  with_temp_dir @@ fun dir ->
-  List.iter
-    (fun name ->
-      let store = Store_registry.find ~config:(config_in dir) name in
-      let w = store.start None in
-      w.put (String.make 9000 'a');
-      w.put "partial";
-      (* mid-write: some backing file in the directory is still a ".part";
-         no completed store file exists yet *)
-      let entries = Array.to_list (Sys.readdir dir) in
-      Alcotest.(check bool)
-        (name ^ ": stream lives in a .part file")
-        true
-        (List.exists (fun e -> Filename.check_suffix e ".part") entries);
-      let f = w.close () in
-      let path = Option.get f.f_path in
-      Alcotest.(check bool)
-        (name ^ ": committed file exists")
-        true (Sys.file_exists path);
-      Alcotest.(check bool)
-        (name ^ ": no .part left after close")
-        false (Sys.file_exists (path ^ ".part"));
-      Alcotest.(check (list string))
-        (name ^ ": committed records read back")
-        [ String.make 9000 'a'; "partial" ]
-        (drain (f.f_read None `Forward));
       f.f_dispose ())
     [ "paged"; "zip" ]
 
@@ -704,6 +828,22 @@ let () =
           Alcotest.test_case "foreign signature is refused" `Quick
             test_foreign_signature_refused;
         ] );
+      ( "scan",
+        [
+          Alcotest.test_case "clean framed file" `Quick test_scan_clean;
+          Alcotest.test_case "empty file is truncated" `Quick
+            test_scan_empty_truncated;
+          Alcotest.test_case "damaged signature" `Quick
+            test_scan_damaged_signature;
+          Alcotest.test_case "truncated file" `Quick test_scan_truncated;
+        ] );
+      ( "recover",
+        [
+          Alcotest.test_case "corrupt record" `Quick
+            test_recover_corrupt_record;
+          Alcotest.test_case "seed layout is refused" `Quick
+            test_seed_layout_refused;
+        ] );
       ( "corruption",
         [
           Alcotest.test_case "corrupt frames" `Quick test_corrupt_frames;
@@ -717,7 +857,6 @@ let () =
         ] );
       ( "resilience",
         [
-          Alcotest.test_case "atomic rename on close" `Quick test_atomic_writes;
           Alcotest.test_case "write faults damage paged and zip" `Quick
             test_write_faults_honoured;
           Alcotest.test_case "write damage pinned byte-for-byte" `Quick
