@@ -192,9 +192,23 @@ let with_trace ~trace_out ~trace_attrs ~label f =
             (Lg_support.Trace.span_count tr)
       | None -> Format.eprintf "%a@?" Lg_support.Trace.pp_summary tr
     in
-    Fun.protect ~finally:finish (fun () ->
-        Lg_support.Trace.span tr ~cat:"cli" label f)
+    (* The trace is written after the command, not in a [~finally], so an
+       unwritable path surfaces as itself (see [output_errors]); a failed
+       command still leaves its trace, unless that write fails too. *)
+    match Lg_support.Trace.span tr ~cat:"cli" label f with
+    | result ->
+        finish ();
+        result
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        (try finish () with Sys_error _ -> ());
+        Printexc.raise_with_backtrace e bt
   end
+
+(* A path the command cannot write — a missing directory, a regular file
+   where a directory is wanted — is a usage error naming the path (exit
+   124), not an internal one. Sys_error's message starts with the path. *)
+let output_errors f = try f () with Sys_error msg -> `Error (false, msg)
 
 (* The full telemetry harness around a command: the ambient tracer (when
    tracing was asked for) plus an ambient metrics registry (when a run
@@ -224,8 +238,9 @@ let front_term ~label run extra =
   Term.(
     ret
       (const (fun options tout tattrs rep path x ->
-           with_telemetry ~trace_out:tout ~trace_attrs:tattrs ~report:rep
-             ~label (fun () -> run ~report:rep options path x))
+           output_errors (fun () ->
+               with_telemetry ~trace_out:tout ~trace_attrs:tattrs ~report:rep
+                 ~label (fun () -> run ~report:rep options path x)))
       $ driver_options $ trace_out $ trace_attrs $ report_out $ file_arg
       $ extra))
 
@@ -301,8 +316,6 @@ let compile_cmd =
               (Printf.sprintf "pass%d.pas" m.Linguist.Pascal_gen.pass)
               m.Linguist.Pascal_gen.text)
           artifact.Linguist.Driver.modules;
-        let ml = Linguist.Ocaml_gen.generate artifact.Linguist.Driver.plan in
-        write "evaluator.ml" ml.Linguist.Ocaml_gen.text;
         List.iter
           (fun (name, seconds) ->
             Printf.printf "  overlay %-16s %8.4f s\n" name seconds)
@@ -390,8 +403,10 @@ let analyze_cmd =
              | exception Failure msg -> `Error (false, msg)
              | engine_options ->
                  guard (fun () ->
-                     with_trace ~trace_out:tout ~trace_attrs:tattrs
-                       ~label:"analyze" (fun () -> run engine_options path)))
+                     output_errors (fun () ->
+                         with_trace ~trace_out:tout ~trace_attrs:tattrs
+                           ~label:"analyze" (fun () ->
+                             run engine_options path))))
         $ apt_store $ apt_page_size $ apt_faults $ depth_budget $ node_budget
         $ trace_out $ trace_attrs $ file_arg))
 
@@ -627,12 +642,13 @@ let batch_cmd =
         (const (fun workers out timings inc inc_threshold chaos_spec poison
                     deadline tout tattrs jobs_path ->
              guard (fun () ->
-                 match incremental_of ~on:inc ~threshold:inc_threshold with
-                 | incremental ->
-                     run ~jobs_path ~workers ~out ~timings ~incremental
-                       ~chaos_spec ~poison ~deadline ~trace_out:tout
-                       ~trace_attrs:tattrs
-                 | exception Failure msg -> `Error (false, msg)))
+                 output_errors (fun () ->
+                     match incremental_of ~on:inc ~threshold:inc_threshold with
+                     | incremental ->
+                         run ~jobs_path ~workers ~out ~timings ~incremental
+                           ~chaos_spec ~poison ~deadline ~trace_out:tout
+                           ~trace_attrs:tattrs
+                     | exception Failure msg -> `Error (false, msg))))
         $ jobs_flag $ out_arg $ timings_flag $ incremental_flag
         $ incremental_threshold $ chaos_arg $ chaos_poison_arg
         $ deadline_arg $ trace_out $ trace_attrs $ jobfile_arg))
@@ -1181,8 +1197,9 @@ let self_cmd =
     Term.(
       ret
         (const (fun tout tattrs ->
-             with_trace ~trace_out:tout ~trace_attrs:tattrs ~label:"self"
-               (fun () -> run ()))
+             output_errors (fun () ->
+                 with_trace ~trace_out:tout ~trace_attrs:tattrs ~label:"self"
+                   (fun () -> run ())))
         $ trace_out $ trace_attrs))
 
 (* ---------------- corpus ---------------- *)

@@ -51,7 +51,6 @@ let abort_writer w = w.inner_w.Apt_store.abort ()
 
 let size_bytes (f : file) = f.Apt_store.f_size
 let record_count (f : file) = f.Apt_store.f_records
-let store_name (f : file) = f.Apt_store.f_store
 
 let read_forward ?stats (f : file) =
   { r_stats = stats; inner_r = f.Apt_store.f_read stats `Forward }

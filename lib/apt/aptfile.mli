@@ -58,8 +58,5 @@ val of_list : ?stats:Io_stats.t -> backend -> Node.t list -> file
 val size_bytes : file -> int
 val record_count : file -> int
 
-val store_name : file -> string
-(** Name of the store that wrote the file. *)
-
 val dispose : file -> unit
 (** Delete the backing temp file (no-op for ["mem"]). *)

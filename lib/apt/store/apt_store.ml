@@ -72,7 +72,6 @@ let default_config =
 type reader = { next : unit -> string option; close_reader : unit -> unit }
 
 type file = {
-  f_store : string;  (** name of the store that wrote it *)
   f_size : int;  (** bytes occupied on the medium *)
   f_records : int;
   f_path : string option;  (** backing file, exposed for tests/tools *)

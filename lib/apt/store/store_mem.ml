@@ -64,7 +64,6 @@ let make (_ : config) : t =
             (fun () ->
               let data = Buffer.contents buf in
               {
-                f_store = "mem";
                 f_size = String.length data;
                 f_records = !records;
                 f_path = None;

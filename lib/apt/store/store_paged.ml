@@ -138,7 +138,6 @@ let make config : t =
             (fun () ->
               let size = Store_pager.close_writer w in
               {
-                f_store = "paged";
                 (* a tear shrinks the medium; readers still expect the
                    [size] bytes written, so they see the loss *)
                 f_size = damage config.faults path ~records:!records ~size;

@@ -135,7 +135,6 @@ let layer (config : config) (base : t) : t =
               let bf = base_writer.close () in
               {
                 bf with
-                f_store = "zip";
                 f_records = !records;
                 f_read = (fun stats dir -> open_reader bf stats dir);
               });

@@ -70,8 +70,6 @@ let lex source =
   done;
   List.rev !tokens
 
-let lex_only source = List.length (lex source)
-
 type typ = Tint | Tbool | Terr
 
 let compile source =

@@ -20,6 +20,3 @@ exception Syntax_error of int * string
     error, unlike the table-driven front end. *)
 
 val compile : string -> compiled
-
-val lex_only : string -> int
-(** Token count; used to time the scanner in isolation. *)

@@ -133,7 +133,3 @@ let tables =
         (fun i kind -> Hashtbl.replace terminal_of_kind kind i)
         g.Lg_grammar.Cfg.terminals;
       { lalr; terminal_of_kind })
-
-let production_tag i =
-  let g = Lg_support.Once.force cfg in
-  g.Lg_grammar.Cfg.productions.(i).Lg_grammar.Cfg.tag

@@ -15,6 +15,3 @@ type tables = {
 }
 
 val tables : tables Lg_support.Once.t
-
-val production_tag : int -> string
-(** Tag of a production index — the key {!Ag_parse} dispatches on. *)

@@ -87,9 +87,6 @@ let copy_ends r =
   | [| t |], Cref i -> Some (t, r.r_deps.(i))
   | _ -> None
 
-let rule_defines r aref =
-  Array.fold_left (fun found t -> found || t = aref) false r.r_targets
-
 let rec arity = function
   | Cconst _ | Cref _ | Ccall _ | Cbinop _ | Cnot _ | Cneg _ -> Some 1
   | Cif (branches, else_) ->

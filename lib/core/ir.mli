@@ -113,8 +113,6 @@ val copy_ends : rule -> (aref * aref) option
 (** [Some (target, source)] for a copy-rule: a single target whose
     right-hand side is a bare attribute reference. *)
 
-val rule_defines : rule -> aref -> bool
-
 val arity : 'leaf expr -> int option
 (** Number of values an expression produces; [None] if the branch lists of
     some conditional disagree (ill-formed, rejected by {!Check}). *)

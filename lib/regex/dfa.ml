@@ -12,7 +12,6 @@ type t = {
 let rule_bits = 24
 
 let state_count t = t.nstates
-let class_count t = t.nclasses
 let start t = t.start
 let accept t s = t.accepts.(s)
 

@@ -17,7 +17,6 @@ val minimize : t -> t
     dropped first. *)
 
 val state_count : t -> int
-val class_count : t -> int
 val start : t -> int
 
 val next : t -> int -> char -> int

@@ -129,8 +129,6 @@ let accepting_rule t states =
 let edge_classes t =
   Array.to_list t.edges |> List.concat_map (List.map fst)
 
-let outgoing t s = t.edges.(s)
-
 let scan_longest t input from =
   let n = String.length input in
   let rec go states i best =

@@ -28,9 +28,6 @@ val edge_classes : t -> Char_class.t list
 (** All character classes labelling edges — input to
     {!Char_class.split_alphabet}. *)
 
-val outgoing : t -> int -> (Char_class.t * int) list
-(** Labelled transitions of one state. *)
-
 val scan_longest : t -> string -> int -> (int * int) option
 (** [scan_longest t input start] simulates the NFA directly for the
     longest match beginning at [start]; returns [(rule, end_offset)].

@@ -23,5 +23,3 @@ let make ?(keywords = []) ?(keyword_rules = []) rule_specs =
       rule_specs
   in
   { rules; keywords; keyword_rules }
-
-let rule_count t = List.length t.rules

@@ -27,5 +27,3 @@ val make :
     @raise Lg_regex.Regex_syntax.Parse_error on a malformed pattern
     @raise Invalid_argument if a pattern matches the empty string (it would
     stall the scanner) or a rule name repeats. *)
-
-val rule_count : t -> int

@@ -11,7 +11,6 @@ type t = {
   by_text : (string, name) Hashtbl.t;
   mutable texts : string array;
   mutable next : int;
-  mutable bytes : int;
 }
 
 let create ?(initial_size = 64) () =
@@ -20,7 +19,6 @@ let create ?(initial_size = 64) () =
     by_text = Hashtbl.create initial_size;
     texts = Array.make (max 1 initial_size) "";
     next = 0;
-    bytes = 0;
   }
 
 let locked t f =
@@ -44,7 +42,6 @@ let intern t s =
       grow t;
       t.texts.(n) <- s;
       t.next <- n + 1;
-      t.bytes <- t.bytes + String.length s;
       Hashtbl.add t.by_text s n;
       n
 
@@ -64,6 +61,3 @@ let iter t f =
   for i = 0 to n - 1 do
     f i texts.(i)
   done
-
-let footprint_bytes t =
-  locked t @@ fun () -> t.bytes + (t.next * (Sys.word_size / 8))

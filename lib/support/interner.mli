@@ -39,7 +39,3 @@ val mem : t -> string -> bool
 
 val iter : t -> (name -> string -> unit) -> unit
 (** Iterate in order of allocation. *)
-
-val footprint_bytes : t -> int
-(** Approximate heap bytes used by stored texts — reproduces the paper's
-    memory accounting for the name table. *)

@@ -265,11 +265,6 @@ let pf_union a b =
 (* Truthiness ------------------------------------------------------------- *)
 
 let is_true = function Bool b -> b | _ -> false
-let as_int = function Int n -> Some n | _ -> None
-let as_list = function
-  | List items -> Some items
-  | Cat _ as v -> Some (items_of v)
-  | _ -> None
 
 (* Standard library ------------------------------------------------------- *)
 

@@ -70,13 +70,10 @@ val pf_eval : t -> t -> t
 val pf_domain : t -> t
 (** The set of bound keys. *)
 
-(** {1 Truthiness and coercions} *)
+(** {1 Truthiness} *)
 
 val is_true : t -> bool
 (** [Bool true] is true; everything else false. *)
-
-val as_int : t -> int option
-val as_list : t -> t list option
 
 (** {1 Standard function library} *)
 

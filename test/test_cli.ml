@@ -1,6 +1,7 @@
 (* End-to-end tests of the installed command-line interface: golden output
-   for the `stores` listing, the --trace-out / --trace-attrs telemetry
-   flags, and the diagnostics (exit code + stderr) for invalid invocations.
+   for the `stores` listing, the files `compile` writes, the --trace-out /
+   --trace-attrs telemetry flags, and the diagnostics (exit code + stderr)
+   for invalid invocations.
 
    Runs the real executable; dune's deps field makes ../bin/linguist_cli.exe
    and the promoted grammars available in the test's build directory. *)
@@ -10,8 +11,10 @@
 let build_root = Filename.dirname (Filename.dirname Sys.executable_name)
 let cli = Filename.concat build_root (Filename.concat "bin" "linguist_cli.exe")
 
-let grammar =
-  Filename.concat build_root (Filename.concat "grammars" "linguist.ag")
+let grammar_file name =
+  Filename.concat build_root (Filename.concat "grammars" (name ^ ".ag"))
+
+let grammar = grammar_file "linguist"
 
 let read_file path =
   let ic = open_in_bin path in
@@ -169,6 +172,61 @@ let test_missing_file () =
 let test_bad_fault_spec () =
   expect_cli_error "--apt-faults nonsense" "--apt-faults"
     (run [ "analyze"; "--apt-faults"; "nonsense"; grammar ])
+
+(* A fresh directory for [f], removed with everything in it afterwards. *)
+let with_temp_dir f =
+  let dir = Filename.temp_file "cli_dir" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let rec remove path =
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> remove (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect ~finally:(fun () -> remove dir) (fun () -> f dir)
+
+(* compile writes the listing and one Pascal module per pass, nothing
+   else *)
+let test_compile_outputs () =
+  with_temp_dir @@ fun dir ->
+  List.iter
+    (fun (name, passes) ->
+      let out = Filename.concat dir name in
+      expect_ok ("compile " ^ name)
+        (run [ "compile"; grammar_file name; "-o"; out ]);
+      Alcotest.(check (list string))
+        (name ^ ": files written")
+        ("listing.txt"
+        :: List.init passes (fun i -> Printf.sprintf "pass%d.pas" (i + 1)))
+        (List.sort compare (Array.to_list (Sys.readdir out))))
+    [
+      ("desk_calc", 2); ("knuth_binary", 2); ("pascal_subset", 2);
+      ("assembler", 3); ("linguist", 4);
+    ]
+
+(* an output path that cannot be written is a usage error naming the
+   path, not an uncaught Sys_error *)
+let test_unwritable_outputs () =
+  with_temp_dir @@ fun dir ->
+  let file = Filename.concat dir "FILE" in
+  close_out (open_out file);
+  let missing = Filename.concat dir (Filename.concat "missing" "dir") in
+  let g = grammar_file "desk_calc" in
+  List.iter
+    (fun (args, path) ->
+      let name = String.concat " " (List.filter (( <> ) g) args) in
+      let ((_, _, stderr) as r) = run args in
+      expect_cli_error name path r;
+      if contains ~needle:"internal error" stderr then
+        Alcotest.failf "%s: internal error:\n%s" name stderr)
+    [
+      ([ "compile"; g; "-o"; Filename.concat missing "out" ], missing);
+      ([ "compile"; g; "-o"; file ], file);
+      ([ "check"; "--report"; Filename.concat missing "x.json"; g ], missing);
+      ([ "check"; "--trace-out"; Filename.concat missing "x.json"; g ], missing);
+    ]
 
 (* the store is a setting of an evaluator run: commands that only run
    the front end do not take it *)
@@ -580,6 +638,8 @@ let () =
           Alcotest.test_case "stores lists the registry" `Quick
             test_stores_listing;
           Alcotest.test_case "check accepts linguist.ag" `Quick test_check_ok;
+          Alcotest.test_case "compile writes the listing and passN.pas"
+            `Quick test_compile_outputs;
         ] );
       ( "tracing",
         [
@@ -614,6 +674,8 @@ let () =
             test_front_end_refuses_store;
           Alcotest.test_case "serve refuses a bad tenants file" `Quick
             test_serve_refuses_tenants_file;
+          Alcotest.test_case "unwritable output paths" `Quick
+            test_unwritable_outputs;
         ] );
       ( "apt-fsck",
         [

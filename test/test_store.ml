@@ -747,7 +747,6 @@ let reverse_mem : Apt_store.t =
             (fun () ->
               let kept = !kept in
               {
-                f_store = "test-reverse";
                 f_size = List.fold_left (fun a p -> a + String.length p) 0 kept;
                 f_records = List.length kept;
                 f_path = None;
