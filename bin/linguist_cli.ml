@@ -1176,7 +1176,8 @@ let coordinate_cmd =
       ret
         (const (fun workers out attempts redispatch_limit jobs_path ->
              guard (fun () ->
-                 run ~jobs_path ~workers ~out ~attempts ~redispatch_limit))
+                 output_errors (fun () ->
+                     run ~jobs_path ~workers ~out ~attempts ~redispatch_limit)))
         $ worker_arg $ out_arg $ attempts_arg $ redispatch_arg $ jobfile_arg))
 
 let self_cmd =
@@ -1272,7 +1273,7 @@ let corpus_cmd =
       Term.(
         ret
           (const (fun profile seed name out ->
-               try run profile seed name out
+               try output_errors (fun () -> run profile seed name out)
                with Invalid_argument msg -> `Error (false, msg))
           $ profile_arg $ seed_arg $ name_arg $ out_arg))
   in

@@ -1,54 +1,112 @@
 open Lg_support
 
+type pos = int
+
+let pos_bits = 31
+let pos_mask = (1 lsl pos_bits) - 1
+let pos ~start ~stop = (start lsl pos_bits) lor stop
+let pos_start p = p lsr pos_bits
+let pos_stop p = p land pos_mask
+
+let pos_of_span (s : Loc.span) =
+  pos ~start:s.Loc.start_p.Loc.offset ~stop:s.Loc.end_p.Loc.offset
+
+let merge a b =
+  pos
+    ~start:(min (pos_start a) (pos_start b))
+    ~stop:(max (pos_stop a) (pos_stop b))
+
 type binop = Add | Sub | Eq | Ne | Lt | Gt | Le | Ge | And | Or
 
 type expr =
-  | Enum of int * Loc.span
-  | Ebool of bool * Loc.span
-  | Estr of string * Loc.span
-  | Eident of string * Loc.span
-  | Edot of string * string * Loc.span
-  | Ecall of string * expr list * Loc.span
-  | Ebinop of binop * expr * expr * Loc.span
-  | Enot of expr * Loc.span
-  | Eneg of expr * Loc.span
-  | Eif of branch list * expr list * Loc.span
+  | Enum of int * pos
+  | Ebool of bool * pos
+  | Estr of string * pos
+  | Eident of string * pos
+  | Edot of string * string * pos
+  | Ecall of string * expr list * pos
+  | Ebinop of binop * expr * expr * pos
+  | Enot of expr * pos
+  | Eneg of expr * pos
+  | Eif of branch list * expr list * pos
 
 and branch = { cond : expr; values : expr list }
 
-type target = Tdot of string * string * Loc.span | Tbare of string * Loc.span
-type semfn = { targets : target list; rhs : expr; f_span : Loc.span }
+type target = Tdot of string * string * pos | Tbare of string * pos
+type semfn = { targets : target list; rhs : expr; f_pos : pos }
 type attr_kind = Kinh | Ksyn | Kintrinsic | Kplain
 
 type attr_decl = {
   attr_name : string;
   attr_type : string;
   attr_kind : attr_kind;
-  a_span : Loc.span;
+  a_pos : pos;
 }
 
 type sym_section = Sterminals | Snonterminals | Slimbs
-type sym_decl = { sym_name : string; sym_attrs : attr_decl list; s_span : Loc.span }
+type sym_decl = { sym_name : string; sym_attrs : attr_decl list; s_pos : pos }
 
 type prod_decl = {
   lhs : string;
   rhs : string list;
   limb : string option;
   sems : semfn list;
-  p_span : Loc.span;
+  p_pos : pos;
 }
 
 type strategy = Bottom_up | Recursive_descent
 
 type section =
-  | Sec_root of string * Loc.span
-  | Sec_strategy of strategy * Loc.span
+  | Sec_root of string * pos
+  | Sec_strategy of strategy * pos
   | Sec_symbols of sym_section * sym_decl list
   | Sec_productions of prod_decl list
 
-type spec = { name : string; sections : section list; sp_span : Loc.span }
+type spec = {
+  name : string;
+  sections : section list;
+  file : string;
+  line_starts : int array;
+  sp_pos : pos;
+}
 
-let expr_span = function
+let line_starts input =
+  let n = ref 1 in
+  String.iter (fun c -> if Char.equal c '\n' then incr n) input;
+  let starts = Array.make !n 0 in
+  let k = ref 1 in
+  String.iteri
+    (fun i c ->
+      if Char.equal c '\n' then begin
+        starts.(!k) <- i + 1;
+        incr k
+      end)
+    input;
+  starts
+
+let line ~line_starts offset =
+  (* the last line start at or before [offset], in [lo, hi) *)
+  let rec last lo hi =
+    if hi - lo <= 1 then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if line_starts.(mid) <= offset then last mid hi else last lo mid
+  in
+  last 0 (Array.length line_starts) + 1
+
+let col ~line_starts offset =
+  offset - line_starts.(line ~line_starts offset - 1) + 1
+
+let position ~line_starts offset =
+  let line = line ~line_starts offset in
+  { Loc.line; col = offset - line_starts.(line - 1) + 1; offset }
+
+let span ~file ~line_starts p =
+  Loc.span file
+    (position ~line_starts (pos_start p))
+    (position ~line_starts (pos_stop p))
+
+let expr_pos = function
   | Enum (_, s)
   | Ebool (_, s)
   | Estr (_, s)
@@ -61,7 +119,7 @@ let expr_span = function
   | Eif (_, _, s) ->
       s
 
-let target_span = function Tdot (_, _, s) | Tbare (_, s) -> s
+let target_pos = function Tdot (_, _, s) | Tbare (_, s) -> s
 
 let strip_occurrence_suffix name =
   let n = String.length name in

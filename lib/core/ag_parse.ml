@@ -25,7 +25,7 @@ type pv =
 
 let tok = function Tok t -> t | _ -> assert false
 let lexeme v = (tok v).Lg_scanner.Engine.lexeme
-let span v = (tok v).Lg_scanner.Engine.span
+let pos v = pos_of_span (tok v).Lg_scanner.Engine.span
 let expr = function Pexpr e -> e | _ -> assert false
 let exprs = function Pexprs es -> List.rev es | _ -> assert false
 
@@ -52,19 +52,26 @@ let unquote s =
   Buffer.contents buf
 
 let binop op a b =
-  Ebinop (op, a, b, Loc.merge (expr_span a) (expr_span b))
+  Ebinop (op, a, b, merge (expr_pos a) (expr_pos b))
 
 let reduce_action tag children =
   match (tag, children) with
   | "spec", [ g; name; _; Psections secs ] ->
+      (* [parse] fills in the file and its line starts *)
       Pspec
-        { name = lexeme name; sections = List.rev secs; sp_span = span g }
+        {
+          name = lexeme name;
+          sections = List.rev secs;
+          file = "";
+          line_starts = [||];
+          sp_pos = pos g;
+        }
   | "sections_snoc", [ Psections secs; Psection s ] -> Psections (s :: secs)
   | "sections_one", [ Psection s ] -> Psections [ s ]
-  | "sec_root", [ _; name; _ ] -> Psection (Sec_root (lexeme name, span name))
-  | "sec_strat_bu", [ s; _; _ ] -> Psection (Sec_strategy (Bottom_up, span s))
+  | "sec_root", [ _; name; _ ] -> Psection (Sec_root (lexeme name, pos name))
+  | "sec_strat_bu", [ s; _; _ ] -> Psection (Sec_strategy (Bottom_up, pos s))
   | "sec_strat_rd", [ s; _; _ ] ->
-      Psection (Sec_strategy (Recursive_descent, span s))
+      Psection (Sec_strategy (Recursive_descent, pos s))
   | "sec_terminals", [ _; Psymdecls ds; _ ] ->
       Psection (Sec_symbols (Sterminals, List.rev ds))
   | "sec_nonterminals", [ _; Psymdecls ds; _ ] ->
@@ -75,10 +82,10 @@ let reduce_action tag children =
   | "symdecls_snoc", [ Psymdecls ds; Psymdecl d ] -> Psymdecls (d :: ds)
   | "symdecls_one", [ Psymdecl d ] -> Psymdecls [ d ]
   | "symdecl_plain", [ name; _ ] ->
-      Psymdecl { sym_name = lexeme name; sym_attrs = []; s_span = span name }
+      Psymdecl { sym_name = lexeme name; sym_attrs = []; s_pos = pos name }
   | "symdecl_attrs", [ name; _; Pattrdecls ds; _ ] ->
       Psymdecl
-        { sym_name = lexeme name; sym_attrs = List.rev ds; s_span = span name }
+        { sym_name = lexeme name; sym_attrs = List.rev ds; s_pos = pos name }
   | "attrdecls_snoc", [ Pattrdecls ds; _; Pattrdecl d ] -> Pattrdecls (d :: ds)
   | "attrdecls_one", [ Pattrdecl d ] -> Pattrdecls [ d ]
   | "attrdecl_kind", [ Pkind k; name; _; ty ] ->
@@ -87,7 +94,7 @@ let reduce_action tag children =
           attr_name = lexeme name;
           attr_type = lexeme ty;
           attr_kind = k;
-          a_span = span name;
+          a_pos = pos name;
         }
   | "attrdecl_plain", [ name; _; ty ] ->
       Pattrdecl
@@ -95,7 +102,7 @@ let reduce_action tag children =
           attr_name = lexeme name;
           attr_type = lexeme ty;
           attr_kind = Kplain;
-          a_span = span name;
+          a_pos = pos name;
         }
   | "kind_inh", [ _ ] -> Pkind Kinh
   | "kind_syn", [ _ ] -> Pkind Ksyn
@@ -109,7 +116,7 @@ let reduce_action tag children =
           rhs = List.rev rhs;
           limb;
           sems = List.rev sems;
-          p_span = span lhs;
+          p_pos = pos lhs;
         }
   | "rhs_snoc", [ Prhs rhs; name ] -> Prhs (lexeme name :: rhs)
   | "rhs_nil", [] -> Prhs []
@@ -121,17 +128,17 @@ let reduce_action tag children =
   | "semfns_one", [ Psemfn f ] -> Psems [ f ]
   | "semfn", [ Ptargets targets; _; Pexpr rhs ] ->
       let targets = List.rev targets in
-      let f_span =
+      let f_pos =
         match targets with
-        | t :: _ -> Loc.merge (target_span t) (expr_span rhs)
-        | [] -> expr_span rhs
+        | t :: _ -> merge (target_pos t) (expr_pos rhs)
+        | [] -> expr_pos rhs
       in
-      Psemfn { targets; rhs; f_span }
+      Psemfn { targets; rhs; f_pos }
   | "targets_snoc", [ Ptargets ts; _; Ptarget t ] -> Ptargets (t :: ts)
   | "targets_one", [ Ptarget t ] -> Ptargets [ t ]
   | "target_dot", [ occ; _; attr ] ->
-      Ptarget (Tdot (lexeme occ, lexeme attr, Loc.merge (span occ) (span attr)))
-  | "target_bare", [ name ] -> Ptarget (Tbare (lexeme name, span name))
+      Ptarget (Tdot (lexeme occ, lexeme attr, merge (pos occ) (pos attr)))
+  | "target_bare", [ name ] -> Ptarget (Tbare (lexeme name, pos name))
   | ("expr_disj" | "expr_if"), [ Pexpr e ] -> Pexpr e
   | "ifexpr", [ kw; Pexpr cond; _; thn; Pelifs elifs; _; els; endkw ] ->
       let first = { cond; values = exprs thn } in
@@ -139,7 +146,7 @@ let reduce_action tag children =
         (Eif
            ( first :: List.rev elifs,
              exprs els,
-             Loc.merge (span kw) (span endkw) ))
+             merge (pos kw) (pos endkw) ))
   | "elif_snoc", [ Pelifs elifs; _; Pexpr cond; _; values ] ->
       Pelifs ({ cond; values = exprs values } :: elifs)
   | "elif_nil", [] -> Pelifs []
@@ -159,20 +166,20 @@ let reduce_action tag children =
     ->
       Pexpr e
   | "not", [ kw; Pexpr e ] ->
-      Pexpr (Enot (e, Loc.merge (span kw) (expr_span e)))
+      Pexpr (Enot (e, merge (pos kw) (expr_pos e)))
   | "neg", [ kw; Pexpr e ] ->
-      Pexpr (Eneg (e, Loc.merge (span kw) (expr_span e)))
-  | "num", [ n ] -> Pexpr (Enum (int_of_string (lexeme n), span n))
-  | "str", [ s ] -> Pexpr (Estr (unquote (lexeme s), span s))
-  | "true", [ t ] -> Pexpr (Ebool (true, span t))
-  | "false", [ t ] -> Pexpr (Ebool (false, span t))
-  | "ident", [ x ] -> Pexpr (Eident (lexeme x, span x))
+      Pexpr (Eneg (e, merge (pos kw) (expr_pos e)))
+  | "num", [ n ] -> Pexpr (Enum (int_of_string (lexeme n), pos n))
+  | "str", [ s ] -> Pexpr (Estr (unquote (lexeme s), pos s))
+  | "true", [ t ] -> Pexpr (Ebool (true, pos t))
+  | "false", [ t ] -> Pexpr (Ebool (false, pos t))
+  | "ident", [ x ] -> Pexpr (Eident (lexeme x, pos x))
   | "dotref", [ occ; _; attr ] ->
-      Pexpr (Edot (lexeme occ, lexeme attr, Loc.merge (span occ) (span attr)))
+      Pexpr (Edot (lexeme occ, lexeme attr, merge (pos occ) (pos attr)))
   | "call", [ f; _; Pexprs args; rp ] ->
-      Pexpr (Ecall (lexeme f, List.rev args, Loc.merge (span f) (span rp)))
+      Pexpr (Ecall (lexeme f, List.rev args, merge (pos f) (pos rp)))
   | "call0", [ f; _; rp ] ->
-      Pexpr (Ecall (lexeme f, [], Loc.merge (span f) (span rp)))
+      Pexpr (Ecall (lexeme f, [], merge (pos f) (pos rp)))
   | "paren", [ _; Pexpr e; _ ] -> Pexpr e
   | tag, children ->
       invalid_arg
@@ -199,7 +206,8 @@ let parse ~file ~diag input =
       (Seq.map classify (Ag_lexer.tokens ~file ~diag input))
   in
   match result with
-  | Ok (Pspec spec) -> Some spec
+  | Ok (Pspec spec) ->
+      Some { spec with file; line_starts = Ag_ast.line_starts input }
   | Ok _ -> assert false
   | Error _ ->
       (* The failed parse forced the whole scan, so every scan error is

@@ -4,8 +4,10 @@ open Ag_ast
 (* Mutable builder state threaded through the phases. *)
 type builder = {
   diag : Diag.collector;
+  file : string;
+  line_starts : int array;  (** the spec's, to place diagnostics *)
   mutable symbols : Ir.symbol list;  (** reversed *)
-  mutable attrs : (Ir.attr * Loc.span) list;  (** reversed *)
+  mutable attrs : (Ir.attr * Ag_ast.pos) list;  (** reversed *)
   types : (string, string) Hashtbl.t;  (** shared type names *)
   sym_index : (string, int) Hashtbl.t;
   mutable n_syms : int;
@@ -20,6 +22,9 @@ let share tbl key v =
       Hashtbl.add tbl key v;
       v
 
+(* A diagnostic's span, rebuilt only when one is reported. *)
+let at b p = Ag_ast.span ~file:b.file ~line_starts:b.line_starts p
+
 let sym_kind_text = function
   | Ir.Terminal -> "terminal"
   | Ir.Nonterminal -> "nonterminal"
@@ -28,7 +33,8 @@ let sym_kind_text = function
 let declare_symbol b kind (d : sym_decl) =
   match Hashtbl.find_opt b.sym_index d.sym_name with
   | Some _ ->
-      Diag.error b.diag d.s_span "duplicate declaration of symbol %S" d.sym_name
+      Diag.error b.diag (at b d.s_pos) "duplicate declaration of symbol %S"
+        d.sym_name
   | None ->
       let s_id = b.n_syms in
       b.n_syms <- s_id + 1;
@@ -38,7 +44,8 @@ let declare_symbol b kind (d : sym_decl) =
       List.iter
         (fun (a : attr_decl) ->
           if Hashtbl.mem seen a.attr_name then
-            Diag.error b.diag a.a_span "duplicate attribute %S of symbol %S"
+            Diag.error b.diag (at b a.a_pos)
+              "duplicate attribute %S of symbol %S"
               a.attr_name d.sym_name
           else begin
             Hashtbl.add seen a.attr_name ();
@@ -46,25 +53,25 @@ let declare_symbol b kind (d : sym_decl) =
               match (kind, a.attr_kind) with
               | Ir.Terminal, (Kintrinsic | Kplain) -> Some Ir.Intrinsic
               | Ir.Terminal, (Kinh | Ksyn) ->
-                  Diag.error b.diag a.a_span
+                  Diag.error b.diag (at b a.a_pos)
                     "attribute %S of terminal %S must be intrinsic (set by the parser)"
                     a.attr_name d.sym_name;
                   None
               | Ir.Nonterminal, Kinh -> Some Ir.Inherited
               | Ir.Nonterminal, Ksyn -> Some Ir.Synthesized
               | Ir.Nonterminal, Kintrinsic ->
-                  Diag.error b.diag a.a_span
+                  Diag.error b.diag (at b a.a_pos)
                     "intrinsic attribute %S on nonterminal %S: intrinsic attributes belong to terminals"
                     a.attr_name d.sym_name;
                   None
               | Ir.Nonterminal, Kplain ->
-                  Diag.error b.diag a.a_span
+                  Diag.error b.diag (at b a.a_pos)
                     "attribute %S of nonterminal %S must be declared inh or syn"
                     a.attr_name d.sym_name;
                   None
               | Ir.Limb, Kplain -> Some Ir.Limb_attr
               | Ir.Limb, (Kinh | Ksyn | Kintrinsic) ->
-                  Diag.error b.diag a.a_span
+                  Diag.error b.diag (at b a.a_pos)
                     "limb attribute %S of %S takes no inh/syn/intrinsic marker (limb attributes name common sub-expressions)"
                     a.attr_name d.sym_name;
                   None
@@ -81,7 +88,7 @@ let declare_symbol b kind (d : sym_decl) =
                       a_type = share b.types a.attr_type a.attr_type;
                       a_kind;
                     },
-                    a.a_span )
+                    a.a_pos )
                   :: b.attrs;
                 attr_ids := a_id :: !attr_ids
             | None -> ()
@@ -99,7 +106,7 @@ let declare_symbol b kind (d : sym_decl) =
 (* Occurrence resolution: positions are LHS, then RHS left to right; the
    numeric suffix selects among occurrences of the base symbol in that
    order ("S0 ::= V S1"). *)
-let resolve_occurrence b ~symbols ~(prod : Ir.production) name span =
+let resolve_occurrence b ~symbols ~(prod : Ir.production) name p =
   let occurrences_of sym_id =
     let rhs_occs =
       Array.to_list prod.p_rhs
@@ -124,11 +131,11 @@ let resolve_occurrence b ~symbols ~(prod : Ir.production) name span =
           match occurrences_of sym_id with
           | [ occ ] -> Some occ
           | [] ->
-              Diag.error b.diag span
+              Diag.error b.diag (at b p)
                 "symbol %S does not occur in this production" name;
               None
           | _ :: _ :: _ ->
-              Diag.error b.diag span
+              Diag.error b.diag (at b p)
                 "symbol %S occurs more than once here; use a numeric suffix (%s0, %s1, ...)"
                 name name name;
               None)
@@ -140,18 +147,20 @@ let resolve_occurrence b ~symbols ~(prod : Ir.production) name span =
               match List.nth_opt occs k with
               | Some occ -> Some occ
               | None ->
-                  Diag.error b.diag span
+                  Diag.error b.diag (at b p)
                     "occurrence %S: symbol %S appears only %d time(s) in this production"
                     name base (List.length occs);
                   None)
           | _ ->
-              Diag.error b.diag span "unknown symbol occurrence %S" name;
+              Diag.error b.diag (at b p) "unknown symbol occurrence %S" name;
               None))
 
 let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
   let b =
     {
       diag;
+      file = spec.file;
+      line_starts = spec.line_starts;
       symbols = [];
       attrs = [];
       types = Hashtbl.create 16;
@@ -164,14 +173,14 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
   let root_decl = ref None and strategy = ref None in
   List.iter
     (function
-      | Sec_root (name, span) -> (
+      | Sec_root (name, p) -> (
           match !root_decl with
-          | None -> root_decl := Some (name, span)
-          | Some _ -> Diag.error diag span "multiple root declarations")
-      | Sec_strategy (s, span) -> (
+          | None -> root_decl := Some (name, p)
+          | Some _ -> Diag.error diag (at b p) "multiple root declarations")
+      | Sec_strategy (s, p) -> (
           match !strategy with
           | None -> strategy := Some s
-          | Some _ -> Diag.error diag span "multiple strategy declarations")
+          | Some _ -> Diag.error diag (at b p) "multiple strategy declarations")
       | Sec_symbols _ | Sec_productions _ -> ())
     spec.sections;
   let strategy = Option.value ~default:Bottom_up !strategy in
@@ -190,7 +199,7 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
     spec.sections;
   let symbols = Array.of_list (List.rev b.symbols) in
   let attrs = Array.of_list (List.rev_map fst b.attrs) in
-  let attr_spans = Array.of_list (List.rev_map snd b.attrs) in
+  let attr_pos = Array.of_list (List.rev_map snd b.attrs) in
   let attrs_of sym = List.map (fun a -> attrs.(a)) symbols.(sym).Ir.s_attrs in
   (* ---- productions (shapes) ---- *)
   let prod_decls =
@@ -218,16 +227,17 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
               | (Ir.Terminal | Ir.Nonterminal), true -> Some id
               | Ir.Nonterminal, false -> Some id
               | Ir.Terminal, false ->
-                  Diag.error diag pd.p_span
+                  Diag.error diag (at b pd.p_pos)
                     "terminal %S cannot be the left-hand side of a production"
                     name;
                   None
               | Ir.Limb, _ ->
-                  Diag.error diag pd.p_span
+                  Diag.error diag (at b pd.p_pos)
                     "limb symbol %S cannot appear in the phrase structure" name;
                   None)
           | None ->
-              Diag.error diag pd.p_span "undeclared symbol %S in production"
+              Diag.error diag (at b pd.p_pos)
+                "undeclared symbol %S in production"
                 name;
               None
         in
@@ -237,7 +247,7 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
           match pd.limb with
           | None ->
               if pd.sems <> [] then
-                Diag.warning diag pd.p_span
+                Diag.warning diag (at b pd.p_pos)
                   "production of %S has semantic functions but no limb symbol"
                   pd.lhs;
               None
@@ -245,12 +255,13 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
               match Hashtbl.find_opt b.sym_index name with
               | Some id when symbols.(id).Ir.s_kind = Ir.Limb -> Some id
               | Some id ->
-                  Diag.error diag pd.p_span "%s %S used as a limb"
+                  Diag.error diag (at b pd.p_pos) "%s %S used as a limb"
                     (sym_kind_text symbols.(id).Ir.s_kind)
                     name;
                   None
               | None ->
-                  Diag.error diag pd.p_span "undeclared limb symbol %S" name;
+                  Diag.error diag (at b pd.p_pos) "undeclared limb symbol %S"
+                    name;
                   None)
         in
         match (lhs, List.for_all Option.is_some rhs) with
@@ -277,25 +288,25 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
     (* ---- root ---- *)
     let root =
       match !root_decl with
-      | Some (name, span) -> (
+      | Some (name, p) -> (
           match Hashtbl.find_opt b.sym_index name with
           | Some id when symbols.(id).Ir.s_kind = Ir.Nonterminal -> Some id
           | Some id ->
-              Diag.error diag span "root symbol %S is a %s" name
+              Diag.error diag (at b p) "root symbol %S is a %s" name
                 (sym_kind_text symbols.(id).Ir.s_kind);
               None
           | None ->
-              Diag.error diag span "undeclared root symbol %S" name;
+              Diag.error diag (at b p) "undeclared root symbol %S" name;
               None)
       | None -> (
           match prods with
           | ({ Ir.p_lhs; _ }, pd) :: _ ->
-              Diag.warning diag pd.p_span
+              Diag.warning diag (at b pd.p_pos)
                 "no root declaration; taking %S (left-hand side of the first production)"
                 symbols.(p_lhs).Ir.s_name;
               Some p_lhs
           | [] ->
-              Diag.error diag spec.sp_span "grammar has no productions";
+              Diag.error diag (at b spec.sp_pos) "grammar has no productions";
               None)
     in
     (match root with
@@ -303,7 +314,7 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
         List.iter
           (fun a ->
             if a.Ir.a_kind = Ir.Inherited then
-              Diag.error diag attr_spans.(a.Ir.a_id)
+              Diag.error diag (at b attr_pos.(a.Ir.a_id))
                 "root symbol %S must not have inherited attributes (%S)"
                 symbols.(r).Ir.s_name a.Ir.a_name)
           (attrs_of r)
@@ -326,9 +337,10 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
           in
           share arefs r { r with Ir.occ }
     in
-    let add_rule ~prod ~targets ~rhs ~implicit ~(span : Loc.span) =
+    let add_rule ~prod ~targets ~rhs ~implicit ~(pos : Ag_ast.pos) =
       let r_id = !n_rules in
       incr n_rules;
+      let start = Ag_ast.pos_start pos in
       let r_rhs, deps = Ir.operands rhs in
       rules :=
         {
@@ -338,10 +350,10 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
           r_rhs;
           r_deps = Array.map share_aref deps;
           r_implicit = implicit;
-          r_line = span.start_p.line;
-          r_col = span.start_p.col;
-          r_start = span.start_p.offset;
-          r_stop = span.end_p.offset;
+          r_line = Ag_ast.line ~line_starts:b.line_starts start;
+          r_col = Ag_ast.col ~line_starts:b.line_starts start;
+          r_start = start;
+          r_stop = Ag_ast.pos_stop pos;
         }
         :: !rules;
       r_id
@@ -350,12 +362,12 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
       List.map
         (fun ((prod : Ir.production), (pd : prod_decl)) ->
           let rule_ids = ref [] in
-          let resolve_occ name span =
-            resolve_occurrence b ~symbols ~prod name span
+          let resolve_occ name p =
+            resolve_occurrence b ~symbols ~prod name p
           in
           (* Resolve an occurrence.attribute pair. *)
-          let resolve_dot occ_name attr_name span =
-            match resolve_occ occ_name span with
+          let resolve_dot occ_name attr_name p =
+            match resolve_occ occ_name p with
             | None -> None
             | Some occ -> (
                 let sym =
@@ -371,11 +383,11 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
                 with
                 | Some a -> Some { Ir.occ; attr = a.Ir.a_id }
                 | None ->
-                    Diag.error diag span "symbol %S has no attribute %S"
+                    Diag.error diag (at b p) "symbol %S has no attribute %S"
                       symbols.(sym).Ir.s_name attr_name;
                     None)
           in
-          let resolve_bare_limb name _span =
+          let resolve_bare_limb name =
             match prod.Ir.p_limb with
             | Some limb_sym -> (
                 match
@@ -394,8 +406,8 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
             | Enum (n, _) -> Some (const (Value.Int n))
             | Ebool (v, _) -> Some (const (Value.Bool v))
             | Estr (s, _) -> Some (Ir.Cconst (Value.Str s))
-            | Eident (name, span) -> (
-                match resolve_bare_limb name span with
+            | Eident (name, p) -> (
+                match resolve_bare_limb name with
                 | Some aref -> Some (Ir.Cref aref)
                 | None -> (
                     match Value.lookup_constant name with
@@ -412,14 +424,14 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
                                 then Some ()
                                 else None)
                         then begin
-                          Diag.error diag span
+                          Diag.error diag (at b p)
                             "occurrence %S used without an attribute selection"
                             name;
                           None
                         end
                         else Some (Ir.Cconst (Value.Term (name, [])))))
-            | Edot (occ_name, attr_name, span) -> (
-                match resolve_dot occ_name attr_name span with
+            | Edot (occ_name, attr_name, p) -> (
+                match resolve_dot occ_name attr_name p with
                 | Some aref -> Some (Ir.Cref aref)
                 | None -> None)
             | Ecall (f, args, _) ->
@@ -435,9 +447,9 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
                 Option.map (fun a -> Ir.Cnot a) (compile ~top:false x)
             | Eneg (x, _) ->
                 Option.map (fun a -> Ir.Cneg a) (compile ~top:false x)
-            | Eif (branches, else_, span) ->
+            | Eif (branches, else_, p) ->
                 if not top then begin
-                  Diag.error diag span
+                  Diag.error diag (at b p)
                     "conditional expressions may not appear inside operands or argument lists (name the value with a limb attribute instead)";
                   None
                 end
@@ -463,7 +475,7 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
                            List.map Option.get else_ ))
                   else None
           in
-          let check_target aref span =
+          let check_target aref p =
             let attr = attrs.(aref.Ir.attr) in
             match (aref.Ir.occ, attr.Ir.a_kind) with
             | Ir.Lhs, Ir.Synthesized
@@ -471,30 +483,30 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
             | Ir.Limb_occ, Ir.Limb_attr ->
                 true
             | Ir.Lhs, Ir.Inherited ->
-                Diag.error diag span
+                Diag.error diag (at b p)
                   "inherited attribute %S of the left-hand side is defined by the surrounding production, not here"
                   attr.Ir.a_name;
                 false
             | Ir.Rhs _, Ir.Synthesized ->
-                Diag.error diag span
+                Diag.error diag (at b p)
                   "synthesized attribute %S of a right-hand-side symbol is defined by that symbol's own productions"
                   attr.Ir.a_name;
                 false
             | _, Ir.Intrinsic ->
-                Diag.error diag span
+                Diag.error diag (at b p)
                   "intrinsic attribute %S is set by the parser; no semantic function may define it"
                   attr.Ir.a_name;
                 false
             | _, _ ->
-                Diag.error diag span "attribute %S cannot be defined here"
+                Diag.error diag (at b p) "attribute %S cannot be defined here"
                   attr.Ir.a_name;
                 false
           in
-          let record_definition aref span =
+          let record_definition aref p =
             let fresh = not (Hashtbl.mem defined (prod.Ir.p_id, aref)) in
             if fresh then Hashtbl.add defined (prod.Ir.p_id, aref) ()
             else
-              Diag.error diag span
+              Diag.error diag (at b p)
                 "attribute occurrence already defined in this production";
             fresh
           in
@@ -503,28 +515,28 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
               let targets =
                 List.map
                   (function
-                    | Tdot (o, a, span) -> (resolve_dot o a span, span)
-                    | Tbare (name, span) -> (
-                        match resolve_bare_limb name span with
-                        | Some aref -> (Some aref, span)
+                    | Tdot (o, a, p) -> (resolve_dot o a p, p)
+                    | Tbare (name, p) -> (
+                        match resolve_bare_limb name with
+                        | Some aref -> (Some aref, p)
                         | None ->
-                            Diag.error diag span
+                            Diag.error diag (at b p)
                               "%S is not a limb attribute of this production"
                               name;
-                            (None, span)))
+                            (None, p)))
                   f.targets
               in
               let rhs = compile ~top:true f.rhs in
               if List.for_all (fun (t, _) -> Option.is_some t) targets then begin
                 let targets =
-                  List.map (fun (t, span) -> (Option.get t, span)) targets
+                  List.map (fun (t, p) -> (Option.get t, p)) targets
                 in
                 let valid =
-                  List.for_all (fun (t, span) -> check_target t span) targets
+                  List.for_all (fun (t, p) -> check_target t p) targets
                 in
                 let fresh =
                   List.for_all
-                    (fun (t, span) -> record_definition t span)
+                    (fun (t, p) -> record_definition t p)
                     targets
                 in
                 match rhs with
@@ -537,25 +549,25 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
                         rule_ids :=
                           add_rule ~prod:prod.Ir.p_id
                             ~targets:(List.map fst targets) ~rhs
-                            ~implicit:false ~span:f.f_span
+                            ~implicit:false ~pos:f.f_pos
                           :: !rule_ids
                     | Some n ->
-                        Diag.error diag f.f_span
+                        Diag.error diag (at b f.f_pos)
                           "semantic function defines %d attribute-occurrence(s) but its right-hand side produces %d value(s)"
                           (List.length targets) n
                     | None ->
-                        Diag.error diag f.f_span
+                        Diag.error diag (at b f.f_pos)
                           "the branches of this conditional produce differing numbers of values")
                 | _ -> ()
               end)
             pd.sems;
-          (prod, pd.p_span, List.rev !rule_ids))
+          (prod, pd.p_pos, List.rev !rule_ids))
         prods
     in
     (* ---- implicit copy-rules and completeness ---- *)
     let final_prods =
       List.map
-        (fun ((prod : Ir.production), p_span, rule_ids) ->
+        (fun ((prod : Ir.production), p_pos, rule_ids) ->
           let is_defined aref = Hashtbl.mem defined (prod.Ir.p_id, aref) in
           let implicit_rules =
             Implicit.insert ~symbols ~attrs ~prod ~defined:is_defined
@@ -565,13 +577,13 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
               (fun (target, source) ->
                 Hashtbl.add defined (prod.Ir.p_id, target) ();
                 add_rule ~prod:prod.Ir.p_id ~targets:[ target ]
-                  ~rhs:(Ir.Cref source) ~implicit:true ~span:p_span)
+                  ~rhs:(Ir.Cref source) ~implicit:true ~pos:p_pos)
               implicit_rules
           in
           (* completeness *)
           let require aref what =
             if not (Hashtbl.mem defined (prod.Ir.p_id, aref)) then
-              Diag.error diag p_span
+              Diag.error diag (at b p_pos)
                 "production %s: %s %S is never defined (and no implicit copy-rule applies)"
                 prod.Ir.p_tag what
                 attrs.(aref.Ir.attr).Ir.a_name
@@ -610,7 +622,7 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
         let ir =
           {
             Ir.grammar_name = spec.name;
-            source_file = spec.sp_span.file;
+            source_file = spec.file;
             symbols;
             attrs;
             prods = Array.of_list final_prods;
@@ -627,17 +639,19 @@ let check ?(source_lines = 0) ~diag (spec : Ag_ast.spec) =
            let cfg = Ir.to_cfg ir in
            List.iter
              (fun nt ->
-               Diag.warning diag spec.sp_span "nonterminal %S is unreachable"
+               Diag.warning diag (at b spec.sp_pos)
+                 "nonterminal %S is unreachable"
                  (Lg_grammar.Cfg.nonterminal_name cfg nt))
              (Lg_grammar.Cfg.unreachable cfg);
            List.iter
              (fun nt ->
-               Diag.warning diag spec.sp_span
+               Diag.warning diag (at b spec.sp_pos)
                  "nonterminal %S derives no terminal string"
                  (Lg_grammar.Cfg.nonterminal_name cfg nt))
              (Lg_grammar.Cfg.unproductive cfg)
          with Lg_grammar.Cfg.Ill_formed msg ->
-           Diag.error diag spec.sp_span "ill-formed phrase structure: %s" msg);
+           Diag.error diag (at b spec.sp_pos)
+             "ill-formed phrase structure: %s" msg);
         if Diag.is_ok diag then Some ir else None
     | _ -> None
   end

@@ -36,9 +36,12 @@ type t = {
   conflicts : conflict list;
 }
 
-let ints_of_array a =
-  let v = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (Array.length a) in
-  Array.iteri (fun i x -> Bigarray.Array1.unsafe_set v i (Int32.of_int x)) a;
+(* the first [n] cells of [a], encoded without an intermediate copy *)
+let ints_of_prefix a n =
+  let v = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout n in
+  for i = 0 to n - 1 do
+    Bigarray.Array1.unsafe_set v i (Int32.of_int a.(i))
+  done;
   v
 
 (* Rows as interleaved [| col; code; col; code; ... |], columns ascending. *)
@@ -75,7 +78,8 @@ let pack ~width rows =
       in
       check := grow !check (-1);
       value := grow !value 0;
-      skip := Array.append !skip (Array.init (cap' - cap) (fun k -> cap + k));
+      let skip0 = !skip in
+      skip := Array.init cap' (fun k -> if k < cap then skip0.(k) else k);
       let taken' = Bytes.make cap' '\000' in
       Bytes.blit !taken 0 taken' 0 cap;
       taken := taken'
@@ -138,9 +142,9 @@ let pack ~width rows =
             Row.add placed row b)
     order;
   {
-    base = ints_of_array base;
-    check = ints_of_array (Array.sub !check 0 !top);
-    value = ints_of_array (Array.sub !value 0 !top);
+    base = ints_of_prefix base nrows;
+    check = ints_of_prefix !check !top;
+    value = ints_of_prefix !value !top;
   }
 
 let get (a : ints) i = Int32.to_int (Bigarray.Array1.unsafe_get a i)

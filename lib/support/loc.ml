@@ -11,13 +11,6 @@ let advance p c =
 let dummy = { file = "<builtin>"; start_p = start_pos; end_p = start_pos }
 let span file start_p end_p = { file; start_p; end_p }
 
-let merge a b =
-  let start_p =
-    if a.start_p.offset <= b.start_p.offset then a.start_p else b.start_p
-  in
-  let end_p = if a.end_p.offset >= b.end_p.offset then a.end_p else b.end_p in
-  { file = a.file; start_p; end_p }
-
 let compare_span a b =
   match compare a.start_p.offset b.start_p.offset with
   | 0 -> compare a.end_p.offset b.end_p.offset

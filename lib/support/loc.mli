@@ -23,9 +23,6 @@ val dummy : span
 
 val span : string -> pos -> pos -> span
 
-val merge : span -> span -> span
-(** Smallest span covering both arguments; files are taken from the first. *)
-
 val compare_span : span -> span -> int
 (** Order by start offset, then end offset — listing order. *)
 

@@ -228,6 +228,32 @@ let test_unwritable_outputs () =
       ([ "check"; "--trace-out"; Filename.concat missing "x.json"; g ], missing);
     ]
 
+(* The same for the commands that write a file outside the front end:
+   [corpus generate --out], and [coordinate --out] after an empty job
+   list (its one worker is never contacted). *)
+let test_unwritable_generated_outputs () =
+  with_temp_dir @@ fun dir ->
+  let jobs = Filename.concat dir "jobs.json" in
+  let oc = open_out jobs in
+  output_string oc {|{"linguist_jobs": 1, "jobs": []}|};
+  close_out oc;
+  let missing = Filename.concat dir "missing" in
+  List.iter
+    (fun (name, args) ->
+      let ((_, _, stderr) as r) = run args in
+      expect_cli_error name missing r;
+      if contains ~needle:"internal error" stderr then
+        Alcotest.failf "%s: internal error:\n%s" name stderr)
+    [
+      ( "corpus generate --out",
+        [ "corpus"; "generate"; "--out"; Filename.concat missing "x.ag" ] );
+      ( "coordinate --out",
+        [
+          "coordinate"; jobs; "--worker"; Filename.concat dir "no.sock";
+          "--attempts"; "1"; "--out"; Filename.concat missing "x.json";
+        ] );
+    ]
+
 (* the store is a setting of an evaluator run: commands that only run
    the front end do not take it *)
 let test_front_end_refuses_store () =
@@ -676,6 +702,8 @@ let () =
             test_serve_refuses_tenants_file;
           Alcotest.test_case "unwritable output paths" `Quick
             test_unwritable_outputs;
+          Alcotest.test_case "unwritable generate and coordinate outputs"
+            `Quick test_unwritable_generated_outputs;
         ] );
       ( "apt-fsck",
         [

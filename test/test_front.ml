@@ -25,6 +25,18 @@ let test_parse_knuth () =
   in
   Alcotest.(check int) "productions" 5 (List.length prods)
 
+(* a construct's position covers its parts, in either order *)
+let test_merge_positions () =
+  let open Lg_support in
+  let p0 = Loc.start_pos in
+  let p1 = Loc.advance p0 'a' in
+  let p2 = Loc.advance p1 'b' in
+  let a = Ag_ast.pos_of_span (Loc.span "f" p0 p1)
+  and b = Ag_ast.pos_of_span (Loc.span "f" p1 p2) in
+  let m = Ag_ast.merge b a in
+  Alcotest.(check int) "start" 0 (Ag_ast.pos_start m);
+  Alcotest.(check int) "end" 2 (Ag_ast.pos_stop m)
+
 let test_parse_multi_target () =
   let spec =
     Ag_parse.parse_exn ~file:"<t>"
@@ -582,6 +594,39 @@ let test_parity_ir_spans () =
      6 but the target must exist at point 2 of the left-to-right pass\n"
     (pinned_diagnostics ~max_passes:1 pinned_pass_src)
 
+(* Check's own diagnostics, placed from the positions the AST keeps:
+   lines indented with a tab (one byte, one column) and a last line with
+   no newline after it. Start and end of each span, and their order,
+   are pinned. *)
+let tab_check_src =
+  "grammar Tab;\n\
+   root top;\n\
+   terminals K has intrinsic V : int; end\n\
+   nonterminals\n\
+   \ttop has syn S : int;\n\
+   \tx has syn B : int, syn B : int;\n\
+   end\n\
+   limbs TopL; XL; end\n\
+   productions\n\
+  \  top ::= x -> TopL :\n\
+   \t\ttop.S = x.Q;\n\
+  \  x ::= K -> XL : x.B = y.C + K.V, x.B = 1; end"
+
+let test_parity_check_positions () =
+  match Driver.process ~file:"tab.ag" tab_check_src with
+  | Ok _ -> Alcotest.fail "must fail"
+  | Error diag ->
+      Alcotest.(check (list string))
+        "check diagnostics, in source order"
+        [
+          "tab.ag:6.25-6.26 duplicate attribute \"B\" of symbol \"x\"";
+          "tab.ag:11.11-11.14 symbol \"x\" has no attribute \"Q\"";
+          "tab.ag:12.25-12.28 unknown symbol occurrence \"y\"";
+          "tab.ag:12.36-12.39 attribute occurrence already defined in this \
+           production";
+        ]
+        (rendered diag)
+
 let () =
   Alcotest.run "front"
     [
@@ -598,6 +643,7 @@ let () =
             test_multiple_syntax_errors_reported;
           Alcotest.test_case "figure 5 multi-target" `Quick
             test_figure5_multi_target;
+          Alcotest.test_case "merge positions" `Quick test_merge_positions;
         ] );
       ( "diagnostics parity",
         [
@@ -608,6 +654,8 @@ let () =
           Alcotest.test_case "desk_calc, first syntax error" `Quick
             test_parity_desk_calc_syntax_error;
           Alcotest.test_case "checked IR positions" `Quick test_parity_ir_spans;
+          Alcotest.test_case "check positions after tabs, no final newline"
+            `Quick test_parity_check_positions;
         ] );
       ( "check",
         [

@@ -807,6 +807,44 @@ let test_unknown_store_rejected () =
         (contains ~sub:"paged" msg)
   | _ -> Alcotest.fail "unknown store accepted"
 
+(* ----- mem's chunks ----- *)
+
+(* [mem] writes a file into chunks of 4, 8, 16, 32 and then 64 KiB. A
+   payload wider than the largest chunk, and, as the first record grows
+   a byte at a time, a frame and payload split at every byte around the
+   first boundary (4096) read back in both directions exactly as [paged]
+   reads them, and a full scan still reads the file once. *)
+let test_mem_chunk_boundaries () =
+  with_temp_dir @@ fun dir ->
+  let wide = String.init 150_000 (fun i -> Char.chr (i land 0xff)) in
+  for shift = 0 to 23 do
+    (* the second record starts at byte 4080 + shift *)
+    let payloads = [ String.make (4060 + shift) 'a'; "header"; wide; "z" ] in
+    let scan name dirn =
+      let f = write_store dir name payloads in
+      let stats = Io_stats.create () in
+      let records = drain (f.f_read (Some stats) dirn) in
+      f.f_dispose ();
+      (f.f_size, records, Io_stats.get stats.Io_stats.bytes_read)
+    in
+    List.iter
+      (fun (dirn, label) ->
+        let label = Printf.sprintf "shift %d, %s" shift label in
+        let size, records, read = scan "mem" dirn in
+        let p_size, p_records, p_read = scan "paged" dirn in
+        Alcotest.(check int) (label ^ ": size = paged's") p_size size;
+        Alcotest.(check (list string))
+          (label ^ ": records = paged's")
+          p_records records;
+        Alcotest.(check (list string))
+          (label ^ ": records as written")
+          (if dirn = `Forward then payloads else List.rev payloads)
+          records;
+        Alcotest.(check int) (label ^ ": bytes read = paged's") p_read read;
+        Alcotest.(check int) (label ^ ": bytes read = size") size read)
+      [ (`Forward, "forward"); (`Backward, "backward") ]
+  done
+
 let () =
   Alcotest.run "store"
     [
@@ -818,6 +856,8 @@ let () =
             test_empty_and_single;
           Alcotest.test_case "tiny pages, records wider than the pool" `Quick
             test_tiny_pages;
+          Alcotest.test_case "mem chunk boundaries match paged" `Quick
+            test_mem_chunk_boundaries;
           QCheck_alcotest.to_alcotest prop_roundtrip_random;
         ] );
       ( "format",

@@ -51,15 +51,6 @@ let test_advance () =
   Alcotest.(check int) "col reset" 1 p.Loc.col;
   Alcotest.(check int) "offset" 2 p.Loc.offset
 
-let test_merge_spans () =
-  let p0 = Loc.start_pos in
-  let p1 = Loc.advance p0 'a' in
-  let p2 = Loc.advance p1 'b' in
-  let s1 = Loc.span "f" p0 p1 and s2 = Loc.span "f" p1 p2 in
-  let m = Loc.merge s2 s1 in
-  Alcotest.(check int) "start" 0 m.Loc.start_p.Loc.offset;
-  Alcotest.(check int) "end" 2 m.Loc.end_p.Loc.offset
-
 (* ----- diag ----- *)
 
 let test_diag_order_and_counts () =
@@ -375,7 +366,6 @@ let () =
       ( "loc",
         [
           Alcotest.test_case "advance" `Quick test_advance;
-          Alcotest.test_case "merge" `Quick test_merge_spans;
         ] );
       ("diag", [ Alcotest.test_case "order and counts" `Quick test_diag_order_and_counts ]);
       ("json", [ Alcotest.test_case "nesting bound" `Quick test_json_nesting_bound ]);
