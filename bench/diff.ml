@@ -18,8 +18,7 @@
      informational: they count lookups, whose number depends on how a
      decoder splits its reads, and the cost they stand for is gated by
      the misses, seeks and bytes next to them;
-   - ratios (keys ending in "_ratio", such as the compression ratio) get
-     better as they rise: HEAD regresses when it falls below BASE by
+   - ratios (keys ending in "_ratio") get better as they rise: HEAD regresses when it falls below BASE by
      more than the tolerance;
    - every other numeric leaf is a work counter, where more is worse:
      HEAD regresses when it exceeds BASE by more than the tolerance

@@ -700,7 +700,7 @@ let store_bench () =
   let diag = Lg_support.Diag.create () in
   let tree = Option.get (Translator.tree_of_source t ~file:"<p>" ~diag program) in
   let plan = Translator.plan t in
-  let stores = [ "mem"; "paged"; "zip" ] in
+  let stores = [ "mem"; "paged" ] in
   let rows =
     List.map
       (fun name ->
@@ -714,21 +714,18 @@ let store_bench () =
         (name, r.Engine.stats.Engine.total_io, wall))
       stores
   in
-  rowf "  %-10s %12s %8s %8s %11s %9s %6s %9s %10s %11s\n" "store"
-    "bytes moved" "pages" "seeks" "pool h/m" "prefetch" "ratio" "wall ms"
+  rowf "  %-10s %12s %8s %8s %11s %9s %9s %10s %11s\n" "store"
+    "bytes moved" "pages" "seeks" "pool h/m" "prefetch" "wall ms"
     "model (s)" "+seeks (s)";
   List.iter
     (fun (name, (io : Lg_apt.Io_stats.t), wall) ->
-      rowf "  %-10s %12d %8d %8d %5d/%-5d %9d %6s %9.2f %10.2f %11.2f\n" name
+      rowf "  %-10s %12d %8d %8d %5d/%-5d %9d %9.2f %10.2f %11.2f\n" name
         (Lg_apt.Io_stats.total_bytes io)
         (Lg_apt.Io_stats.total_pages io)
         (Lg_apt.Io_stats.get io.Lg_apt.Io_stats.seeks)
         (Lg_apt.Io_stats.get io.Lg_apt.Io_stats.pool_hits)
         (Lg_apt.Io_stats.get io.Lg_apt.Io_stats.pool_misses)
         (Lg_apt.Io_stats.get io.Lg_apt.Io_stats.prefetch_hits)
-        (match Lg_apt.Io_stats.compression_ratio io with
-        | Some r -> Printf.sprintf "%.2f" r
-        | None -> "-")
         (1000.0 *. wall)
         (Lg_apt.Io_stats.modeled_seconds io
            ~bytes_per_second:floppy_bytes_per_second)
@@ -736,11 +733,6 @@ let store_bench () =
            ~bytes_per_second:floppy_bytes_per_second
            ~seek_seconds:floppy_seek_seconds))
     rows;
-  let bytes name =
-    let _, io, _ = List.find (fun (n, _, _) -> String.equal n name) rows in
-    Lg_apt.Io_stats.total_bytes io
-  in
-  rowf "  shape: zip < paged on bytes moved: %b\n" (bytes "zip" < bytes "paged");
   (* machine-readable trajectory for the perf dashboard across PRs *)
   let json =
     let open Lg_support.Json_out in

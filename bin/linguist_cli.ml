@@ -96,14 +96,13 @@ let apt_store =
     & info [ "apt-store" ] ~docv:"STORE"
         ~doc:
           "APT store backing the intermediate files of evaluator runs: \
-           $(b,mem), $(b,paged) or $(b,zip) (see the $(b,stores) \
-           subcommand).")
+           $(b,mem) or $(b,paged) (see the $(b,stores) subcommand).")
 
 let apt_page_size =
   Arg.(
     value & opt int Lg_apt.Apt_store.default_config.Lg_apt.Apt_store.page_size
     & info [ "apt-page-size" ] ~docv:"BYTES"
-        ~doc:"Page size for the paged APT stores.")
+        ~doc:"Page size for the paged APT store.")
 
 let apt_faults =
   Arg.(
@@ -113,10 +112,10 @@ let apt_faults =
           "Deterministic fault injection for the APT stores: an RNG seed, \
            a per-opportunity rate in [0,1], and a comma-separated list of \
            kinds — $(b,transient), $(b,short), $(b,flip), $(b,torn), or \
-           $(b,all). Applies under $(b,--apt-store) $(b,paged) or \
-           $(b,zip): write-side kinds (flip, torn) damage the medium when \
-           a file is closed, and its readers fail with a typed error; \
-           read-side kinds are absorbed by bounded retries.")
+           $(b,all). Applies under $(b,--apt-store) $(b,paged): \
+           write-side kinds (flip, torn) damage the medium when a file is \
+           closed, and its readers fail with a typed error; read-side kinds \
+           are absorbed by bounded retries.")
 
 let depth_budget =
   Arg.(
@@ -428,16 +427,12 @@ let stores_cmd =
             ( "stores",
               Arr
                 (List.map
-                   (fun name ->
+                   (fun (name, _, description) ->
                      Obj
                        [
-                         ("name", Str name);
-                         ( "description",
-                           Str
-                             (Option.value ~default:""
-                                (Lg_apt.Store_registry.description name)) );
+                         ("name", Str name); ("description", Str description);
                        ])
-                   (Lg_apt.Store_registry.names ())) );
+                   Lg_apt.Aptfile.stores) );
             ( "metrics",
               Lg_support.Metrics.to_json (Lg_support.Metrics.ambient ()) );
           ]
@@ -447,16 +442,15 @@ let stores_cmd =
     else begin
       Printf.printf "registered APT stores (select with --apt-store):\n";
       List.iter
-        (fun name ->
-          Printf.printf "  %-10s %s\n" name
-            (Option.value ~default:"" (Lg_apt.Store_registry.description name)))
-        (Lg_apt.Store_registry.names ())
+        (fun (name, _, description) ->
+          Printf.printf "  %-10s %s\n" name description)
+        Lg_apt.Aptfile.stores
     end;
     `Ok ()
   in
   Cmd.v
     (Cmd.info "stores"
-       ~doc:"List the registered APT store backends for the intermediate files.")
+       ~doc:"List the APT stores for the intermediate files.")
     Term.(ret (const run $ json_flag))
 
 let report_cmd =

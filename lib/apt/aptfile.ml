@@ -1,7 +1,8 @@
-(* The APT file façade: node codec + record accounting over a pluggable
-   byte-record store ([Apt_store]) named in the store registry. *)
+(* The APT file façade: node codec + record accounting over one of the
+   two byte-record stores ([Apt_store]). *)
 
-type backend = { store : string; config : Apt_store.config }
+type store = Mem | Paged
+type backend = { store : store; config : Apt_store.config }
 type file = Apt_store.file
 
 type writer = {
@@ -14,18 +15,37 @@ type writer = {
 
 type reader = { r_stats : Io_stats.t option; inner_r : Apt_store.reader }
 
-let backend_of_store_name ?(config = Apt_store.default_config) store =
-  ignore (Store_registry.find ~config store) (* raises with the known names *);
-  { store; config }
+let stores =
+  [
+    ( "mem",
+      Mem,
+      "in-memory buffer, whole-record framing (the paper's virtual-memory \
+       answer)" );
+    ( "paged",
+      Paged,
+      "temp file through an LRU page pool, reading ahead on sequential scans" );
+  ]
+
+let backend_of_store_name ?(config = Apt_store.default_config) name =
+  match List.find_opt (fun (n, _, _) -> String.equal n name) stores with
+  | Some (_, store, _) -> { store; config }
+  | None ->
+      failwith
+        (Printf.sprintf "unknown APT store %S (registered: %s)" name
+           (String.concat ", " (List.map (fun (n, _, _) -> n) stores)))
 
 let writer ?stats backend =
   (match stats with
   | Some s -> Io_stats.bump s.Io_stats.files_created 1
   | None -> ());
-  let store = Store_registry.find ~config:backend.config backend.store in
   let m = Lg_support.Metrics.ambient () in
   let w_sizes = if Lg_support.Metrics.enabled m then Some (m, Lg_support.Metrics.tally ()) else None in
-  { w_stats = stats; w_sizes; buf = Buffer.create 256; inner_w = store.Apt_store.start stats }
+  let inner_w =
+    match backend.store with
+    | Mem -> Store_mem.start stats
+    | Paged -> Store_paged.start backend.config stats
+  in
+  { w_stats = stats; w_sizes; buf = Buffer.create 256; inner_w }
 
 let write w node =
   Buffer.clear w.buf;

@@ -9,27 +9,31 @@
     pass" — no in-memory reversal ever happens.
 
     This module is a façade: it owns the {!Node} codec and the
-    record-level accounting, and delegates the on-medium layout to a
-    store from {!Store_registry}: ["mem"] (an in-memory buffer, the
+    record-level accounting, and delegates the on-medium layout to one
+    of two stores: ["mem"] ({!Store_mem}, an in-memory buffer, the
     "virtual memory" variant the paper's conclusions ask about and the
-    default), ["paged"] (real temporary files through a page pool — the
-    paper's floppy/rigid disk, and the fault-injection path), ["zip"],
-    or an extension. *)
+    default) or ["paged"] ({!Store_paged}, real temporary files through
+    a page pool — the paper's floppy/rigid disk, and the
+    fault-injection path). *)
 
-type backend = {
-  store : string;  (** a {!Store_registry} name *)
-  config : Apt_store.config;
-}
+type store = Mem | Paged
 
-type file
+type backend = { store : store; config : Apt_store.config }
+
+type file = Apt_store.file
 type writer
 type reader
 
+val stores : (string * store * string) list
+(** Every store, sorted by name: its [--apt-store] name, the store and
+    a one-line description. *)
+
 val backend_of_store_name : ?config:Apt_store.config -> string -> backend
-(** Check a registry name (["mem"], ["paged"], ["zip"], …)
-    and pair it with [config] (default {!Apt_store.default_config}); the
-    CLI's [--apt-store] parser.
-    @raise Failure on an unregistered name, listing the known stores. *)
+(** Look a store up by name (["mem"] or ["paged"]) and pair it with
+    [config] (default {!Apt_store.default_config}); the one store-name
+    parser of the CLI, job files and the bench.
+    @raise Failure [unknown APT store "X" (registered: mem, paged)] on
+    any other name. *)
 
 val writer : ?stats:Io_stats.t -> backend -> writer
 val write : writer -> Node.t -> unit

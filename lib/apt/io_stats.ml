@@ -1,4 +1,4 @@
-(* Counters are atomics: a tally may be shared by store layers running
+(* Counters are atomics: a tally may be shared by stores running
    on several domains at once (the batch-evaluation pool), and a plain
    mutable-int increment would silently lose counts under that race. An
    uncontended atomic fetch-and-add costs a few nanoseconds — below the
@@ -21,9 +21,6 @@ type t = {
   (* resilience counters (retry/quarantine policy in Store_pager) *)
   retries : int Atomic.t;
   pages_quarantined : int Atomic.t;
-  (* compression accounting (zip store layers) *)
-  raw_bytes_read : int Atomic.t;
-  raw_bytes_written : int Atomic.t;
 }
 
 let bump c n = ignore (Atomic.fetch_and_add c n : int)
@@ -65,12 +62,6 @@ let field_specs : (string * (t -> int) * (t -> int -> unit)) list =
     ( "pages_quarantined",
       (fun t -> get t.pages_quarantined),
       fun t v -> Atomic.set t.pages_quarantined v );
-    ( "raw_bytes_read",
-      (fun t -> get t.raw_bytes_read),
-      fun t v -> Atomic.set t.raw_bytes_read v );
-    ( "raw_bytes_written",
-      (fun t -> get t.raw_bytes_written),
-      fun t v -> Atomic.set t.raw_bytes_written v );
   ]
 
 let create () =
@@ -88,8 +79,6 @@ let create () =
     seeks = Atomic.make 0;
     retries = Atomic.make 0;
     pages_quarantined = Atomic.make 0;
-    raw_bytes_read = Atomic.make 0;
-    raw_bytes_written = Atomic.make 0;
   }
 
 let fields t = List.map (fun (name, get, _) -> (name, get t)) field_specs
@@ -109,11 +98,6 @@ let add ~into t =
 let total_bytes t = get t.bytes_read + get t.bytes_written
 let total_pages t = get t.pages_read + get t.pages_written
 
-let compression_ratio t =
-  let raw_w = get t.raw_bytes_written and w = get t.bytes_written in
-  if raw_w > 0 && w > 0 then Some (float_of_int raw_w /. float_of_int w)
-  else None
-
 let modeled_seconds t ~bytes_per_second =
   float_of_int (total_bytes t) /. bytes_per_second
 
@@ -123,13 +107,7 @@ let modeled_seconds_seek t ~bytes_per_second ~seek_seconds =
 
 let to_json_value t =
   Lg_support.Json_out.Obj
-    (List.map (fun (name, v) -> (name, Lg_support.Json_out.int v)) (fields t)
-    @ [
-        ( "compression_ratio",
-          match compression_ratio t with
-          | Some r -> Lg_support.Json_out.Num r
-          | None -> Lg_support.Json_out.Null );
-      ])
+    (List.map (fun (name, v) -> (name, Lg_support.Json_out.int v)) (fields t))
 
 let to_json t = Lg_support.Json_out.to_string (to_json_value t)
 

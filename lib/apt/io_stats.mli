@@ -8,10 +8,9 @@
     Byte counters record traffic against the backing medium and are
     maintained by the store implementations ({!Apt_store}); record
     counters are maintained by the {!Aptfile} façade. Page-level counters
-    are populated only by the paged store; raw-byte counters
-    only by compressing store layers.
+    are populated only by the paged store.
 
-    Every counter is an [Atomic.t]: one tally may be fed by store layers
+    Every counter is an [Atomic.t]: one tally may be fed by stores
     running on several domains at once (the batch-evaluation pool), and
     increments must not be lost under that race. Producers bump fields
     with {!bump}; consumers read them with [Atomic.get] (or take the
@@ -39,12 +38,6 @@ type t = {
   pages_quarantined : int Atomic.t;
       (** pages given up on after the retry budget was exhausted;
           further reads of a quarantined page fail immediately *)
-  raw_bytes_read : int Atomic.t;
-      (** bytes the base store would have moved uncompressed (payload +
-          framing) for the records delivered *)
-  raw_bytes_written : int Atomic.t;
-      (** bytes the base store would have moved uncompressed (payload +
-          framing) for the records accepted *)
 }
 
 val create : unit -> t
@@ -74,10 +67,6 @@ val set_field : t -> string -> int -> unit
 val total_bytes : t -> int
 val total_pages : t -> int
 
-val compression_ratio : t -> float option
-(** [raw_bytes_written / bytes_written] when a compressing layer ran,
-    [None] otherwise. Above 1.0 means the store shrank the stream. *)
-
 val modeled_seconds : t -> bytes_per_second:float -> float
 (** Transfer time under a sequential-device cost model — the floppy/rigid
     disk of the paper's 8086 host. *)
@@ -89,9 +78,8 @@ val modeled_seconds_seek :
     read-ahead turns many small seeks into a few page-boundary ones. *)
 
 val to_json_value : t -> Lg_support.Json_out.t
-(** One flat JSON object with every counter plus the derived
-    [compression_ratio]; embedded in the bench harness's
-    [BENCH_apt.json] and in run manifests. *)
+(** One flat JSON object with every counter, as the bench harness's
+    [BENCH_apt.json] embeds it. *)
 
 val to_json : t -> string
 (** [Json_out.to_string (to_json_value t)]. *)

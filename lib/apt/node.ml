@@ -23,55 +23,53 @@ let pp ppf t =
       Array.iteri (fun i v -> Format.fprintf ppf "@ %d=%a" i Value.pp v) attrs)
     t.attrs
 
+let add_field buf n =
+  if n < 0 then invalid_arg "Node.encode: negative field";
+  Varint.add buf n
+
 (* Payload layout: varint (prod+1), varint sym, varint nattrs, values. *)
 let encode buf t =
-  let add_varint n =
-    let rec go u =
-      if u land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr u)
-      else begin
-        Buffer.add_char buf (Char.chr (0x80 lor (u land 0x7f)));
-        go (u lsr 7)
-      end
-    in
-    if n < 0 then invalid_arg "Node.encode: negative field";
-    go n
-  in
-  add_varint (t.prod + 1);
-  add_varint t.sym;
-  add_varint (Array.length t.attrs);
+  add_field buf (t.prod + 1);
+  add_field buf t.sym;
+  add_field buf (Array.length t.attrs);
   Array.iter (Value.encode buf) t.attrs
 
 let corrupt offset detail =
   Apt_error.raise_ (Apt_error.Corrupt_record { path = None; offset; detail })
 
-let read_varint s pos =
-  let rec go pos shift acc =
-    if pos >= String.length s then
-      corrupt pos "truncated node payload (varint runs off the record)";
-    let byte = Char.code s.[pos] in
-    let acc = acc lor ((byte land 0x7f) lsl shift) in
-    if byte land 0x80 = 0 then (acc, pos + 1) else go (pos + 1) (shift + 7) acc
-  in
-  go pos 0 0
+(* a header field: a bounded varint that decodes non-negative *)
+let read_field s pos =
+  let ((n, _) as field) = Varint.read s pos in
+  if n < 0 then failwith "varint decodes negative";
+  field
 
+(* [Varint] and [Value.decode] report malformed bytes through [Failure];
+   [pos] is the start of the field being read, the offset the typed
+   error names *)
 let decode s =
-  let prod1, pos = read_varint s 0 in
-  let sym, pos = read_varint s pos in
-  let nattrs, pos = read_varint s pos in
-  let pos = ref pos in
-  let attrs =
-    Array.init nattrs (fun _ ->
-        (* Value.decode predates the typed channel and still reports
-           through Failure; promote so callers see one error type *)
-        let v, next =
-          try Value.decode s !pos with Failure msg -> corrupt !pos msg
-        in
-        pos := next;
-        v)
-  in
-  if !pos <> String.length s then
-    corrupt !pos "node payload has trailing bytes";
-  { prod = prod1 - 1; sym; attrs }
+  let pos = ref 0 in
+  try
+    let prod1, p = read_field s 0 in
+    pos := p;
+    let sym, p = read_field s p in
+    pos := p;
+    let nattrs, p = read_field s p in
+    pos := p;
+    (* every value takes at least its tag byte, so a count past the
+       bytes left is damage, not an array to allocate *)
+    if nattrs > String.length s - p then
+      failwith
+        (Printf.sprintf "node payload claims %d values in %d bytes" nattrs
+           (String.length s - p));
+    let attrs =
+      Array.init nattrs (fun _ ->
+          let v, next = Value.decode s !pos in
+          pos := next;
+          v)
+    in
+    if !pos <> String.length s then failwith "node payload has trailing bytes";
+    { prod = prod1 - 1; sym; attrs }
+  with Failure detail -> corrupt !pos detail
 
 let encoded_size t =
   let buf = Buffer.create 64 in

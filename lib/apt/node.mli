@@ -23,6 +23,10 @@ val pp : Format.formatter -> t -> unit
 
 val encode : Buffer.t -> t -> unit
 val decode : string -> t
-(** Decode a full record payload. @raise Failure on malformed input. *)
+(** Decode a full record payload.
+    @raise Apt_error.Error [Corrupt_record] on malformed input: a varint
+    that runs off the payload, is longer than nine bytes or decodes a
+    negative header field, a value count past the payload's bytes, a
+    malformed value, or trailing bytes. *)
 
 val encoded_size : t -> int

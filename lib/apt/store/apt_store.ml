@@ -1,4 +1,4 @@
-(* The pluggable APT store layer.
+(* The APT store layer.
 
    A store moves opaque byte records (the payloads produced by
    [Node.encode]) to and from some medium and hands them back as a
@@ -7,12 +7,11 @@
    the node codec and record accounting; stores own the on-medium layout
    and the byte/page/seek accounting.
 
-   Every byte-compatible store writes one *framed* layout: the file
-   opens with a 4-byte version signature and every record carries its
-   CRC32 on both sides, so torn writes, short reads and bit flips are
-   detected at read time and reported as typed [Apt_error] values with
-   file offsets. A file that does not open with the signature is
-   refused, never parsed. *)
+   Both stores write one *framed* layout: the file opens with a 4-byte
+   version signature and every record carries its CRC32 on both sides,
+   so torn writes, short reads and bit flips are detected at read time
+   and reported as typed [Apt_error] values with file offsets. A file
+   that does not open with the signature is refused, never parsed. *)
 
 type direction = [ `Forward | `Backward ]
 
@@ -53,7 +52,6 @@ type config = {
   page_size : int;
   pool_pages : int;  (** buffer-pool capacity, in pages *)
   prefetch_pages : int;  (** read-ahead window on sequential access *)
-  zip_block : int;  (** records per compressed block in zip layers *)
   faults : fault_spec option;  (** deterministic fault injection *)
 }
 
@@ -63,11 +61,10 @@ let default_config =
     page_size = 4096;
     pool_pages = 8;
     prefetch_pages = 2;
-    zip_block = 32;
     faults = None;
   }
 
-(* ---- the erased, first-class store values ---- *)
+(* ---- what a store hands [Aptfile] ---- *)
 
 type reader = { next : unit -> string option; close_reader : unit -> unit }
 
@@ -84,7 +81,6 @@ type writer = {
   close : unit -> file;
   abort : unit -> unit;
 }
-type t = { s_name : string; start : Io_stats.t option -> writer }
 
 (* ---- CRC32 (IEEE 802.3), the record checksum ---- *)
 
@@ -247,41 +243,6 @@ module Record_codec = struct
       | Some (payload, p) ->
           pos := p;
           Some payload
-end
-
-(* ---- varints, shared by the zip layer's block codec ---- *)
-
-module Varint = struct
-  let add buf n =
-    let rec go u =
-      if u land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr u)
-      else begin
-        Buffer.add_char buf (Char.chr (0x80 lor (u land 0x7f)));
-        go (u lsr 7)
-      end
-    in
-    if n < 0 then invalid_arg "Apt_store.Varint.add: negative";
-    go n
-
-  (* 63-bit non-negative ints fit in 9 groups of 7 bits *)
-  let max_bytes = 9
-
-  let read s start =
-    let corrupt offset detail =
-      Apt_error.raise_
-        (Apt_error.Corrupt_record { path = None; offset; detail })
-    in
-    let rec go pos shift acc =
-      if pos >= String.length s then corrupt pos "truncated varint";
-      if pos - start >= max_bytes then
-        corrupt start (Printf.sprintf "varint longer than %d bytes" max_bytes);
-      let byte = Char.code s.[pos] in
-      let acc = acc lor ((byte land 0x7f) lsl shift) in
-      if byte land 0x80 <> 0 then go (pos + 1) (shift + 7) acc
-      else if acc < 0 then corrupt start "varint decodes negative"
-      else (acc, pos + 1)
-    in
-    go start 0 0
 end
 
 let temp_path config =

@@ -1,4 +1,4 @@
-(** The pluggable APT store layer.
+(** The APT store layer.
 
     A store moves opaque byte records — the payloads produced by
     {!Node.encode} — to and from some medium, and streams them back
@@ -7,14 +7,14 @@
     façade keeps the node codec and record accounting; stores own the
     on-medium layout and tally bytes, pages and seeks into {!Io_stats}.
 
-    Every byte-compatible store writes the one checksummed {e framed}
-    layout ({!Framed}, {!Record_codec}); readers check the file
-    signature and refuse anything else. Integrity failures surface as
+    Both stores write the one checksummed {e framed} layout
+    ({!Framed}, {!Record_codec}); readers check the file signature and
+    refuse anything else. Integrity failures surface as
     {!Apt_error} values.
 
-    A store is a value of the record type {!t} (closures); the builtins
-    are ["mem"], ["paged"] and the ["zip"] layer over ["paged"].
-    Registration happens in {!Store_registry}. *)
+    There are two stores, {!Store_mem} and {!Store_paged}; each starts
+    a {!writer} whose closed {!file} reads back as a {!reader}.
+    {!Aptfile} names them with a closed type and calls them directly. *)
 
 type direction = [ `Forward | `Backward ]
 
@@ -22,7 +22,7 @@ type direction = [ `Forward | `Backward ]
     seed that makes a campaign reproducible. Read-side kinds are
     injected inside {!Store_pager}, below the checksum layer, where the
     bounded retry policy absorbs them; write-side kinds damage the
-    medium when a ["paged"] writer (and so ["zip"] over it) closes. *)
+    medium when a ["paged"] writer closes. *)
 type fault_kind =
   | Transient_io  (** read fails once (EIO); absorbed by pager retries *)
   | Short_read  (** a physical read returns fewer bytes than asked *)
@@ -48,13 +48,11 @@ type config = {
   page_size : int;  (** page size for paged stores, bytes *)
   pool_pages : int;  (** buffer-pool capacity, in pages *)
   prefetch_pages : int;  (** read-ahead window on sequential access *)
-  zip_block : int;  (** records per compressed block in zip layers *)
   faults : fault_spec option;  (** deterministic fault injection *)
 }
 
 val default_config : config
-(** 4 KiB pages, 8-page pool, 2-page read-ahead, 32-record blocks;
-    no faults. *)
+(** 4 KiB pages, 8-page pool, 2-page read-ahead; no faults. *)
 
 type reader = { next : unit -> string option; close_reader : unit -> unit }
 
@@ -72,7 +70,6 @@ type writer = {
   abort : unit -> unit;
       (** give an unclosed writer up: release its medium and leave no file *)
 }
-type t = { s_name : string; start : Io_stats.t option -> writer }
 
 (** CRC32 (IEEE 802.3 polynomial), the record checksum of the framed
     format. *)
@@ -95,8 +92,8 @@ end
 
 (** The shared record walk: given a positioned byte [source], decode
     framed records in either direction, raising typed {!Apt_error}
-    values (with file offsets) on any integrity failure. All
-    byte-compatible stores are built on this one codec. *)
+    values (with file offsets) on any integrity failure. Both stores
+    read through this one codec. *)
 module Record_codec : sig
   type source = {
     src_path : string option;
@@ -118,16 +115,6 @@ module Record_codec : sig
       ([`Forward]) or the last ([`Backward]); [None] at the end. Each
       record's bytes are requested in scan order, with [want] set to the
       scan direction ([`High] forward, [`Low] backward). *)
-end
-
-(** LEB128-style varints, used by the zip layer's block codec. *)
-module Varint : sig
-  val add : Buffer.t -> int -> unit
-
-  val read : string -> int -> int * int
-  (** (value, next position). Raises [Corrupt_record] on a varint that
-      is truncated, longer than 9 bytes (the most {!add} writes for a
-      non-negative [int]), or decodes negative. *)
 end
 
 val temp_path : config -> string

@@ -127,7 +127,7 @@ let read_image img stats dir =
   in
   Record_codec.sniff ~path:None
     (read_bytes img cursor 0 (min size Framed.data_start));
-  (* the signature was inspected, like any other store's sniff read *)
+  (* the signature was inspected, like the paged store's sniff read *)
   read_tally stats Framed.data_start;
   let walk = Record_codec.walk source dir in
   let next () =
@@ -141,37 +141,32 @@ let read_image img stats dir =
 
 let open_reader data = read_image (image_of_string data)
 
-let make (_ : config) : t =
+let start stats : writer =
+  let sink =
+    { full = []; cur = Bytes.create first_chunk; fill = 0; size = 0 }
+  in
+  add sink Framed.magic 0;
+  (* the signature hits the medium like any other byte *)
+  write_tally stats Framed.data_start;
+  let records = ref 0 in
   {
-    s_name = "mem";
-    start =
-      (fun stats ->
-        let sink =
-          { full = []; cur = Bytes.create first_chunk; fill = 0; size = 0 }
-        in
-        add sink Framed.magic 0;
-        (* the signature hits the medium like any other byte *)
-        write_tally stats Framed.data_start;
-        let records = ref 0 in
+    put =
+      (fun payload ->
+        let header, trailer = Record_codec.frame payload in
+        add sink header 0;
+        add sink payload 0;
+        add sink trailer 0;
+        incr records;
+        write_tally stats (String.length payload + Framed.overhead));
+    close =
+      (fun () ->
+        let img = image_of_sink sink in
         {
-          put =
-            (fun payload ->
-              let header, trailer = Record_codec.frame payload in
-              add sink header 0;
-              add sink payload 0;
-              add sink trailer 0;
-              incr records;
-              write_tally stats (String.length payload + Framed.overhead));
-          close =
-            (fun () ->
-              let img = image_of_sink sink in
-              {
-                f_size = img.size;
-                f_records = !records;
-                f_path = None;
-                f_read = read_image img;
-                f_dispose = ignore;
-              });
-          abort = ignore;
+          f_size = img.size;
+          f_records = !records;
+          f_path = None;
+          f_read = read_image img;
+          f_dispose = ignore;
         });
+    abort = ignore;
   }

@@ -84,71 +84,64 @@ let damage faults path ~records ~size =
       if actions = [] then size else min size (apply_damage rng path actions)
   | _ -> size
 
-let make config : t =
-  let open_reader path size stats dir =
-    (* check the signature with a raw read so the pool can floor page 0
-       at the signature boundary *)
-    Record_codec.sniff ~path:(Some path)
-      (let ic = open_in_bin path in
-       let head =
-         try really_input_string ic (min size Framed.data_start)
-         with End_of_file -> ""
-       in
-       close_in ic;
-       head);
-    let pager =
-      Store_pager.create ?stats ?faults:config.faults
-        ~page_size:config.page_size ~capacity:config.pool_pages
-        ~prefetch:config.prefetch_pages ~path ~size ()
-    in
-    (* charge the signature bytes through the pager so the accounting
-       matches the other stores (and leaves the head at the first record) *)
-    ignore (Store_pager.pread pager ~pos:0 ~len:Framed.data_start);
-    let source =
-      {
-        Record_codec.src_path = Some path;
-        src_size = size;
-        src_read = (fun ~pos ~len ~want -> Store_pager.read pager ~pos ~len ~want);
-      }
-    in
+let open_reader config path size stats dir =
+  (* check the signature with a raw read so the pool can floor page 0
+     at the signature boundary *)
+  Record_codec.sniff ~path:(Some path)
+    (let ic = open_in_bin path in
+     let head =
+       try really_input_string ic (min size Framed.data_start)
+       with End_of_file -> ""
+     in
+     close_in ic;
+     head);
+  let pager =
+    Store_pager.create ?stats ?faults:config.faults
+      ~page_size:config.page_size ~capacity:config.pool_pages
+      ~prefetch:config.prefetch_pages ~path ~size ()
+  in
+  (* charge the signature bytes through the pager so the accounting
+     matches the mem store (and leaves the head at the first record) *)
+  ignore (Store_pager.pread pager ~pos:0 ~len:Framed.data_start);
+  let source =
     {
-      next = Record_codec.walk source dir;
-      close_reader = (fun () -> Store_pager.close pager);
+      Record_codec.src_path = Some path;
+      src_size = size;
+      src_read = (fun ~pos ~len ~want -> Store_pager.read pager ~pos ~len ~want);
     }
   in
   {
-    s_name = "paged";
-    start =
-      (fun stats ->
-        let path = temp_path config in
-        let w =
-          Store_pager.create_writer ?stats ~page_size:config.page_size ~path ()
-        in
-        Store_pager.append w Framed.magic;
-        let records = ref 0 in
+    next = Record_codec.walk source dir;
+    close_reader = (fun () -> Store_pager.close pager);
+  }
+
+let start config stats : writer =
+  let path = temp_path config in
+  let w = Store_pager.create_writer ?stats ~page_size:config.page_size ~path () in
+  Store_pager.append w Framed.magic;
+  let records = ref 0 in
+  {
+    put =
+      (fun payload ->
+        let header, trailer = Record_codec.frame payload in
+        Store_pager.append w header;
+        Store_pager.append w payload;
+        Store_pager.append w trailer;
+        incr records);
+    close =
+      (fun () ->
+        let size = Store_pager.close_writer w in
         {
-          put =
-            (fun payload ->
-              let header, trailer = Record_codec.frame payload in
-              Store_pager.append w header;
-              Store_pager.append w payload;
-              Store_pager.append w trailer;
-              incr records);
-          close =
-            (fun () ->
-              let size = Store_pager.close_writer w in
-              {
-                (* a tear shrinks the medium; readers still expect the
-                   [size] bytes written, so they see the loss *)
-                f_size = damage config.faults path ~records:!records ~size;
-                f_records = !records;
-                f_path = Some path;
-                f_read = (fun stats dir -> open_reader path size stats dir);
-                f_dispose = (fun () -> remove_quietly path);
-              });
-          abort =
-            (fun () ->
-              Store_pager.abort_writer w;
-              remove_quietly path);
+          (* a tear shrinks the medium; readers still expect the [size]
+             bytes written, so they see the loss *)
+          f_size = damage config.faults path ~records:!records ~size;
+          f_records = !records;
+          f_path = Some path;
+          f_read = (fun stats dir -> open_reader config path size stats dir);
+          f_dispose = (fun () -> remove_quietly path);
         });
+    abort =
+      (fun () ->
+        Store_pager.abort_writer w;
+        remove_quietly path);
   }

@@ -68,7 +68,7 @@ type job = {
   j_doc : string option;
       (** document identity for [Update] — updates sharing a doc share
           incremental state; defaults to [j_file] *)
-  j_store : string;  (** APT store name (registry of {!Lg_apt.Store_registry}) *)
+  j_store : string;  (** APT store name, as {!Lg_apt.Aptfile.backend_of_store_name} reads it *)
   j_page_size : int option;
   j_faults : Lg_apt.Apt_store.fault_spec option;
   j_depth_budget : int option;

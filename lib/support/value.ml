@@ -408,26 +408,12 @@ let apply name args =
 
 (* Binary encoding --------------------------------------------------------- *)
 
-let add_varint buf n =
-  (* zigzag + LEB128 *)
-  let u = (n lsl 1) lxor (n asr (Sys.int_size - 1)) in
-  let rec go u =
-    if u land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr u)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (u land 0x7f)));
-      go (u lsr 7)
-    end
-  in
-  go u
+(* zigzag, so small negative ints stay short, over [Varint]'s bounded
+   LEB128 *)
+let add_varint buf n = Varint.add buf ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
 
 let read_varint s pos =
-  let rec go pos shift acc =
-    if pos >= String.length s then failwith "Value.decode: truncated varint";
-    let byte = Char.code s.[pos] in
-    let acc = acc lor ((byte land 0x7f) lsl shift) in
-    if byte land 0x80 = 0 then (acc, pos + 1) else go (pos + 1) (shift + 7) acc
-  in
-  let u, pos = go pos 0 0 in
+  let u, pos = Varint.read s pos in
   ((u lsr 1) lxor (-(u land 1)), pos)
 
 let rec encode buf v =
@@ -485,7 +471,7 @@ let rec decode s pos =
       (Bool (Char.code s.[pos] <> 0), pos + 1)
   | 3 ->
       let len, pos = read_varint s pos in
-      if len < 0 || pos + len > String.length s then
+      if len < 0 || len > String.length s - pos then
         failwith "Value.decode: truncated string";
       (Str (String.sub s pos len), pos + len)
   | 4 ->
@@ -511,7 +497,7 @@ let rec decode s pos =
       (Pf bindings, pos)
   | 8 ->
       let len, pos = read_varint s pos in
-      if len < 0 || pos + len > String.length s then
+      if len < 0 || len > String.length s - pos then
         failwith "Value.decode: truncated term head";
       let f = String.sub s pos len in
       let args, pos = decode_list s (pos + len) in

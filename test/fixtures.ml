@@ -193,3 +193,14 @@ let run_both ?(engine_options = Linguist.Engine.default_options)
     Linguist.Demand.evaluate_traced plan.Linguist.Plan.ir tree
   in
   (engine, oracle, applications)
+
+(* Node record payloads the record codec must refuse with a typed error:
+   a value count that decodes negative (a 9-byte varint with every bit
+   set), a count of 2^40 ahead of one [Bottom] byte, and an 11-byte
+   varint. *)
+let hostile_node_payloads =
+  [
+    ("value count decodes negative", "\x01\x00" ^ String.make 8 '\xff' ^ "\x7f\x00");
+    ("value count 2^40 in one byte", "\x01\x00\x80\x80\x80\x80\x80\x20\x00");
+    ("11-byte varint", String.make 10 '\x80' ^ "\x02\x00\x00");
+  ]

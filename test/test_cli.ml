@@ -58,22 +58,19 @@ let test_stores_listing () =
   let ((_, stdout, _) as r) = run [ "stores" ] in
   expect_ok "stores" r;
   Alcotest.(check (list string))
-    "the builtin stores"
-    [ "mem"; "paged"; "zip" ]
-    (Lg_apt.Store_registry.names ());
+    "the two stores" [ "mem"; "paged" ]
+    (List.map (fun (name, _, _) -> name) Lg_apt.Aptfile.stores);
   if not (contains ~needle:"registered APT stores" stdout) then
     Alcotest.failf "stores: missing header:\n%s" stdout;
-  (* golden against the registry itself: every store is listed with its
-     description, so the listing cannot rot as stores are added *)
+  (* golden against the store table itself: every store is listed with
+     its description *)
   List.iter
-    (fun name ->
+    (fun (name, _, description) ->
       if not (contains ~needle:("\n  " ^ name) stdout) then
         Alcotest.failf "stores: %s not listed:\n%s" name stdout;
-      match Lg_apt.Store_registry.description name with
-      | Some d when not (contains ~needle:d stdout) ->
-          Alcotest.failf "stores: description of %s not listed" name
-      | _ -> ())
-    (Lg_apt.Store_registry.names ())
+      if not (contains ~needle:description stdout) then
+        Alcotest.failf "stores: description of %s not listed" name)
+    Lg_apt.Aptfile.stores
 
 let test_check_ok () =
   let ((_, stdout, _) as r) = run [ "check"; grammar ] in
@@ -140,17 +137,16 @@ let test_bad_store () =
   expect_cli_error "--apt-store bogus" "unknown APT store \"bogus\""
     (run [ "analyze"; "--apt-store"; "bogus"; grammar ])
 
-(* a store name pruned from the registry is refused like any unknown
-   one, with the list of the stores that remain — [faulty] too, whose
-   fault injection [paged] applies itself *)
+(* a pruned store name is refused like any unknown one, with the list of
+   the stores that remain — [faulty] too, whose fault injection [paged]
+   applies itself *)
 let test_removed_store () =
   List.iter
     (fun store ->
       expect_cli_error ("--apt-store " ^ store)
-        (Printf.sprintf "unknown APT store %S (registered: %s" store
-           (String.concat ", " (Lg_apt.Store_registry.names ())))
+        (Printf.sprintf "unknown APT store %S (registered: mem, paged)" store)
         (run [ "analyze"; "--apt-store"; store; grammar ]))
-    [ "disk"; "faulty" ]
+    [ "disk"; "faulty"; "zip" ]
 
 let test_bad_page_size () =
   expect_cli_error "--apt-page-size 0" "--apt-page-size must be positive"
@@ -277,40 +273,31 @@ let test_exhausted_retries_exit_43 () =
          grammar;
        ])
 
-(* Write-side kinds damage the medium under paged and zip alike, and the
-   evaluation fails typed instead of finishing on a damaged file. *)
+(* Write-side kinds damage the paged medium, and the evaluation fails
+   typed instead of finishing on a damaged file. *)
 let test_write_faults_honoured () =
-  List.iter
-    (fun store ->
-      let rc, _, stderr =
-        run
-          [
-            "analyze"; "--apt-store"; store; "--apt-faults"; "1:1.0:torn,flip";
-            grammar;
-          ]
-      in
-      if rc <> 40 && rc <> 41 then
-        Alcotest.failf "%s: expected exit 40 or 41, got %d:\n%s" store rc
-          stderr)
-    [ "paged"; "zip" ]
+  let rc, _, stderr =
+    run
+      [
+        "analyze"; "--apt-store"; "paged"; "--apt-faults"; "1:1.0:torn,flip";
+        grammar;
+      ]
+  in
+  if rc <> 40 && rc <> 41 then
+    Alcotest.failf "expected exit 40 or 41, got %d:\n%s" rc stderr
 
 (* The codes of a damaged APT file, one class each. The offline checker
    these were first pinned through is gone: an APT file lives only as
    long as the run that wrote it, so a run's own damaged file reaches 40
    and 41 (a flipped bit is a corrupt record, a torn write a truncated
-   file), under paged and zip. *)
+   file). *)
 let expect_damage_exit kind code fragment =
-  List.iter
-    (fun store ->
-      expect_typed_error
-        (store ^ ", " ^ kind)
-        code fragment
-        (run
-           [
-             "analyze"; "--apt-store"; store; "--apt-faults"; "7:1.0:" ^ kind;
-             grammar;
-           ]))
-    [ "paged"; "zip" ]
+  expect_typed_error kind code fragment
+    (run
+       [
+         "analyze"; "--apt-store"; "paged"; "--apt-faults"; "7:1.0:" ^ kind;
+         grammar;
+       ])
 
 let test_corrupt_record_exit_40 () =
   expect_damage_exit "flip" 40 "corrupt APT record"
@@ -323,10 +310,7 @@ let test_truncated_file_exit_41 () =
    and with the code it exits with. *)
 let test_version_mismatch_exit_42 () =
   let open Lg_apt in
-  let store =
-    Store_registry.find ~config:Apt_store.default_config "paged"
-  in
-  let w = store.start None in
+  let w = Store_paged.start Apt_store.default_config None in
   w.put "alpha";
   let f = w.close () in
   Fun.protect ~finally:f.f_dispose @@ fun () ->
@@ -523,8 +507,8 @@ let test_stores_json () =
       (Lg_support.Json_out.to_list (Lg_support.Json_out.member_exn "stores" j))
   in
   Alcotest.(check (list string))
-    "every registered store appears"
-    (Lg_apt.Store_registry.names ())
+    "every store appears"
+    (List.map (fun (name, _, _) -> name) Lg_apt.Aptfile.stores)
     names;
   match Lg_support.Json_out.member_exn "metrics" j with
   | Lg_support.Json_out.Obj _ -> ()
@@ -718,7 +702,7 @@ let () =
         [
           Alcotest.test_case "exhausted retries exit 43" `Quick
             test_exhausted_retries_exit_43;
-          Alcotest.test_case "write faults fail paged and zip typed" `Quick
+          Alcotest.test_case "write faults fail paged typed" `Quick
             test_write_faults_honoured;
           Alcotest.test_case "depth budget exits 44" `Quick
             test_depth_budget_exit_44;

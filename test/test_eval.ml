@@ -446,7 +446,7 @@ let test_failed_runs_leave_nothing () =
         match run ~store ~faults:torn () with
         | exception Lg_apt.Apt_error.Error _ -> ()
         | _ -> Alcotest.failf "%s: a torn write must fail the run" store)
-    [ "mem"; "paged"; "zip" ];
+    [ "mem"; "paged" ];
   Gc.full_major ();
   Alcotest.(check (list string)) "no APT file left" []
     (Array.to_list (Sys.readdir dir));

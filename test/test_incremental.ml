@@ -1,6 +1,6 @@
 (* The incremental re-translation subsystem: fingerprint/merge units,
    QCheck edit-sequence differentials (incremental = Demand = Engine,
-   byte-identically, across the registered stores), fallback semantics,
+   byte-identically, across both stores), fallback semantics,
    a churn fallback whose engine runs on a faulty medium, the cost-aware
    session cache, and the update job plumbing. *)
 open Linguist
@@ -283,11 +283,11 @@ let test_threshold_fallback_is_correct () =
 
 let store_backends =
   List.map
-    (fun name -> (name, Lg_apt.Aptfile.backend_of_store_name name))
-    (Lg_apt.Store_registry.names ())
+    (fun (name, _, _) -> (name, Lg_apt.Aptfile.backend_of_store_name name))
+    Lg_apt.Aptfile.stores
 
 (* One update's contract, [what] naming it in a failure: outputs equal
-   to the demand oracle's and to the engine's on every registered store,
+   to the demand oracle's and to the engine's on both stores,
    and a state holding exactly what a fresh build of the tree holds —
    nothing the merges discarded. *)
 let check_update ~plan ~what tree (result : Incr.result) next =

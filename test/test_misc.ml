@@ -398,12 +398,25 @@ let test_value_decode_corruption () =
       match Value.decode s 0 with
       | exception Failure _ -> ()
       | _ -> Alcotest.failf "decode should fail on %S" s)
-    [ ""; "\xff"; "\x03\x08ab"; "\x05\x03\x01"; "\x08\x06a" ]
+    [
+      "";
+      "\xff";
+      "\x03\x08ab";
+      "\x05\x03\x01";
+      "\x08\x06a";
+      (* an [Int] whose varint runs to 13 bytes *)
+      "\x01" ^ String.make 12 '\x80' ^ "\x02";
+    ]
 
 let test_node_decode_corruption () =
-  match Lg_apt.Node.decode "\x01\x02\x03" with
-  | exception Lg_apt.Apt_error.Error (Lg_apt.Apt_error.Corrupt_record _) -> ()
-  | _ -> Alcotest.fail "node decode should fail with a typed error"
+  List.iter
+    (fun (label, payload) ->
+      match Lg_apt.Node.decode payload with
+      | exception Lg_apt.Apt_error.Error (Lg_apt.Apt_error.Corrupt_record _) -> ()
+      | exception e ->
+          Alcotest.failf "%s: raised %s" label (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s: decoded" label)
+    (("three values, no bytes", "\x01\x02\x03") :: Fixtures.hostile_node_payloads)
 
 (* ----- engine error paths ----- *)
 

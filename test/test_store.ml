@@ -1,9 +1,8 @@
-(* Tests for the pluggable APT store subsystem: every registered store
-   must stream records back in both directions, the byte-compatible
-   stores must pin the framed on-medium format exactly and refuse any
-   other, corrupt or truncated backing files must fail loudly, write-side
-   fault specs must damage the medium, and the registry must accept
-   out-of-tree stores written as an [Apt_store.t] record. *)
+(* Tests for the APT store subsystem: both stores must stream records
+   back in both directions, pin the framed on-medium format exactly and
+   refuse any other; corrupt or truncated backing files and hostile
+   record payloads must fail loudly, with typed errors; and write-side
+   fault specs must damage the medium. *)
 open Lg_support
 open Lg_apt
 open Apt_store
@@ -32,8 +31,17 @@ let drain (r : reader) =
   r.close_reader ();
   all
 
-let store_roundtrip name (store : Apt_store.t) payloads =
-  let w = store.start None in
+(* The writer of the store named [name] under [config], as
+   [Aptfile.writer] starts it. *)
+let store ~config name =
+  match (Aptfile.backend_of_store_name name).Aptfile.store with
+  | Aptfile.Mem -> Store_mem.start
+  | Aptfile.Paged -> Store_paged.start config
+
+let store_names = List.map (fun (name, _, _) -> name) Aptfile.stores
+
+let store_roundtrip name start payloads =
+  let w = start None in
   List.iter w.put payloads;
   let f = w.close () in
   Alcotest.(check int)
@@ -54,8 +62,8 @@ let sample_payloads =
 
 let every_store dir k =
   List.iter
-    (fun name -> k name (Store_registry.find ~config:(config_in dir) name))
-    (Store_registry.names ())
+    (fun name -> k name (store ~config:(config_in dir) name))
+    store_names
 
 let test_roundtrip_all_stores () =
   with_temp_dir @@ fun dir ->
@@ -71,13 +79,9 @@ let test_empty_and_single () =
    pool's interior pages), and so do tiny pages generally. *)
 let test_tiny_pages () =
   with_temp_dir @@ fun dir ->
-  List.iter
-    (fun name ->
-      store_roundtrip
-        (name ^ " tiny pages")
-        (Store_registry.find ~config:(tiny_pages dir) name)
-        [ String.make 500 'a'; "b"; ""; String.make 77 'c'; "dd" ])
-    [ "paged"; "zip" ]
+  store_roundtrip "paged tiny pages"
+    (store ~config:(tiny_pages dir) "paged")
+    [ String.make 500 'a'; "b"; ""; String.make 77 'c'; "dd" ]
 
 let payloads_gen =
   QCheck.Gen.(
@@ -97,8 +101,7 @@ let prop_roundtrip_random =
       with_temp_dir @@ fun dir ->
       List.iter
         (fun name ->
-          let store = Store_registry.find ~config:(tiny_pages dir) name in
-          let w = store.start None in
+          let w = store ~config:(tiny_pages dir) name None in
           List.iter w.put payloads;
           let f = w.close () in
           let fwd = drain (f.f_read None `Forward) in
@@ -108,7 +111,7 @@ let prop_roundtrip_random =
             QCheck.Test.fail_reportf "%s: forward mismatch" name;
           if bwd <> List.rev payloads then
             QCheck.Test.fail_reportf "%s: backward mismatch" name)
-        (Store_registry.names ());
+        store_names;
       true)
 
 (* ----- the on-medium formats, pinned byte for byte ----- *)
@@ -141,8 +144,7 @@ let file_bytes path =
 let pin_format_bytes dir ~config ~expected payloads =
   List.iter
     (fun name ->
-      let store = Store_registry.find ~config name in
-      let w = store.start None in
+      let w = store ~config name None in
       List.iter w.put payloads;
       let f = w.close () in
       Alcotest.(check int) (name ^ ": size") (String.length expected) f.f_size;
@@ -172,8 +174,7 @@ let fails_to_read (f : file) dir =
   | _ -> false
 
 let write_store ?(config_of = config_in) dir name payloads =
-  let store = Store_registry.find ~config:(config_of dir) name in
-  let w = store.start None in
+  let w = store ~config:(config_of dir) name None in
   List.iter w.put payloads;
   w.close ()
 
@@ -213,9 +214,9 @@ let corrupt = function Apt_error.Corrupt_record _ -> true | _ -> false
 (* A head that is not a whole APT1 signature is refused before any
    record is read: the first [next] of either scan raises an error
    [expected] accepts. Each head, made by [damage] from a file's bytes,
-   goes under every reader: [mem]'s over the bytes themselves, [paged]'s
-   and [zip]'s over their backing file rewritten in place (at its written
-   size, which the reader keeps). *)
+   goes under both readers: [mem]'s over the bytes themselves, [paged]'s
+   over its backing file rewritten in place (at its written size, which
+   the reader keeps). *)
 let refuse_heads dir heads =
   let refused label expected read =
     List.iter
@@ -235,16 +236,13 @@ let refuse_heads dir heads =
         (Store_mem.open_reader (damage framed) None))
     heads;
   List.iter
-    (fun name ->
-      List.iter
-        (fun (label, expected, damage) ->
-          let f = write_store dir name [ "alpha"; "beta" ] in
-          let path = Option.get f.f_path in
-          overwrite path (damage (file_bytes path));
-          refused (name ^ ", " ^ label) expected (f.f_read None);
-          f.f_dispose ())
-        heads)
-    [ "paged"; "zip" ]
+    (fun (label, expected, damage) ->
+      let f = write_store dir "paged" [ "alpha"; "beta" ] in
+      let path = Option.get f.f_path in
+      overwrite path (damage (file_bytes path));
+      refused ("paged, " ^ label) expected (f.f_read None);
+      f.f_dispose ())
+    heads
 
 let map_byte off f data =
   String.mapi (fun i c -> if i = off then Char.chr (f (Char.code c)) else c) data
@@ -422,38 +420,34 @@ let test_corrupt_frames () =
 let test_bit_flip_matrix () =
   with_temp_dir @@ fun dir ->
   let payloads = [ "hello"; ""; "worlds apart"; String.make 60 'm' ] in
-  List.iter
-    (fun name ->
-      let fresh () = write_store dir name payloads in
-      let probe = fresh () in
-      let size = probe.f_size in
-      probe.f_dispose ();
-      for offset = 0 to size - 1 do
+  let fresh () = write_store dir "paged" payloads in
+  let probe = fresh () in
+  let size = probe.f_size in
+  probe.f_dispose ();
+  for offset = 0 to size - 1 do
+    List.iter
+      (fun bit ->
+        let f = fresh () in
+        let path = Option.get f.f_path in
+        let original = Char.code (file_bytes path).[offset] in
+        patch_byte path offset (original lxor (1 lsl bit));
         List.iter
-          (fun bit ->
-            let f = fresh () in
-            let path = Option.get f.f_path in
-            let original = Char.code (file_bytes path).[offset] in
-            patch_byte path offset (original lxor (1 lsl bit));
-            List.iter
-              (fun dirn ->
-                let detected =
-                  match drain (f.f_read None dirn) with
-                  | exception Apt_error.Error _ -> true
-                  | exception e ->
-                      Alcotest.failf "%s: flip %d.%d raised %s" name offset
-                        bit (Printexc.to_string e)
-                  | payloads' -> payloads' <> payloads
-                  (* a flip must never survive as altered data *)
-                in
-                if not detected then
-                  Alcotest.failf "%s: flip at offset %d bit %d was silent"
-                    name offset bit)
-              [ `Forward; `Backward ];
-            f.f_dispose ())
-          [ 0; 7 ]
-      done)
-    [ "paged"; "zip" ]
+          (fun dirn ->
+            let detected =
+              match drain (f.f_read None dirn) with
+              | exception Apt_error.Error _ -> true
+              | exception e ->
+                  Alcotest.failf "flip %d.%d raised %s" offset bit
+                    (Printexc.to_string e)
+              | payloads' -> payloads' <> payloads
+              (* a flip must never survive as altered data *)
+            in
+            if not detected then
+              Alcotest.failf "flip at offset %d bit %d was silent" offset bit)
+          [ `Forward; `Backward ];
+        f.f_dispose ())
+      [ 0; 7 ]
+  done
 
 let test_truncated_file () =
   with_temp_dir @@ fun dir ->
@@ -466,52 +460,7 @@ let test_truncated_file () =
   expect_refused ~expected:truncated "truncated" (f.f_read None);
   f.f_dispose ()
 
-let test_corrupt_zip_block () =
-  with_temp_dir @@ fun dir ->
-  let f = write_store dir "zip" [ "hello"; "help!" ] in
-  let path = Option.get f.f_path in
-  (* a byte inside the compressed block payload: the base store's
-     checksum catches it before the block decoder even runs *)
-  patch_byte path 14 0x7f;
-  Alcotest.(check bool) "corrupt block: read fails" true
-    (fails_to_read f `Forward);
-  f.f_dispose ();
-  (* the block decoder's own checks: hostile block payloads, each in a
-     correct APT1 frame with a valid checksum so the base store hands
-     them up. The file keeps its written size (the reader's), so each
-     payload is padded to the original block's length *)
-  List.iter
-    (fun (label, block, reason) ->
-      let f = write_store dir "zip" [ "hello"; "help!" ] in
-      let path = Option.get f.f_path in
-      let width = f.f_size - Framed.data_start - Framed.overhead in
-      let block = block ^ String.make (width - String.length block) '\x00' in
-      let header, trailer = Record_codec.frame block in
-      overwrite path (Framed.magic ^ header ^ block ^ trailer);
-      List.iter
-        (fun dirn ->
-          match drain (f.f_read None dirn) with
-          | exception Apt_error.Error (Apt_error.Corrupt_record { detail; _ })
-            when Fixtures.contains_substring ~needle:reason detail ->
-              ()
-          | exception e ->
-              Alcotest.failf "%s: raised %s" label (Printexc.to_string e)
-          | _ -> Alcotest.failf "%s: block decoded" label)
-        [ `Forward; `Backward ];
-      f.f_dispose ())
-    [
-      (* the 9-byte varint ff..ff 7f decodes to -1 *)
-      ("count -1", "\xff\xff\xff\xff\xff\xff\xff\xff\x7f", "decodes negative");
-      ( "10-byte count",
-        "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x7f",
-        "longer than 9 bytes" );
-      (* more entries than the 12-byte block has bytes *)
-      ("count 100", "\x64", "claims 100 entries");
-      (* one entry whose suffix runs past the block's end *)
-      ("suffix past the end", "\x01\x00\x7f", "refers outside its bounds");
-    ]
-
-(* The hostile-medium sweep: a 40-record file under each file store, cut
+(* The hostile-medium sweep: a 40-record file under the file store, cut
    short at every offset after close and, separately, with the byte at
    every offset inverted, then scanned in both directions. A scan must
    fail with a typed [Apt_error]; any other exception has escaped the
@@ -527,41 +476,37 @@ let test_hostile_medium_sweep () =
         let rec go () = match r.next () with Some _ -> go () | None -> () in
         go ())
   in
-  List.iter
-    (fun name ->
-      let f = write_store dir name payloads in
-      let path = Option.get f.f_path in
-      let original = file_bytes path in
-      for offset = 0 to String.length original - 1 do
+  let f = write_store dir "paged" payloads in
+  let path = Option.get f.f_path in
+  let original = file_bytes path in
+  for offset = 0 to String.length original - 1 do
+    List.iter
+      (fun (damage, bytes) ->
+        overwrite path bytes;
         List.iter
-          (fun (damage, bytes) ->
-            overwrite path bytes;
-            List.iter
-              (fun dirn ->
-                let fail what =
-                  Alcotest.failf "%s, %s at offset %d, %s scan: %s" name damage
-                    offset
-                    (match dirn with `Forward -> "forward" | `Backward -> "backward")
-                    what
-                in
-                match scan f dirn with
-                | exception Apt_error.Error _ -> ()
-                | exception e -> fail (Printexc.to_string e)
-                | () -> fail "damage read as data")
-              [ `Forward; `Backward ])
-          [
-            ("truncated", String.sub original 0 offset);
-            ( "flipped",
-              String.mapi
-                (fun i c ->
-                  if i = offset then Char.chr (Char.code c lxor 0xff) else c)
-                original );
-          ]
-      done;
-      f.f_dispose ())
-    [ "paged"; "zip" ]
+          (fun dirn ->
+            let fail what =
+              Alcotest.failf "%s at offset %d, %s scan: %s" damage offset
+                (match dirn with `Forward -> "forward" | `Backward -> "backward")
+                what
+            in
+            match scan f dirn with
+            | exception Apt_error.Error _ -> ()
+            | exception e -> fail (Printexc.to_string e)
+            | () -> fail "damage read as data")
+          [ `Forward; `Backward ])
+      [
+        ("truncated", String.sub original 0 offset);
+        ( "flipped",
+          String.mapi
+            (fun i c ->
+              if i = offset then Char.chr (Char.code c lxor 0xff) else c)
+            original );
+      ]
+  done;
+  f.f_dispose ()
 
-(* ----- write-side faults damage the medium under paged and zip ----- *)
+(* ----- write-side faults damage the paged medium ----- *)
 
 let fault_payloads =
   List.init 24 (fun i -> Printf.sprintf "node-%02d:%s" i (String.make (i mod 7) 'v'))
@@ -572,27 +517,24 @@ let write_faults dir =
     faults = Some (Result.get_ok (Apt_store.parse_spec "11:0.3:torn,flip"));
   }
 
-(* The spec's write kinds reach the medium whichever file store wrote
-   it, and every read of the damaged file fails typed: exit 40 (corrupt
-   record) or 41 (truncated file). [zip] rolls once per block, so small
-   blocks give it several chances. *)
+(* The spec's write kinds reach the medium, and every read of the
+   damaged file fails typed: exit 40 (corrupt record) or 41 (truncated
+   file). *)
 let test_write_faults_honoured () =
   with_temp_dir @@ fun dir ->
+  let f =
+    write_store ~config_of:(fun _ -> write_faults dir) dir "paged" fault_payloads
+  in
   List.iter
-    (fun (name, config) ->
-      let f = write_store ~config_of:(fun _ -> config) dir name fault_payloads in
-      List.iter
-        (fun dirn ->
-          match drain (f.f_read None dirn) with
-          | exception Apt_error.Error e
-            when List.mem (Apt_error.exit_code e) [ 40; 41 ] ->
-              ()
-          | exception e ->
-              Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
-          | _ -> Alcotest.failf "%s: damaged file read clean" name)
-        [ `Forward; `Backward ];
-      f.f_dispose ())
-    [ ("paged", write_faults dir); ("zip", { (write_faults dir) with zip_block = 4 }) ]
+    (fun dirn ->
+      match drain (f.f_read None dirn) with
+      | exception Apt_error.Error e
+        when List.mem (Apt_error.exit_code e) [ 40; 41 ] ->
+          ()
+      | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e)
+      | _ -> Alcotest.fail "damaged file read clean")
+    [ `Forward; `Backward ];
+  f.f_dispose ()
 
 (* The damage is a pure function of the spec and the records written:
    the same RNG, one roll per record, the same flips and tear as the
@@ -622,9 +564,9 @@ let test_write_damage_pinned () =
 
 (* ----- stats through the store stack ----- *)
 
-let scan_with_stats store payloads dir =
+let scan_with_stats start payloads dir =
   let stats = Io_stats.create () in
-  let w = store.start (Some stats) in
+  let w = start (Some stats) in
   List.iter w.put payloads;
   let f = w.close () in
   ignore (drain (f.f_read (Some stats) dir));
@@ -635,7 +577,7 @@ let test_paged_stats () =
   with_temp_dir @@ fun dir ->
   let payloads = List.init 64 (fun i -> String.make (20 + (i mod 7)) 'p') in
   let scan config =
-    scan_with_stats (Store_registry.find ~config "paged") payloads `Backward
+    scan_with_stats (store ~config "paged") payloads `Backward
   in
   let stats, f = scan (tiny_pages dir) in
   Alcotest.(check int) "read-ahead scan reads exactly the file" f.f_size
@@ -654,9 +596,9 @@ let test_paged_stats () =
   Alcotest.(check bool) "read-ahead costs fewer seeks" true
     (Io_stats.get stats.Io_stats.seeks < Io_stats.get plain.Io_stats.seeks)
 
-(* A full scan through either file store moves the file exactly once:
-   no byte is fetched twice, none is skipped — with the default pages,
-   with 32-byte pages, where most records span several pages, and with
+(* A full scan through the paged store moves the file exactly once: no
+   byte is fetched twice, none is skipped — with the default pages, with
+   32-byte pages, where most records span several pages, and with
    32-byte pages in a 3-page pool, where read-ahead must not evict a
    page the scan still needs. *)
 let test_full_scan_reads_file_size () =
@@ -665,26 +607,21 @@ let test_full_scan_reads_file_size () =
     List.init 120 (fun i -> Printf.sprintf "rec-%d-%s" i (String.make (i mod 50) 'z'))
   in
   List.iter
-    (fun name ->
-      List.iter
-        (fun (config, dirn) ->
-          let stats, f =
-            scan_with_stats (Store_registry.find ~config name) payloads dirn
-          in
-          Alcotest.(check int)
-            (Printf.sprintf "%s %s: bytes read = f_size" name
-               (match dirn with `Forward -> "forward" | `Backward -> "backward"))
-            f.f_size
-            (Io_stats.get stats.Io_stats.bytes_read))
-        [
-          (config_in dir, `Forward);
-          (config_in dir, `Backward);
-          ({ (config_in dir) with page_size = 32 }, `Forward);
-          ({ (config_in dir) with page_size = 32 }, `Backward);
-          (tiny_pages dir, `Forward);
-          (tiny_pages dir, `Backward);
-        ])
-    [ "paged"; "zip" ]
+    (fun (config, dirn) ->
+      let stats, f = scan_with_stats (store ~config "paged") payloads dirn in
+      Alcotest.(check int)
+        (Printf.sprintf "%s: bytes read = f_size"
+           (match dirn with `Forward -> "forward" | `Backward -> "backward"))
+        f.f_size
+        (Io_stats.get stats.Io_stats.bytes_read))
+    [
+      (config_in dir, `Forward);
+      (config_in dir, `Backward);
+      ({ (config_in dir) with page_size = 32 }, `Forward);
+      ({ (config_in dir) with page_size = 32 }, `Backward);
+      (tiny_pages dir, `Forward);
+      (tiny_pages dir, `Backward);
+    ]
 
 (* The same guarantee over random payloads and pool shapes: any page
    size, pool size and read-ahead window, either direction. *)
@@ -701,111 +638,152 @@ let prop_full_scan_exact =
         { (config_in dir) with page_size; pool_pages; prefetch_pages }
       in
       List.iter
-        (fun name ->
-          List.iter
-            (fun dirn ->
-              let stats, f =
-                scan_with_stats (Store_registry.find ~config name) payloads dirn
-              in
-              let read = Io_stats.get stats.Io_stats.bytes_read in
-              if read <> f.f_size then
-                QCheck.Test.fail_reportf "%s %s: read %d of %d bytes" name
-                  (match dirn with `Forward -> "forward" | `Backward -> "backward")
-                  read f.f_size)
-            [ `Forward; `Backward ])
-        [ "paged"; "zip" ];
+        (fun dirn ->
+          let stats, f = scan_with_stats (store ~config "paged") payloads dirn in
+          let read = Io_stats.get stats.Io_stats.bytes_read in
+          if read <> f.f_size then
+            QCheck.Test.fail_reportf "%s: read %d of %d bytes"
+              (match dirn with `Forward -> "forward" | `Backward -> "backward")
+              read f.f_size)
+        [ `Forward; `Backward ];
       true)
 
-let test_zip_ratio () =
-  with_temp_dir @@ fun dir ->
-  let payloads = List.init 200 (fun i -> Printf.sprintf "record-%06d-suffix" i) in
-  let stats, _ =
-    scan_with_stats
-      (Store_registry.find ~config:(config_in dir) "zip")
-      payloads `Forward
-  in
-  match Io_stats.compression_ratio stats with
-  | None -> Alcotest.fail "no compression ratio reported"
-  | Some r ->
-      Alcotest.(check bool)
-        (Printf.sprintf "front-coding beats framing (%.2fx)" r)
-        true (r > 1.0)
-
-(* ----- an out-of-tree store through the registry ----- *)
-
-(* A deliberately weird layout — records kept reversed in memory — to
-   prove the record type, not the layout, is the contract. *)
-let reverse_mem : Apt_store.t =
-  {
-    s_name = "test-reverse";
-    start =
-      (fun _stats ->
-        let kept = ref [] in
-        {
-          put = (fun p -> kept := p :: !kept);
-          close =
-            (fun () ->
-              let kept = !kept in
-              {
-                f_size = List.fold_left (fun a p -> a + String.length p) 0 kept;
-                f_records = List.length kept;
-                f_path = None;
-                f_read =
-                  (fun _stats dir ->
-                    let left =
-                      ref (match dir with `Forward -> List.rev kept | `Backward -> kept)
-                    in
-                    {
-                      next =
-                        (fun () ->
-                          match !left with
-                          | [] -> None
-                          | p :: rest ->
-                              left := rest;
-                              Some p);
-                      close_reader = ignore;
-                    });
-                f_dispose = ignore;
-              });
-          abort = ignore;
-        });
-  }
-
-let test_registered_custom_store () =
-  Store_registry.register ~name:"test-reverse"
-    ~description:"unit-test store written as an Apt_store.t record"
-    (fun _config -> reverse_mem);
-  Alcotest.(check bool) "listed" true
-    (List.mem "test-reverse" (Store_registry.names ()));
-  with_temp_dir @@ fun dir ->
-  store_roundtrip "custom record" (Store_registry.find "test-reverse")
-    sample_payloads;
-  (* and it is reachable from the façade, like any --apt-store value *)
-  let backend =
-    Aptfile.backend_of_store_name ~config:(config_in dir) "test-reverse"
-  in
-  let nodes =
-    [
-      Node.leaf ~sym:1 ~attrs:[| Value.Int 7 |];
-      Node.interior ~prod:2 ~sym:0 ~attrs:[| Value.Str "s" |];
-    ]
-  in
-  let file = Aptfile.of_list backend nodes in
-  Alcotest.(check bool) "façade roundtrip" true
-    (List.for_all2 Node.equal nodes (Aptfile.to_list file));
-  Aptfile.dispose file
-
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
-
+(* Every name but the two stores' is refused with the one message the
+   CLI, job files and bench print, [zip] among them. *)
 let test_unknown_store_rejected () =
-  match Aptfile.backend_of_store_name "no-such-store" with
-  | exception Failure msg ->
-      Alcotest.(check bool) "error lists the registry" true
-        (contains ~sub:"paged" msg)
-  | _ -> Alcotest.fail "unknown store accepted"
+  List.iter
+    (fun name ->
+      match Aptfile.backend_of_store_name name with
+      | exception Failure msg ->
+          Alcotest.(check string)
+            (name ^ ": message")
+            (Printf.sprintf "unknown APT store %S (registered: mem, paged)" name)
+            msg
+      | _ -> Alcotest.failf "%s: accepted" name)
+    [ "no-such-store"; "zip" ]
+
+(* ----- the record codec ----- *)
+
+(* Each hostile payload, in a correct APT1 frame under both stores, is
+   refused by [Aptfile.read_next] as a corrupt record (exit 40), read
+   forward and backward. *)
+let test_hostile_payloads () =
+  with_temp_dir @@ fun dir ->
+  List.iter
+    (fun name ->
+      List.iter
+        (fun (label, payload) ->
+          let w = store ~config:(config_in dir) name None in
+          w.put payload;
+          let f = w.close () in
+          List.iter
+            (fun dirn ->
+              let r =
+                match dirn with
+                | `Forward -> Aptfile.read_forward f
+                | `Backward -> Aptfile.read_backward f
+              in
+              Fun.protect
+                ~finally:(fun () -> Aptfile.close_reader r)
+                (fun () ->
+                  match Aptfile.read_next r with
+                  | exception Apt_error.Error (Apt_error.Corrupt_record _ as e)
+                    ->
+                      Alcotest.(check int)
+                        (name ^ ", " ^ label ^ ": exit code")
+                        40 (Apt_error.exit_code e)
+                  | exception e ->
+                      Alcotest.failf "%s, %s: raised %s" name label
+                        (Printexc.to_string e)
+                  | _ -> Alcotest.failf "%s, %s: decoded" name label))
+            [ `Forward; `Backward ];
+          f.f_dispose ())
+        Fixtures.hostile_node_payloads)
+    store_names
+
+(* The distinct node payloads of a random tree of the grammar
+   [Ag_gen] draws from [seed]: each node as the linearizer writes it,
+   each rule application of the oracle's evaluation as a record of its
+   values, and, since [Ag_gen]'s rules compute integers, one record that
+   nests the first of those values in every other value tag. *)
+let codec_payloads seed =
+  let st = Random.State.make [| seed |] in
+  let rng bound = Random.State.int st bound in
+  let source = Lg_corpus.Ag_gen.generate rng in
+  let diag = Diag.create () in
+  match Linguist.Ag_parse.parse ~file:"<codec>" ~diag source with
+  | None -> []
+  | Some ast -> (
+      match Linguist.Check.check ~diag ast with
+      | None -> []
+      | Some ir ->
+          let tree = Fixtures.random_tree ir ~rng ~size:(10 + rng 30) in
+          let nodes = ref [] in
+          Tree.iter_prefix_ltr
+            (fun t -> nodes := Build.default_node t :: !nodes)
+            tree;
+          let applications =
+            match Linguist.Demand.evaluate_traced ir tree with
+            | _, applications -> applications
+            | exception Linguist.Demand.Circular _ -> []
+          in
+          List.iter
+            (fun (rule, values) ->
+              nodes :=
+                Node.interior ~prod:rule ~sym:0 ~attrs:(Array.of_list values)
+                :: !nodes)
+            applications;
+          let values =
+            List.filteri (fun i _ -> i < 8) (List.concat_map snd applications)
+          in
+          let every_tag =
+            Value.
+              [|
+                Bottom; Bool true; Name seed; Str (String.sub source 0 12);
+                List values; Set (List.sort_uniq compare values);
+                Pf (List.map (fun v -> (v, List [ v ])) (List.sort_uniq compare values));
+                Term ("f", values);
+              |]
+          in
+          nodes := Node.interior ~prod:0 ~sym:0 ~attrs:every_tag :: !nodes;
+          List.sort_uniq String.compare
+            (List.map
+               (fun node ->
+                 let buf = Buffer.create 64 in
+                 Node.encode buf node;
+                 Buffer.contents buf)
+               !nodes))
+
+(* The hostile-input invariant of the record codec: every proper prefix
+   and every one-byte mutation of a valid payload either decodes or is
+   refused as a corrupt record; no other exception escapes. *)
+let prop_codec_mutations =
+  QCheck.Test.make ~name:"record codec: prefixes and byte mutations"
+    ~count:40 (QCheck.make QCheck.Gen.(int_bound 100_000))
+    (fun seed ->
+      let decodes_or_corrupt what bytes =
+        match Node.decode bytes with
+        | _ | (exception Apt_error.Error (Apt_error.Corrupt_record _)) -> ()
+        | exception e ->
+            QCheck.Test.fail_reportf "seed %d, %s of %S: raised %s" seed what
+              bytes (Printexc.to_string e)
+      in
+      List.iter
+        (fun payload ->
+          for cut = 0 to String.length payload - 1 do
+            decodes_or_corrupt "prefix" (String.sub payload 0 cut)
+          done;
+          String.iteri
+            (fun i c ->
+              for v = 0 to 255 do
+                if v <> Char.code c then
+                  decodes_or_corrupt
+                    (Printf.sprintf "byte %d := %d" i v)
+                    (String.mapi (fun j c -> if j = i then Char.chr v else c) payload)
+              done)
+            payload)
+        (codec_payloads seed);
+      true)
 
 (* ----- mem's chunks ----- *)
 
@@ -889,14 +867,12 @@ let () =
           Alcotest.test_case "every single-bit flip is detected" `Quick
             test_bit_flip_matrix;
           Alcotest.test_case "truncated backing file" `Quick test_truncated_file;
-          Alcotest.test_case "corrupt compressed block" `Quick
-            test_corrupt_zip_block;
           Alcotest.test_case "hostile medium: every cut and byte flip" `Quick
             test_hostile_medium_sweep;
         ] );
       ( "resilience",
         [
-          Alcotest.test_case "write faults damage paged and zip" `Quick
+          Alcotest.test_case "write faults damage paged" `Quick
             test_write_faults_honoured;
           Alcotest.test_case "write damage pinned byte-for-byte" `Quick
             test_write_damage_pinned;
@@ -907,13 +883,16 @@ let () =
           Alcotest.test_case "full scan reads the file once" `Quick
             test_full_scan_reads_file_size;
           QCheck_alcotest.to_alcotest prop_full_scan_exact;
-          Alcotest.test_case "compression ratio" `Quick test_zip_ratio;
         ] );
       ( "registry",
         [
-          Alcotest.test_case "custom store record" `Quick
-            test_registered_custom_store;
           Alcotest.test_case "unknown names rejected" `Quick
             test_unknown_store_rejected;
+        ] );
+      ( "codec",
+        [
+          Alcotest.test_case "hostile payloads through both stores" `Quick
+            test_hostile_payloads;
+          QCheck_alcotest.to_alcotest prop_codec_mutations;
         ] );
     ]

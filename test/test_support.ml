@@ -149,6 +149,8 @@ let rec value_gen depth =
       [
         return Value.Bottom;
         map (fun n -> Value.Int n) small_signed_int;
+        (* any int: the widest take all nine bytes a varint may have *)
+        map (fun n -> Value.Int n) int;
         map (fun b -> Value.Bool b) bool;
         map (fun s -> Value.Str s) (string_size (int_bound 12));
         map (fun n -> Value.Name n) (int_bound 1000);
