@@ -14,10 +14,11 @@
    - the grammar/plan/subsumption/attributes sections of a manifest
      must match exactly: they are facts about the translation, and any
      drift is a behavior change;
-   - hit counters (keys ending in "_hits": pool and read-ahead hits) are
-     informational: they count lookups, whose number depends on how a
-     decoder splits its reads, and the cost they stand for is gated by
-     the misses, seeks and bytes next to them;
+   - hit counters (keys ending in "_hits"; today only the
+     delta-driven evaluator's incremental.cache_hits) are
+     informational: they count memo lookups, whose number depends on
+     how the propagation orders its work, and the cost they stand for
+     is gated by the firings and counters next to them;
    - ratios (keys ending in "_ratio") get better as they rise: HEAD regresses when it falls below BASE by
      more than the tolerance;
    - every other numeric leaf is a work counter, where more is worse:

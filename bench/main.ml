@@ -714,18 +714,14 @@ let store_bench () =
         (name, r.Engine.stats.Engine.total_io, wall))
       stores
   in
-  rowf "  %-10s %12s %8s %8s %11s %9s %9s %10s %11s\n" "store"
-    "bytes moved" "pages" "seeks" "pool h/m" "prefetch" "wall ms"
-    "model (s)" "+seeks (s)";
+  rowf "  %-10s %12s %8s %8s %9s %10s %11s\n" "store" "bytes moved" "pages"
+    "seeks" "wall ms" "model (s)" "+seeks (s)";
   List.iter
     (fun (name, (io : Lg_apt.Io_stats.t), wall) ->
-      rowf "  %-10s %12d %8d %8d %5d/%-5d %9d %9.2f %10.2f %11.2f\n" name
+      rowf "  %-10s %12d %8d %8d %9.2f %10.2f %11.2f\n" name
         (Lg_apt.Io_stats.total_bytes io)
         (Lg_apt.Io_stats.total_pages io)
         (Lg_apt.Io_stats.get io.Lg_apt.Io_stats.seeks)
-        (Lg_apt.Io_stats.get io.Lg_apt.Io_stats.pool_hits)
-        (Lg_apt.Io_stats.get io.Lg_apt.Io_stats.pool_misses)
-        (Lg_apt.Io_stats.get io.Lg_apt.Io_stats.prefetch_hits)
         (1000.0 *. wall)
         (Lg_apt.Io_stats.modeled_seconds io
            ~bytes_per_second:floppy_bytes_per_second)
@@ -794,7 +790,7 @@ let faults_bench () =
         Engine.run ~options:{ Engine.default_options with backend } plan tree)
   in
   let base = Lg_apt.Apt_store.default_config in
-  (* transient EIO absorbed by the pager's bounded retries *)
+  (* transient EIO absorbed by the paged reader's bounded retries *)
   let fault_rows =
     List.map
       (fun rate ->
@@ -1473,7 +1469,7 @@ let corpus_bench () =
 (* ============ server-layer chaos: supervision under injected faults ============ *)
 
 (* The serving sibling of [faults_bench]: where that one injects
-   transient EIO under the APT pager, this one injects worker crashes
+   transient EIO under the paged APT reader, this one injects worker crashes
    and wedges above the store stack and measures what the supervision
    layer (docs/SERVER.md) makes of them. Chaos rolls are a pure
    function of (seed, job id, relative file path), so the injected-job

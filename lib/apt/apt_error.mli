@@ -19,7 +19,7 @@ type t =
           foreign, or a version this build does not read. *)
   | Exhausted_retries of { path : string option; attempts : int; detail : string }
       (** A transient I/O fault persisted through the bounded
-          retry-with-backoff policy ({!Store_pager}); the affected pages
+          retry-with-backoff policy ({!Store_paged}); the affected pages
           are quarantined. *)
   | Resource_limit of { what : string; limit : int; detail : string }
       (** An evaluator budget (tree depth, node count) was exceeded —

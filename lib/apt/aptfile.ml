@@ -23,7 +23,7 @@ let stores =
        answer)" );
     ( "paged",
       Paged,
-      "temp file through an LRU page pool, reading ahead on sequential scans" );
+      "temp file, read through one sliding window per reader, two pages ahead" );
   ]
 
 let backend_of_store_name ?(config = Apt_store.default_config) name =

@@ -12,9 +12,9 @@
     record-level accounting, and delegates the on-medium layout to one
     of two stores: ["mem"] ({!Store_mem}, an in-memory buffer, the
     "virtual memory" variant the paper's conclusions ask about and the
-    default) or ["paged"] ({!Store_paged}, real temporary files through
-    a page pool — the paper's floppy/rigid disk, and the
-    fault-injection path). *)
+    default) or ["paged"] ({!Store_paged}, real temporary files, each
+    reader sliding one window through its file — the paper's
+    floppy/rigid disk, and the fault-injection path). *)
 
 type store = Mem | Paged
 

@@ -14,11 +14,8 @@ type t = {
   (* page-level counters (the paged store) *)
   pages_read : int Atomic.t;
   pages_written : int Atomic.t;
-  pool_hits : int Atomic.t;
-  pool_misses : int Atomic.t;
-  prefetch_hits : int Atomic.t;
   seeks : int Atomic.t;
-  (* resilience counters (retry/quarantine policy in Store_pager) *)
+  (* resilience counters (retry/quarantine policy in Store_paged) *)
   retries : int Atomic.t;
   pages_quarantined : int Atomic.t;
 }
@@ -50,13 +47,6 @@ let field_specs : (string * (t -> int) * (t -> int -> unit)) list =
     ( "pages_written",
       (fun t -> get t.pages_written),
       fun t v -> Atomic.set t.pages_written v );
-    ("pool_hits", (fun t -> get t.pool_hits), fun t v -> Atomic.set t.pool_hits v);
-    ( "pool_misses",
-      (fun t -> get t.pool_misses),
-      fun t v -> Atomic.set t.pool_misses v );
-    ( "prefetch_hits",
-      (fun t -> get t.prefetch_hits),
-      fun t v -> Atomic.set t.prefetch_hits v );
     ("seeks", (fun t -> get t.seeks), fun t v -> Atomic.set t.seeks v);
     ("retries", (fun t -> get t.retries), fun t v -> Atomic.set t.retries v);
     ( "pages_quarantined",
@@ -73,9 +63,6 @@ let create () =
     files_created = Atomic.make 0;
     pages_read = Atomic.make 0;
     pages_written = Atomic.make 0;
-    pool_hits = Atomic.make 0;
-    pool_misses = Atomic.make 0;
-    prefetch_hits = Atomic.make 0;
     seeks = Atomic.make 0;
     retries = Atomic.make 0;
     pages_quarantined = Atomic.make 0;

@@ -26,15 +26,13 @@ type t = {
   records_written : int Atomic.t;
   files_created : int Atomic.t;
   pages_read : int Atomic.t;  (** pages fetched from the medium *)
-  pages_written : int Atomic.t;  (** pages flushed to the medium *)
-  pool_hits : int Atomic.t;  (** page requests served from the buffer pool *)
-  pool_misses : int Atomic.t;  (** page requests that went to the medium *)
-  prefetch_hits : int Atomic.t;
-      (** pool hits on pages loaded by read-ahead *)
+  pages_written : int Atomic.t;
+      (** pages the written stream reached into: ⌈bytes / page size⌉
+          per file *)
   seeks : int Atomic.t;  (** non-contiguous repositionings of the medium *)
   retries : int Atomic.t;
       (** physical reads repeated after a transient I/O fault
-          ({!Store_pager}'s bounded retry-with-backoff policy) *)
+          ({!Store_paged}'s bounded retry-with-backoff policy) *)
   pages_quarantined : int Atomic.t;
       (** pages given up on after the retry budget was exhausted;
           further reads of a quarantined page fail immediately *)
@@ -74,8 +72,9 @@ val modeled_seconds : t -> bytes_per_second:float -> float
 val modeled_seconds_seek :
   t -> bytes_per_second:float -> seek_seconds:float -> float
 (** Like {!modeled_seconds} but charging each recorded seek separately —
-    what a paged store's pool misses cost on a seeking device, where
-    read-ahead turns many small seeks into a few page-boundary ones. *)
+    what a paged reader's non-contiguous transfers cost on a seeking
+    device, where read-ahead keeps a backward scan to one seek per three
+    pages or fewer. *)
 
 val to_json_value : t -> Lg_support.Json_out.t
 (** One flat JSON object with every counter, as the bench harness's

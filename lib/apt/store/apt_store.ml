@@ -17,9 +17,9 @@ type direction = [ `Forward | `Backward ]
 
 (* ---- deterministic fault injection ----
 
-   Read-side kinds are injected inside [Store_pager]'s transfers, where
-   the retry policy can absorb them; write-side kinds damage the medium
-   at [Store_paged]'s writer close. *)
+   Read-side kinds are injected inside [Store_paged]'s reader transfers,
+   where the retry policy can absorb them; write-side kinds damage the
+   medium at its writer close. *)
 
 type fault_kind = Transient_io | Short_read | Bit_flip | Torn_write
 
@@ -50,8 +50,6 @@ let spec_to_string { f_seed; f_rate; f_kinds } =
 type config = {
   dir : string option;  (** backing directory; [None] = system temp dir *)
   page_size : int;
-  pool_pages : int;  (** buffer-pool capacity, in pages *)
-  prefetch_pages : int;  (** read-ahead window on sequential access *)
   faults : fault_spec option;  (** deterministic fault injection *)
 }
 
@@ -59,8 +57,6 @@ let default_config =
   {
     dir = None;
     page_size = 4096;
-    pool_pages = 8;
-    prefetch_pages = 2;
     faults = None;
   }
 
@@ -192,7 +188,7 @@ module Record_codec = struct
         truncated src ~offset:pos
           (Printf.sprintf "header claims %d payload bytes past EOF" len);
       (* bytes are requested in scan order (payload before trailer):
-         a pooled source serves each page before it has to evict it *)
+         a windowed source is never asked for a byte behind its window *)
       let payload = src.src_read ~pos:(pos + 8) ~len ~want:`High in
       let trailer = src.src_read ~pos:(pos + 8 + len) ~len:8 ~want:`High in
       if u32_of_string trailer 4 <> len then
@@ -217,8 +213,8 @@ module Record_codec = struct
         truncated src ~offset:(pos - 8)
           (Printf.sprintf "trailer claims %d payload bytes before start" len);
       let start = pos - len - Framed.overhead in
-      (* header and payload in one request, in scan order, so the
-         lowest page is fetched only from the header up *)
+      (* header and payload in one request, so a paged reader fetches
+         the rest of the record in one transfer *)
       let framed = src.src_read ~pos:start ~len:(8 + len) ~want:`Low in
       let header = String.sub framed 0 8 in
       let payload = String.sub framed 8 len in

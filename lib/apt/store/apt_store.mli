@@ -20,11 +20,11 @@ type direction = [ `Forward | `Backward ]
 
 (** Deterministic fault injection: which faults, how often, and the RNG
     seed that makes a campaign reproducible. Read-side kinds are
-    injected inside {!Store_pager}, below the checksum layer, where the
-    bounded retry policy absorbs them; write-side kinds damage the
-    medium when a ["paged"] writer closes. *)
+    injected inside {!Store_paged}'s readers, below the checksum layer,
+    where the bounded retry policy absorbs them; write-side kinds damage
+    the medium when a ["paged"] writer closes. *)
 type fault_kind =
-  | Transient_io  (** read fails once (EIO); absorbed by pager retries *)
+  | Transient_io  (** read fails once (EIO); absorbed by the reader's retries *)
   | Short_read  (** a physical read returns fewer bytes than asked *)
   | Bit_flip  (** one bit of the written file is flipped *)
   | Torn_write  (** the written file is truncated mid-record *)
@@ -46,13 +46,11 @@ val spec_to_string : fault_spec -> string
 type config = {
   dir : string option;  (** backing directory; [None] = system temp dir *)
   page_size : int;  (** page size for paged stores, bytes *)
-  pool_pages : int;  (** buffer-pool capacity, in pages *)
-  prefetch_pages : int;  (** read-ahead window on sequential access *)
   faults : fault_spec option;  (** deterministic fault injection *)
 }
 
 val default_config : config
-(** 4 KiB pages, 8-page pool, 2-page read-ahead; no faults. *)
+(** 4 KiB pages; no faults. *)
 
 type reader = { next : unit -> string option; close_reader : unit -> unit }
 

@@ -106,7 +106,7 @@ let jobs spec =
             {
               Lg_apt.Apt_store.f_seed = Prng.derive spec.s_seed (500_000 + !n_eligible);
               f_rate = 0.05;
-              (* read-side only: transient faults are absorbed by pager
+              (* read-side only: transient faults are absorbed by reader
                  retries, so outputs stay deterministic *)
               f_kinds = [ Lg_apt.Apt_store.Transient_io ];
             }

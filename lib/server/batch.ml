@@ -62,8 +62,7 @@ open Lg_support.Json_out
 let engine_options_of (j : Jobfile.job) ~dir =
   let config =
     {
-      Lg_apt.Apt_store.default_config with
-      dir = Some dir;
+      Lg_apt.Apt_store.dir = Some dir;
       page_size =
         Option.value j.Jobfile.j_page_size
           ~default:Lg_apt.Apt_store.default_config.Lg_apt.Apt_store.page_size;

@@ -74,9 +74,15 @@ let str_member name doc =
   | Some _ -> Error (Printf.sprintf "%S must be a string" name)
   | None -> Ok None
 
-let int_member name doc =
+(* an integral number inside the int range, no smaller than [min] *)
+let int_member ~min name doc =
   match member name doc with
-  | Some (Num _ as n) -> Ok (Some (to_int n))
+  | Some (Num f) when Float.is_integer f && Float.abs f < 0x1p62 ->
+      let n = int_of_float f in
+      if n >= min then Ok (Some n)
+      else if min = 1 then Error (Printf.sprintf "%S must be positive" name)
+      else Error (Printf.sprintf "%S must not be negative" name)
+  | Some (Num _) -> Error (Printf.sprintf "%S must be an integer" name)
   | Some _ -> Error (Printf.sprintf "%S must be a number" name)
   | None -> Ok None
 
@@ -99,10 +105,10 @@ let job_of_json ~index doc =
       let* file = str_member "file" doc in
       let* source = str_member "source" doc in
       let* store = str_member "store" doc in
-      let* page_size = int_member "page_size" doc in
+      let* page_size = int_member ~min:1 "page_size" doc in
       let* faults_str = str_member "faults" doc in
-      let* depth_budget = int_member "depth_budget" doc in
-      let* node_budget = int_member "node_budget" doc in
+      let* depth_budget = int_member ~min:0 "depth_budget" doc in
+      let* node_budget = int_member ~min:0 "node_budget" doc in
       let* deadline = num_member "deadline" doc in
       let* () =
         match deadline with

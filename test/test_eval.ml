@@ -221,7 +221,7 @@ let test_dead_opt_shrinks_files () =
     (Printf.sprintf "optimized (%d) < keep-all (%d)" optimized keep_all)
     true (optimized < keep_all)
 
-let test_paged_and_mem_backends_agree () =
+let with_temp_dir f =
   let dir = Filename.temp_file "engtest" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
@@ -231,31 +231,58 @@ let test_paged_and_mem_backends_agree () =
         (fun f -> Sys.remove (Filename.concat dir f))
         (Sys.readdir dir);
       Sys.rmdir dir)
-    (fun () ->
-      let ir = Fixtures.ir_of_source Fixtures.env_grammar in
-      let plan = Driver.plan_of_ir ir in
-      let tree = line_tree ir 30 in
-      let mem = Engine.run plan tree in
-      let paged =
-        Engine.run
-          ~options:
-            {
-              Engine.default_options with
-              backend =
-                Lg_apt.Aptfile.backend_of_store_name
-                  ~config:{ Lg_apt.Apt_store.default_config with dir = Some dir }
-                  "paged";
-            }
-          plan tree
-      in
-      List.iter2
-        (fun (n, v1) (_, v2) -> Alcotest.check check_value n v1 v2)
-        mem.Engine.outputs paged.Engine.outputs;
-      Alcotest.(check int) "same bytes written"
-        (Lg_apt.Io_stats.get
-           mem.Engine.stats.Engine.total_io.Lg_apt.Io_stats.bytes_written)
-        (Lg_apt.Io_stats.get
-           paged.Engine.stats.Engine.total_io.Lg_apt.Io_stats.bytes_written))
+    (fun () -> f dir)
+
+let paged_backend ?(page_size = Lg_apt.Apt_store.default_config.page_size) dir =
+  Lg_apt.Aptfile.backend_of_store_name
+    ~config:{ Lg_apt.Apt_store.default_config with dir = Some dir; page_size }
+    "paged"
+
+let test_paged_and_mem_backends_agree () =
+  with_temp_dir @@ fun dir ->
+  let ir = Fixtures.ir_of_source Fixtures.env_grammar in
+  let plan = Driver.plan_of_ir ir in
+  let tree = line_tree ir 30 in
+  let mem = Engine.run plan tree in
+  let paged =
+    Engine.run
+      ~options:{ Engine.default_options with backend = paged_backend dir }
+      plan tree
+  in
+  List.iter2
+    (fun (n, v1) (_, v2) -> Alcotest.check check_value n v1 v2)
+    mem.Engine.outputs paged.Engine.outputs;
+  Alcotest.(check int) "same bytes written"
+    (Lg_apt.Io_stats.get
+       mem.Engine.stats.Engine.total_io.Lg_apt.Io_stats.bytes_written)
+    (Lg_apt.Io_stats.get
+       paged.Engine.stats.Engine.total_io.Lg_apt.Io_stats.bytes_written)
+
+(* A paged run reads exactly the bytes a mem run reads: every pass scans
+   its file once, and the final read of the root record is charged for
+   that record alone, under any page size. *)
+let test_paged_reads_what_mem_reads () =
+  with_temp_dir @@ fun dir ->
+  let ir = Fixtures.ir_of_source Fixtures.env_grammar in
+  let plan = Driver.plan_of_ir ir in
+  let bytes_read options tree =
+    let r = Engine.run ~options plan tree in
+    Lg_apt.Io_stats.get r.Engine.stats.Engine.total_io.Lg_apt.Io_stats.bytes_read
+  in
+  List.iter
+    (fun n ->
+      let tree = line_tree ir n in
+      let mem = bytes_read Engine.default_options tree in
+      List.iter
+        (fun page_size ->
+          Alcotest.(check int)
+            (Printf.sprintf "%d items, %d-byte pages" n page_size)
+            mem
+            (bytes_read
+               { Engine.default_options with backend = paged_backend ~page_size dir }
+               tree))
+        [ 16; 64; 4096 ])
+    [ 1; 30; 300 ]
 
 let test_engine_rejects_foreign_tree () =
   let ir = Fixtures.ir_of_source Fixtures.env_grammar in
@@ -619,6 +646,8 @@ let () =
             test_dead_opt_shrinks_files;
           Alcotest.test_case "paged = mem backend" `Quick
             test_paged_and_mem_backends_agree;
+          Alcotest.test_case "paged reads the bytes mem reads" `Quick
+            test_paged_reads_what_mem_reads;
           Alcotest.test_case "foreign tree rejected" `Quick
             test_engine_rejects_foreign_tree;
           Alcotest.test_case "oracle circularity" `Quick

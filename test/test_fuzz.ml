@@ -220,7 +220,7 @@ let test_fuzz_campaign () =
 (* ---------------------------------------------------------------- *)
 (* Fault-injection campaign: the same generated grammars evaluated over
    the "paged" store under a fault spec. Transient EIO at a low rate must be absorbed by
-   the pager's bounded retries — every run matches the oracle exactly and
+   the paged reader's bounded retries — every run matches the oracle exactly and
    the retry counter shows the faults were real. Destructive damage (bit
    flips, torn writes) must either leave the run unaffected or surface as
    a typed [Apt_error]: never a crash, never a silent mismatch. *)

@@ -377,6 +377,41 @@ let test_jobfile_rejects () =
   expect_jobfile_error "translate needs a language" "language"
     {|{ "linguist_jobs": 1, "jobs": [ { "op": "translate", "file": "x" } ] }|}
 
+(* The integer fields are integral, inside the int range and not below
+   their floor, or the document is refused with the field's name: a
+   page size of 0, -3 or 2^62 - 1 never reaches a store, and 2.5 is not
+   truncated to 2. *)
+let test_jobfile_integer_fields () =
+  let job field value =
+    Printf.sprintf
+      {|{ "linguist_jobs": 1,
+          "jobs": [ { "op": "analyze", "file": "g.ag", %S: %s } ] }|}
+      field value
+  in
+  List.iter
+    (fun (field, value, fragment) ->
+      expect_jobfile_error
+        (Printf.sprintf "%s %s" field value)
+        (Printf.sprintf "%S must %s" field fragment)
+        (job field value))
+    [
+      ("page_size", "0", "be positive");
+      ("page_size", "-3", "be positive");
+      ("page_size", "4611686018427387903", "be an integer");
+      ("page_size", "2.5", "be an integer");
+      ("page_size", "\"big\"", "be a number");
+      ("depth_budget", "-1", "not be negative");
+      ("depth_budget", "1e300", "be an integer");
+      ("node_budget", "0.5", "be an integer");
+      ("node_budget", "-7", "not be negative");
+    ];
+  match Jobfile.parse (job "page_size" "512") with
+  | Ok [ j ] ->
+      Alcotest.(check (option int)) "a positive page size is kept" (Some 512)
+        j.Jobfile.j_page_size
+  | Ok _ -> Alcotest.fail "wrong job count"
+  | Error e -> Alcotest.failf "page_size 512 refused: %s" e
+
 let test_jobfile_default_ids () =
   let doc =
     {|{ "linguist_jobs": 1, "jobs": [
@@ -1753,6 +1788,8 @@ let () =
             test_jobfile_rejects;
           Alcotest.test_case "id-less jobs get positional ids" `Quick
             test_jobfile_default_ids;
+          Alcotest.test_case "integer fields are checked" `Quick
+            test_jobfile_integer_fields;
         ] );
       ( "batch",
         [

@@ -19,9 +19,8 @@ let with_temp_dir f =
 
 let config_in dir = { default_config with dir = Some dir }
 
-(* A config that forces multi-page records and pool pressure. *)
-let tiny_pages dir =
-  { (config_in dir) with page_size = 32; pool_pages = 3; prefetch_pages = 2 }
+(* A config that forces multi-page records. *)
+let tiny_pages dir = { (config_in dir) with page_size = 32 }
 
 let drain (r : reader) =
   let rec go acc =
@@ -75,8 +74,8 @@ let test_empty_and_single () =
       store_roundtrip (name ^ " empty") store [];
       store_roundtrip (name ^ " single") store [ "only" ])
 
-(* Records wider than the whole pool still round-trip (they bypass the
-   pool's interior pages), and so do tiny pages generally. *)
+(* Records many pages wide still round-trip, and so do tiny pages
+   generally. *)
 let test_tiny_pages () =
   with_temp_dir @@ fun dir ->
   store_roundtrip "paged tiny pages"
@@ -573,34 +572,54 @@ let scan_with_stats start payloads dir =
   f.f_dispose ();
   (stats, f)
 
+let page_count (f : file) = (f.f_size + 31) / 32
+
 let test_paged_stats () =
   with_temp_dir @@ fun dir ->
   let payloads = List.init 64 (fun i -> String.make (20 + (i mod 7)) 'p') in
-  let scan config =
-    scan_with_stats (store ~config "paged") payloads `Backward
+  let stats, f =
+    scan_with_stats (store ~config:(tiny_pages dir) "paged") payloads `Backward
   in
-  let stats, f = scan (tiny_pages dir) in
-  Alcotest.(check int) "read-ahead scan reads exactly the file" f.f_size
-    (Io_stats.get stats.Io_stats.bytes_read);
+  let get field = Io_stats.get (field stats) in
+  Alcotest.(check int) "a backward scan reads exactly the file" f.f_size
+    (get (fun s -> s.Io_stats.bytes_read));
   Alcotest.(check int) "writes the file once" f.f_size
-    (Io_stats.get stats.Io_stats.bytes_written);
-  Alcotest.(check bool) "pages were written" true (Io_stats.get stats.Io_stats.pages_written > 0);
-  Alcotest.(check bool) "pool took hits" true (Io_stats.get stats.Io_stats.pool_hits > 0);
-  Alcotest.(check bool) "read-ahead pages got used" true
-    (Io_stats.get stats.Io_stats.prefetch_hits > 0);
-  (* the same scan with read-ahead switched off by config *)
-  let plain, f = scan { (tiny_pages dir) with prefetch_pages = 0 } in
-  Alcotest.(check int) "plain scan reads exactly the file" f.f_size
-    (Io_stats.get plain.Io_stats.bytes_read);
-  Alcotest.(check bool) "seeks counted" true (Io_stats.get plain.Io_stats.seeks > 0);
-  Alcotest.(check bool) "read-ahead costs fewer seeks" true
-    (Io_stats.get stats.Io_stats.seeks < Io_stats.get plain.Io_stats.seeks)
+    (get (fun s -> s.Io_stats.bytes_written));
+  Alcotest.(check int) "pages written = the file's pages" (page_count f)
+    (get (fun s -> s.Io_stats.pages_written));
+  Alcotest.(check int) "pages read = the file's pages" (page_count f)
+    (get (fun s -> s.Io_stats.pages_read));
+  Alcotest.(check bool) "seeks counted" true (get (fun s -> s.Io_stats.seeks) > 0)
+
+(* Once a reader has returned its first record, every fetch reads two
+   whole pages past the request's page, so a backward scan pays at most
+   one seek per three pages, plus the jump to the end of the file and
+   the rest of the first record — with short records and with records
+   several pages wide. *)
+let test_backward_scan_seeks () =
+  with_temp_dir @@ fun dir ->
+  List.iter
+    (fun (label, payloads) ->
+      let stats, f =
+        scan_with_stats (store ~config:(tiny_pages dir) "paged") payloads
+          `Backward
+      in
+      let pages = page_count f and seeks = Io_stats.get stats.Io_stats.seeks in
+      let bound = ((pages + 2) / 3) + 2 in
+      if pages < 30 then Alcotest.failf "%s: only %d pages" label pages;
+      if seeks > bound then
+        Alcotest.failf "%s: %d seeks over %d pages, more than %d" label seeks
+          pages bound)
+    [
+      ("short records", List.init 64 (fun i -> String.make (20 + (i mod 7)) 'p'));
+      ( "wide records",
+        List.init 24 (fun i -> String.make (if i mod 3 = 0 then 150 else 9) 'w')
+      );
+    ]
 
 (* A full scan through the paged store moves the file exactly once: no
-   byte is fetched twice, none is skipped — with the default pages, with
-   32-byte pages, where most records span several pages, and with
-   32-byte pages in a 3-page pool, where read-ahead must not evict a
-   page the scan still needs. *)
+   byte is fetched twice, none is skipped — with the default pages and
+   with 32-byte pages, where most records span several pages. *)
 let test_full_scan_reads_file_size () =
   with_temp_dir @@ fun dir ->
   let payloads =
@@ -617,26 +636,19 @@ let test_full_scan_reads_file_size () =
     [
       (config_in dir, `Forward);
       (config_in dir, `Backward);
-      ({ (config_in dir) with page_size = 32 }, `Forward);
-      ({ (config_in dir) with page_size = 32 }, `Backward);
       (tiny_pages dir, `Forward);
       (tiny_pages dir, `Backward);
     ]
 
-(* The same guarantee over random payloads and pool shapes: any page
-   size, pool size and read-ahead window, either direction. *)
+(* The same guarantee over random payloads and page sizes, either
+   direction. *)
 let prop_full_scan_exact =
-  QCheck.Test.make ~name:"full scan reads f_size under any pool shape"
+  QCheck.Test.make ~name:"full scan reads f_size under any page size"
     ~count:60
-    (QCheck.make
-       QCheck.Gen.(
-         tup2 payloads_gen
-           (triple (int_range 8 96) (int_range 2 6) (int_range 0 4))))
-    (fun (payloads, (page_size, pool_pages, prefetch_pages)) ->
+    (QCheck.make QCheck.Gen.(pair payloads_gen (int_range 8 96)))
+    (fun (payloads, page_size) ->
       with_temp_dir @@ fun dir ->
-      let config =
-        { (config_in dir) with page_size; pool_pages; prefetch_pages }
-      in
+      let config = { (config_in dir) with page_size } in
       List.iter
         (fun dirn ->
           let stats, f = scan_with_stats (store ~config "paged") payloads dirn in
@@ -647,6 +659,29 @@ let prop_full_scan_exact =
               read f.f_size)
         [ `Forward; `Backward ];
       true)
+
+(* A reader whose opening signature read runs out of retries closes
+   its descriptor: 50 failed opens leave the process's open descriptors
+   as they were. *)
+let test_failed_open_closes () =
+  if Sys.file_exists "/proc/self/fd" then
+    with_temp_dir @@ fun dir ->
+    let config =
+      {
+        (config_in dir) with
+        faults = Some (Result.get_ok (Apt_store.parse_spec "7:1.0:transient"));
+      }
+    in
+    let f = write_store ~config_of:(fun _ -> config) dir "paged" [ "a"; "b" ] in
+    let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+    let before = open_fds () in
+    for _ = 1 to 50 do
+      match f.f_read None `Forward with
+      | exception Apt_error.Error (Apt_error.Exhausted_retries _) -> ()
+      | _ -> Alcotest.fail "a read under 7:1.0:transient opened"
+    done;
+    Alcotest.(check int) "open descriptors" before (open_fds ());
+    f.f_dispose ()
 
 (* Every name but the two stores' is refused with the one message the
    CLI, job files and bench print, [zip] among them. *)
@@ -876,10 +911,14 @@ let () =
             test_write_faults_honoured;
           Alcotest.test_case "write damage pinned byte-for-byte" `Quick
             test_write_damage_pinned;
+          Alcotest.test_case "a failed open closes its descriptor" `Quick
+            test_failed_open_closes;
         ] );
       ( "stats",
         [
-          Alcotest.test_case "paged pool accounting" `Quick test_paged_stats;
+          Alcotest.test_case "paged window accounting" `Quick test_paged_stats;
+          Alcotest.test_case "backward scan seeks once per three pages" `Quick
+            test_backward_scan_seeks;
           Alcotest.test_case "full scan reads the file once" `Quick
             test_full_scan_reads_file_size;
           QCheck_alcotest.to_alcotest prop_full_scan_exact;
